@@ -69,6 +69,7 @@ from .wavespeed import (
     SequenceRun,
     SpeedResult,
     SweepTable,
+    bracket_low,
     bracketing_sequences,
     density_sweep,
     find_wave_speed,

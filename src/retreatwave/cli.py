@@ -126,6 +126,36 @@ def _common(reaction_spec, d, delta, tol, out_dir, config_path):
     return f, d, delta, tol, out, cfg
 
 
+def _convergence_verdict(record, c_target, out, speed_rtol, profile_tol, **extra):
+    """Write verify_series.csv and verify.json, then apply the error bounds.
+
+    A NaN error fails, but a NaN profile error (no reference) skips its bound.
+    """
+    report = speed_trend(record, c_target)
+    report.to_csv(out / "verify_series.csv")
+    write_json(out / "verify.json", {
+        "c_target": c_target,
+        "final_speed_error": report.final_speed_error,
+        "final_profile_error": report.final_profile_error,
+        "monotone_tail": report.monotone_tail,
+        "speed_rtol": speed_rtol,
+        "profile_tol": profile_tol,
+    } | extra)
+    if not report.final_speed_error <= speed_rtol * c_target:
+        raise VerificationFailure(
+            f"final speed error {report.final_speed_error!r} exceeds {speed_rtol:g} * c(delta)"
+        )
+    profile_err = report.final_profile_error
+    if not (math.isnan(profile_err) or profile_err <= profile_tol):
+        raise VerificationFailure(
+            f"final profile error {profile_err!r} exceeds {profile_tol:g}"
+        )
+    click.echo(
+        f"verify: speed_err={report.final_speed_error!r} "
+        f"profile_err={profile_err!r} monotone_tail={report.monotone_tail}"
+    )
+
+
 def _guarded(body):
     try:
         body()
@@ -234,7 +264,8 @@ def sweep(deltas, reaction_spec, d, delta, tol, out_dir, config_path):
     def body():
         f, dd, _, tol_, out, _ = _common(reaction_spec, d, delta, tol, out_dir, config_path)
         values = _parse_deltas(deltas)
-        table = density_sweep(dd, f, values, tol_, csv_path=out / "sweep.csv")
+        table = density_sweep(dd, f, values, tol_)
+        table.to_csv(out / "sweep.csv")
         for dv, msg in table.errors.items():
             click.echo(f"delta={dv:g}: {msg}", err=True)
         table.assert_monotone()
@@ -331,31 +362,8 @@ def simulate(u0_preset, table_path, t_end, n_cells, l_y, dt, g0, output_every,
         )
 
         if do_verify:
-            report = speed_trend(record, speed_result.retreat_speed)
-            report.to_csv(out / "verify_series.csv")
-            payload = {
-                "c_target": speed_result.retreat_speed,
-                "final_speed_error": report.final_speed_error,
-                "final_profile_error": report.final_profile_error,
-                "monotone_tail": report.monotone_tail,
-                "truncation_correction": truncation_correction(final, reference),
-                "speed_rtol": speed_rtol,
-                "profile_tol": profile_tol,
-            }
-            write_json(out / "verify.json", payload)
-            if report.final_speed_error > speed_rtol * speed_result.retreat_speed:
-                raise VerificationFailure(
-                    f"final speed error {report.final_speed_error!r} exceeds "
-                    f"{speed_rtol:g} * c(delta)"
-                )
-            if report.final_profile_error > profile_tol:
-                raise VerificationFailure(
-                    f"final profile error {report.final_profile_error!r} exceeds {profile_tol:g}"
-                )
-            click.echo(
-                f"verify: speed_err={report.final_speed_error!r} "
-                f"profile_err={report.final_profile_error!r}"
-            )
+            _convergence_verdict(record, speed_result.retreat_speed, out, speed_rtol, profile_tol,
+                                 truncation_correction=truncation_correction(final, reference))
 
     _guarded(body)
 
@@ -404,7 +412,8 @@ def sequences(c_upper0, c_lower0, m_start, n_max, reaction_spec, d, delta, tol,
               help="speed.json produced by the speed subcommand.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=".")
 @click.option("--speed-rtol", type=float, default=0.02)
-@click.option("--profile-tol", type=float, default=0.05)
+@click.option("--profile-tol", type=float, default=0.05,
+              help="Sup profile error allowed; skipped for a run recorded without a reference.")
 def verify(record_path, speed_path, out_dir, speed_rtol, profile_tol):
     """Re-check a recorded run against a stored speed result."""
 
@@ -413,29 +422,8 @@ def verify(record_path, speed_path, out_dir, speed_rtol, profile_tol):
         out.mkdir(parents=True, exist_ok=True)
         record = RunRecord.rows_from_csv(record_path)
         payload = json.loads(Path(speed_path).read_text(encoding="utf-8"))
-        c_target = float(payload["retreat_speed"])
-        report = speed_trend(record, c_target)
-        report.to_csv(out / "verify_series.csv")
-        write_json(out / "verify.json", {
-            "c_target": c_target,
-            "final_speed_error": report.final_speed_error,
-            "final_profile_error": report.final_profile_error,
-            "monotone_tail": report.monotone_tail,
-            "speed_rtol": speed_rtol,
-            "profile_tol": profile_tol,
-        })
-        if report.final_speed_error > speed_rtol * c_target:
-            raise VerificationFailure(
-                f"final speed error {report.final_speed_error!r} exceeds {speed_rtol:g} * c"
-            )
-        if math.isfinite(report.final_profile_error) and report.final_profile_error > profile_tol:
-            raise VerificationFailure(
-                f"final profile error {report.final_profile_error!r} exceeds {profile_tol:g}"
-            )
-        click.echo(
-            f"verify: speed_err={report.final_speed_error!r} "
-            f"profile_err={report.final_profile_error!r} monotone_tail={report.monotone_tail}"
-        )
+        _convergence_verdict(record, float(payload["retreat_speed"]), out, speed_rtol,
+                             profile_tol)
 
     _guarded(body)
 

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .phaseplane import SemiWaveProfile
 from .reaction import ReactionFunction
-from .serialize import write_csv
+from .serialize import read_csv, write_csv
 
 __all__ = [
     "Grid1D",
@@ -188,8 +188,6 @@ class RunRecord:
 
     @classmethod
     def rows_from_csv(cls, path) -> "RunRecord":
-        from .serialize import read_csv
-
         header, raw = read_csv(path)
         if tuple(header) != ROW_FIELDS:
             raise InputError(f"unexpected run record header {header!r}")
@@ -202,10 +200,7 @@ class RunRecord:
 
 def front_speed_from_state(state: FrontFixedState, d: float, delta: float) -> float:
     """Front speed -(d/delta) U_y(t, 0) from the three-point boundary stencil."""
-    U = state.U
-    h = state.grid.h
-    dUy = (-3.0 * U[0] + 4.0 * U[1] - U[2]) / (2.0 * h)
-    return -(d / delta) * dUy
+    return _boundary_speed(state.U, state.grid.h, d, delta)
 
 
 def _boundary_speed(U: np.ndarray, h: float, d: float, delta: float) -> float:
@@ -305,7 +300,8 @@ def step(
 
     min_u = float(np.min(U_new))
     max_u = float(np.max(U_new))
-    if min_u <= 0.0 or (c1 is not None and max_u > c1 + BOUND_SLACK) or abs(gp_new) > c2:
+    # a negated conjunction of the bounds, so that a NaN fails the check
+    if not (min_u > 0.0 and (c1 is None or max_u <= c1 + BOUND_SLACK) and abs(gp_new) <= c2):
         diag = (
             f"t={t_new:.10g} g'={gp_new:.10g} min_U={min_u:.10g} max_U={max_u:.10g} "
             f"(bounds: U in (0, {c1 if c1 is not None else 'inf'}], |g'| <= {c2:g})"

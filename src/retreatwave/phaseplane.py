@@ -38,7 +38,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntegrationOptions:
-    """Tolerances and sampling controls for trajectory integration.
+    """Tolerances for trajectory integration.
 
     ``start_offset`` is the fraction of (delta - xi) used to step off the
     singular equilibrium before handing over to the adaptive integrator.
@@ -47,11 +47,11 @@ class IntegrationOptions:
     rtol: float = 1e-10
     atol: float = 1e-12
     start_offset: float = 1e-8
-    n_samples: int = 2500
-    method: str = "RK45"
 
 
 DEFAULT_OPTIONS = IntegrationOptions()
+TRAJECTORY_SAMPLES = 2500  # samples of P on [xi + eta, delta]
+PROFILE_SAMPLES = 1200  # samples of q on [0, x_end]
 
 
 @dataclass(eq=False)
@@ -186,7 +186,7 @@ def integrate_trajectory(
         rhs,
         (q0, delta),
         [p0],
-        method=opts.method,
+        method="RK45",
         rtol=opts.rtol,
         atol=opts.atol,
         dense_output=True,
@@ -197,7 +197,7 @@ def integrate_trajectory(
             last_good=float(sol.t[-1]),
         )
 
-    q_samples = np.linspace(q0, delta, opts.n_samples)
+    q_samples = np.linspace(q0, delta, TRAJECTORY_SAMPLES)
     p_samples = sol.sol(q_samples)[0]
     if np.any(p_samples >= 0.0):
         raise NumericalError(
@@ -219,7 +219,7 @@ def integrate_trajectory(
 
 
 def closed_form_zero_speed(q: float, d: float, f: ReactionFunction) -> float:
-    """Exact trajectory value at zero speed: -sqrt((2/d) * int_q^xi f).
+    """Exact trajectory value at zero speed: P0(q) = -sqrt((2/d) * int_q^xi f).
 
     For q beyond the stable zero the integrand makes the radicand positive;
     a negative radicand beyond round-off signals a non-monostable reaction.
@@ -244,7 +244,6 @@ def reconstruct_profile(
     traj: PhaseTrajectory,
     x_max: float = 100.0,
     tail_cut: float | None = None,
-    n_samples: int = 1200,
 ) -> SemiWaveProfile:
     """March dq/dx = P(q) from q(0) = delta until the tail cutoff or x_max.
 
@@ -297,7 +296,7 @@ def reconstruct_profile(
         )
     x_end = float(sol.t_events[0][0]) if sol.t_events[0].size else float(sol.t[-1])
 
-    x_grid = np.linspace(0.0, x_end, n_samples)
+    x_grid = np.linspace(0.0, x_end, PROFILE_SAMPLES)
     w_values = sol.sol(x_grid)[0]
     if np.any(np.diff(w_values) >= 0.0):
         raise NumericalError("reconstructed profile is not strictly decreasing")

@@ -35,17 +35,13 @@ ZERO_LOCATION_TOL = 1e-12
 class ReactionFunction:
     """A growth law f(u) bundled with its derivative and stable zero.
 
-    Instances are immutable and safe to share across workers.  ``family`` and
-    ``params`` record how the function was built so that perturbation
-    constructors can pick exact closed forms where they exist.
+    Instances are immutable and safe to share across workers.
     """
 
     value_fn: Callable = field(repr=False)
     deriv_fn: Callable = field(repr=False)
     stable_zero: float
     label: str
-    family: str = "custom"
-    params: tuple = ()
 
     def __call__(self, u):
         return self.value_fn(u)
@@ -90,30 +86,31 @@ def make_logistic(r: float) -> ReactionFunction:
         deriv_fn=lambda u: r * (1.0 - 2.0 * u),
         stable_zero=1.0,
         label=f"logistic:r={r:g}",
-        family="logistic",
-        params=(r,),
     )
 
 
 def make_polynomial(coeffs: tuple[float, ...]) -> ReactionFunction:
     """Reaction f(u) = c1*u + c2*u**2 + ... with no constant term.
 
-    The stable zero is located numerically and the result is validated for
-    monostability; an inadmissible polynomial is rejected.
+    The stable zero is located by a dense sign scan on (0, 20] continued
+    geometrically to the Cauchy root bound, so with a negative leading
+    coefficient f is negative on all of (stable_zero, inf).  The result is
+    validated for monostability; an inadmissible polynomial is rejected.
     """
     cs = tuple(float(c) for c in coeffs)
-    if not cs:
-        raise InputError("polynomial reaction needs at least one coefficient")
+    lead = next((c for c in reversed(cs) if c != 0.0), 0.0)
+    if not lead < 0.0:
+        raise InputError("polynomial reaction needs a negative leading coefficient")
     poly = np.polynomial.Polynomial((0.0,) + cs)
-    dpoly = poly.deriv()
-    zero = _locate_stable_zero(poly, hi=20.0)
+    try:
+        zero = _locate_stable_zero(poly, hi=20.0, tail_to=1.0 + max(map(abs, cs)) / -lead)
+    except PerturbationError as exc:
+        raise InputError(f"polynomial reaction is not monostable: {exc}") from exc
     f = ReactionFunction(
         value_fn=poly,
-        deriv_fn=dpoly,
+        deriv_fn=poly.deriv(),
         stable_zero=zero,
         label="custom:" + ",".join(f"{c:g}" for c in cs),
-        family="polynomial",
-        params=cs,
     )
     report = validate_monostable(f, grid_n=2000)
     if not report.ok:
@@ -123,27 +120,30 @@ def make_polynomial(coeffs: tuple[float, ...]) -> ReactionFunction:
     return f
 
 
-def _locate_stable_zero(fn: Callable, hi: float, tol: float = ZERO_LOCATION_TOL) -> float:
+def _locate_stable_zero(fn: Callable, hi: float, tail_to: float = 0.0) -> float:
     """Find the positive zero where fn changes sign from + to -.
 
-    Scans a dense grid on (0, hi] for down-crossings, requires exactly one,
-    refines it by bisection to absolute tolerance ``tol`` and polishes with a
-    few Newton steps so the residual reaches evaluator round-off.
+    Scans a dense grid on (0, hi], and a geometric one on (hi, tail_to], for
+    down-crossings, requires exactly one, refines it by bisection to absolute
+    tolerance ZERO_LOCATION_TOL and polishes with a few Newton steps so the
+    residual reaches evaluator round-off.
     """
     grid = np.linspace(0.0, hi, 4001)[1:]
+    if tail_to > hi:
+        grid = np.concatenate((grid, np.geomspace(hi, tail_to, 4001)[1:]))
     vals = np.asarray(fn(grid), dtype=float)
     signs = np.sign(vals)
     down = np.nonzero((signs[:-1] > 0) & (signs[1:] < 0))[0]
     exact = np.nonzero(vals == 0.0)[0]
     if len(down) + len(exact) != 1:
         raise PerturbationError(
-            f"expected exactly one +/- sign change of the reaction on (0, {hi:g}], "
+            f"expected exactly one +/- sign change of the reaction on (0, {grid[-1]:g}], "
             f"found {len(down)} crossings and {len(exact)} exact zeros"
         )
     if len(exact) == 1:
         return float(grid[exact[0]])
     a, b = float(grid[down[0]]), float(grid[down[0] + 1])
-    while b - a > tol:
+    while b - a > ZERO_LOCATION_TOL:
         mid = 0.5 * (a + b)
         if fn(mid) > 0.0:
             a = mid
@@ -156,7 +156,7 @@ def _locate_stable_zero(fn: Callable, hi: float, tol: float = ZERO_LOCATION_TOL)
         if slope == 0.0:
             break
         z_next = z - float(fn(z)) / slope
-        if not a - tol <= z_next <= b + tol:
+        if not a - ZERO_LOCATION_TOL <= z_next <= b + ZERO_LOCATION_TOL:
             break
         z = z_next
     return z
@@ -165,41 +165,18 @@ def _locate_stable_zero(fn: Callable, hi: float, tol: float = ZERO_LOCATION_TOL)
 def make_perturbation_pair(base: ReactionFunction, epsilon: float) -> PerturbationPair:
     """Build sandwiching reactions (lower < base < upper) for a given epsilon.
 
-    For the logistic family the members are the exact shifted-zero logistics
-    r*u*(1 -/+ eps - u); for any other base the additive family
-    base(u) -/+ eps*u*exp(-u) is used.  Either way the stable zeros are
-    re-located by bisection and both members are validated for monostability;
-    an epsilon that breaks monostability is rejected with the validator's
-    diagnostics.
+    The members are the additive family base(u) -/+ eps*u*exp(-u) for every
+    base.  Their stable zeros are re-located by bisection and both members
+    are validated for monostability; an epsilon that breaks monostability is
+    rejected with the validator's diagnostics.
     """
     xi = base.stable_zero
     if not 0.0 < epsilon < min(1.0, xi) / 2.0:
         raise InputError(
             f"epsilon must lie in (0, {min(1.0, xi) / 2.0:g}), got {epsilon}"
         )
-    if base.family == "logistic":
-        (r,) = base.params
-        members = []
-        for sign, tag in ((-1.0, "lower"), (+1.0, "upper")):
-            zshift = 1.0 + sign * epsilon
-            fn = _shifted_logistic(r, zshift)
-            dfn = _shifted_logistic_deriv(r, zshift)
-            zero = _locate_stable_zero(fn, hi=2.0)
-            members.append(
-                ReactionFunction(
-                    value_fn=fn,
-                    deriv_fn=dfn,
-                    stable_zero=zero,
-                    label=f"{base.label}|{tag}:eps={epsilon:g}",
-                    family="logistic-shifted",
-                    params=(r, zshift),
-                )
-            )
-        lower, upper = members
-    else:
-        lower = _additive_member(base, -epsilon, "lower")
-        upper = _additive_member(base, +epsilon, "upper")
-
+    lower = _additive_member(base, -epsilon, "lower")
+    upper = _additive_member(base, +epsilon, "upper")
     for member in (lower, upper):
         report = validate_monostable(member, grid_n=2000)
         if not report.ok:
@@ -207,16 +184,10 @@ def make_perturbation_pair(base: ReactionFunction, epsilon: float) -> Perturbati
                 f"epsilon={epsilon:g} breaks monostability of {member.label}: "
                 + "; ".join(report.failures)
             )
-    _check_strict_sandwich(base, lower, upper)
+    u = np.linspace(0.0, 2.0 * max(xi, upper.stable_zero), 1001)[1:]
+    if not (np.all(lower(u) < base(u)) and np.all(base(u) < upper(u))):
+        raise PerturbationError("perturbation pair is not strictly sandwiching")
     return PerturbationPair(lower=lower, upper=upper, epsilon=float(epsilon))
-
-
-def _shifted_logistic(r: float, z: float) -> Callable:
-    return lambda u: r * u * (z - u)
-
-
-def _shifted_logistic_deriv(r: float, z: float) -> Callable:
-    return lambda u: r * (z - 2.0 * u)
 
 
 def _additive_member(base: ReactionFunction, eps: float, tag: str) -> ReactionFunction:
@@ -228,15 +199,7 @@ def _additive_member(base: ReactionFunction, eps: float, tag: str) -> ReactionFu
         deriv_fn=dfn,
         stable_zero=zero,
         label=f"{base.label}|{tag}:eps={abs(eps):g}",
-        family="additive-perturbed",
-        params=(eps,),
     )
-
-
-def _check_strict_sandwich(base, lower, upper, n: int = 1000) -> None:
-    u = np.linspace(0.0, 2.0 * max(base.stable_zero, upper.stable_zero), n + 1)[1:]
-    if not (np.all(lower(u) < base(u)) and np.all(base(u) < upper(u))):
-        raise PerturbationError("perturbation pair is not strictly sandwiching")
 
 
 def validate_monostable(f: ReactionFunction, grid_n: int) -> MonostabilityReport:

@@ -15,7 +15,7 @@ from .frontsolver import FrontFixedState, RunRecord
 from .phaseplane import SemiWaveProfile
 from .reaction import ReactionFunction
 from .serialize import write_csv
-from .wavespeed import slope_residual, _bracket_low
+from .wavespeed import bracket_low, slope_residual
 
 __all__ = [
     "ConvergenceReport",
@@ -154,17 +154,18 @@ def speed_trend(record: RunRecord, c_target: float) -> ConvergenceReport:
 def residual_monotonicity_audit(
     d: float, f: ReactionFunction, delta: float, n_grid: int
 ) -> MonotonicityAudit:
-    """Evaluate the slope residual on a uniform grid over the bracket.
+    """Evaluate the slope residual on a uniform grid over [bracket_low, 0].
 
     The residual must decrease strictly along the grid and change sign in
     exactly one cell, the one containing the wave speed.
     """
     if n_grid < 10:
         raise InputError(f"n_grid must be at least 10, got {n_grid}")
-    c_low = _bracket_low(d, f, delta)
-    c_values = np.linspace(c_low, 0.0, n_grid)
+    low, _ = bracket_low(d, f, delta)
+    c_values = np.linspace(low.c, 0.0, n_grid)
     residuals = np.array(
-        [slope_residual(c, d, f, delta).value for c in c_values], dtype=float
+        [low.value] + [slope_residual(c, d, f, delta).value for c in c_values[1:]],
+        dtype=float,
     )
     diffs = np.diff(residuals)
     signs = np.sign(residuals)

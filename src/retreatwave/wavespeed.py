@@ -5,9 +5,10 @@ one-parameter family of decreasing profiles.  The slope residual
 
     r(c) = q_c'(0) - (delta/d) * c
 
-is strictly decreasing in c, positive at c0 = d * P0(delta) (the zero-speed
-closed form scaled by d) and negative at c = 0, so the speed c* is found by
-bracketed root finding on [c0, 0].  The retreat speed of the front is -c*.
+is strictly decreasing in c, negative at c = 0 and positive at c0, which is
+d * P0(delta) (the zero-speed closed form scaled by d), doubled until r > 0;
+that ends because r(c) ~ -c*xi/d as c -> -inf, and is needed for xi < 1.  So
+c* is found by bracketed root finding on [c0, 0].  The retreat speed is -c*.
 """
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ __all__ = [
     "SequenceRun",
     "PerturbedSpeeds",
     "slope_residual",
+    "bracket_low",
     "find_wave_speed",
     "density_sweep",
     "perturbed_wave_speeds",
@@ -44,6 +46,9 @@ __all__ = [
 # Below this gap between delta and the stable zero the bracket degenerates
 # (the closed-form endpoint tends to 0) and the root find is ill conditioned.
 MIN_DELTA_GAP = 1e-6
+# Doublings of the lower bracket endpoint before giving up on a positive residual.
+MAX_BRACKET_DOUBLINGS = 30
+SUP_GRID = np.linspace(0.0, 50.0, 1001)
 
 
 @dataclass(eq=False)
@@ -174,9 +179,26 @@ def slope_residual(
     )
 
 
-def _bracket_low(d: float, f: ReactionFunction, delta: float) -> float:
-    """Lower bracket endpoint c0 = d * P0(delta) = -sqrt(2*d*int_delta^xi f)."""
-    return d * closed_form_zero_speed(delta, d, f)
+def bracket_low(
+    d: float,
+    f: ReactionFunction,
+    delta: float,
+    opts: IntegrationOptions | None = None,
+) -> tuple[ResidualEvaluation, int]:
+    """Lower bracket endpoint with a positive residual, and the evaluations spent.
+
+    Starts at c0 = d * P0(delta) = -sqrt(2*d*int_delta^xi f) and doubles it
+    until the slope residual there is positive.
+    """
+    c = d * closed_form_zero_speed(delta, d, f)
+    for evals in range(1, MAX_BRACKET_DOUBLINGS + 2):
+        ev = slope_residual(c, d, f, delta, opts)
+        if ev.value > 0.0:
+            return ev, evals
+        c *= 2.0
+    raise BracketError(
+        f"slope residual still {ev.value:.3e} at c={ev.c:.6g}; the reaction may be invalid"
+    )
 
 
 def find_wave_speed(
@@ -187,7 +209,7 @@ def find_wave_speed(
     opts: IntegrationOptions | None = None,
     profile_x_max: float = 100.0,
 ) -> SpeedResult:
-    """Find the unique c* in (d*P0(delta), 0) with zero slope residual.
+    """Find the unique c* in (bracket_low, 0) with zero slope residual.
 
     Brent's method (bisection-safeguarded inverse interpolation) exploits the
     strict monotonicity of the residual; the result carries the reconstructed
@@ -201,18 +223,16 @@ def find_wave_speed(
             f"delta must exceed the stable zero {xi:g} by at least {MIN_DELTA_GAP:g}"
         )
 
-    c_low = _bracket_low(d, f, delta)
-    r_low = slope_residual(c_low, d, f, delta, opts)
     r_high = slope_residual(0.0, d, f, delta, opts)
-    if not (r_low.value > 0.0 and r_high.value < 0.0):
+    if not r_high.value < 0.0:
         raise BracketError(
-            f"bracket sign check failed: r({c_low:.6g}) = {r_low.value:.3e}, "
-            f"r(0) = {r_high.value:.3e}; the reaction may be invalid or "
-            f"delta <= {xi:g}"
+            f"bracket sign check failed: r(0) = {r_high.value:.3e}; the reaction "
+            f"may be invalid or delta <= {xi:g}"
         )
+    r_low, low_calls = bracket_low(d, f, delta, opts)
 
     calls = 0
-    lo, hi = c_low, 0.0  # tightest sign-change interval seen so far
+    lo, hi = r_low.c, 0.0  # tightest sign-change interval seen so far
 
     def residual_of(c: float) -> float:
         nonlocal calls, lo, hi
@@ -225,7 +245,7 @@ def find_wave_speed(
         return v
 
     c_star, info = brentq(
-        residual_of, c_low, 0.0, xtol=1e-12, rtol=8.9e-16, maxiter=200, full_output=True
+        residual_of, r_low.c, 0.0, xtol=1e-12, rtol=8.9e-16, maxiter=200, full_output=True
     )
     final = slope_residual(c_star, d, f, delta, opts)
     residual = abs(final.value)
@@ -260,11 +280,11 @@ def find_wave_speed(
         delta=float(delta),
         c_star=float(c_star),
         retreat_speed=float(-c_star),
-        bracket=(float(c_low), 0.0),
+        bracket=(float(r_low.c), 0.0),
         residual=float(residual),
         profile=profile,
         iterations=int(info.iterations) + polish,
-        function_calls=calls + polish + 3,
+        function_calls=calls + polish + low_calls + 2,
     )
 
 
@@ -274,12 +294,11 @@ def density_sweep(
     deltas,
     tol: float = 1e-10,
     opts: IntegrationOptions | None = None,
-    csv_path=None,
 ) -> SweepTable:
     """Run find_wave_speed over a strictly increasing list of deltas.
 
-    Per-delta failures are recorded and the sweep continues; the CSV, when
-    requested, carries nan rows for failures.
+    Per-delta failures are recorded and the sweep continues; the table's
+    CSV carries nan rows for failures.
     """
     deltas = [float(x) for x in deltas]
     if any(b <= a for a, b in zip(deltas, deltas[1:])):
@@ -292,10 +311,7 @@ def density_sweep(
         except (InputError, NumericalError) as exc:
             results.append(None)
             errors[delta] = str(exc)
-    table = SweepTable(deltas=deltas, results=results, errors=errors)
-    if csv_path is not None:
-        table.to_csv(csv_path)
-    return table
+    return SweepTable(deltas=deltas, results=results, errors=errors)
 
 
 def perturbed_wave_speeds(
@@ -352,7 +368,6 @@ def bracketing_sequences(
     reference: SpeedResult | None = None,
     opts: IntegrationOptions | None = None,
     profile_keep: int = 8,
-    sup_grid: np.ndarray | None = None,
 ) -> tuple[SequenceRun, SequenceRun]:
     """Iterate the monotone sequences closing in on c* from both sides.
 
@@ -376,9 +391,7 @@ def bracketing_sequences(
         )
     if not c_lower_0 < c_star:
         raise InputError(f"c_lower_0 must lie below c* = {c_star!r}, got {c_lower_0!r}")
-    if sup_grid is None:
-        sup_grid = np.linspace(0.0, 50.0, 1001)
-    q_ref = reference.profile.q_at(sup_grid)
+    q_ref = reference.profile.q_at(SUP_GRID)
 
     def run_direction(sign: float, c0: float, name: str) -> SequenceRun:
         ev0 = slope_residual(c0, d, f, delta, opts)
@@ -395,7 +408,7 @@ def bracketing_sequences(
 
         def track(ev: ResidualEvaluation) -> None:
             prof = reconstruct_profile(ev.trajectory)
-            sup_gaps.append(float(np.max(np.abs(prof.q_at(sup_grid) - q_ref))))
+            sup_gaps.append(float(np.max(np.abs(prof.q_at(SUP_GRID) - q_ref))))
             if len(profiles) < profile_keep:
                 profiles.append(prof)
 

@@ -169,6 +169,46 @@ def test_verify_exit_code_on_failure(tmp_path, runner):
     assert res.exit_code == 3
 
 
+@pytest.mark.parametrize(
+    "g_prime, profile_err, code",
+    [
+        ("nan", "nan", 3),  # a NaN speed error fails
+        ("0.89", "nan", 0),  # no reference profile: only the speed is checked
+        ("0.89", "inf", 3),  # a non-NaN profile error is always bounded
+    ],
+)
+def test_verify_verdict_on_nonfinite_errors(tmp_path, runner, g_prime, profile_err, code):
+    record = tmp_path / "run.csv"
+    record.write_text("t,g,g_prime,sup_profile_error,min_U,max_U\n"
+                      f"0,0,0.9,nan,1,2\n1,0.9,{g_prime},{profile_err},1,2\n")
+    speed = tmp_path / "speed.json"
+    speed.write_text('{"retreat_speed": 0.8935219495378632}')
+    res = runner.invoke(main, ["verify", "--record", str(record), "--speed", str(speed),
+                               "--out", str(tmp_path / "v")])
+    assert res.exit_code == code, res.output
+
+
+@pytest.mark.parametrize(
+    "spec, delta, code, c_star",
+    [
+        ("custom:25,-1", "30", 0, -0.97012),  # stable zero beyond the default scan to 20
+        ("custom:1,-1,-1e-4", "2", 0, None),  # small leading coefficient, zero near 0.9999
+        ("custom:0.7,-1", "1.2", 0, None),  # stable zero below 1: the bracket is doubled
+        ("custom:3,-4,1", "2", 1, None),  # positive beyond its zero at 3
+        ("custom:3.1,-4.1,1", "2", 1, None),  # positive beyond 3.1, no zero on the scan grid
+        ("custom:6,-11,6,-1", "4", 1, None),  # -u(u-1)(u-2)(u-3): positive on (2, 3)
+        ("custom:0", "2", 1, None),  # no stable zero
+    ],
+)
+def test_speed_exit_codes_for_polynomial_specs(tmp_path, runner, spec, delta, code, c_star):
+    res = runner.invoke(main, ["speed", "--f", spec, "--delta", delta, "--audit-grid", "12",
+                               "--out", str(tmp_path)])
+    assert res.exit_code == code, res.output
+    if c_star is not None:
+        payload = json.loads((tmp_path / "speed.json").read_text())
+        assert payload["c_star"] == pytest.approx(c_star, abs=1e-5)
+
+
 def test_sequences_subcommand(tmp_path, runner):
     out = tmp_path / "seq"
     res = invoke(runner, ["sequences", "--delta", "2", "--n-max", "5", "--out", str(out)])

@@ -215,6 +215,15 @@ def test_run_far_field_warning_on_short_domain(logistic1):
     assert any("far-field" in w for w in rec.warnings)
 
 
+def test_step_rejects_nan_node(logistic1):
+    # one NaN node fails the bound check instead of spreading through the solve
+    grid = Grid1D(20.0, 200)
+    U = exp_approach_u0(2.0)(grid.nodes)
+    U[100] = np.nan
+    with pytest.raises(BoundViolationError):
+        step(make_state(grid, U), 1.0, 2.0, logistic1, 1e-3)
+
+
 def test_run_aborts_on_bound_violation(logistic1):
     grid = Grid1D(20.0, 400)
     init = InitialData.from_callable(grid, 2.0, exp_approach_u0(2.0))

@@ -74,27 +74,21 @@ def test_validate_requires_reasonable_grid():
         validate_monostable(make_logistic(1.0), grid_n=50)
 
 
-def test_perturbation_pair_logistic_exact_family():
-    f = make_logistic(1.0)
-    pair = make_perturbation_pair(f, 0.1)
-    u = np.linspace(0.05, 1.8, 11)
-    np.testing.assert_allclose(pair.lower(u), u * (0.9 - u), atol=1e-12)
-    np.testing.assert_allclose(pair.upper(u), u * (1.1 - u), atol=1e-12)
-    assert pair.lower.stable_zero == pytest.approx(0.9, abs=1e-9)
-    assert pair.upper.stable_zero == pytest.approx(1.1, abs=1e-9)
-
-
 @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
 def test_pair_sandwich_on_dense_grid(eps):
-    f = make_logistic(1.0)
+    # the additive family on logistic bases of several rates
     delta = 2.0
-    pair = make_perturbation_pair(f, eps)
     u = np.linspace(0.0, 2.0 * delta, 10_001)[1:]
-    assert np.all(pair.lower(u) < f(u))
-    assert np.all(f(u) < pair.upper(u))
-    assert pair.lower.stable_zero < 1.0 < pair.upper.stable_zero
-    assert abs(pair.lower.stable_zero - 1.0) <= 1.5 * eps
-    assert abs(pair.upper.stable_zero - 1.0) <= 1.5 * eps
+    for r in (0.5, 1.0, 2.0, 5.0):
+        f = make_logistic(r)
+        pair = make_perturbation_pair(f, eps)
+        assert np.all(pair.lower(u) < f(u))
+        assert np.all(f(u) < pair.upper(u))
+        assert pair.lower.stable_zero < 1.0 < pair.upper.stable_zero
+        assert abs(pair.lower.stable_zero - 1.0) <= 1.5 * eps
+        assert abs(pair.upper.stable_zero - 1.0) <= 1.5 * eps
+        for member in (pair.lower, pair.upper):
+            assert validate_monostable(member, grid_n=2000).ok
 
 
 def test_pair_c1_distance_shrinks_with_eps():
@@ -145,6 +139,14 @@ def test_polynomial_rejects_bistable_coefficients():
     # u*(u - 0.3)*(1 - u) expanded: -0.3*u + 1.3*u^2 - u^3
     with pytest.raises((InputError, PerturbationError)):
         make_polynomial((-0.3, 1.3, -1.0))
+
+
+@pytest.mark.parametrize("coeffs", [(1.0, -1.0, -1e-4), (25.0, -1.0), (0.5, 0.0, -2.0)])
+def test_polynomial_stable_zero_is_the_positive_root(coeffs):
+    # the scan is dense on (0, 20] and reaches the root bound beyond it
+    roots = np.polynomial.Polynomial(coeffs).roots()
+    root = max(float(r.real) for r in roots if abs(r.imag) < 1e-12)
+    assert make_polynomial(coeffs).stable_zero == pytest.approx(root, abs=1e-10)
 
 
 def test_parse_reaction_grammar():

@@ -8,11 +8,14 @@ from retreatwave import (
     InputError,
     NumericalError,
     ReactionFunction,
+    bracket_low,
     bracketing_sequences,
     closed_form_zero_speed,
     density_sweep,
     find_wave_speed,
+    make_polynomial,
     perturbed_wave_speeds,
+    residual_monotonicity_audit,
     slope_residual,
 )
 
@@ -33,6 +36,24 @@ def test_residual_positive_at_bracket_low(logistic1):
     c0 = 1.0 * closed_form_zero_speed(2.0, 1.0, logistic1)
     ev = slope_residual(c0, 1.0, logistic1, 2.0)
     assert ev.value > 0.0
+
+
+def test_bracket_low_doubles_until_residual_is_positive(logistic1):
+    # unchanged where the closed-form endpoint already has a positive residual
+    low, evals = bracket_low(1.0, logistic1, 2.0)
+    assert low.c == closed_form_zero_speed(2.0, 1.0, logistic1) and evals == 1
+    # stable zero 0.7 < 1: the closed-form endpoint has a negative residual
+    f = make_polynomial((0.7, -1.0))
+    c0 = closed_form_zero_speed(1.2, 1.0, f)
+    assert slope_residual(c0, 1.0, f, 1.2).value < 0.0
+    low, evals = bracket_low(1.0, f, 1.2)
+    assert low.c == 2.0 * c0 and low.value > 0.0 and evals == 2
+    res = find_wave_speed(1.0, f, 1.2)
+    assert res.bracket[0] == low.c < res.c_star < 0.0
+    assert res.residual <= 1e-10
+    audit = residual_monotonicity_audit(1.0, f, 1.2, 20)
+    assert audit.c_values[0] == low.c and audit.residuals[0] == low.value
+    assert audit.strictly_decreasing and len(audit.sign_change_cells) == 1
 
 
 def test_residual_is_reproducible(logistic1):
@@ -129,7 +150,8 @@ def test_invalid_reaction_fails_loudly():
 
 
 def test_sweep_matches_single_and_emits_rows(tmp_path, logistic1):
-    table = density_sweep(1.0, logistic1, [2.0], csv_path=tmp_path / "sweep.csv")
+    table = density_sweep(1.0, logistic1, [2.0])
+    table.to_csv(tmp_path / "sweep.csv")
     single = find_wave_speed(1.0, logistic1, 2.0)
     assert table.results[0].c_star == pytest.approx(single.c_star, abs=1e-12)
     text = (tmp_path / "sweep.csv").read_text().splitlines()
