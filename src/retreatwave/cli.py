@@ -5,7 +5,7 @@ flags are --f (reaction spec), --d, --delta, --tol, --out and --config.
 Values resolve with the precedence CLI flag > config file > default; the
 config file holds one ``key = value`` pair per line with ``#`` comments and
 accepts exactly the keys d, delta, reaction, g0, u0, L_y, N, dt, T_end,
-output_every, predictor_corrector.
+output_every.
 
 Reaction spec grammar: ``logistic`` (rate 1), ``logistic:r=<R>``, or
 ``custom:<c1>,<c2>,...`` for the polynomial c1*u + c2*u**2 + ...
@@ -58,7 +58,6 @@ CONFIG_KEYS = {
     "dt": float,
     "T_end": float,
     "output_every": float,
-    "predictor_corrector": bool,
 }
 
 
@@ -76,14 +75,8 @@ def _load_config(path: str | None) -> dict:
         key, value = key.strip(), value.strip()
         if key not in CONFIG_KEYS:
             raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
-        caster = CONFIG_KEYS[key]
         try:
-            if caster is bool:
-                if value.lower() not in ("true", "false", "0", "1"):
-                    raise ValueError(value)
-                cfg[key] = value.lower() in ("true", "1")
-            else:
-                cfg[key] = caster(value)
+            cfg[key] = CONFIG_KEYS[key](value)
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
     return cfg
@@ -287,8 +280,6 @@ def sweep(deltas, reaction_spec, d, delta, tol, out_dir, config_path):
 @click.option("--dt", type=float, default=None, help="Time step [auto].")
 @click.option("--g0", type=float, default=None, help="Initial front position [0].")
 @click.option("--output-every", type=float, default=None, help="Row cadence [0.5].")
-@click.option("--predictor-corrector", is_flag=True, default=False,
-              help="Recompute the front speed at the half step.")
 @click.option("--snapshot-times", type=str, default=None,
               help="Comma list of times; dumps the nearest recorded fields as (y,U) CSVs.")
 @click.option("--verify", "do_verify", is_flag=True, default=False,
@@ -298,7 +289,7 @@ def sweep(deltas, reaction_spec, d, delta, tol, out_dir, config_path):
 @click.option("--profile-tol", type=float, default=0.05,
               help="Sup profile error allowed at T_end with --verify.")
 def simulate(u0_preset, table_path, t_end, n_cells, l_y, dt, g0, output_every,
-             predictor_corrector, snapshot_times, do_verify, speed_rtol, profile_tol,
+             snapshot_times, do_verify, speed_rtol, profile_tol,
              reaction_spec, d, delta, tol, out_dir, config_path):
     """Run the front-fixed PDE and record the front speed history."""
 
@@ -318,7 +309,6 @@ def simulate(u0_preset, table_path, t_end, n_cells, l_y, dt, g0, output_every,
             T_end=float(_resolve(t_end, cfg, "T_end", 10.0)),
             dt=_resolve(dt, cfg, "dt", None),
             output_every=float(_resolve(output_every, cfg, "output_every", 0.5)),
-            predictor_corrector=bool(predictor_corrector or cfg.get("predictor_corrector", False)),
             keep_snapshots=bool(snap_times),
         )
 

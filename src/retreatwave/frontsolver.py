@@ -138,14 +138,13 @@ class SolverConfig:
 
     ``dt=None`` selects the default 0.25*h**2/d capped by the advection
     constraint 0.5*h/max(|g'(0)|, eps_speed).  ``output_every`` is a time
-    interval; rows are recorded every round(output_every/dt) steps.
+    interval; rows are recorded every round(output_every/dt) steps.  The
+    ceiling on U is sup(u0) + 1 and |g'| is capped at DEFAULT_SPEED_CAP.
     """
 
     T_end: float
     dt: float | None = None
     output_every: float = 0.5
-    predictor_corrector: bool = False
-    speed_cap: float = DEFAULT_SPEED_CAP
     keep_snapshots: bool = False
 
     def __post_init__(self):
@@ -155,8 +154,6 @@ class SolverConfig:
             raise InputError(f"dt must be positive, got {self.dt}")
         if not self.output_every > 0:
             raise InputError(f"output_every must be positive, got {self.output_every}")
-        if not self.speed_cap > 0:
-            raise InputError(f"speed_cap must be positive, got {self.speed_cap}")
 
 
 @dataclass(eq=False)
@@ -216,21 +213,31 @@ def _banded_matrix(N: int, r: float) -> np.ndarray:
     return ab
 
 
-def _advance(
-    U: np.ndarray,
-    gp: float,
-    t: float,
-    dt: float,
+def step(
+    state: FrontFixedState,
     d: float,
     delta: float,
-    h: float,
     f: ReactionFunction,
-    ab: np.ndarray,
-    source: Callable | None,
-    nodes: np.ndarray,
-) -> np.ndarray:
-    """One IMEX update of the interior nodes with the front speed frozen."""
-    N = U.size - 1
+    dt: float,
+    source: Callable | None = None,
+    c1: float | None = None,
+) -> FrontFixedState:
+    """Advance one IMEX time step with the front speed frozen, then re-assert the bounds.
+
+    ``c1`` is the a priori ceiling on U (skipped when None); |g'| is capped
+    at DEFAULT_SPEED_CAP.
+    """
+    if not dt > 0:
+        raise InputError(f"dt must be positive, got {dt}")
+    h = state.grid.h
+    gp = state.g_prime
+    if dt > 0.5 * h / max(abs(gp), EPS_SPEED):
+        raise InstabilityError(
+            f"dt={dt:g} violates the advection constraint 0.5*h/|g'| "
+            f"= {0.5 * h / max(abs(gp), EPS_SPEED):g} at t={state.t:g}"
+        )
+    U = state.U
+    N = state.grid.N
     # interior second difference, ghost reflection at the far end
     lap = np.empty(N)
     lap[: N - 1] = (U[0:-2] - 2.0 * U[1:-1] + U[2:]) / (h * h)
@@ -248,52 +255,13 @@ def _advance(
 
     rhs = U[1:] + dt * (adv + np.asarray(f(U[1:]), dtype=float)) + 0.5 * dt * d * lap
     if source is not None:
-        rhs += dt * np.asarray(source(t, nodes[1:]), dtype=float)
+        rhs += dt * np.asarray(source(state.t, state.grid.nodes[1:]), dtype=float)
     r = 0.5 * dt * d / (h * h)
     rhs[0] += r * delta
 
     U_new = np.empty_like(U)
     U_new[0] = delta
-    U_new[1:] = solve_banded((1, 1), ab, rhs, check_finite=False)
-    return U_new
-
-
-def step(
-    state: FrontFixedState,
-    d: float,
-    delta: float,
-    f: ReactionFunction,
-    dt: float,
-    predictor_corrector: bool = False,
-    source: Callable | None = None,
-    c1: float | None = None,
-    c2: float = DEFAULT_SPEED_CAP,
-) -> FrontFixedState:
-    """Advance one time step and re-assert the state bounds.
-
-    ``c1`` is the a priori ceiling on U (skipped when None); ``c2`` caps
-    |g'|.  The optional midpoint corrector redoes the step with the front
-    speed averaged between the old state and a predictor pass.
-    """
-    if not dt > 0:
-        raise InputError(f"dt must be positive, got {dt}")
-    h = state.grid.h
-    gp = state.g_prime
-    if dt > 0.5 * h / max(abs(gp), EPS_SPEED):
-        raise InstabilityError(
-            f"dt={dt:g} violates the advection constraint 0.5*h/|g'| "
-            f"= {0.5 * h / max(abs(gp), EPS_SPEED):g} at t={state.t:g}"
-        )
-    N = state.grid.N
-    nodes = state.grid.nodes
-    r = 0.5 * dt * d / (h * h)
-    ab = _banded_matrix(N, r)
-
-    U_new = _advance(state.U, gp, state.t, dt, d, delta, h, f, ab, source, nodes)
-    if predictor_corrector:
-        gp_pred = _boundary_speed(U_new, h, d, delta)
-        gp_mid = 0.5 * (gp + gp_pred)
-        U_new = _advance(state.U, gp_mid, state.t, dt, d, delta, h, f, ab, source, nodes)
+    U_new[1:] = solve_banded((1, 1), _banded_matrix(N, r), rhs, check_finite=False)
 
     gp_new = _boundary_speed(U_new, h, d, delta)
     t_new = state.t + dt
@@ -301,10 +269,15 @@ def step(
     min_u = float(np.min(U_new))
     max_u = float(np.max(U_new))
     # a negated conjunction of the bounds, so that a NaN fails the check
-    if not (min_u > 0.0 and (c1 is None or max_u <= c1 + BOUND_SLACK) and abs(gp_new) <= c2):
+    if not (
+        min_u > 0.0
+        and (c1 is None or max_u <= c1 + BOUND_SLACK)
+        and abs(gp_new) <= DEFAULT_SPEED_CAP
+    ):
         diag = (
             f"t={t_new:.10g} g'={gp_new:.10g} min_U={min_u:.10g} max_U={max_u:.10g} "
-            f"(bounds: U in (0, {c1 if c1 is not None else 'inf'}], |g'| <= {c2:g})"
+            f"(bounds: U in (0, {c1 if c1 is not None else 'inf'}], "
+            f"|g'| <= {DEFAULT_SPEED_CAP:g})"
         )
         raise BoundViolationError("a priori bound violated: " + diag, diagnostic=diag)
 
@@ -364,16 +337,7 @@ def run(
         for k in range(1, n_steps + 1):
             dt_k = dt if k < n_steps else config.T_end - (n_steps - 1) * dt
             try:
-                state = step(
-                    state,
-                    d,
-                    delta,
-                    f,
-                    dt_k,
-                    predictor_corrector=config.predictor_corrector,
-                    c1=c1,
-                    c2=config.speed_cap,
-                )
+                state = step(state, d, delta, f, dt_k, c1=c1)
             except BoundViolationError as exc:
                 termination = "bound_violation"
                 diagnostic = exc.diagnostic
@@ -406,8 +370,6 @@ def run(
         "dt": dt,
         "T_end": config.T_end,
         "output_every": config.output_every,
-        "predictor_corrector": config.predictor_corrector,
-        "speed_cap": config.speed_cap,
         "C1": c1,
     }
     return RunRecord(

@@ -52,6 +52,7 @@ class IntegrationOptions:
 DEFAULT_OPTIONS = IntegrationOptions()
 TRAJECTORY_SAMPLES = 2500  # samples of P on [xi + eta, delta]
 PROFILE_SAMPLES = 1200  # samples of q on [0, x_end]
+TAIL_CUT = 1e-6  # the profile march stops at q - xi = TAIL_CUT * (delta - xi)
 
 
 @dataclass(eq=False)
@@ -240,35 +241,28 @@ def closed_form_zero_speed(q: float, d: float, f: ReactionFunction) -> float:
     return -float(np.sqrt(max(radicand, 0.0)))
 
 
-def reconstruct_profile(
-    traj: PhaseTrajectory,
-    x_max: float = 100.0,
-    tail_cut: float | None = None,
-) -> SemiWaveProfile:
+def reconstruct_profile(traj: PhaseTrajectory, x_max: float = 100.0) -> SemiWaveProfile:
     """March dq/dx = P(q) from q(0) = delta until the tail cutoff or x_max.
 
     P is the monotone interpolant of the trajectory; x -> inf as q -> xi, so
-    the march stops at q - xi = tail_cut and the infinite tail is represented
-    by the saddle-slope decay rate.  The march itself advances the log-tail
+    the march stops at q - xi = TAIL_CUT*(delta - xi) and the infinite tail
+    is represented by the saddle-slope decay rate.  The march itself advances the log-tail
     variable w = ln(q - xi), which decays asymptotically linearly and keeps
     the samples strictly monotone even when q - xi spans many decades.
     """
     span = traj.delta - traj.xi
-    if tail_cut is None:
-        tail_cut = 1e-6 * span
-    if not 0.0 < tail_cut < span / 2.0:
-        raise InputError(f"tail_cut must lie in (0, {span / 2.0:g}), got {tail_cut}")
+    q_cut = TAIL_CUT * span
     if not x_max > 0.0:
         raise InputError(f"x_max must be positive, got {x_max}")
 
-    qcheck = np.linspace(traj.xi + tail_cut, traj.delta, 400)
+    qcheck = np.linspace(traj.xi + q_cut, traj.delta, 400)
     if np.any(traj.p_at(qcheck) >= 0.0):
         raise NumericalError(
             "trajectory interpolant is not negative on the marching range; "
             "cannot build a monotone profile"
         )
 
-    w_floor = np.log(tail_cut)
+    w_floor = np.log(q_cut)
 
     def rhs(x, y):
         s = np.exp(np.clip(y[0], w_floor - 1.0, np.log(span)))

@@ -161,7 +161,7 @@ def residual_monotonicity_audit(
     """
     if n_grid < 10:
         raise InputError(f"n_grid must be at least 10, got {n_grid}")
-    low, _ = bracket_low(d, f, delta)
+    low = bracket_low(d, f, delta)[-1]
     c_values = np.linspace(low.c, 0.0, n_grid)
     residuals = np.array(
         [low.value] + [slope_residual(c, d, f, delta).value for c in c_values[1:]],

@@ -16,11 +16,13 @@ from retreatwave import (
     FrontFixedState,
     Grid1D,
     InitialData,
+    IntegrationOptions,
     SolverConfig,
     bracketing_sequences,
     closed_form_zero_speed,
     density_sweep,
     exp_approach_u0,
+    find_wave_speed,
     front_speed_from_state,
     integrate_trajectory,
     make_perturbation_pair,
@@ -98,9 +100,19 @@ def test_criterion_2_residual_monotone_and_bracket(logistic1, speed_ref):
     )
 
 
-def test_criterion_3_speed_law_consistency(speed_ref):
-    err = abs(speed_ref.profile.slope_at_zero - speed_ref.c_star * DELTA / D)
-    _report(3, err <= 1e-9, f"|q*'(0) - c*delta/d| = {err:.2e} <= 1e-9")
+def test_criterion_3_speed_law_consistency(logistic1, speed_ref):
+    # q*'(0) = P(delta) from a fresh, tighter integration at c*, not the
+    # trajectory whose residual the root search itself drove below tol
+    tight = IntegrationOptions(rtol=1e-12, atol=1e-14)
+    cases = [(D, DELTA, speed_ref.c_star)] + [
+        (d, delta, find_wave_speed(d, logistic1, delta).c_star)
+        for d, delta in ((0.5, 1.5), (2.0, 3.0))
+    ]
+    err = max(
+        abs(integrate_trajectory(c, d, logistic1, delta, tight).endpoint_slope - c * delta / d)
+        for d, delta, c in cases
+    )
+    _report(3, err <= 1e-9, f"max over (d, delta) of |q*'(0) - c*delta/d| = {err:.2e} <= 1e-9")
 
 
 def test_criterion_4_delta_monotonicity_and_limit(logistic1):

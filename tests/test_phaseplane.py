@@ -171,10 +171,8 @@ def test_profile_tail_extrapolation_is_continuous(logistic1):
     assert profile.q_at(x_end + 50.0) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_profile_rejects_bad_tail_cut(logistic1):
+def test_profile_rejects_nonpositive_x_max(logistic1):
     traj = integrate_trajectory(0.0, 1.0, logistic1, 2.0)
-    with pytest.raises(InputError):
-        reconstruct_profile(traj, tail_cut=0.6)
     with pytest.raises(InputError):
         reconstruct_profile(traj, x_max=-1.0)
 

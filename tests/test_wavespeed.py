@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from retreatwave import wavespeed
 from retreatwave import (
     BracketError,
     InputError,
@@ -13,6 +14,7 @@ from retreatwave import (
     closed_form_zero_speed,
     density_sweep,
     find_wave_speed,
+    integrate_trajectory,
     make_polynomial,
     perturbed_wave_speeds,
     residual_monotonicity_audit,
@@ -40,14 +42,16 @@ def test_residual_positive_at_bracket_low(logistic1):
 
 def test_bracket_low_doubles_until_residual_is_positive(logistic1):
     # unchanged where the closed-form endpoint already has a positive residual
-    low, evals = bracket_low(1.0, logistic1, 2.0)
-    assert low.c == closed_form_zero_speed(2.0, 1.0, logistic1) and evals == 1
+    evals = bracket_low(1.0, logistic1, 2.0)
+    assert len(evals) == 1 and evals[0].value > 0.0
+    assert evals[0].c == closed_form_zero_speed(2.0, 1.0, logistic1)
     # stable zero 0.7 < 1: the closed-form endpoint has a negative residual
     f = make_polynomial((0.7, -1.0))
     c0 = closed_form_zero_speed(1.2, 1.0, f)
     assert slope_residual(c0, 1.0, f, 1.2).value < 0.0
-    low, evals = bracket_low(1.0, f, 1.2)
-    assert low.c == 2.0 * c0 and low.value > 0.0 and evals == 2
+    evals = bracket_low(1.0, f, 1.2)
+    low = evals[-1]
+    assert [ev.c for ev in evals] == [c0, 2.0 * c0] and evals[0].value < 0.0 < low.value
     res = find_wave_speed(1.0, f, 1.2)
     assert res.bracket[0] == low.c < res.c_star < 0.0
     assert res.residual <= 1e-10
@@ -89,6 +93,28 @@ def test_find_wave_speed_canonical(speed_ref):
     assert speed_ref.bracket[0] < speed_ref.c_star < speed_ref.bracket[1] == 0.0
     assert speed_ref.bracket[0] == pytest.approx(-math.sqrt(5.0 / 3.0), abs=1e-12)
     assert speed_ref.retreat_speed == -speed_ref.c_star
+
+
+@pytest.mark.parametrize(
+    "d, coeffs, delta, tol, calls",
+    [
+        (1.0, (1.0, -1.0), 2.0, 1e-10, 7),
+        (1.0, (0.7, -1.0), 1.2, 1e-10, 8),  # one doubling of the lower bracket end
+        (0.05, (1.0, -1.0), 20.0, 1e-12, 12),  # three polish bisections after brentq
+    ],
+)
+def test_find_wave_speed_integrates_each_speed_once(monkeypatch, d, coeffs, delta, tol, calls):
+    speeds = []
+
+    def counting(c, *args, **kwargs):
+        speeds.append(float(c))
+        return integrate_trajectory(c, *args, **kwargs)
+
+    monkeypatch.setattr(wavespeed, "integrate_trajectory", counting)
+    res = find_wave_speed(d, make_polynomial(coeffs), delta, tol)
+    assert len(speeds) == res.function_calls == calls
+    assert len(set(speeds)) == len(speeds)
+    assert res.residual <= tol
 
 
 def test_speed_law_consistency(speed_ref):
