@@ -337,6 +337,7 @@ def simulate(u0_preset, table_path, t_end, n_cells, l_y, dt, g0, output_every,
         initial = InitialData.from_callable(grid, delta_, u0, g0=g0_)
         record = run(initial, dd, delta_, f, solver_cfg, reference=reference)
         record.to_csv(out / "run.csv")
+        write_json(out / "run_config.json", record.config)
         final = record.final_state
         write_csv(out / "final_state.csv", ("y", "U"), zip(grid.nodes, final.U))
         for target in snap_times:
@@ -397,7 +398,7 @@ def sequences(c_upper0, c_lower0, m_start, n_max, reaction_spec, d, delta, tol,
 
 @main.command()
 @click.option("--record", "record_path", type=click.Path(exists=True), required=True,
-              help="run.csv produced by simulate.")
+              help="run.csv produced by simulate, with its run_config.json beside it.")
 @click.option("--speed", "speed_path", type=click.Path(exists=True), required=True,
               help="speed.json produced by the speed subcommand.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=".")
@@ -412,6 +413,16 @@ def verify(record_path, speed_path, out_dir, speed_rtol, profile_tol):
         out.mkdir(parents=True, exist_ok=True)
         record = RunRecord.rows_from_csv(record_path)
         payload = json.loads(Path(speed_path).read_text(encoding="utf-8"))
+        config_path = Path(record_path).parent / "run_config.json"
+        if not config_path.exists():
+            raise InputError(f"{config_path} not found; verify needs the run's configuration")
+        run_cfg = json.loads(config_path.read_text(encoding="utf-8"))
+        for key in ("d", "delta", "reaction"):
+            if key not in run_cfg or run_cfg[key] != payload.get(key):
+                raise InputError(
+                    f"{speed_path} does not belong to the run: {key} is "
+                    f"{payload.get(key)!r} there and {run_cfg.get(key)!r} in {config_path}"
+                )
         _convergence_verdict(record, float(payload["retreat_speed"]), out, speed_rtol,
                              profile_tol)
 

@@ -181,11 +181,34 @@ def test_verify_verdict_on_nonfinite_errors(tmp_path, runner, g_prime, profile_e
     record = tmp_path / "run.csv"
     record.write_text("t,g,g_prime,sup_profile_error,min_U,max_U\n"
                       f"0,0,0.9,nan,1,2\n1,0.9,{g_prime},{profile_err},1,2\n")
+    meta = {"d": 1.0, "delta": 2.0, "reaction": "logistic:r=1"}
+    (tmp_path / "run_config.json").write_text(json.dumps(meta))
     speed = tmp_path / "speed.json"
-    speed.write_text('{"retreat_speed": 0.8935219495378632}')
+    speed.write_text(json.dumps(meta | {"retreat_speed": 0.8935219495378632}))
     res = runner.invoke(main, ["verify", "--record", str(record), "--speed", str(speed),
                                "--out", str(tmp_path / "v")])
     assert res.exit_code == code, res.output
+
+
+def test_verify_rejects_speed_of_another_run(tmp_path, runner):
+    sim_out = tmp_path / "sim"
+    invoke(runner, ["simulate", "--u0", "exp_approach", "--T", "0.5", "--N", "400",
+                    "--L", "40", "--out", str(sim_out)])
+    config = json.loads((sim_out / "run_config.json").read_text())
+    assert (config["d"], config["delta"], config["reaction"]) == (1.0, 2.0, "logistic:r=1")
+    speed_out = tmp_path / "speed"
+    invoke(runner, ["speed", "--f", "logistic:r=1.02", "--delta", "2", "--out", str(speed_out)])
+    # a loose speed bound: the verdict alone would pass, only the metadata can fail
+    args = ["verify", "--record", str(sim_out / "run.csv"),
+            "--speed", str(speed_out / "speed.json"), "--speed-rtol", "1",
+            "--out", str(tmp_path / "v")]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1, res.output
+    assert "does not belong to the run: reaction" in res.output
+    (sim_out / "run_config.json").unlink()
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1, res.output
+    assert "run_config.json not found" in res.output
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from retreatwave import (
     BoundViolationError,
@@ -22,6 +23,7 @@ from retreatwave import (
     step,
     table_u0,
 )
+from retreatwave import frontsolver
 from retreatwave.frontsolver import DEFAULT_SPEED_CAP
 
 
@@ -270,3 +272,59 @@ def test_run_config_snapshot_keys(logistic1):
     for key in ("d", "delta", "reaction", "g0", "L_y", "N", "dt", "T_end",
                 "output_every"):
         assert key in rec.config
+
+
+@pytest.mark.parametrize("N", [200, 2000, 8000])
+@pytest.mark.parametrize("r", [1e-12, 0.125, 4.0, 128.0, 1e4])
+def test_cached_factor_solve_matches_scipy_bit_for_bit(N, r):
+    lu, ipiv = frontsolver._cn_factors(N, r)
+    assert not lu.flags.writeable and not ipiv.flags.writeable
+    if r == 128.0:
+        # the ghost-reflection row pivots; a factorisation without pivoting differs
+        assert not np.array_equal(ipiv, np.arange(1, N + 1))
+    rhs = np.random.default_rng(N).uniform(0.5, 3.0, N)
+    expected = scipy.linalg.solve_banded((1, 1), frontsolver._banded_matrix(N, r), rhs)
+    got = frontsolver.solve_banded((1, 1), lu, rhs, ipiv)
+    assert np.array_equal(got, expected)
+
+
+def _short_run(f, dt):
+    grid = Grid1D(25.0, 400)
+    init = InitialData.from_callable(grid, 2.0, exp_approach_u0(2.0))
+    return run(init, 1.0, 2.0, f, SolverConfig(T_end=1.0, dt=dt, output_every=0.25))
+
+
+def test_run_with_cached_factors_matches_scipy_solves(monkeypatch, logistic1):
+    # dt = 0.03 gives r = 3.84 (pivoting) and a shortened last step of 0.01
+    cached = _short_run(logistic1, 0.03)
+    monkeypatch.setattr(frontsolver, "_cn_factors",
+                        lambda N, r: (frontsolver._banded_matrix(N, r), None))
+    monkeypatch.setattr(frontsolver, "solve_banded",
+                        lambda l_and_u, ab, rhs, ipiv: scipy.linalg.solve_banded(
+                            l_and_u, ab, rhs, check_finite=False))
+    plain = _short_run(logistic1, 0.03)
+    assert len(cached.rows) == len(plain.rows) == 6
+    assert np.array_equal(np.array(cached.rows), np.array(plain.rows), equal_nan=True)
+    assert np.array_equal(cached.final_state.U, plain.final_state.U)
+
+
+def test_run_factors_once_per_step_size(monkeypatch, logistic1):
+    calls = []
+    factor = frontsolver.dgttrf
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].size)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(frontsolver, "dgttrf", counting)
+    frontsolver._cn_factors.cache_clear()
+    # dt = 2**-5 divides T = 1 exactly: one step size
+    _short_run(logistic1, 2.0**-5)
+    assert len(calls) == 1
+    # the same run again finds its factors in the cache
+    _short_run(logistic1, 2.0**-5)
+    assert len(calls) == 1
+    # dt = 0.03 ends with a shortened step of 0.01: two step sizes
+    frontsolver._cn_factors.cache_clear()
+    _short_run(logistic1, 0.03)
+    assert calls == [400] * 3
