@@ -65,7 +65,6 @@ from .verify import (
 )
 from .wavespeed import (
     PerturbedSpeeds,
-    ResidualEvaluation,
     SequenceRun,
     SpeedResult,
     SweepTable,

@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure,
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -149,18 +150,24 @@ def _convergence_verdict(record, c_target, out, speed_rtol, profile_tol, **extra
     )
 
 
-def _guarded(body):
-    try:
-        body()
-    except InputError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    except NumericalError as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(2)
-    except VerificationFailure as exc:
-        click.echo(f"verification failed: {exc}", err=True)
-        sys.exit(3)
+def _guarded(command):
+    """Map the package's errors raised by ``command`` onto the documented exit codes."""
+
+    @functools.wraps(command)
+    def wrapper(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except InputError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
+        except NumericalError as exc:
+            click.echo(f"numerical failure: {exc}", err=True)
+            sys.exit(2)
+        except VerificationFailure as exc:
+            click.echo(f"verification failed: {exc}", err=True)
+            sys.exit(3)
+
+    return wrapper
 
 
 @click.group()
@@ -173,58 +180,52 @@ def main():
 @click.option("--c", "c_value", type=str, default="auto",
               help="Wave speed, a float or 'auto' for the selected speed c*.")
 @click.option("--x-max", type=float, default=100.0, help="Profile truncation length.")
+@_guarded
 def semiwave(c_value, x_max, reaction_spec, d, delta, tol, out_dir, config_path):
     """Compute one phase trajectory and its spatial profile."""
-
-    def body():
-        f, dd, delta_, tol_, out, _ = _common(reaction_spec, d, delta, tol, out_dir, config_path)
-        if c_value == "auto":
-            result = find_wave_speed(dd, f, delta_, tol_, profile_x_max=x_max)
-            c = result.c_star
-            traj = integrate_trajectory(c, dd, f, delta_)
-            profile = result.profile
-        else:
-            try:
-                c = float(c_value)
-            except ValueError as exc:
-                raise InputError(f"--c must be a float or 'auto', got {c_value!r}") from exc
-            traj = integrate_trajectory(c, dd, f, delta_)
-            profile = reconstruct_profile(traj, x_max=x_max)
-        traj.to_csv(out / "trajectory.csv")
-        profile.to_csv(out / "profile.csv")
-        write_json(out / "semiwave.json", {
-            "c": c,
-            "d": dd,
-            "delta": delta_,
-            "reaction": f.label,
-            "endpoint_slope": traj.endpoint_slope,
-            "saddle_slope": traj.saddle_slope,
-            "tail_rate": profile.tail_rate,
-        })
-        click.echo(f"semiwave: c={c!r} slope_at_zero={profile.slope_at_zero!r}")
-
-    _guarded(body)
+    f, dd, delta_, tol_, out, _ = _common(reaction_spec, d, delta, tol, out_dir, config_path)
+    if c_value == "auto":
+        result = find_wave_speed(dd, f, delta_, tol_, profile_x_max=x_max)
+        c = result.c_star
+        traj = integrate_trajectory(c, dd, f, delta_)
+        profile = result.profile
+    else:
+        try:
+            c = float(c_value)
+        except ValueError as exc:
+            raise InputError(f"--c must be a float or 'auto', got {c_value!r}") from exc
+        traj = integrate_trajectory(c, dd, f, delta_)
+        profile = reconstruct_profile(traj, x_max=x_max)
+    traj.to_csv(out / "trajectory.csv")
+    profile.to_csv(out / "profile.csv")
+    write_json(out / "semiwave.json", {
+        "c": c,
+        "d": dd,
+        "delta": delta_,
+        "reaction": f.label,
+        "endpoint_slope": traj.endpoint_slope,
+        "saddle_slope": traj.saddle_slope,
+        "tail_rate": profile.tail_rate,
+    })
+    click.echo(f"semiwave: c={c!r} slope_at_zero={profile.slope_at_zero!r}")
 
 
 @main.command()
 @_shared_options
 @click.option("--audit-grid", type=int, default=0,
               help="Also audit residual monotonicity on this many grid points.")
+@_guarded
 def speed(audit_grid, reaction_spec, d, delta, tol, out_dir, config_path):
     """Find the retreat speed for one boundary density."""
-
-    def body():
-        f, dd, delta_, tol_, out, _ = _common(reaction_spec, d, delta, tol, out_dir, config_path)
-        result = find_wave_speed(dd, f, delta_, tol_)
-        write_json(out / "speed.json", result.to_json_dict() | {"d": dd, "reaction": f.label})
-        if audit_grid:
-            audit = residual_monotonicity_audit(dd, f, delta_, audit_grid)
-            audit.to_csv(out / "audit.csv")
-            if not audit.strictly_decreasing or len(audit.sign_change_cells) != 1:
-                raise NumericalError("residual audit failed monotonicity or uniqueness")
-        click.echo(f"speed: c*={result.c_star!r} retreat_speed={result.retreat_speed!r}")
-
-    _guarded(body)
+    f, dd, delta_, tol_, out, _ = _common(reaction_spec, d, delta, tol, out_dir, config_path)
+    result = find_wave_speed(dd, f, delta_, tol_)
+    write_json(out / "speed.json", result.to_json_dict() | {"d": dd, "reaction": f.label})
+    if audit_grid:
+        audit = residual_monotonicity_audit(dd, f, delta_, audit_grid)
+        audit.to_csv(out / "audit.csv")
+        if not audit.strictly_decreasing or len(audit.sign_change_cells) != 1:
+            raise NumericalError("residual audit failed monotonicity or uniqueness")
+    click.echo(f"speed: c*={result.c_star!r} retreat_speed={result.retreat_speed!r}")
 
 
 def _parse_deltas(text: str) -> list[float]:
@@ -251,20 +252,17 @@ def _parse_deltas(text: str) -> list[float]:
 @_shared_options
 @click.option("--deltas", type=str, required=True,
               help="Comma list (1.1,1.5,2) or range start:stop:step (1.1:3:0.1).")
+@_guarded
 def sweep(deltas, reaction_spec, d, delta, tol, out_dir, config_path):
     """Sweep the retreat speed over a range of boundary densities."""
-
-    def body():
-        f, dd, _, tol_, out, _ = _common(reaction_spec, d, delta, tol, out_dir, config_path)
-        values = _parse_deltas(deltas)
-        table = density_sweep(dd, f, values, tol_)
-        table.to_csv(out / "sweep.csv")
-        for dv, msg in table.errors.items():
-            click.echo(f"delta={dv:g}: {msg}", err=True)
-        table.assert_monotone()
-        click.echo(f"sweep: {len(values)} rows -> {out / 'sweep.csv'}")
-
-    _guarded(body)
+    f, dd, _, tol_, out, _ = _common(reaction_spec, d, delta, tol, out_dir, config_path)
+    values = _parse_deltas(deltas)
+    table = density_sweep(dd, f, values, tol_)
+    table.to_csv(out / "sweep.csv")
+    for dv, msg in table.errors.items():
+        click.echo(f"delta={dv:g}: {msg}", err=True)
+    table.assert_monotone()
+    click.echo(f"sweep: {len(values)} rows -> {out / 'sweep.csv'}")
 
 
 @main.command()
@@ -288,75 +286,72 @@ def sweep(deltas, reaction_spec, d, delta, tol, out_dir, config_path):
               help="Relative speed error allowed at T_end with --verify.")
 @click.option("--profile-tol", type=float, default=0.05,
               help="Sup profile error allowed at T_end with --verify.")
+@_guarded
 def simulate(u0_preset, table_path, t_end, n_cells, l_y, dt, g0, output_every,
              snapshot_times, do_verify, speed_rtol, profile_tol,
              reaction_spec, d, delta, tol, out_dir, config_path):
     """Run the front-fixed PDE and record the front speed history."""
-
-    def body():
-        f, dd, delta_, tol_, out, cfg = _common(reaction_spec, d, delta, tol, out_dir, config_path)
-        preset = _resolve(u0_preset, cfg, "u0", "exp_approach")
-        l_default = 100.0 * max(1.0, math.sqrt(dd))
-        grid = Grid1D(float(_resolve(l_y, cfg, "L_y", l_default)), int(_resolve(n_cells, cfg, "N", 2000)))
-        g0_ = float(_resolve(g0, cfg, "g0", 0.0))
-        try:
-            snap_times = (
-                [float(s) for s in snapshot_times.split(",")] if snapshot_times else []
-            )
-        except ValueError as exc:
-            raise InputError(f"bad --snapshot-times list {snapshot_times!r}") from exc
-        solver_cfg = SolverConfig(
-            T_end=float(_resolve(t_end, cfg, "T_end", 10.0)),
-            dt=_resolve(dt, cfg, "dt", None),
-            output_every=float(_resolve(output_every, cfg, "output_every", 0.5)),
-            keep_snapshots=bool(snap_times),
+    f, dd, delta_, tol_, out, cfg = _common(reaction_spec, d, delta, tol, out_dir, config_path)
+    preset = _resolve(u0_preset, cfg, "u0", "exp_approach")
+    l_default = 100.0 * max(1.0, math.sqrt(dd))
+    grid = Grid1D(float(_resolve(l_y, cfg, "L_y", l_default)), int(_resolve(n_cells, cfg, "N", 2000)))
+    g0_ = float(_resolve(g0, cfg, "g0", 0.0))
+    try:
+        snap_times = (
+            [float(s) for s in snapshot_times.split(",")] if snapshot_times else []
         )
+    except ValueError as exc:
+        raise InputError(f"bad --snapshot-times list {snapshot_times!r}") from exc
+    solver_cfg = SolverConfig(
+        T_end=float(_resolve(t_end, cfg, "T_end", 10.0)),
+        dt=_resolve(dt, cfg, "dt", None),
+        output_every=float(_resolve(output_every, cfg, "output_every", 0.5)),
+        keep_snapshots=bool(snap_times),
+    )
 
-        reference = None
-        speed_result = None
-        if do_verify or preset == "semiwave":
-            speed_result = find_wave_speed(dd, f, delta_, tol_, profile_x_max=grid.L_y + 10.0)
-            reference = speed_result.profile
+    reference = None
+    speed_result = None
+    if do_verify or preset == "semiwave":
+        speed_result = find_wave_speed(dd, f, delta_, tol_, profile_x_max=grid.L_y + 10.0)
+        reference = speed_result.profile
 
-        if preset == "semiwave":
-            u0 = profile_u0(reference)
-        elif preset == "exp_approach":
-            u0 = exp_approach_u0(delta_, xi=f.stable_zero)
-        elif preset == "constant_delta":
-            u0 = constant_u0(delta_)
-        elif preset == "custom_table":
-            if table_path is None:
-                raise InputError("custom_table preset needs --table pointing at a (y,u) CSV")
-            header, rows = read_csv(table_path)
-            if header[:2] != ["y", "u"]:
-                raise InputError(f"table header must be y,u, got {header!r}")
-            u0 = table_u0([r[0] for r in rows], [r[1] for r in rows])
-        else:
-            raise InputError(f"unknown u0 preset {preset!r}")
+    if preset == "semiwave":
+        u0 = profile_u0(reference)
+    elif preset == "exp_approach":
+        u0 = exp_approach_u0(delta_, xi=f.stable_zero)
+    elif preset == "constant_delta":
+        u0 = constant_u0(delta_)
+    elif preset == "custom_table":
+        if table_path is None:
+            raise InputError("custom_table preset needs --table pointing at a (y,u) CSV")
+        header, rows = read_csv(table_path)
+        if header[:2] != ["y", "u"]:
+            raise InputError(f"table header must be y,u, got {header!r}")
+        u0 = table_u0([r[0] for r in rows], [r[1] for r in rows])
+    else:
+        raise InputError(f"unknown u0 preset {preset!r}")
 
-        initial = InitialData.from_callable(grid, delta_, u0, g0=g0_)
-        record = run(initial, dd, delta_, f, solver_cfg, reference=reference)
-        record.to_csv(out / "run.csv")
-        write_json(out / "run_config.json", record.config)
-        final = record.final_state
-        write_csv(out / "final_state.csv", ("y", "U"), zip(grid.nodes, final.U))
-        for target in snap_times:
-            snap = min(record.snapshots, key=lambda s: abs(s.t - target))
-            write_csv(out / f"snapshot_t{target:g}.csv", ("y", "U"), zip(grid.nodes, snap.U))
-        for w in record.warnings:
-            click.echo(f"warning: {w}", err=True)
-        if record.termination_reason != "completed":
-            click.echo(f"run aborted ({record.termination_reason}): {record.diagnostic}", err=True)
-            raise NumericalError(record.diagnostic or record.termination_reason)
-        click.echo(
-            f"simulate: T={solver_cfg.T_end:g} g'={final.g_prime!r} rows={len(record.rows)}"
-        )
+    initial = InitialData.from_callable(grid, delta_, u0, g0=g0_)
+    record = run(initial, dd, delta_, f, solver_cfg, reference=reference)
+    record.to_csv(out / "run.csv")
+    write_json(out / "run_config.json", record.config)
+    final = record.final_state
+    write_csv(out / "final_state.csv", ("y", "U"), zip(grid.nodes, final.U))
+    for target in snap_times:
+        snap = min(record.snapshots, key=lambda s: abs(s.t - target))
+        write_csv(out / f"snapshot_t{target:g}.csv", ("y", "U"), zip(grid.nodes, snap.U))
+    for w in record.warnings:
+        click.echo(f"warning: {w}", err=True)
+    if record.termination_reason != "completed":
+        click.echo(f"run aborted ({record.termination_reason}): {record.diagnostic}", err=True)
+        raise NumericalError(record.diagnostic or record.termination_reason)
+    click.echo(
+        f"simulate: T={solver_cfg.T_end:g} g'={final.g_prime!r} rows={len(record.rows)}"
+    )
 
-        if do_verify:
-            _convergence_verdict(record, speed_result.retreat_speed, out, speed_rtol, profile_tol,
-                                 truncation_correction=truncation_correction(final, reference))
-
-    _guarded(body)
+    if do_verify:
+        _convergence_verdict(record, speed_result.retreat_speed, out, speed_rtol, profile_tol,
+                             truncation_correction=truncation_correction(final, reference))
 
 
 @main.command()
@@ -365,35 +360,32 @@ def simulate(u0_preset, table_path, t_end, n_cells, l_y, dt, g0, output_every,
 @click.option("--c-lower0", type=float, default=None, help="Lower start, below c* [c*-1].")
 @click.option("--m", "m_start", type=int, default=10, help="Forcing offset M [10].")
 @click.option("--n-max", type=int, default=2000, help="Iteration cap [2000].")
+@_guarded
 def sequences(c_upper0, c_lower0, m_start, n_max, reaction_spec, d, delta, tol,
               out_dir, config_path):
     """Iterate the monotone speed sequences bracketing c*."""
-
-    def body():
-        f, dd, delta_, tol_, out, _ = _common(reaction_spec, d, delta, tol, out_dir, config_path)
-        reference = find_wave_speed(dd, f, delta_, tol_)
-        upper, lower = bracketing_sequences(
-            dd, f, delta_, c_upper_0=c_upper0, c_lower_0=c_lower0,
-            M=m_start, n_max=n_max, reference=reference,
-        )
-        upper.to_csv(out / "sequences_upper.csv")
-        lower.to_csv(out / "sequences_lower.csv")
-        write_json(out / "sequences.json", {
-            "c_star": reference.c_star,
-            "upper_M": upper.M,
-            "lower_M": lower.M,
-            "upper_final_c": upper.c_list[-1],
-            "lower_final_c": lower.c_list[-1],
-            "upper_iterations": len(upper.c_list) - 1,
-            "lower_iterations": len(lower.c_list) - 1,
-            "upper_converged_at": upper.converged_at,
-            "lower_converged_at": lower.converged_at,
-        })
-        click.echo(
-            f"sequences: c* in [{lower.c_list[-1]!r}, {upper.c_list[-1]!r}]"
-        )
-
-    _guarded(body)
+    f, dd, delta_, tol_, out, _ = _common(reaction_spec, d, delta, tol, out_dir, config_path)
+    reference = find_wave_speed(dd, f, delta_, tol_)
+    upper, lower = bracketing_sequences(
+        dd, f, delta_, c_upper_0=c_upper0, c_lower_0=c_lower0,
+        M=m_start, n_max=n_max, reference=reference,
+    )
+    upper.to_csv(out / "sequences_upper.csv")
+    lower.to_csv(out / "sequences_lower.csv")
+    write_json(out / "sequences.json", {
+        "c_star": reference.c_star,
+        "upper_M": upper.M,
+        "lower_M": lower.M,
+        "upper_final_c": upper.c_list[-1],
+        "lower_final_c": lower.c_list[-1],
+        "upper_iterations": len(upper.c_list) - 1,
+        "lower_iterations": len(lower.c_list) - 1,
+        "upper_converged_at": upper.converged_at,
+        "lower_converged_at": lower.converged_at,
+    })
+    click.echo(
+        f"sequences: c* in [{lower.c_list[-1]!r}, {upper.c_list[-1]!r}]"
+    )
 
 
 @main.command()
@@ -405,28 +397,25 @@ def sequences(c_upper0, c_lower0, m_start, n_max, reaction_spec, d, delta, tol,
 @click.option("--speed-rtol", type=float, default=0.02)
 @click.option("--profile-tol", type=float, default=0.05,
               help="Sup profile error allowed; skipped for a run recorded without a reference.")
+@_guarded
 def verify(record_path, speed_path, out_dir, speed_rtol, profile_tol):
     """Re-check a recorded run against a stored speed result."""
-
-    def body():
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        record = RunRecord.rows_from_csv(record_path)
-        payload = json.loads(Path(speed_path).read_text(encoding="utf-8"))
-        config_path = Path(record_path).parent / "run_config.json"
-        if not config_path.exists():
-            raise InputError(f"{config_path} not found; verify needs the run's configuration")
-        run_cfg = json.loads(config_path.read_text(encoding="utf-8"))
-        for key in ("d", "delta", "reaction"):
-            if key not in run_cfg or run_cfg[key] != payload.get(key):
-                raise InputError(
-                    f"{speed_path} does not belong to the run: {key} is "
-                    f"{payload.get(key)!r} there and {run_cfg.get(key)!r} in {config_path}"
-                )
-        _convergence_verdict(record, float(payload["retreat_speed"]), out, speed_rtol,
-                             profile_tol)
-
-    _guarded(body)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    record = RunRecord.rows_from_csv(record_path)
+    payload = json.loads(Path(speed_path).read_text(encoding="utf-8"))
+    config_path = Path(record_path).parent / "run_config.json"
+    if not config_path.exists():
+        raise InputError(f"{config_path} not found; verify needs the run's configuration")
+    run_cfg = json.loads(config_path.read_text(encoding="utf-8"))
+    for key in ("d", "delta", "reaction"):
+        if key not in run_cfg or run_cfg[key] != payload.get(key):
+            raise InputError(
+                f"{speed_path} does not belong to the run: {key} is "
+                f"{payload.get(key)!r} there and {run_cfg.get(key)!r} in {config_path}"
+            )
+    _convergence_verdict(record, float(payload["retreat_speed"]), out, speed_rtol,
+                         profile_tol)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ q(0) = delta.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -61,6 +62,7 @@ class PhaseTrajectory:
 
     ``endpoint_slope`` is P(delta) = q'(0) of the corresponding profile and
     ``saddle_slope`` is P'(xi), the linearized decay rate at the equilibrium.
+    The monotone interpolant of the samples is built on first use.
     """
 
     c: float
@@ -72,16 +74,22 @@ class PhaseTrajectory:
     endpoint_slope: float
     saddle_slope: float
 
-    def __post_init__(self):
-        self._interp = PchipInterpolator(self.q, self.p, extrapolate=True)
+    @cached_property
+    def _interp(self) -> PchipInterpolator:
+        return PchipInterpolator(self.q, self.p, extrapolate=True)
+
+    @property
+    def residual(self) -> float:
+        """Slope residual r(c) = P(delta) - (delta/d)*c of the boundary law."""
+        return self.endpoint_slope - (self.delta / self.d) * self.c
 
     def p_at(self, q):
         """Interpolated P(q); monotone cubic through the samples."""
         return self._interp(q)
 
-    def ode_residual(self, f: ReactionFunction, n: int = 200) -> float:
-        """Max |P'(q) - (c/d - f(q)/(d P))| at interior collocation points."""
-        qs = np.linspace(self.xi, self.delta, n + 2)[1:-1]
+    def ode_residual(self, f: ReactionFunction) -> float:
+        """Max |P'(q) - (c/d - f(q)/(d P))| at 200 interior collocation points."""
+        qs = np.linspace(self.xi, self.delta, 202)[1:-1]
         ps = self._interp(qs)
         dps = self._interp.derivative()(qs)
         rhs = self.c / self.d - np.asarray(f(qs)) / (self.d * ps)
@@ -179,6 +187,8 @@ def integrate_trajectory(
     eta = opts.start_offset * (delta - xi)
     q0 = xi + eta
     p0 = lam * eta + 0.5 * sigma2 * eta * eta
+    if not np.isfinite(p0):
+        raise IntegrationError(f"series start P(xi + eta) = {p0} is not finite at c={c:g}")
 
     def rhs(q, p):
         return c / d - float(f(q)) / (d * p[0])

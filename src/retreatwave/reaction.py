@@ -29,6 +29,8 @@ __all__ = [
 # Absolute tolerance for locating stable zeros by bisection.  The saddle slope
 # downstream depends on f'(z), so the zero has to be tight.
 ZERO_LOCATION_TOL = 1e-12
+# Intervals of the sampling grid on [0, 2*stable_zero] in validate_monostable.
+VALIDATION_GRID = 2000
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,6 @@ class MonostabilityReport:
     """Outcome of sampling-based monostability validation."""
 
     label: str
-    grid_n: int
     failures: tuple[str, ...]
 
     @property
@@ -78,8 +79,8 @@ class MonostabilityReport:
 
 def make_logistic(r: float) -> ReactionFunction:
     """Logistic growth f(u) = r*u*(1-u), the canonical monostable reaction."""
-    if not r > 0:
-        raise InputError(f"logistic rate must be positive, got {r}")
+    if not 0 < r < np.inf:
+        raise InputError(f"logistic rate must be positive and finite, got {r}")
     r = float(r)
     return ReactionFunction(
         value_fn=lambda u: r * u * (1.0 - u),
@@ -101,9 +102,12 @@ def make_polynomial(coeffs: tuple[float, ...]) -> ReactionFunction:
     lead = next((c for c in reversed(cs) if c != 0.0), 0.0)
     if not lead < 0.0:
         raise InputError("polynomial reaction needs a negative leading coefficient")
+    bound = 1.0 + max(map(abs, cs)) / -lead  # Cauchy bound on the roots
+    if not np.isfinite(bound):
+        raise InputError(f"polynomial root bound {bound} is not finite; coefficients {cs}")
     poly = np.polynomial.Polynomial((0.0,) + cs)
     try:
-        zero = _locate_stable_zero(poly, hi=20.0, tail_to=1.0 + max(map(abs, cs)) / -lead)
+        zero = _locate_stable_zero(poly, hi=20.0, tail_to=bound)
     except PerturbationError as exc:
         raise InputError(f"polynomial reaction is not monostable: {exc}") from exc
     f = ReactionFunction(
@@ -112,7 +116,7 @@ def make_polynomial(coeffs: tuple[float, ...]) -> ReactionFunction:
         stable_zero=zero,
         label="custom:" + ",".join(f"{c:g}" for c in cs),
     )
-    report = validate_monostable(f, grid_n=2000)
+    report = validate_monostable(f)
     if not report.ok:
         raise InputError(
             "polynomial reaction is not monostable: " + "; ".join(report.failures)
@@ -178,7 +182,7 @@ def make_perturbation_pair(base: ReactionFunction, epsilon: float) -> Perturbati
     lower = _additive_member(base, -epsilon, "lower")
     upper = _additive_member(base, +epsilon, "upper")
     for member in (lower, upper):
-        report = validate_monostable(member, grid_n=2000)
+        report = validate_monostable(member)
         if not report.ok:
             raise PerturbationError(
                 f"epsilon={epsilon:g} breaks monostability of {member.label}: "
@@ -202,19 +206,17 @@ def _additive_member(base: ReactionFunction, eps: float, tag: str) -> ReactionFu
     )
 
 
-def validate_monostable(f: ReactionFunction, grid_n: int) -> MonostabilityReport:
-    """Sample f on [0, 2*stable_zero] and report monostability violations.
+def validate_monostable(f: ReactionFunction) -> MonostabilityReport:
+    """Sample f on VALIDATION_GRID intervals of [0, 2*stable_zero] and report violations.
 
     Checks the zeros at 0 and at the stable zero, the sign pattern on either
     side of the stable zero, the derivative signs at both zeros, and the
     consistency of ``deriv`` against a central finite difference of the
     evaluator (relative error at most 1e-6).
     """
-    if grid_n < 100:
-        raise InputError(f"grid_n must be at least 100, got {grid_n}")
     xi = f.stable_zero
     failures: list[str] = []
-    u = np.linspace(0.0, 2.0 * xi, grid_n + 1)
+    u = np.linspace(0.0, 2.0 * xi, VALIDATION_GRID + 1)
     vals = np.asarray(f(u), dtype=float)
     scale = max(1.0, float(np.max(np.abs(vals))))
 
@@ -245,7 +247,7 @@ def validate_monostable(f: ReactionFunction, grid_n: int) -> MonostabilityReport
         worst = float(np.max(rel))
         failures.append(f"deriv disagrees with central difference (max rel err {worst:.2e})")
 
-    return MonostabilityReport(label=f.label, grid_n=grid_n, failures=tuple(failures))
+    return MonostabilityReport(label=f.label, failures=tuple(failures))
 
 
 def parse_reaction(text: str) -> ReactionFunction:
@@ -265,9 +267,10 @@ def parse_reaction(text: str) -> ReactionFunction:
         if not spec.startswith("r="):
             raise InputError(f"malformed logistic spec {text!r}, expected logistic:r=<value>")
         try:
-            return make_logistic(float(spec[2:]))
+            rate = float(spec[2:])
         except ValueError as exc:
             raise InputError(f"malformed logistic rate in {text!r}") from exc
+        return make_logistic(rate)
     if text.startswith("custom:"):
         body = text[len("custom:"):]
         try:

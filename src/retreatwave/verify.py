@@ -164,7 +164,7 @@ def residual_monotonicity_audit(
     low = bracket_low(d, f, delta)[-1]
     c_values = np.linspace(low.c, 0.0, n_grid)
     residuals = np.array(
-        [low.value] + [slope_residual(c, d, f, delta).value for c in c_values[1:]],
+        [low.residual] + [slope_residual(c, d, f, delta) for c in c_values[1:]],
         dtype=float,
     )
     diffs = np.diff(residuals)

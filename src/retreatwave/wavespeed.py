@@ -30,7 +30,6 @@ from .reaction import ReactionFunction, make_perturbation_pair
 from .serialize import write_csv
 
 __all__ = [
-    "ResidualEvaluation",
     "SpeedResult",
     "SweepTable",
     "SequenceRun",
@@ -49,15 +48,8 @@ MIN_DELTA_GAP = 1e-6
 # Doublings of the lower bracket endpoint before giving up on a positive residual.
 MAX_BRACKET_DOUBLINGS = 30
 SUP_GRID = np.linspace(0.0, 50.0, 1001)
-
-
-@dataclass(eq=False)
-class ResidualEvaluation:
-    """One evaluation of the slope residual q_c'(0) - (delta/d)*c."""
-
-    c: float
-    value: float
-    trajectory: PhaseTrajectory = field(repr=False)
+# Profiles of each bracketing sequence kept for the sandwich checks.
+PROFILE_KEEP = 8
 
 
 @dataclass(eq=False)
@@ -163,20 +155,9 @@ class SequenceRun:
         write_csv(path, ("n", "c", "slope_at_zero", "sup_gap"), rows)
 
 
-def slope_residual(
-    c: float,
-    d: float,
-    f: ReactionFunction,
-    delta: float,
-    opts: IntegrationOptions | None = None,
-) -> ResidualEvaluation:
-    """Evaluate q_c'(0) - (delta/d)*c through one trajectory integration."""
-    traj = integrate_trajectory(c, d, f, delta, opts)
-    return ResidualEvaluation(
-        c=float(c),
-        value=traj.endpoint_slope - (delta / d) * c,
-        trajectory=traj,
-    )
+def slope_residual(c: float, d: float, f: ReactionFunction, delta: float) -> float:
+    """The slope residual r(c) = q_c'(0) - (delta/d)*c, from one trajectory integration."""
+    return integrate_trajectory(c, d, f, delta).residual
 
 
 def bracket_low(
@@ -184,38 +165,38 @@ def bracket_low(
     f: ReactionFunction,
     delta: float,
     opts: IntegrationOptions | None = None,
-) -> list[ResidualEvaluation]:
-    """Evaluations that find a lower bracket endpoint; the last one is positive.
+) -> list[PhaseTrajectory]:
+    """Trajectories that find a lower bracket endpoint; the last has a positive residual.
 
     Starts at c0 = d * P0(delta) = -sqrt(2*d*int_delta^xi f) and doubles it
     until the slope residual there is positive.
     """
     c = d * closed_form_zero_speed(delta, d, f)
-    evals = []
+    trajs = []
     for _ in range(MAX_BRACKET_DOUBLINGS + 1):
-        evals.append(slope_residual(c, d, f, delta, opts))
-        if evals[-1].value > 0.0:
-            return evals
+        trajs.append(integrate_trajectory(c, d, f, delta, opts))
+        if trajs[-1].residual > 0.0:
+            return trajs
         c *= 2.0
     raise BracketError(
-        f"slope residual still {evals[-1].value:.3e} at c={evals[-1].c:.6g}; "
+        f"slope residual still {trajs[-1].residual:.3e} at c={trajs[-1].c:.6g}; "
         "the reaction may be invalid"
     )
 
 
 def _ledger_residual(
     c: float,
-    ledger: dict[float, ResidualEvaluation],
+    ledger: dict[float, PhaseTrajectory],
     d: float,
     f: ReactionFunction,
     delta: float,
     opts: IntegrationOptions | None,
 ) -> float:
     """Slope residual at c, integrated only if ``ledger`` has no entry for c."""
-    ev = ledger.get(c)
-    if ev is None:
-        ev = ledger[c] = slope_residual(c, d, f, delta, opts)
-    return ev.value
+    traj = ledger.get(c)
+    if traj is None:
+        traj = ledger[c] = integrate_trajectory(c, d, f, delta, opts)
+    return traj.residual
 
 
 def find_wave_speed(
@@ -243,7 +224,7 @@ def find_wave_speed(
             f"delta must exceed the stable zero {xi:g} by at least {MIN_DELTA_GAP:g}"
         )
 
-    ledger: dict[float, ResidualEvaluation] = {}
+    ledger: dict[float, PhaseTrajectory] = {}
     args = (ledger, d, f, delta, opts)
     r_high = _ledger_residual(0.0, *args)
     if not r_high < 0.0:
@@ -252,7 +233,7 @@ def find_wave_speed(
             f"may be invalid or delta <= {xi:g}"
         )
     low = bracket_low(d, f, delta, opts)
-    ledger.update((ev.c, ev) for ev in low)
+    ledger.update((traj.c, traj) for traj in low)
     c_low = low[-1].c
 
     # the ledger goes in through args: brentq's wrapper of the callable sits
@@ -263,11 +244,11 @@ def find_wave_speed(
     )
     _ledger_residual(c_star, *args)
     polish = 0
-    while abs(ledger[c_star].value) > tol and polish < 80:
+    while abs(ledger[c_star].residual) > tol and polish < 80:
         # brentq met its x tolerance but the residual target is tighter; keep
         # bisecting on the tightest sign-change interval in the ledger
-        lo = max(c for c, ev in ledger.items() if ev.value > 0.0)
-        hi = min(c for c, ev in ledger.items() if ev.value < 0.0)
+        lo = max(c for c, traj in ledger.items() if traj.residual > 0.0)
+        hi = min(c for c, traj in ledger.items() if traj.residual < 0.0)
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -275,7 +256,7 @@ def find_wave_speed(
         c_star = mid
         polish += 1
     final = ledger[c_star]
-    residual = abs(final.value)
+    residual = abs(final.residual)
     if residual > tol:
         raise NumericalError(
             f"slope residual {residual:.3e} did not reach tol {tol:.1e} at c={c_star!r}"
@@ -287,7 +268,7 @@ def find_wave_speed(
         retreat_speed=float(-c_star),
         bracket=(float(c_low), 0.0),
         residual=float(residual),
-        profile=reconstruct_profile(final.trajectory, x_max=profile_x_max),
+        profile=reconstruct_profile(final, x_max=profile_x_max),
         iterations=int(info.iterations) + polish,
         function_calls=len(ledger),
     )
@@ -298,7 +279,6 @@ def density_sweep(
     f: ReactionFunction,
     deltas,
     tol: float = 1e-10,
-    opts: IntegrationOptions | None = None,
 ) -> SweepTable:
     """Run find_wave_speed over a strictly increasing list of deltas.
 
@@ -312,7 +292,7 @@ def density_sweep(
     errors: dict[float, str] = {}
     for delta in deltas:
         try:
-            results.append(find_wave_speed(d, f, delta, tol, opts))
+            results.append(find_wave_speed(d, f, delta, tol))
         except (InputError, NumericalError) as exc:
             results.append(None)
             errors[delta] = str(exc)
@@ -326,14 +306,13 @@ def perturbed_wave_speeds(
     epsilon: float,
     tol: float = 1e-10,
     c_star_base: float | None = None,
-    opts: IntegrationOptions | None = None,
 ) -> PerturbedSpeeds:
     """Wave speeds of the sandwiching pair; they must straddle the base c*."""
     pair = make_perturbation_pair(f, epsilon)
     if c_star_base is None:
-        c_star_base = find_wave_speed(d, f, delta, tol, opts).c_star
-    lower = find_wave_speed(d, pair.lower, delta, tol, opts)
-    upper = find_wave_speed(d, pair.upper, delta, tol, opts)
+        c_star_base = find_wave_speed(d, f, delta, tol).c_star
+    lower = find_wave_speed(d, pair.lower, delta, tol)
+    upper = find_wave_speed(d, pair.upper, delta, tol)
     if not lower.c_star < c_star_base < upper.c_star:
         raise NumericalError(
             f"perturbed speeds do not straddle the base speed: "
@@ -371,8 +350,6 @@ def bracketing_sequences(
     M: int = 10,
     n_max: int = 2000,
     reference: SpeedResult | None = None,
-    opts: IntegrationOptions | None = None,
-    profile_keep: int = 8,
 ) -> tuple[SequenceRun, SequenceRun]:
     """Iterate the monotone sequences closing in on c* from both sides.
 
@@ -386,7 +363,7 @@ def bracketing_sequences(
     if M <= 0 or n_max <= 0:
         raise InputError("M and n_max must be positive")
     if reference is None:
-        reference = find_wave_speed(d, f, delta, opts=opts)
+        reference = find_wave_speed(d, f, delta)
     c_star = reference.c_star
     if c_lower_0 is None:
         c_lower_0 = c_star - 1.0
@@ -399,8 +376,8 @@ def bracketing_sequences(
     q_ref = reference.profile.q_at(SUP_GRID)
 
     def run_direction(sign: float, c0: float, name: str) -> SequenceRun:
-        ev0 = slope_residual(c0, d, f, delta, opts)
-        slope0 = ev0.trajectory.endpoint_slope
+        traj0 = integrate_trajectory(c0, d, f, delta)
+        slope0 = traj0.endpoint_slope
         # ordering gap for the first step: sign*(c0 - (d/delta)*slope0) must
         # exceed 1/M, which is exactly sign*(-d/delta)*residual(c0)
         gap = sign * (c0 - (d / delta) * slope0)
@@ -411,13 +388,13 @@ def bracketing_sequences(
         profiles: list[SemiWaveProfile] = []
         sup_gaps: list[float] = []
 
-        def track(ev: ResidualEvaluation) -> None:
-            prof = reconstruct_profile(ev.trajectory)
+        def track(traj: PhaseTrajectory) -> None:
+            prof = reconstruct_profile(traj)
             sup_gaps.append(float(np.max(np.abs(prof.q_at(SUP_GRID) - q_ref))))
-            if len(profiles) < profile_keep:
+            if len(profiles) < PROFILE_KEEP:
                 profiles.append(prof)
 
-        track(ev0)
+        track(traj0)
         converged_at = None
         n = 0
         while n < n_max:
@@ -429,10 +406,10 @@ def bracketing_sequences(
                     f"{name} sequence broke ordering at n={n}: "
                     f"c_n={c_list[n]!r}, c_next={c_next!r}, c*={c_star!r}, M={M_dir}"
                 )
-            ev = slope_residual(c_next, d, f, delta, opts)
+            traj = integrate_trajectory(c_next, d, f, delta)
             c_list.append(float(c_next))
-            slope_list.append(float(ev.trajectory.endpoint_slope))
-            track(ev)
+            slope_list.append(float(traj.endpoint_slope))
+            track(traj)
             if abs(c_list[-1] - c_list[-2]) < 1.0 / (M_dir + n) ** 2:
                 converged_at = n + 1
                 break

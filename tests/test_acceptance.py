@@ -253,9 +253,9 @@ def test_criterion_10_sandwich_at_late_times(headline_run, logistic1):
     record, _ = headline_run
     pair = make_perturbation_pair(logistic1, 0.1)
     upper_run, _ = bracketing_sequences(
-        D, pair.upper, DELTA, c_upper_0=0.0, M=10, n_max=4, profile_keep=4
+        D, pair.upper, DELTA, c_upper_0=0.0, M=10, n_max=4
     )
-    _, lower_run = bracketing_sequences(D, pair.lower, DELTA, M=10, n_max=4, profile_keep=4)
+    _, lower_run = bracketing_sequences(D, pair.lower, DELTA, M=10, n_max=4)
     lower_profiles = lower_run.profiles[1:4]
     upper_profiles = upper_run.profiles[1:4]
     t_cut = 0.8 * record.config["T_end"]

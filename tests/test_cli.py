@@ -221,12 +221,16 @@ def test_verify_rejects_speed_of_another_run(tmp_path, runner):
         ("custom:3.1,-4.1,1", "2", 1, None),  # positive beyond 3.1, no zero on the scan grid
         ("custom:6,-11,6,-1", "4", 1, None),  # -u(u-1)(u-2)(u-3): positive on (2, 3)
         ("custom:0", "2", 1, None),  # no stable zero
+        ("logistic:r=inf", "2", 1, None),  # non-finite rate
+        ("logistic:r=1e308", "2", 2, None),  # the saddle slope overflows: no finite series start
+        ("custom:1,-1,1e-100,-1e-310", "2", 1, None),  # the Cauchy root bound overflows
     ],
 )
 def test_speed_exit_codes_for_polynomial_specs(tmp_path, runner, spec, delta, code, c_star):
     res = runner.invoke(main, ["speed", "--f", spec, "--delta", delta, "--audit-grid", "12",
                                "--out", str(tmp_path)])
     assert res.exit_code == code, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
     if c_star is not None:
         payload = json.loads((tmp_path / "speed.json").read_text())
         assert payload["c_star"] == pytest.approx(c_star, abs=1e-5)

@@ -1,0 +1,42 @@
+"""Property tests of speed selection across a family of monostable reactions.
+
+f(u) = r*u*(xi - u)*(1 + a*u**2) is monostable with stable zero xi for r > 0
+and a >= 0; it enters as the polynomial spec with coefficients
+(r*xi, -r, r*a*xi, -r*a).  The examples are drawn deterministically so the
+suite stays reproducible.
+"""
+from hypothesis import given, settings, strategies as st
+
+from retreatwave import (
+    IntegrationOptions,
+    find_wave_speed,
+    integrate_trajectory,
+    parse_reaction,
+    perturbed_wave_speeds,
+    residual_monotonicity_audit,
+)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_subnormal=False)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(r=_floats(0.5, 3.0), xi=_floats(1.0, 2.0), a=_floats(0.0, 0.5),
+       d=_floats(0.5, 2.0), s=_floats(0.05, 2.0))
+def test_speed_selection_holds_across_monostable_family(r, xi, a, d, s):
+    delta = xi * (1.0 + s)
+    f = parse_reaction("custom:" + ",".join(repr(c) for c in (r * xi, -r, r * a * xi, -r * a)))
+
+    audit = residual_monotonicity_audit(d, f, delta, 12)
+    assert audit.strictly_decreasing and len(audit.sign_change_cells) == 1
+
+    res = find_wave_speed(d, f, delta)
+    assert abs(res.residual) <= 1e-10
+    tight = integrate_trajectory(res.c_star, d, f, delta, IntegrationOptions(rtol=1e-12, atol=1e-14))
+    assert abs(tight.endpoint_slope - res.c_star * delta / d) <= 1e-9
+
+    assert find_wave_speed(d, f, 1.1 * delta).retreat_speed > res.retreat_speed
+
+    pert = perturbed_wave_speeds(d, f, delta, 0.05, c_star_base=res.c_star)
+    assert pert.lower.c_star < res.c_star < pert.upper.c_star

@@ -40,7 +40,7 @@ def test_logistic_accepts_arrays():
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 5.0])
 def test_validate_passes_logistic_family(r):
-    report = validate_monostable(make_logistic(r), grid_n=500)
+    report = validate_monostable(make_logistic(r))
     assert report.ok, report.failures
 
 
@@ -51,7 +51,7 @@ def test_validate_rejects_bistable():
         stable_zero=1.0,
         label="bistable",
     )
-    report = validate_monostable(g, grid_n=500)
+    report = validate_monostable(g)
     assert not report.ok
     assert any("sign violation in (0" in msg for msg in report.failures)
 
@@ -64,14 +64,9 @@ def test_validate_rejects_corrupted_derivative():
         stable_zero=1.0,
         label="corrupted",
     )
-    report = validate_monostable(g, grid_n=500)
+    report = validate_monostable(g)
     assert not report.ok
     assert any("central difference" in msg for msg in report.failures)
-
-
-def test_validate_requires_reasonable_grid():
-    with pytest.raises(InputError):
-        validate_monostable(make_logistic(1.0), grid_n=50)
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
@@ -88,7 +83,7 @@ def test_pair_sandwich_on_dense_grid(eps):
         assert abs(pair.lower.stable_zero - 1.0) <= 1.5 * eps
         assert abs(pair.upper.stable_zero - 1.0) <= 1.5 * eps
         for member in (pair.lower, pair.upper):
-            assert validate_monostable(member, grid_n=2000).ok
+            assert validate_monostable(member).ok
 
 
 def test_pair_c1_distance_shrinks_with_eps():
@@ -126,13 +121,13 @@ def test_pair_generic_family_on_polynomial_base():
     assert np.all(base(u) < pair.upper(u))
     assert pair.lower.stable_zero < 1.0 < pair.upper.stable_zero
     for member in (pair.lower, pair.upper):
-        assert validate_monostable(member, grid_n=500).ok
+        assert validate_monostable(member).ok
 
 
 def test_pair_members_validate(logistic1):
     pair = make_perturbation_pair(logistic1, 0.1)
-    assert validate_monostable(pair.lower, grid_n=500).ok
-    assert validate_monostable(pair.upper, grid_n=500).ok
+    assert validate_monostable(pair.lower).ok
+    assert validate_monostable(pair.upper).ok
 
 
 def test_polynomial_rejects_bistable_coefficients():

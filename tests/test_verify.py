@@ -66,8 +66,8 @@ def test_truncation_correction_small_for_long_domain(speed_ref):
 
 def test_sandwich_passes_at_reference_profile(logistic1, speed_ref):
     pair = make_perturbation_pair(logistic1, 0.1)
-    upper_run, _ = bracketing_sequences(1.0, pair.upper, 2.0, M=10, n_max=4, profile_keep=4)
-    _, lower_run = bracketing_sequences(1.0, pair.lower, 2.0, M=10, n_max=4, profile_keep=4)
+    upper_run, _ = bracketing_sequences(1.0, pair.upper, 2.0, M=10, n_max=4)
+    _, lower_run = bracketing_sequences(1.0, pair.lower, 2.0, M=10, n_max=4)
     grid = Grid1D(60.0, 600)
     st = state_from_profile(speed_ref.profile, grid)
     report = sandwich_check(st, lower_run.profiles, upper_run.profiles)
@@ -77,8 +77,8 @@ def test_sandwich_passes_at_reference_profile(logistic1, speed_ref):
 
 def test_sandwich_fails_for_constant_delta_state(logistic1, speed_ref):
     pair = make_perturbation_pair(logistic1, 0.1)
-    upper_run, _ = bracketing_sequences(1.0, pair.upper, 2.0, M=10, n_max=4, profile_keep=4)
-    _, lower_run = bracketing_sequences(1.0, pair.lower, 2.0, M=10, n_max=4, profile_keep=4)
+    upper_run, _ = bracketing_sequences(1.0, pair.upper, 2.0, M=10, n_max=4)
+    _, lower_run = bracketing_sequences(1.0, pair.lower, 2.0, M=10, n_max=4)
     grid = Grid1D(60.0, 600)
     st = FrontFixedState(grid, 0.0, np.full(601, 2.0), 0.0, 0.0)
     report = sandwich_check(st, lower_run.profiles, upper_run.profiles)

@@ -29,40 +29,39 @@ C_STAR_REF_XI12 = -0.9425315416  # f(u) = 0.8*u*(1.2 - u), delta = 2.5
 
 
 def test_residual_at_zero_speed_is_closed_form(logistic1):
-    ev = slope_residual(0.0, 1.0, logistic1, 2.0)
-    assert ev.value == pytest.approx(-math.sqrt(5.0 / 3.0), abs=1e-9)
-    assert ev.value < 0.0
+    r = slope_residual(0.0, 1.0, logistic1, 2.0)
+    assert r == pytest.approx(-math.sqrt(5.0 / 3.0), abs=1e-9)
+    assert r < 0.0
 
 
 def test_residual_positive_at_bracket_low(logistic1):
     c0 = 1.0 * closed_form_zero_speed(2.0, 1.0, logistic1)
-    ev = slope_residual(c0, 1.0, logistic1, 2.0)
-    assert ev.value > 0.0
+    assert slope_residual(c0, 1.0, logistic1, 2.0) > 0.0
 
 
 def test_bracket_low_doubles_until_residual_is_positive(logistic1):
     # unchanged where the closed-form endpoint already has a positive residual
-    evals = bracket_low(1.0, logistic1, 2.0)
-    assert len(evals) == 1 and evals[0].value > 0.0
-    assert evals[0].c == closed_form_zero_speed(2.0, 1.0, logistic1)
+    trajs = bracket_low(1.0, logistic1, 2.0)
+    assert len(trajs) == 1 and trajs[0].residual > 0.0
+    assert trajs[0].c == closed_form_zero_speed(2.0, 1.0, logistic1)
     # stable zero 0.7 < 1: the closed-form endpoint has a negative residual
     f = make_polynomial((0.7, -1.0))
     c0 = closed_form_zero_speed(1.2, 1.0, f)
-    assert slope_residual(c0, 1.0, f, 1.2).value < 0.0
-    evals = bracket_low(1.0, f, 1.2)
-    low = evals[-1]
-    assert [ev.c for ev in evals] == [c0, 2.0 * c0] and evals[0].value < 0.0 < low.value
+    assert slope_residual(c0, 1.0, f, 1.2) < 0.0
+    trajs = bracket_low(1.0, f, 1.2)
+    low = trajs[-1]
+    assert [t.c for t in trajs] == [c0, 2.0 * c0] and trajs[0].residual < 0.0 < low.residual
     res = find_wave_speed(1.0, f, 1.2)
     assert res.bracket[0] == low.c < res.c_star < 0.0
     assert res.residual <= 1e-10
     audit = residual_monotonicity_audit(1.0, f, 1.2, 20)
-    assert audit.c_values[0] == low.c and audit.residuals[0] == low.value
+    assert audit.c_values[0] == low.c and audit.residuals[0] == low.residual
     assert audit.strictly_decreasing and len(audit.sign_change_cells) == 1
 
 
 def test_residual_is_reproducible(logistic1):
-    a = slope_residual(-0.5, 1.0, logistic1, 2.0).value
-    b = slope_residual(-0.5, 1.0, logistic1, 2.0).value
+    a = slope_residual(-0.5, 1.0, logistic1, 2.0)
+    b = slope_residual(-0.5, 1.0, logistic1, 2.0)
     assert a == b
 
 
@@ -70,20 +69,20 @@ def test_residual_is_reproducible(logistic1):
 @pytest.mark.parametrize("delta", [1.2, 3.0])
 def test_bracket_signs_across_parameters(logistic1, d, delta):
     c0 = d * closed_form_zero_speed(delta, d, logistic1)
-    assert slope_residual(c0, d, logistic1, delta).value > 0.0
-    assert slope_residual(0.0, d, logistic1, delta).value < 0.0
+    assert slope_residual(c0, d, logistic1, delta) > 0.0
+    assert slope_residual(0.0, d, logistic1, delta) < 0.0
 
 
 def test_residual_strictly_decreasing_on_grid(logistic1):
     c0 = closed_form_zero_speed(2.0, 1.0, logistic1)
     cs = np.linspace(c0, 0.0, 50)
-    vals = [slope_residual(c, 1.0, logistic1, 2.0).value for c in cs]
+    vals = [slope_residual(c, 1.0, logistic1, 2.0) for c in cs]
     assert np.all(np.diff(vals) < 0.0)
 
 
 def test_residual_ordering_examples(logistic1):
-    r1 = slope_residual(-0.5, 1.0, logistic1, 2.0).value
-    r2 = slope_residual(-0.4, 1.0, logistic1, 2.0).value
+    r1 = slope_residual(-0.5, 1.0, logistic1, 2.0)
+    r2 = slope_residual(-0.4, 1.0, logistic1, 2.0)
     assert r1 > r2
 
 
