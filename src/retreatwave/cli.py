@@ -179,13 +179,12 @@ def main():
 @_shared_options
 @click.option("--c", "c_value", type=str, default="auto",
               help="Wave speed, a float or 'auto' for the selected speed c*.")
-@click.option("--x-max", type=float, default=100.0, help="Profile truncation length.")
 @_guarded
-def semiwave(c_value, x_max, reaction_spec, d, delta, tol, out_dir, config_path):
+def semiwave(c_value, reaction_spec, d, delta, tol, out_dir, config_path):
     """Compute one phase trajectory and its spatial profile."""
     f, dd, delta_, tol_, out, _ = _common(reaction_spec, d, delta, tol, out_dir, config_path)
     if c_value == "auto":
-        result = find_wave_speed(dd, f, delta_, tol_, profile_x_max=x_max)
+        result = find_wave_speed(dd, f, delta_, tol_)
         c = result.c_star
         traj = integrate_trajectory(c, dd, f, delta_)
         profile = result.profile
@@ -195,7 +194,7 @@ def semiwave(c_value, x_max, reaction_spec, d, delta, tol, out_dir, config_path)
         except ValueError as exc:
             raise InputError(f"--c must be a float or 'auto', got {c_value!r}") from exc
         traj = integrate_trajectory(c, dd, f, delta_)
-        profile = reconstruct_profile(traj, x_max=x_max)
+        profile = reconstruct_profile(traj)
     traj.to_csv(out / "trajectory.csv")
     profile.to_csv(out / "profile.csv")
     write_json(out / "semiwave.json", {
@@ -312,7 +311,7 @@ def simulate(u0_preset, table_path, t_end, n_cells, l_y, dt, g0, output_every,
     reference = None
     speed_result = None
     if do_verify or preset == "semiwave":
-        speed_result = find_wave_speed(dd, f, delta_, tol_, profile_x_max=grid.L_y + 10.0)
+        speed_result = find_wave_speed(dd, f, delta_, tol_)
         reference = speed_result.profile
 
     if preset == "semiwave":

@@ -10,17 +10,17 @@ entering the equilibrium (xi, 0) of the (q, p) system along the stable
 direction with slope (c - sqrt(c**2 - 4*d*f'(xi))) / (2*d) < 0, where xi is
 the stable zero of f.  This module integrates that ODE outward from the
 equilibrium to q = delta, provides the exact zero-speed solution as an
-oracle, and rebuilds the spatial profile by marching dq/dx = P(q) from
-q(0) = delta.
+oracle, and builds the spatial profile from the same integration: since
+dq/dx = P(q), x(q) is the integral of 1/(-P) from q to delta.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.interpolate import PchipInterpolator
+from scipy.integrate import OdeSolution, quad, solve_ivp
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from .errors import InputError, IntegrationError, NumericalError
 from .reaction import ReactionFunction
@@ -53,7 +53,7 @@ class IntegrationOptions:
 DEFAULT_OPTIONS = IntegrationOptions()
 TRAJECTORY_SAMPLES = 2500  # samples of P on [xi + eta, delta]
 PROFILE_SAMPLES = 1200  # samples of q on [0, x_end]
-TAIL_CUT = 1e-6  # the profile march stops at q - xi = TAIL_CUT * (delta - xi)
+TAIL_CUT = 1e-6  # the profile samples end at q - xi = TAIL_CUT * (delta - xi)
 
 
 @dataclass(eq=False)
@@ -62,7 +62,9 @@ class PhaseTrajectory:
 
     ``endpoint_slope`` is P(delta) = q'(0) of the corresponding profile and
     ``saddle_slope`` is P'(xi), the linearized decay rate at the equilibrium.
-    The monotone interpolant of the samples is built on first use.
+    ``dense`` is the integrator's continuous solution on [xi + eta, delta],
+    from which the profile is built; the monotone interpolant of the samples,
+    read by ``p_at`` and ``ode_residual``, is built on first use.
     """
 
     c: float
@@ -73,6 +75,7 @@ class PhaseTrajectory:
     p: np.ndarray = field(repr=False)
     endpoint_slope: float
     saddle_slope: float
+    dense: OdeSolution = field(repr=False)
 
     @cached_property
     def _interp(self) -> PchipInterpolator:
@@ -106,7 +109,8 @@ class SemiWaveProfile:
     The sampled range ends where q - xi reaches the tail cutoff; beyond it
     the profile continues analytically as xi + (q_end - xi) *
     exp(tail_rate * (x - x_end)), with ``tail_rate`` equal to the trajectory's
-    saddle slope.
+    saddle slope.  Inside it the profile is the cubic Hermite interpolant of
+    the samples and their slopes q'(x) = P(q), which are not stored.
     """
 
     x_grid: np.ndarray = field(repr=False)
@@ -115,9 +119,10 @@ class SemiWaveProfile:
     delta: float
     tail_rate: float
     slope_at_zero: float
+    slopes: InitVar[np.ndarray]
 
-    def __post_init__(self):
-        self._interp = PchipInterpolator(self.x_grid, self.q_values, extrapolate=False)
+    def __post_init__(self, slopes):
+        self._interp = CubicHermiteSpline(self.x_grid, self.q_values, slopes, extrapolate=False)
 
     def q_at(self, x):
         """Evaluate the profile anywhere on [0, inf)."""
@@ -137,7 +142,8 @@ def saddle_slope(c: float, d: float, f: ReactionFunction) -> float:
     """Slope of the stable trajectory entering (stable_zero, 0).
 
     Requires f'(stable_zero) < 0 so the radicand c**2 - 4*d*f'(xi) is
-    positive; the returned value is strictly negative.
+    positive; the returned value is strictly negative.  A slope that is not
+    finite (the radicand overflowed) raises IntegrationError.
     """
     if not d > 0:
         raise InputError(f"diffusivity must be positive, got {d}")
@@ -146,7 +152,10 @@ def saddle_slope(c: float, d: float, f: ReactionFunction) -> float:
         raise InputError(
             f"f'(stable_zero) must be negative for a saddle, got {fp:.3e}"
         )
-    return (c - np.sqrt(c * c - 4.0 * d * fp)) / (2.0 * d)
+    lam = (c - np.sqrt(c * c - 4.0 * d * fp)) / (2.0 * d)
+    if not np.isfinite(lam):
+        raise IntegrationError(f"saddle slope {lam} is not finite at c={c:g}")
+    return lam
 
 
 def _curvature_at_saddle(c: float, d: float, f: ReactionFunction, lam: float) -> float:
@@ -226,6 +235,7 @@ def integrate_trajectory(
         p=p_full,
         endpoint_slope=float(p_samples[-1]),
         saddle_slope=float(lam),
+        dense=sol.sol,
     )
 
 
@@ -251,64 +261,36 @@ def closed_form_zero_speed(q: float, d: float, f: ReactionFunction) -> float:
     return -float(np.sqrt(max(radicand, 0.0)))
 
 
-def reconstruct_profile(traj: PhaseTrajectory, x_max: float = 100.0) -> SemiWaveProfile:
-    """March dq/dx = P(q) from q(0) = delta until the tail cutoff or x_max.
+def reconstruct_profile(traj: PhaseTrajectory) -> SemiWaveProfile:
+    """Profile q(x) from its trajectory by the quadrature x(q) = int_q^delta ds / (-P(s)).
 
-    P is the monotone interpolant of the trajectory; x -> inf as q -> xi, so
-    the march stops at q - xi = TAIL_CUT*(delta - xi) and the infinite tail
-    is represented by the saddle-slope decay rate.  The march itself advances the log-tail
-    variable w = ln(q - xi), which decays asymptotically linearly and keeps
-    the samples strictly monotone even when q - xi spans many decades.
+    In w = ln(q - xi) the integrand (q - xi)/(-P) is smooth and tends to
+    -1/saddle_slope at the equilibrium, so composite Simpson on points uniform
+    in w, with P read from the trajectory's dense output, resolves both the
+    boundary and the tail.  The samples run from q(0) = delta to the tail
+    cutoff q - xi = TAIL_CUT*(delta - xi); the profile continues beyond it
+    with the saddle-slope decay rate.
     """
     span = traj.delta - traj.xi
-    q_cut = TAIL_CUT * span
-    if not x_max > 0.0:
-        raise InputError(f"x_max must be positive, got {x_max}")
-
-    qcheck = np.linspace(traj.xi + q_cut, traj.delta, 400)
-    if np.any(traj.p_at(qcheck) >= 0.0):
+    w = np.linspace(np.log(TAIL_CUT * span), np.log(span), 2 * PROFILE_SAMPLES - 1)
+    q = traj.xi + np.exp(w)
+    q[-1] = traj.delta
+    p = traj.dense(q)[0]
+    if not np.all(p < 0.0):
         raise NumericalError(
-            "trajectory interpolant is not negative on the marching range; "
+            "trajectory is not negative on the profile range; "
             "cannot build a monotone profile"
         )
-
-    w_floor = np.log(q_cut)
-
-    def rhs(x, y):
-        s = np.exp(np.clip(y[0], w_floor - 1.0, np.log(span)))
-        return traj.p_at(traj.xi + s) / s
-
-    def hit_tail(x, y):
-        return y[0] - w_floor
-
-    hit_tail.terminal = True
-    hit_tail.direction = -1
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, x_max),
-        [np.log(span)],
-        method="RK45",
-        rtol=1e-10,
-        atol=1e-10,
-        dense_output=True,
-        events=hit_tail,
-    )
-    if not sol.success:
-        raise IntegrationError(
-            f"profile march failed: {sol.message}", last_good=float(sol.t[-1])
-        )
-    x_end = float(sol.t_events[0][0]) if sol.t_events[0].size else float(sol.t[-1])
-
-    x_grid = np.linspace(0.0, x_end, PROFILE_SAMPLES)
-    w_values = sol.sol(x_grid)[0]
-    if np.any(np.diff(w_values) >= 0.0):
+    g = (q - traj.xi) / -p
+    panels = (w[1] - w[0]) / 3.0 * (g[:-2:2] + 4.0 * g[1:-1:2] + g[2::2])
+    # x grows from the boundary, where w is largest, so the sums run backwards
+    x_grid = np.concatenate(([0.0], np.cumsum(panels[::-1])))
+    q_values = q[::-2]
+    if not np.all(np.diff(x_grid) > 0.0):
+        raise NumericalError("reconstructed profile abscissae are not strictly increasing")
+    if not np.all(np.diff(q_values) < 0.0):
         raise NumericalError("reconstructed profile is not strictly decreasing")
-    q_values = traj.xi + np.exp(w_values)
-    q_values[0] = traj.delta
-    if np.any(np.diff(q_values) >= 0.0):
-        raise NumericalError("reconstructed profile is not strictly decreasing")
-    if np.any(q_values <= traj.xi):
+    if not np.all(q_values > traj.xi):
         raise NumericalError("reconstructed profile fell to the stable zero")
 
     return SemiWaveProfile(
@@ -318,4 +300,5 @@ def reconstruct_profile(traj: PhaseTrajectory, x_max: float = 100.0) -> SemiWave
         delta=traj.delta,
         tail_rate=traj.saddle_slope,
         slope_at_zero=traj.endpoint_slope,
+        slopes=p[::-2],
     )

@@ -205,7 +205,6 @@ def find_wave_speed(
     delta: float,
     tol: float = 1e-10,
     opts: IntegrationOptions | None = None,
-    profile_x_max: float = 100.0,
 ) -> SpeedResult:
     """Find the unique c* in (bracket_low, 0) with zero slope residual.
 
@@ -268,7 +267,7 @@ def find_wave_speed(
         retreat_speed=float(-c_star),
         bracket=(float(c_low), 0.0),
         residual=float(residual),
-        profile=reconstruct_profile(final, x_max=profile_x_max),
+        profile=reconstruct_profile(final),
         iterations=int(info.iterations) + polish,
         function_calls=len(ledger),
     )

@@ -11,4 +11,4 @@ def logistic1():
 @pytest.fixture(scope="session")
 def speed_ref(logistic1):
     """Selected wave speed for the canonical case d=1, delta=2."""
-    return find_wave_speed(1.0, logistic1, 2.0, tol=1e-10, profile_x_max=110.0)
+    return find_wave_speed(1.0, logistic1, 2.0, tol=1e-10)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicHermiteSpline
 
 from retreatwave import (
     InputError,
@@ -9,12 +11,15 @@ from retreatwave import (
     NumericalError,
     ReactionFunction,
     closed_form_zero_speed,
+    find_wave_speed,
     integrate_trajectory,
     make_logistic,
     make_perturbation_pair,
+    parse_reaction,
     reconstruct_profile,
     saddle_slope,
 )
+from retreatwave.wavespeed import SUP_GRID
 
 
 def exact_zero_speed(q: float, r: float, d: float) -> float:
@@ -141,7 +146,7 @@ def test_trajectory_rejects_bad_inputs(logistic1):
 
 def test_profile_shape_and_slope(logistic1):
     traj = integrate_trajectory(0.0, 1.0, logistic1, 2.0)
-    profile = reconstruct_profile(traj, x_max=60.0)
+    profile = reconstruct_profile(traj)
     assert profile.q_values[0] == 2.0
     assert np.all(np.diff(profile.q_values) < 0)
     assert np.all(profile.q_values > 1.0)
@@ -151,7 +156,7 @@ def test_profile_shape_and_slope(logistic1):
 
 def test_profile_tail_decay_rate(logistic1):
     traj = integrate_trajectory(-0.8, 1.0, logistic1, 2.0)
-    profile = reconstruct_profile(traj, x_max=80.0)
+    profile = reconstruct_profile(traj)
     x = profile.x_grid
     q = profile.q_values
     tail = q - 1.0 < 0.01
@@ -171,10 +176,59 @@ def test_profile_tail_extrapolation_is_continuous(logistic1):
     assert profile.q_at(x_end + 50.0) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_profile_rejects_nonpositive_x_max(logistic1):
-    traj = integrate_trajectory(0.0, 1.0, logistic1, 2.0)
-    with pytest.raises(InputError):
-        reconstruct_profile(traj, x_max=-1.0)
+def reference_profile(c: float, d: float, xi: float, coeffs, delta: float):
+    """q(x) from an independent DOP853 integration of (P, x) in w = ln(q - xi).
+
+    With s = q - xi, dP/dw = s*(c/d - f/(d*P)) and dx/dw = s/P.  f is
+    expanded about its zero xi, so f(xi + s) carries no cancellation and its
+    derivatives at xi are exact; the start is the second-order saddle series
+    at s = 1e-9*(delta - xi).  x(q) is inverted by a cubic Hermite
+    interpolant on 40001 points and continued past the start by the
+    linearised tail.
+    """
+    span = delta - xi
+    about_xi = np.polynomial.Polynomial((0.0,) + tuple(coeffs))(np.polynomial.Polynomial((xi, 1.0)))
+    fs = np.polynomial.Polynomial(np.concatenate(([0.0], about_xi.coef[1:])))  # f(xi) = 0
+    lam = (c - math.sqrt(c * c - 4.0 * d * fs.deriv()(0.0))) / (2.0 * d)
+    s2 = -fs.deriv(2)(0.0) / (3.0 * d * lam - c)
+    s0 = 1e-9 * span
+
+    def rhs(w, y):
+        s = math.exp(w)
+        return [s * (c / d - fs(s) / (d * y[0])), s / y[0]]
+
+    sol = solve_ivp(rhs, (math.log(s0), math.log(span)), [lam * s0 + 0.5 * s2 * s0 * s0, 0.0],
+                    method="DOP853", rtol=1e-13, atol=1e-20, dense_output=True)
+    assert sol.success
+    w = np.linspace(math.log(s0), math.log(span), 40001)
+    p, x = sol.sol(w)
+    x = x - x[-1]
+    inside = CubicHermiteSpline(x[::-1], xi + np.exp(w[::-1]), p[::-1])
+
+    def q_ref(xs):
+        tail = xi + s0 * np.exp(lam * (xs - x[0]))
+        return np.where(xs <= x[0], inside(xs), tail)
+
+    return q_ref
+
+
+# logistic f = u*(1 - u), and f = r*u*(xi - u)*(1 + a*u**2) as the polynomial
+# spec (r*xi, -r, r*a*xi, -r*a) for (r, xi, a) = (2, 1.5, 0.3) and (0.7, 1.2, 0.5)
+@pytest.mark.parametrize("spec, coeffs, d, delta", [
+    ("logistic:r=1", (1.0, -1.0), 1.0, 2.0),
+    ("logistic:r=1", (1.0, -1.0), 0.5, 1.5),
+    ("logistic:r=1", (1.0, -1.0), 2.0, 3.0),
+    ("custom:3,-2,0.9,-0.6", (3.0, -2.0, 0.9, -0.6), 0.8, 2.4),
+    ("custom:0.84,-0.7,0.42,-0.35", (0.84, -0.7, 0.42, -0.35), 1.5, 3.0),
+])
+def test_profile_matches_independent_reference(spec, coeffs, d, delta):
+    f = parse_reaction(spec)
+    c_star = find_wave_speed(d, f, delta).c_star
+    for c in (c_star, 0.0, c_star - 1.0):
+        profile = reconstruct_profile(integrate_trajectory(c, d, f, delta))
+        q_ref = reference_profile(c, d, f.stable_zero, coeffs, delta)
+        gap = np.max(np.abs(profile.q_at(SUP_GRID) - q_ref(SUP_GRID)))
+        assert gap <= 1e-9 * (delta - f.stable_zero), (c, gap)
 
 
 def test_trajectory_csv_roundtrip(tmp_path, logistic1):
