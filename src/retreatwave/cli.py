@@ -108,13 +108,13 @@ def _common(reaction_spec, d, delta, tol, out_dir, config_path):
     d = float(_resolve(d, cfg, "d", 1.0))
     delta = float(_resolve(delta, cfg, "delta", 2.0))
     tol = float(tol) if tol is not None else 1e-10
-    if not d > 0:
-        raise InputError(f"d must be positive, got {d}")
+    if not 0 < d < math.inf:
+        raise InputError(f"d must be positive and finite, got {d}")
     if not tol > 0:
         raise InputError(f"tol must be positive, got {tol}")
     f = parse_reaction(spec)
-    if delta <= f.stable_zero:
-        raise InputError(f"delta must exceed {f.stable_zero:g}, got {delta}")
+    if not f.stable_zero < delta < math.inf:
+        raise InputError(f"delta must exceed {f.stable_zero:g} and be finite, got {delta}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return f, d, delta, tol, out, cfg
@@ -184,21 +184,18 @@ def semiwave(c_value, reaction_spec, d, delta, tol, out_dir, config_path):
     """Compute one phase trajectory and its spatial profile."""
     f, dd, delta_, tol_, out, _ = _common(reaction_spec, d, delta, tol, out_dir, config_path)
     if c_value == "auto":
-        result = find_wave_speed(dd, f, delta_, tol_)
-        c = result.c_star
-        traj = integrate_trajectory(c, dd, f, delta_)
-        profile = result.profile
+        traj = find_wave_speed(dd, f, delta_, tol_).trajectory
     else:
         try:
             c = float(c_value)
         except ValueError as exc:
             raise InputError(f"--c must be a float or 'auto', got {c_value!r}") from exc
         traj = integrate_trajectory(c, dd, f, delta_)
-        profile = reconstruct_profile(traj)
+    profile = reconstruct_profile(traj)
     traj.to_csv(out / "trajectory.csv")
     profile.to_csv(out / "profile.csv")
     write_json(out / "semiwave.json", {
-        "c": c,
+        "c": traj.c,
         "d": dd,
         "delta": delta_,
         "reaction": f.label,
@@ -206,7 +203,7 @@ def semiwave(c_value, reaction_spec, d, delta, tol, out_dir, config_path):
         "saddle_slope": traj.saddle_slope,
         "tail_rate": profile.tail_rate,
     })
-    click.echo(f"semiwave: c={c!r} slope_at_zero={profile.slope_at_zero!r}")
+    click.echo(f"semiwave: c={traj.c!r} slope_at_zero={traj.endpoint_slope!r}")
 
 
 @main.command()

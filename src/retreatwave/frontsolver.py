@@ -75,8 +75,8 @@ class Grid1D:
     N: int
 
     def __post_init__(self):
-        if not self.L_y > 0:
-            raise InputError(f"L_y must be positive, got {self.L_y}")
+        if not 0 < self.L_y < np.inf:
+            raise InputError(f"L_y must be positive and finite, got {self.L_y}")
         if self.N < 200:
             raise InputError(f"N must be at least 200, got {self.N}")
 
@@ -118,6 +118,8 @@ class InitialData:
     def from_callable(
         cls, grid: Grid1D, delta: float, u0: Callable, g0: float = 0.0
     ) -> "InitialData":
+        if not np.isfinite(g0):
+            raise InputError(f"g0 must be finite, got {g0}")
         u = np.asarray(u0(grid.nodes), dtype=float).copy()
         if u.shape != (grid.N + 1,):
             raise InputError("u0 must map the node array to one value per node")
@@ -156,8 +158,8 @@ class SolverConfig:
     keep_snapshots: bool = False
 
     def __post_init__(self):
-        if self.T_end < 0:
-            raise InputError(f"T_end must be nonnegative, got {self.T_end}")
+        if not 0 <= self.T_end < np.inf:
+            raise InputError(f"T_end must be nonnegative and finite, got {self.T_end}")
         if self.dt is not None and not self.dt > 0:
             raise InputError(f"dt must be positive, got {self.dt}")
         if not self.output_every > 0:

@@ -16,11 +16,10 @@ dq/dx = P(q), x(q) is the integral of 1/(-P) from q to delta.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.integrate import OdeSolution, quad, solve_ivp
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline
 
 from .errors import InputError, IntegrationError, NumericalError
 from .reaction import ReactionFunction
@@ -51,35 +50,29 @@ class IntegrationOptions:
 
 
 DEFAULT_OPTIONS = IntegrationOptions()
-TRAJECTORY_SAMPLES = 2500  # samples of P on [xi + eta, delta]
+TRAJECTORY_SAMPLES = 2500  # samples of P on [xi + eta, delta] checked and written
 PROFILE_SAMPLES = 1200  # samples of q on [0, x_end]
 TAIL_CUT = 1e-6  # the profile samples end at q - xi = TAIL_CUT * (delta - xi)
 
 
 @dataclass(eq=False)
 class PhaseTrajectory:
-    """Sampled curve p = P(q) on [xi, delta] for one speed parameter c.
+    """Curve p = P(q) on [xi, delta] for one speed parameter c.
 
     ``endpoint_slope`` is P(delta) = q'(0) of the corresponding profile and
     ``saddle_slope`` is P'(xi), the linearized decay rate at the equilibrium.
-    ``dense`` is the integrator's continuous solution on [xi + eta, delta],
-    from which the profile is built; the monotone interpolant of the samples,
-    read by ``p_at`` and ``ode_residual``, is built on first use.
+    ``dense`` is the integrator's continuous solution on [xi + eta, delta]
+    and the only stored form of P: ``p_at``, ``ode_residual``, ``to_csv``
+    and the profile quadrature all read it.
     """
 
     c: float
     d: float
     delta: float
     xi: float
-    q: np.ndarray = field(repr=False)
-    p: np.ndarray = field(repr=False)
     endpoint_slope: float
     saddle_slope: float
     dense: OdeSolution = field(repr=False)
-
-    @cached_property
-    def _interp(self) -> PchipInterpolator:
-        return PchipInterpolator(self.q, self.p, extrapolate=True)
 
     @property
     def residual(self) -> float:
@@ -87,19 +80,22 @@ class PhaseTrajectory:
         return self.endpoint_slope - (self.delta / self.d) * self.c
 
     def p_at(self, q):
-        """Interpolated P(q); monotone cubic through the samples."""
-        return self._interp(q)
+        """P(q) from the integrator's dense output."""
+        return self.dense(q)[0]
 
     def ode_residual(self, f: ReactionFunction) -> float:
-        """Max |P'(q) - (c/d - f(q)/(d P))| at 200 interior collocation points."""
+        """Max |P'(q) - (c/d - f(q)/(d P))| at 200 interior points; P' by central difference."""
         qs = np.linspace(self.xi, self.delta, 202)[1:-1]
-        ps = self._interp(qs)
-        dps = self._interp.derivative()(qs)
-        rhs = self.c / self.d - np.asarray(f(qs)) / (self.d * ps)
+        h = 1e-6 * (self.delta - self.xi)
+        dps = (self.p_at(qs + h) - self.p_at(qs - h)) / (2.0 * h)
+        rhs = self.c / self.d - np.asarray(f(qs)) / (self.d * self.p_at(qs))
         return float(np.max(np.abs(dps - rhs)))
 
     def to_csv(self, path) -> None:
-        write_csv(path, ("q", "P"), zip(self.q, self.p))
+        """Write (xi, 0) and TRAJECTORY_SAMPLES points of P on [xi + eta, delta]."""
+        q = np.linspace(self.dense.t_min, self.delta, TRAJECTORY_SAMPLES)
+        rows = zip(np.concatenate(([self.xi], q)), np.concatenate(([0.0], self.p_at(q))))
+        write_csv(path, ("q", "P"), rows)
 
 
 @dataclass(eq=False)
@@ -118,7 +114,6 @@ class SemiWaveProfile:
     xi: float
     delta: float
     tail_rate: float
-    slope_at_zero: float
     slopes: InitVar[np.ndarray]
 
     def __post_init__(self, slopes):
@@ -186,10 +181,12 @@ def integrate_trajectory(
     """
     opts = opts or DEFAULT_OPTIONS
     xi = f.stable_zero
-    if not delta > xi:
-        raise InputError(f"delta must exceed the stable zero {xi:g}, got {delta}")
-    if not d > 0:
-        raise InputError(f"diffusivity must be positive, got {d}")
+    if not xi < delta < np.inf:
+        raise InputError(f"delta must exceed the stable zero {xi:g} and be finite, got {delta}")
+    if not 0 < d < np.inf:
+        raise InputError(f"diffusivity must be positive and finite, got {d}")
+    if not np.isfinite(c):
+        raise InputError(f"speed c must be finite, got {c}")
 
     lam = saddle_slope(c, d, f)
     sigma2 = _curvature_at_saddle(c, d, f, lam)
@@ -217,22 +214,17 @@ def integrate_trajectory(
             last_good=float(sol.t[-1]),
         )
 
-    q_samples = np.linspace(q0, delta, TRAJECTORY_SAMPLES)
-    p_samples = sol.sol(q_samples)[0]
+    p_samples = sol.sol(np.linspace(q0, delta, TRAJECTORY_SAMPLES))[0]
     if np.any(p_samples >= 0.0):
         raise NumericalError(
             f"trajectory left the lower half plane at c={c:g}; "
             "the reaction may not be monostable on (xi, delta]"
         )
-    q_full = np.concatenate(([xi], q_samples))
-    p_full = np.concatenate(([0.0], p_samples))
     return PhaseTrajectory(
         c=float(c),
         d=float(d),
         delta=float(delta),
         xi=float(xi),
-        q=q_full,
-        p=p_full,
         endpoint_slope=float(p_samples[-1]),
         saddle_slope=float(lam),
         dense=sol.sol,
@@ -299,6 +291,5 @@ def reconstruct_profile(traj: PhaseTrajectory) -> SemiWaveProfile:
         xi=traj.xi,
         delta=traj.delta,
         tail_rate=traj.saddle_slope,
-        slope_at_zero=traj.endpoint_slope,
         slopes=p[::-2],
     )

@@ -54,16 +54,21 @@ PROFILE_KEEP = 8
 
 @dataclass(eq=False)
 class SpeedResult:
-    """Selected wave speed c* with its bracket, residual and profile."""
+    """Selected wave speed c* with its bracket, residual and trajectory."""
 
     delta: float
     c_star: float
     retreat_speed: float
     bracket: tuple[float, float]
     residual: float
-    profile: SemiWaveProfile = field(repr=False)
+    trajectory: PhaseTrajectory = field(repr=False)
     iterations: int
     function_calls: int
+
+    @property
+    def profile(self) -> SemiWaveProfile:
+        """The profile of c*, rebuilt from the trajectory on every read: bind it once."""
+        return reconstruct_profile(self.trajectory)
 
     def to_json_dict(self) -> dict:
         return {
@@ -75,8 +80,8 @@ class SpeedResult:
             "residual": self.residual,
             "iterations": self.iterations,
             "function_calls": self.function_calls,
-            "slope_at_zero": self.profile.slope_at_zero,
-            "tail_rate": self.profile.tail_rate,
+            "slope_at_zero": self.trajectory.endpoint_slope,
+            "tail_rate": self.trajectory.saddle_slope,
         }
 
 
@@ -212,8 +217,8 @@ def find_wave_speed(
     strict monotonicity of the residual, and bisection polishes the root if
     |r(c*)| is still above ``tol``.  Every evaluation goes into one ledger
     keyed by c, so each speed is integrated once; ``function_calls`` is the
-    number of distinct speeds integrated.  The result carries the profile
-    reconstructed from the trajectory at c*.
+    number of distinct speeds integrated.  The result carries the trajectory
+    at c*; its profile is built only when read.
     """
     if tol < 1e-12:
         raise InputError(f"tol must be at least 1e-12, got {tol}")
@@ -267,7 +272,7 @@ def find_wave_speed(
         retreat_speed=float(-c_star),
         bracket=(float(c_low), 0.0),
         residual=float(residual),
-        profile=reconstruct_profile(final),
+        trajectory=final,
         iterations=int(info.iterations) + polish,
         function_calls=len(ledger),
     )

@@ -1,10 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from retreatwave import cli, wavespeed
 from retreatwave.cli import main
+from retreatwave.phaseplane import integrate_trajectory
+from retreatwave.serialize import read_csv
 
 
 @pytest.fixture()
@@ -44,6 +48,61 @@ def test_semiwave_rejects_small_delta(tmp_path, runner):
 def test_semiwave_rejects_malformed_speed(tmp_path, runner):
     res = runner.invoke(main, ["semiwave", "--c", "fast", "--out", str(tmp_path)])
     assert res.exit_code == 1
+
+
+def test_semiwave_auto_integrates_each_speed_once(tmp_path, runner, monkeypatch, speed_ref):
+    speeds = []
+
+    def counting(c, *args, **kwargs):
+        speeds.append(c)
+        return integrate_trajectory(c, *args, **kwargs)
+
+    monkeypatch.setattr(wavespeed, "integrate_trajectory", counting)
+    monkeypatch.setattr(cli, "integrate_trajectory", counting)
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        speeds.clear()
+        res = invoke(runner, ["semiwave", "--delta", "2", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert len(speeds) == speed_ref.function_calls  # c* is not integrated again
+    for name in ("trajectory.csv", "profile.csv", "semiwave.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_semiwave_trajectory_csv(tmp_path, runner):
+    res = invoke(runner, ["semiwave", "--delta", "2", "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    header, rows = read_csv(tmp_path / "trajectory.csv")
+    q, p = np.array(rows).T
+    assert header == ["q", "P"]
+    assert len(rows) == 2501
+    assert (q[0], p[0]) == (1.0, 0.0)  # the equilibrium (xi, 0)
+    assert np.all(np.diff(q) > 0.0)
+    assert np.all(p[1:] < 0.0)
+    assert p[-1] == json.loads((tmp_path / "semiwave.json").read_text())["endpoint_slope"]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["semiwave", "--c", "nan"], "speed c must be finite, got nan"),
+        (["semiwave", "--c", "inf"], "speed c must be finite, got inf"),
+        (["semiwave", "--c", "-inf"], "speed c must be finite, got -inf"),
+        (["sequences", "--c-lower0", "-inf", "--n-max", "1"], "speed c must be finite, got -inf"),
+        (["speed", "--d", "inf"], "d must be positive and finite, got inf"),
+        (["speed", "--delta", "inf"], "delta must exceed 1 and be finite, got inf"),
+        (["simulate", "--T", "nan"], "T_end must be nonnegative and finite, got nan"),
+        (["simulate", "--T", "inf"], "T_end must be nonnegative and finite, got inf"),
+        (["simulate", "--T", "0.01", "--g0", "nan"], "g0 must be finite, got nan"),
+        (["simulate", "--T", "0.01", "--g0", "inf"], "g0 must be finite, got inf"),
+        (["simulate", "--T", "0.01", "--L", "inf"], "L_y must be positive and finite, got inf"),
+        (["simulate", "--T", "0.01", "--d", "inf"], "d must be positive and finite, got inf"),
+    ],
+)
+def test_non_finite_numbers_exit_1(tmp_path, runner, args, message):
+    res = runner.invoke(main, args + ["--out", str(tmp_path)])
+    assert res.exit_code == 1, res.output
+    assert message in res.output
 
 
 def test_speed_json_and_determinism(tmp_path, runner):

@@ -109,15 +109,18 @@ def test_find_wave_speed_integrates_each_speed_once(monkeypatch, d, coeffs, delt
         speeds.append(float(c))
         return integrate_trajectory(c, *args, **kwargs)
 
+    profiles = []
     monkeypatch.setattr(wavespeed, "integrate_trajectory", counting)
+    monkeypatch.setattr(wavespeed, "reconstruct_profile", profiles.append)
     res = find_wave_speed(d, make_polynomial(coeffs), delta, tol)
     assert len(speeds) == res.function_calls == calls
+    assert profiles == []  # the profile is built only when read
     assert len(set(speeds)) == len(speeds)
     assert res.residual <= tol
 
 
 def test_speed_law_consistency(speed_ref):
-    assert abs(speed_ref.profile.slope_at_zero - speed_ref.c_star * 2.0) <= 1e-9
+    assert abs(speed_ref.trajectory.endpoint_slope - speed_ref.c_star * 2.0) <= 1e-9
 
 
 def test_find_wave_speed_monotone_in_delta(logistic1):
@@ -147,7 +150,7 @@ def test_find_wave_speed_shifted_stable_zero():
     assert f.stable_zero == pytest.approx(1.2, abs=1e-9)
     res = find_wave_speed(1.0, f, 2.5)
     assert res.c_star == pytest.approx(C_STAR_REF_XI12, abs=1e-8)
-    assert abs(res.profile.slope_at_zero - res.c_star * 2.5) <= 1e-9
+    assert abs(res.trajectory.endpoint_slope - res.c_star * 2.5) <= 1e-9
     assert res.profile.q_at(80.0) == pytest.approx(1.2, abs=1e-9)
 
 
