@@ -2,10 +2,12 @@
 
 Subcommands: semiwave, speed, sweep, simulate, sequences, verify.  Shared
 flags are --f (reaction spec), --d, --delta, --tol, --out and --config.
-Values resolve with the precedence CLI flag > config file > default; the
-config file holds one ``key = value`` pair per line with ``#`` comments and
+Values resolve with the precedence CLI flag > config file > default: the
+config file becomes click's ``default_map``, so each of its keys is the
+name of an option and each default is written once, in its option.  The
+file holds one ``key = value`` pair per line with ``#`` comments and
 accepts exactly the keys d, delta, reaction, g0, u0, L_y, N, dt, T_end,
-output_every.
+output_every; ``--help`` prints every default.
 
 Reaction spec grammar: ``logistic`` (rate 1), ``logistic:r=<R>``, or
 ``custom:<c1>,<c2>,...`` for the polynomial c1*u + c2*u**2 + ...
@@ -15,10 +17,8 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure,
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
-import sys
 from pathlib import Path
 
 import click
@@ -62,62 +62,55 @@ CONFIG_KEYS = {
 }
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Make the values of the ``--config`` file the defaults of the command's options."""
     if path is None:
-        return {}
+        return
     cfg: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    # an undecodable byte becomes U+FFFD, which no key, number or preset accepts
+    text = Path(path).read_text(encoding="utf-8", errors="replace")
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise InputError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise click.BadParameter(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         if key not in CONFIG_KEYS:
-            raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise click.BadParameter(f"{path}:{lineno}: unknown config key {key!r}")
         try:
             cfg[key] = CONFIG_KEYS[key](value)
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
-    return cfg
-
-
-def _resolve(flag, cfg: dict, key: str, default):
-    if flag is not None:
-        return flag
-    return cfg.get(key, default)
+        except ValueError:
+            raise click.BadParameter(
+                f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
+    ctx.default_map = cfg
 
 
 def _shared_options(fn):
-    fn = click.option("--config", "config_path", type=click.Path(exists=True), default=None,
+    fn = click.option("--config", type=click.Path(exists=True, dir_okay=False),
+                      is_eager=True, expose_value=False, callback=_load_config,
                       help="Key-value config file; flags override it.")(fn)
     fn = click.option("--out", "out_dir", type=click.Path(file_okay=False), default=".",
                       help="Output directory.")(fn)
-    fn = click.option("--tol", type=float, default=None, help="Root tolerance [1e-10].")(fn)
-    fn = click.option("--delta", type=float, default=None, help="Boundary density [2.0].")(fn)
-    fn = click.option("--d", "d", type=float, default=None, help="Diffusivity [1.0].")(fn)
-    fn = click.option("--f", "reaction_spec", type=str, default=None,
-                      help="Reaction spec, e.g. logistic:r=1 [logistic].")(fn)
+    fn = click.option("--tol", type=float, default=1e-10, help="Root tolerance.")(fn)
+    fn = click.option("--delta", type=float, default=2.0, help="Boundary density.")(fn)
+    fn = click.option("--d", "d", type=float, default=1.0, help="Diffusivity.")(fn)
+    fn = click.option("--f", "reaction", type=str, default="logistic",
+                      help="Reaction spec, e.g. logistic:r=1.")(fn)
     return fn
 
 
-def _common(reaction_spec, d, delta, tol, out_dir, config_path):
-    cfg = _load_config(config_path)
-    spec = _resolve(reaction_spec, cfg, "reaction", "logistic")
-    d = float(_resolve(d, cfg, "d", 1.0))
-    delta = float(_resolve(delta, cfg, "delta", 2.0))
-    tol = float(tol) if tol is not None else 1e-10
+def _common(reaction, d, delta, tol, out_dir):
     if not 0 < d < math.inf:
         raise InputError(f"d must be positive and finite, got {d}")
     if not tol > 0:
         raise InputError(f"tol must be positive, got {tol}")
-    f = parse_reaction(spec)
+    f = parse_reaction(reaction)
     if not f.stable_zero < delta < math.inf:
         raise InputError(f"delta must exceed {f.stable_zero:g} and be finite, got {delta}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return f, d, delta, tol, out, cfg
+    return f, out
 
 
 def _convergence_verdict(record, c_target, out, speed_rtol, profile_tol, **extra):
@@ -150,27 +143,30 @@ def _convergence_verdict(record, c_target, out, speed_rtol, profile_tol, **extra
     )
 
 
-def _guarded(command):
-    """Map the package's errors raised by ``command`` onto the documented exit codes."""
+_speed_rtol_option = click.option("--speed-rtol", type=float, default=0.02,
+                                  help="Relative speed error allowed at T_end.")
+_profile_tol_option = click.option("--profile-tol", type=float, default=0.05,
+                                   help="Sup profile error allowed at T_end, if one was recorded.")
 
-    @functools.wraps(command)
-    def wrapper(*args, **kwargs):
+
+class _ExitCodeGroup(click.Group):
+    """Map the package's errors raised by any subcommand onto the documented exit codes."""
+
+    def invoke(self, ctx):
         try:
-            return command(*args, **kwargs)
+            return super().invoke(ctx)
         except InputError as exc:
             click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
+            ctx.exit(1)
         except NumericalError as exc:
             click.echo(f"numerical failure: {exc}", err=True)
-            sys.exit(2)
+            ctx.exit(2)
         except VerificationFailure as exc:
             click.echo(f"verification failed: {exc}", err=True)
-            sys.exit(3)
-
-    return wrapper
+            ctx.exit(3)
 
 
-@click.group()
+@click.group(cls=_ExitCodeGroup, context_settings={"show_default": True})
 def main():
     """Retreating semi-waves and front-fixed free-boundary simulation."""
 
@@ -179,25 +175,24 @@ def main():
 @_shared_options
 @click.option("--c", "c_value", type=str, default="auto",
               help="Wave speed, a float or 'auto' for the selected speed c*.")
-@_guarded
-def semiwave(c_value, reaction_spec, d, delta, tol, out_dir, config_path):
+def semiwave(c_value, reaction, d, delta, tol, out_dir):
     """Compute one phase trajectory and its spatial profile."""
-    f, dd, delta_, tol_, out, _ = _common(reaction_spec, d, delta, tol, out_dir, config_path)
+    f, out = _common(reaction, d, delta, tol, out_dir)
     if c_value == "auto":
-        traj = find_wave_speed(dd, f, delta_, tol_).trajectory
+        traj = find_wave_speed(d, f, delta, tol).trajectory
     else:
         try:
             c = float(c_value)
         except ValueError as exc:
             raise InputError(f"--c must be a float or 'auto', got {c_value!r}") from exc
-        traj = integrate_trajectory(c, dd, f, delta_)
+        traj = integrate_trajectory(c, d, f, delta)
     profile = reconstruct_profile(traj)
     traj.to_csv(out / "trajectory.csv")
     profile.to_csv(out / "profile.csv")
     write_json(out / "semiwave.json", {
         "c": traj.c,
-        "d": dd,
-        "delta": delta_,
+        "d": d,
+        "delta": delta,
         "reaction": f.label,
         "endpoint_slope": traj.endpoint_slope,
         "saddle_slope": traj.saddle_slope,
@@ -210,14 +205,13 @@ def semiwave(c_value, reaction_spec, d, delta, tol, out_dir, config_path):
 @_shared_options
 @click.option("--audit-grid", type=int, default=0,
               help="Also audit residual monotonicity on this many grid points.")
-@_guarded
-def speed(audit_grid, reaction_spec, d, delta, tol, out_dir, config_path):
+def speed(audit_grid, reaction, d, delta, tol, out_dir):
     """Find the retreat speed for one boundary density."""
-    f, dd, delta_, tol_, out, _ = _common(reaction_spec, d, delta, tol, out_dir, config_path)
-    result = find_wave_speed(dd, f, delta_, tol_)
-    write_json(out / "speed.json", result.to_json_dict() | {"d": dd, "reaction": f.label})
+    f, out = _common(reaction, d, delta, tol, out_dir)
+    result = find_wave_speed(d, f, delta, tol)
+    write_json(out / "speed.json", result.to_json_dict() | {"d": d, "reaction": f.label})
     if audit_grid:
-        audit = residual_monotonicity_audit(dd, f, delta_, audit_grid)
+        audit = residual_monotonicity_audit(d, f, delta, audit_grid)
         audit.to_csv(out / "audit.csv")
         if not audit.strictly_decreasing or len(audit.sign_change_cells) != 1:
             raise NumericalError("residual audit failed monotonicity or uniqueness")
@@ -225,35 +219,34 @@ def speed(audit_grid, reaction_spec, d, delta, tol, out_dir, config_path):
 
 
 def _parse_deltas(text: str) -> list[float]:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise InputError(f"range spec must be start:stop:step, got {text!r}")
-        start, stop, step_ = (float(p) for p in parts)
-        if step_ <= 0:
-            raise InputError("range step must be positive")
-        vals = []
-        v = start
-        while v <= stop + 1e-12:
-            vals.append(round(v, 12))
-            v += step_
-        return vals
     try:
-        return [float(p) for p in text.split(",")]
+        if ":" not in text:
+            return [float(p) for p in text.split(",")]
+        start, stop, step_ = (float(p) for p in text.split(":"))
     except ValueError as exc:
-        raise InputError(f"bad deltas list {text!r}") from exc
+        raise InputError(
+            f"bad deltas {text!r}: expected a comma list or start:stop:step") from exc
+    if not (-math.inf < start <= stop < math.inf and 0 < step_ < math.inf):
+        raise InputError(f"range {text!r} needs finite start <= stop and finite step > 0")
+    vals = []
+    v = start
+    while v <= stop + 1e-12:
+        if len(vals) == 100_000:  # also stops a step too small to advance v
+            raise InputError(f"range {text!r} has more than 100000 values")
+        vals.append(round(v, 12))
+        v += step_
+    return vals
 
 
 @main.command()
 @_shared_options
 @click.option("--deltas", type=str, required=True,
               help="Comma list (1.1,1.5,2) or range start:stop:step (1.1:3:0.1).")
-@_guarded
-def sweep(deltas, reaction_spec, d, delta, tol, out_dir, config_path):
+def sweep(deltas, reaction, d, delta, tol, out_dir):
     """Sweep the retreat speed over a range of boundary densities."""
-    f, dd, _, tol_, out, _ = _common(reaction_spec, d, delta, tol, out_dir, config_path)
+    f, out = _common(reaction, d, delta, tol, out_dir)
     values = _parse_deltas(deltas)
-    table = density_sweep(dd, f, values, tol_)
+    table = density_sweep(d, f, values, tol)
     table.to_csv(out / "sweep.csv")
     for dv, msg in table.errors.items():
         click.echo(f"delta={dv:g}: {msg}", err=True)
@@ -263,72 +256,60 @@ def sweep(deltas, reaction_spec, d, delta, tol, out_dir, config_path):
 
 @main.command()
 @_shared_options
-@click.option("--u0", "u0_preset", type=str, default=None,
-              help="Initial data preset: semiwave, exp_approach, constant_delta, custom_table.")
+@click.option("--u0", type=click.Choice(["semiwave", "exp_approach", "constant_delta",
+                                         "custom_table"]),
+              default="exp_approach", help="Initial data preset.")
 @click.option("--table", "table_path", type=click.Path(exists=True), default=None,
               help="CSV (y,u) for the custom_table preset.")
-@click.option("--T", "t_end", type=float, default=None, help="Final time [10].")
-@click.option("--N", "n_cells", type=int, default=None, help="Grid cells [2000].")
-@click.option("--L", "l_y", type=float, default=None,
+@click.option("--T", "T_end", type=float, default=10.0, help="Final time.")
+@click.option("--N", "N", type=int, default=2000, help="Grid cells.")
+@click.option("--L", "L_y", type=float, default=None,
               help="Domain length [100*max(1, sqrt(d))].")
 @click.option("--dt", type=float, default=None, help="Time step [auto].")
-@click.option("--g0", type=float, default=None, help="Initial front position [0].")
-@click.option("--output-every", type=float, default=None, help="Row cadence [0.5].")
+@click.option("--g0", type=float, default=0.0, help="Initial front position.")
+@click.option("--output-every", type=float, default=0.5, help="Row cadence.")
 @click.option("--snapshot-times", type=str, default=None,
               help="Comma list of times; dumps the nearest recorded fields as (y,U) CSVs.")
 @click.option("--verify", "do_verify", is_flag=True, default=False,
               help="Check speed and profile convergence after the run.")
-@click.option("--speed-rtol", type=float, default=0.02,
-              help="Relative speed error allowed at T_end with --verify.")
-@click.option("--profile-tol", type=float, default=0.05,
-              help="Sup profile error allowed at T_end with --verify.")
-@_guarded
-def simulate(u0_preset, table_path, t_end, n_cells, l_y, dt, g0, output_every,
-             snapshot_times, do_verify, speed_rtol, profile_tol,
-             reaction_spec, d, delta, tol, out_dir, config_path):
+@_speed_rtol_option
+@_profile_tol_option
+def simulate(u0, table_path, T_end, N, L_y, dt, g0, output_every, snapshot_times,
+             do_verify, speed_rtol, profile_tol, reaction, d, delta, tol, out_dir):
     """Run the front-fixed PDE and record the front speed history."""
-    f, dd, delta_, tol_, out, cfg = _common(reaction_spec, d, delta, tol, out_dir, config_path)
-    preset = _resolve(u0_preset, cfg, "u0", "exp_approach")
-    l_default = 100.0 * max(1.0, math.sqrt(dd))
-    grid = Grid1D(float(_resolve(l_y, cfg, "L_y", l_default)), int(_resolve(n_cells, cfg, "N", 2000)))
-    g0_ = float(_resolve(g0, cfg, "g0", 0.0))
+    f, out = _common(reaction, d, delta, tol, out_dir)
+    grid = Grid1D(L_y if L_y is not None else 100.0 * max(1.0, math.sqrt(d)), N)
     try:
-        snap_times = (
-            [float(s) for s in snapshot_times.split(",")] if snapshot_times else []
-        )
+        snap_times = [float(s) for s in snapshot_times.split(",")] if snapshot_times else []
     except ValueError as exc:
         raise InputError(f"bad --snapshot-times list {snapshot_times!r}") from exc
-    solver_cfg = SolverConfig(
-        T_end=float(_resolve(t_end, cfg, "T_end", 10.0)),
-        dt=_resolve(dt, cfg, "dt", None),
-        output_every=float(_resolve(output_every, cfg, "output_every", 0.5)),
-        keep_snapshots=bool(snap_times),
-    )
+    if not all(map(math.isfinite, snap_times)):
+        raise InputError(f"snapshot times must be finite, got {snapshot_times!r}")
+    solver_cfg = SolverConfig(T_end=T_end, dt=dt, output_every=output_every,
+                              keep_snapshots=bool(snap_times))
 
     reference = None
     speed_result = None
-    if do_verify or preset == "semiwave":
-        speed_result = find_wave_speed(dd, f, delta_, tol_)
+    if do_verify or u0 == "semiwave":
+        speed_result = find_wave_speed(d, f, delta, tol)
         reference = speed_result.profile
 
-    if preset == "semiwave":
-        u0 = profile_u0(reference)
-    elif preset == "exp_approach":
-        u0 = exp_approach_u0(delta_, xi=f.stable_zero)
-    elif preset == "constant_delta":
-        u0 = constant_u0(delta_)
-    elif preset == "custom_table":
+    if u0 == "semiwave":
+        u0_fn = profile_u0(reference)
+    elif u0 == "exp_approach":
+        u0_fn = exp_approach_u0(delta, xi=f.stable_zero)
+    elif u0 == "constant_delta":
+        u0_fn = constant_u0(delta)
+    else:  # custom_table
         if table_path is None:
             raise InputError("custom_table preset needs --table pointing at a (y,u) CSV")
         header, rows = read_csv(table_path)
         if header[:2] != ["y", "u"]:
             raise InputError(f"table header must be y,u, got {header!r}")
-        u0 = table_u0([r[0] for r in rows], [r[1] for r in rows])
-    else:
-        raise InputError(f"unknown u0 preset {preset!r}")
+        u0_fn = table_u0([r[0] for r in rows], [r[1] for r in rows])
 
-    initial = InitialData.from_callable(grid, delta_, u0, g0=g0_)
-    record = run(initial, dd, delta_, f, solver_cfg, reference=reference)
+    initial = InitialData.from_callable(grid, delta, u0_fn, g0=g0)
+    record = run(initial, d, delta, f, solver_cfg, reference=reference)
     record.to_csv(out / "run.csv")
     write_json(out / "run_config.json", record.config)
     final = record.final_state
@@ -341,9 +322,7 @@ def simulate(u0_preset, table_path, t_end, n_cells, l_y, dt, g0, output_every,
     if record.termination_reason != "completed":
         click.echo(f"run aborted ({record.termination_reason}): {record.diagnostic}", err=True)
         raise NumericalError(record.diagnostic or record.termination_reason)
-    click.echo(
-        f"simulate: T={solver_cfg.T_end:g} g'={final.g_prime!r} rows={len(record.rows)}"
-    )
+    click.echo(f"simulate: T={T_end:g} g'={final.g_prime!r} rows={len(record.rows)}")
 
     if do_verify:
         _convergence_verdict(record, speed_result.retreat_speed, out, speed_rtol, profile_tol,
@@ -354,16 +333,14 @@ def simulate(u0_preset, table_path, t_end, n_cells, l_y, dt, g0, output_every,
 @_shared_options
 @click.option("--c-upper0", type=float, default=0.0, help="Upper start, in (c*, 0].")
 @click.option("--c-lower0", type=float, default=None, help="Lower start, below c* [c*-1].")
-@click.option("--m", "m_start", type=int, default=10, help="Forcing offset M [10].")
-@click.option("--n-max", type=int, default=2000, help="Iteration cap [2000].")
-@_guarded
-def sequences(c_upper0, c_lower0, m_start, n_max, reaction_spec, d, delta, tol,
-              out_dir, config_path):
+@click.option("--m", "m_start", type=int, default=10, help="Forcing offset M.")
+@click.option("--n-max", type=int, default=2000, help="Iteration cap.")
+def sequences(c_upper0, c_lower0, m_start, n_max, reaction, d, delta, tol, out_dir):
     """Iterate the monotone speed sequences bracketing c*."""
-    f, dd, delta_, tol_, out, _ = _common(reaction_spec, d, delta, tol, out_dir, config_path)
-    reference = find_wave_speed(dd, f, delta_, tol_)
+    f, out = _common(reaction, d, delta, tol, out_dir)
+    reference = find_wave_speed(d, f, delta, tol)
     upper, lower = bracketing_sequences(
-        dd, f, delta_, c_upper_0=c_upper0, c_lower_0=c_lower0,
+        d, f, delta, c_upper_0=c_upper0, c_lower_0=c_lower0,
         M=m_start, n_max=n_max, reference=reference,
     )
     upper.to_csv(out / "sequences_upper.csv")
@@ -379,9 +356,17 @@ def sequences(c_upper0, c_lower0, m_start, n_max, reaction_spec, d, delta, tol,
         "upper_converged_at": upper.converged_at,
         "lower_converged_at": lower.converged_at,
     })
-    click.echo(
-        f"sequences: c* in [{lower.c_list[-1]!r}, {upper.c_list[-1]!r}]"
-    )
+    click.echo(f"sequences: c* in [{lower.c_list[-1]!r}, {upper.c_list[-1]!r}]")
+
+
+def _read_json_object(path) -> dict:
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise InputError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise InputError(f"{path}: expected a JSON object")
+    return payload
 
 
 @main.command()
@@ -390,28 +375,32 @@ def sequences(c_upper0, c_lower0, m_start, n_max, reaction_spec, d, delta, tol,
 @click.option("--speed", "speed_path", type=click.Path(exists=True), required=True,
               help="speed.json produced by the speed subcommand.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default=".")
-@click.option("--speed-rtol", type=float, default=0.02)
-@click.option("--profile-tol", type=float, default=0.05,
-              help="Sup profile error allowed; skipped for a run recorded without a reference.")
-@_guarded
+@_speed_rtol_option
+@_profile_tol_option
 def verify(record_path, speed_path, out_dir, speed_rtol, profile_tol):
     """Re-check a recorded run against a stored speed result."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     record = RunRecord.rows_from_csv(record_path)
-    payload = json.loads(Path(speed_path).read_text(encoding="utf-8"))
+    payload = _read_json_object(speed_path)
     config_path = Path(record_path).parent / "run_config.json"
     if not config_path.exists():
         raise InputError(f"{config_path} not found; verify needs the run's configuration")
-    run_cfg = json.loads(config_path.read_text(encoding="utf-8"))
+    run_cfg = _read_json_object(config_path)
     for key in ("d", "delta", "reaction"):
         if key not in run_cfg or run_cfg[key] != payload.get(key):
             raise InputError(
                 f"{speed_path} does not belong to the run: {key} is "
                 f"{payload.get(key)!r} there and {run_cfg.get(key)!r} in {config_path}"
             )
-    _convergence_verdict(record, float(payload["retreat_speed"]), out, speed_rtol,
-                         profile_tol)
+    try:
+        c_target = float(payload["retreat_speed"])
+    except (KeyError, TypeError, ValueError):
+        c_target = math.nan
+    if not math.isfinite(c_target):
+        raise InputError(f"{speed_path}: 'retreat_speed' must be a finite number, "
+                         f"got {payload.get('retreat_speed')!r}")
+    _convergence_verdict(record, c_target, out, speed_rtol, profile_tol)
 
 
 if __name__ == "__main__":

@@ -160,10 +160,10 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 <= self.T_end < np.inf:
             raise InputError(f"T_end must be nonnegative and finite, got {self.T_end}")
-        if self.dt is not None and not self.dt > 0:
-            raise InputError(f"dt must be positive, got {self.dt}")
-        if not self.output_every > 0:
-            raise InputError(f"output_every must be positive, got {self.output_every}")
+        if self.dt is not None and not 0 < self.dt < np.inf:
+            raise InputError(f"dt must be positive and finite, got {self.dt}")
+        if not 0 < self.output_every < np.inf:
+            raise InputError(f"output_every must be positive and finite, got {self.output_every}")
 
 
 @dataclass(eq=False)

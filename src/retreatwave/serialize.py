@@ -9,6 +9,8 @@ import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .errors import InputError
+
 
 def format_value(v) -> str:
     if isinstance(v, bool):
@@ -26,9 +28,17 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 
 
 def read_csv(path) -> tuple[list[str], list[list[float]]]:
-    text = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    header = text[0].split(",")
-    rows = [[float(tok) for tok in line.split(",")] for line in text[1:]]
+    """Read a header row and rows of floats; a malformed row or byte raises InputError."""
+    lines = Path(path).read_text(encoding="utf-8", errors="replace").rstrip().splitlines() or [""]
+    header = lines[0].split(",")
+    rows = []
+    for lineno, line in enumerate(lines[1:], 2):
+        try:
+            rows.append([float(tok) for tok in line.split(",")])
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: non-numeric cell in {line!r}") from None
+        if len(rows[-1]) != len(header):
+            raise InputError(f"{path}:{lineno}: {len(rows[-1])} cells under {len(header)} columns")
     return header, rows
 
 

@@ -97,6 +97,16 @@ def test_semiwave_trajectory_csv(tmp_path, runner):
         (["simulate", "--T", "0.01", "--g0", "inf"], "g0 must be finite, got inf"),
         (["simulate", "--T", "0.01", "--L", "inf"], "L_y must be positive and finite, got inf"),
         (["simulate", "--T", "0.01", "--d", "inf"], "d must be positive and finite, got inf"),
+        (["sweep", "--deltas", "1.1:inf:0.1"], "needs finite start <= stop and finite step > 0"),
+        (["sweep", "--deltas", "nan:3:0.1"], "needs finite start <= stop and finite step > 0"),
+        (["sweep", "--deltas", "3:1:0.1"], "needs finite start <= stop and finite step > 0"),
+        (["sweep", "--deltas", "1.1:3:nan"], "needs finite start <= stop and finite step > 0"),
+        (["sweep", "--deltas", "a:b:c"], "bad deltas 'a:b:c'"),
+        (["simulate", "--T", "0.01", "--output-every", "inf"],
+         "output_every must be positive and finite, got inf"),
+        (["simulate", "--T", "0.01", "--dt", "inf"], "dt must be positive and finite, got inf"),
+        (["simulate", "--T", "0.01", "--snapshot-times", "nan"],
+         "snapshot times must be finite, got 'nan'"),
     ],
 )
 def test_non_finite_numbers_exit_1(tmp_path, runner, args, message):
@@ -139,6 +149,10 @@ def test_sweep_range_spec(tmp_path, runner):
 def test_sweep_rejects_bad_spec(tmp_path, runner):
     res = runner.invoke(main, ["sweep", "--deltas", "2:1:-1", "--out", str(tmp_path)])
     assert res.exit_code == 1
+    # a step below the spacing of the floats near 1.1 never advances the range
+    res = runner.invoke(main, ["sweep", "--deltas", "1.1:3:1e-300", "--out", str(tmp_path)])
+    assert res.exit_code == 1, res.output
+    assert "has more than 100000 values" in res.output
 
 
 def test_delta_range_parser_counts():
@@ -306,6 +320,21 @@ def test_sequences_subcommand(tmp_path, runner):
     assert len(lines) == 7  # header + c_0..c_5
 
 
+# (config key, value in the file, flag, value of the flag)
+SIMULATE_KEYS = [
+    ("d", 1.2, "--d", 1.1),
+    ("delta", 2.5, "--delta", 2.4),
+    ("reaction", "logistic:r=1.5", "--f", "logistic:r=1.2"),
+    ("g0", 0.5, "--g0", 0.25),
+    ("u0", "constant_delta", "--u0", "exp_approach"),
+    ("L_y", 10.0, "--L", 12.0),
+    ("N", 200, "--N", 240),
+    ("dt", 0.001, "--dt", 0.002),
+    ("T_end", 0.02, "--T", 0.04),
+    ("output_every", 0.01, "--output-every", 0.02),
+]
+
+
 def test_config_file_precedence(tmp_path, runner):
     conf = tmp_path / "run.conf"
     conf.write_text("delta = 2.5\nd = 1.0\nreaction = logistic:r=1\n")
@@ -319,10 +348,83 @@ def test_config_file_precedence(tmp_path, runner):
     assert res.exit_code == 0, res.output
     assert json.loads((out2 / "speed.json").read_text())["delta"] == 3.0
 
+    # a file setting all ten keys drives simulate, and a flag overrides each of them
+    assert [key for key, *_ in SIMULATE_KEYS] == list(cli.CONFIG_KEYS)
+    conf.write_text("".join(f"{key} = {value}\n" for key, value, *_ in SIMULATE_KEYS))
+    flags = [str(tok) for _, _, flag, value in SIMULATE_KEYS for tok in (flag, value)]
+    for column, args in ((1, []), (3, flags)):
+        out = tmp_path / f"simulate{column}"
+        res = invoke(runner, ["simulate", "--config", str(conf), "--out", str(out)] + args)
+        assert res.exit_code == 0, res.output
+        expected = {row[0]: row[column] for row in SIMULATE_KEYS}
+        recorded = json.loads((out / "run_config.json").read_text())
+        for key in expected.keys() - {"u0"}:
+            assert recorded[key] == expected[key], key
+        # constant_delta starts flat at delta; exp_approach starts below it
+        min_u0 = float((out / "run.csv").read_text().splitlines()[1].split(",")[4])
+        assert (min_u0 == expected["delta"]) == (expected["u0"] == "constant_delta")
 
-def test_config_rejects_unknown_key(tmp_path, runner):
+
+def test_config_keys_name_simulate_params():
+    # the config file is click's default_map: a key reads the param of the same name
+    assert set(cli.CONFIG_KEYS) <= {param.name for param in cli.simulate.params}
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("bogus = 1", "unknown config key 'bogus'"),
+        ("N = 2.5", "bad value for 'N': '2.5'"),
+        ("delta 2", "expected 'key = value', got 'delta 2'"),
+        ("delta = 2\xff", "bad value for 'delta': '2\ufffd'"),
+    ],
+    ids=["unknown-key", "bad-value", "no-equals", "bad-byte"],
+)
+def test_config_rejects_bad_line(tmp_path, runner, line, message):
     conf = tmp_path / "bad.conf"
-    conf.write_text("bogus = 1\n")
+    conf.write_bytes(f"# header comment\n{line}\n".encode("latin-1"))  # \xff is not UTF-8
     res = runner.invoke(main, ["speed", "--config", str(conf), "--out", str(tmp_path)])
     assert res.exit_code == 1
-    assert "unknown config key" in res.output
+    assert f"Invalid value for '--config': {conf}:2: {message}" in res.output
+
+
+RUN_META = {"d": 1.0, "delta": 2.0, "reaction": "logistic:r=1"}
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("speed.json", "{bad", "not valid JSON"),
+        ("speed.json", "[]", "expected a JSON object"),
+        ("speed.json", json.dumps(RUN_META), "'retreat_speed' must be a finite number, got None"),
+        ("speed.json", json.dumps(RUN_META | {"retreat_speed": "x"}),
+         "'retreat_speed' must be a finite number, got 'x'"),
+        ("run_config.json", "{bad", "not valid JSON"),
+        ("run.csv", "t,g,g_prime,sup_profile_error,min_U,max_U\n0,0,x,nan,1,2\n",
+         ":2: non-numeric cell"),
+        ("run.csv", "t,g,g_prime,sup_profile_error,min_U,max_U\n0,0,0.9,nan,1\n",
+         ":2: 5 cells under 6 columns"),
+        ("table.csv", "y,u\n0,2\n10,x\n", ":3: non-numeric cell"),
+        ("table.csv", "y,u\n0,2\n10,\xff\n", ":3: non-numeric cell"),
+    ],
+    ids=["speed-bad-json", "speed-not-object", "speed-no-retreat-speed",
+         "speed-text-retreat-speed", "run-config-bad-json", "run-csv-text-cell",
+         "run-csv-short-row", "table-text-cell", "table-bad-byte"],
+)
+def test_malformed_input_file_exits_1(tmp_path, runner, name, text, message):
+    (tmp_path / "run.csv").write_text("t,g,g_prime,sup_profile_error,min_U,max_U\n"
+                                      "0,0,0.9,nan,1,2\n1,0.9,0.89,nan,1,2\n")
+    (tmp_path / "run_config.json").write_text(json.dumps(RUN_META))
+    speed = RUN_META | {"retreat_speed": 0.8935219495378632}
+    (tmp_path / "speed.json").write_text(json.dumps(speed))
+    (tmp_path / name).write_bytes(text.encode("latin-1"))  # \xff is not UTF-8
+    if name == "table.csv":
+        args = ["simulate", "--u0", "custom_table", "--table", str(tmp_path / name),
+                "--T", "0.01"]
+    else:
+        args = ["verify", "--record", str(tmp_path / "run.csv"),
+                "--speed", str(tmp_path / "speed.json")]
+    res = runner.invoke(main, args + ["--out", str(tmp_path / "out")])
+    assert res.exit_code == 1, res.output
+    assert f"error: {tmp_path / name}" in res.output
+    assert message in res.output
