@@ -39,6 +39,7 @@ from .phaseplane import (
     PhaseTrajectory,
     SemiWaveProfile,
     closed_form_zero_speed,
+    integrate_trajectories,
     integrate_trajectory,
     reconstruct_profile,
     saddle_slope,

@@ -23,6 +23,7 @@ from .phaseplane import (
     PhaseTrajectory,
     SemiWaveProfile,
     closed_form_zero_speed,
+    integrate_trajectories,
     integrate_trajectory,
     reconstruct_profile,
 )
@@ -160,9 +161,16 @@ class SequenceRun:
         write_csv(path, ("n", "c", "slope_at_zero", "sup_gap"), rows)
 
 
-def slope_residual(c: float, d: float, f: ReactionFunction, delta: float) -> float:
-    """The slope residual r(c) = q_c'(0) - (delta/d)*c, from one trajectory integration."""
-    return integrate_trajectory(c, d, f, delta).residual
+def slope_residual(c, d: float, f: ReactionFunction, delta: float):
+    """The slope residual r(c) = q_c'(0) - (delta/d)*c, from one integration.
+
+    ``c`` is a speed or a 1-d array of speeds; an array is integrated as the
+    lanes of one vector ODE and gives an array of residuals.
+    """
+    residuals = np.array(
+        [traj.residual for traj in integrate_trajectories(np.atleast_1d(c), d, f, delta)]
+    )
+    return residuals if np.ndim(c) else float(residuals[0])
 
 
 def bracket_low(

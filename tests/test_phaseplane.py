@@ -7,11 +7,14 @@ from scipy.interpolate import CubicHermiteSpline
 
 from retreatwave import (
     InputError,
+    IntegrationError,
     IntegrationOptions,
     NumericalError,
     ReactionFunction,
+    bracket_low,
     closed_form_zero_speed,
     find_wave_speed,
+    integrate_trajectories,
     integrate_trajectory,
     make_logistic,
     make_perturbation_pair,
@@ -233,3 +236,66 @@ def test_trajectory_csv_roundtrip(tmp_path, logistic1):
     traj.to_csv(path)
     header = path.read_text().splitlines()[0]
     assert header == "q,P"
+
+
+# logistic at three (d, delta), a stable zero below 1, and the family member
+# f = r*u*(xi - u)*(1 + a*u**2) with (r, xi, a) = (2, 1.5, 0.3)
+LANE_PROBLEMS = [
+    ("logistic:r=1", 1.0, 2.0),
+    ("logistic:r=1", 0.5, 1.5),
+    ("logistic:r=1", 2.0, 3.0),
+    ("custom:0.7,-1", 1.0, 1.2),
+    ("custom:3,-2,0.9,-0.6", 0.8, 2.4),
+]
+
+
+@pytest.mark.parametrize("spec, d, delta", LANE_PROBLEMS)
+def test_lanes_match_one_lane_runs_and_tight_reference(spec, d, delta):
+    # the residual audit's 50-point grid, integrated as one batch
+    f = parse_reaction(spec)
+    cs = np.linspace(bracket_low(d, f, delta)[-1].c, 0.0, 50)
+    lanes = [t.endpoint_slope for t in integrate_trajectories(cs, d, f, delta)]
+    ones = [integrate_trajectory(c, d, f, delta).endpoint_slope for c in cs]
+    tight = IntegrationOptions(rtol=1e-13, atol=1e-15)
+    refs = [integrate_trajectory(c, d, f, delta, tight).endpoint_slope for c in cs]
+    assert np.max(np.abs(np.subtract(lanes, ones))) <= 1e-9
+    # sharing its steps with the other lanes must not cost a lane accuracy
+    worst_one = np.max(np.abs(np.subtract(ones, refs)))
+    assert np.max(np.abs(np.subtract(lanes, refs))) <= worst_one
+
+
+def test_lane_profile_is_its_own():
+    f = parse_reaction("custom:3,-2,0.9,-0.6")
+    d, delta = 0.8, 2.4
+    c_star = find_wave_speed(d, f, delta).c_star
+    cs = [c_star - 1.0, c_star, 0.0]
+    lanes = integrate_trajectories(cs, d, f, delta)
+    for lane, c in zip(lanes, cs):
+        batch = reconstruct_profile(lane).q_at(SUP_GRID)
+        alone = reconstruct_profile(integrate_trajectory(c, d, f, delta)).q_at(SUP_GRID)
+        assert np.max(np.abs(batch - alone)) <= 1e-9 * (delta - f.stable_zero), c
+
+
+def test_bad_lane_raises_its_own_error(logistic1):
+    # the saddle slope overflows at c = 1e308
+    with pytest.raises(IntegrationError) as alone:
+        integrate_trajectory(1e308, 1.0, logistic1, 2.0)
+    with pytest.raises(IntegrationError) as batch:
+        integrate_trajectories([-0.5, 1e308, 0.0], 1.0, logistic1, 2.0)
+    assert str(batch.value) == str(alone.value) and "c=1e+308" in str(batch.value)
+    with pytest.raises(InputError, match="speed c must be finite, got nan"):
+        integrate_trajectories([-0.5, float("nan")], 1.0, logistic1, 2.0)
+    with pytest.raises(InputError):
+        integrate_trajectories([], 1.0, logistic1, 2.0)
+
+
+def test_lane_whose_integration_stalls_is_named():
+    # f = -u*(u - 1)*(u - 1.05)*(u - 1.9) is positive on (1.05, 1.9): slow
+    # trajectories are pushed up to P = 0 there, where the step size collapses
+    poly = -np.polynomial.Polynomial.fromroots([0.0, 1.0, 1.05, 1.9])
+    f = ReactionFunction(poly, poly.deriv(), 1.0, "bump")
+    with pytest.raises(IntegrationError) as alone:
+        integrate_trajectory(-0.5, 1.0, f, 2.0)
+    with pytest.raises(IntegrationError) as batch:
+        integrate_trajectories([-3.0, -0.5, -2.0], 1.0, f, 2.0)
+    assert str(batch.value) == str(alone.value) and "c=-0.5:" in str(batch.value)

@@ -28,7 +28,7 @@ def test_speed_selection_holds_across_monostable_family(r, xi, a, d, s):
     delta = xi * (1.0 + s)
     f = parse_reaction("custom:" + ",".join(repr(c) for c in (r * xi, -r, r * a * xi, -r * a)))
 
-    audit = residual_monotonicity_audit(d, f, delta, 12)
+    audit = residual_monotonicity_audit(d, f, delta, 50)
     assert audit.strictly_decreasing and len(audit.sign_change_cells) == 1
 
     res = find_wave_speed(d, f, delta)

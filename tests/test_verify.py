@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from retreatwave import phaseplane
 from retreatwave import (
     FrontFixedState,
     Grid1D,
     InputError,
     RunRecord,
+    bracket_low,
     bracketing_sequences,
     make_perturbation_pair,
     profile_error,
@@ -124,6 +126,22 @@ def test_audit_coarse_agrees_with_fine(logistic1, speed_ref):
     for audit in (coarse, fine):
         j = audit.sign_change_cells[0]
         assert audit.c_values[j] <= speed_ref.c_star <= audit.c_values[j + 1]
+
+
+def test_audit_is_one_integration_after_bracket_low(logistic1, monkeypatch):
+    n_low = len(bracket_low(1, logistic1, 2))
+    lanes = []
+    solve_ivp = phaseplane.solve_ivp
+
+    def counted(fun, t_span, y0, **kwargs):
+        lanes.append(len(y0))
+        return solve_ivp(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(phaseplane, "solve_ivp", counted)
+    audit = residual_monotonicity_audit(1, logistic1, 2, 50)
+    # bracket_low's speeds one by one, then the other 49 speeds as one batch
+    assert n_low == 1 and lanes == [1] * n_low + [49]
+    assert audit.residuals.shape == (50,)
 
 
 def test_audit_requires_minimum_grid(logistic1):

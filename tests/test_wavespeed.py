@@ -78,6 +78,9 @@ def test_residual_strictly_decreasing_on_grid(logistic1):
     cs = np.linspace(c0, 0.0, 50)
     vals = [slope_residual(c, 1.0, logistic1, 2.0) for c in cs]
     assert np.all(np.diff(vals) < 0.0)
+    lanes = slope_residual(cs, 1.0, logistic1, 2.0)
+    assert isinstance(vals[0], float) and lanes.shape == (50,)
+    assert np.max(np.abs(lanes - vals)) <= 1e-9
 
 
 def test_residual_ordering_examples(logistic1):
