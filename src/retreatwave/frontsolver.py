@@ -255,12 +255,12 @@ def step(
     f: ReactionFunction,
     dt: float,
     source: Callable | None = None,
-    c1: float | None = None,
+    c1: float = math.inf,
 ) -> FrontFixedState:
     """Advance one IMEX time step with the front speed frozen, then re-assert the bounds.
 
-    ``c1`` is the a priori ceiling on U (skipped when None); |g'| is capped
-    at DEFAULT_SPEED_CAP.
+    ``c1`` is the a priori ceiling on U (none by default); |g'| is capped at
+    DEFAULT_SPEED_CAP.
     """
     if not dt > 0:
         raise InputError(f"dt must be positive, got {dt}")
@@ -307,12 +307,12 @@ def step(
     # a negated conjunction of the bounds, so that a NaN fails the check
     if not (
         min_u > 0.0
-        and (c1 is None or max_u <= c1 + BOUND_SLACK)
+        and max_u <= c1 + BOUND_SLACK
         and abs(gp_new) <= DEFAULT_SPEED_CAP
     ):
         diag = (
             f"t={t_new:.10g} g'={gp_new:.10g} min_U={min_u:.10g} max_U={max_u:.10g} "
-            f"(bounds: U in (0, {c1 if c1 is not None else 'inf'}], "
+            f"(bounds: U in (0, {c1}], "
             f"|g'| <= {DEFAULT_SPEED_CAP:g})"
         )
         raise BoundViolationError("a priori bound violated: " + diag, diagnostic=diag)

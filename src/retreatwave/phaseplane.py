@@ -41,21 +41,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntegrationOptions:
-    """Tolerances for trajectory integration.
-
-    ``start_offset`` is the fraction of (delta - xi) used to step off the
-    singular equilibrium before handing over to the adaptive integrator.
-    """
+    """Tolerances for trajectory integration."""
 
     rtol: float = 1e-10
     atol: float = 1e-12
-    start_offset: float = 1e-8
 
 
 DEFAULT_OPTIONS = IntegrationOptions()
 TRAJECTORY_SAMPLES = 2500  # samples of P on [xi + eta, delta] checked and written
 PROFILE_SAMPLES = 1200  # samples of q on [0, x_end]
 TAIL_CUT = 1e-6  # the profile samples end at q - xi = TAIL_CUT * (delta - xi)
+START_OFFSET = 1e-8  # the series start is at q - xi = START_OFFSET * (delta - xi)
 
 
 @dataclass(eq=False)
@@ -195,7 +191,7 @@ def integrate_trajectories(
     call whose step control takes the RMS of all lanes' scaled errors; the
     trajectories share its dense output.  The 0/0 start is removed by a
     second-order series step to q = xi + eta with eta =
-    start_offset*(delta - xi); the outward direction is self-correcting, so
+    START_OFFSET*(delta - xi); the outward direction is self-correcting, so
     the series truncation decays along the way.  A lane that fails raises
     the error its own one-lane integration would, naming its speed.
     """
@@ -211,7 +207,7 @@ def integrate_trajectories(
     # Python floats: a numpy scalar would warn where c*c overflows in saddle_slope
     cs = cs.tolist()
 
-    eta = opts.start_offset * (delta - xi)
+    eta = START_OFFSET * (delta - xi)
     q0 = xi + eta
     lams, p0s = [], []
     for c in cs:

@@ -29,6 +29,8 @@ __all__ = [
 # Absolute tolerance for locating stable zeros by bisection.  The saddle slope
 # downstream depends on f'(z), so the zero has to be tight.
 ZERO_LOCATION_TOL = 1e-12
+# Halvings that take the widest finite double interval below ZERO_LOCATION_TOL.
+MAX_BISECTIONS = 1100
 # Intervals of the sampling grid on [0, 2*stable_zero] in validate_monostable.
 VALIDATION_GRID = 2000
 
@@ -77,6 +79,11 @@ class MonostabilityReport:
         return not self.failures
 
 
+def _number_text(x: float) -> str:
+    """The shortest text that parses back to x, without a trailing '.0'."""
+    return repr(x).removesuffix(".0")
+
+
 def make_logistic(r: float) -> ReactionFunction:
     """Logistic growth f(u) = r*u*(1-u), the canonical monostable reaction."""
     if not 0 < r < np.inf:
@@ -86,7 +93,7 @@ def make_logistic(r: float) -> ReactionFunction:
         value_fn=lambda u: r * u * (1.0 - u),
         deriv_fn=lambda u: r * (1.0 - 2.0 * u),
         stable_zero=1.0,
-        label=f"logistic:r={r:g}",
+        label=f"logistic:r={_number_text(r)}",
     )
 
 
@@ -114,7 +121,7 @@ def make_polynomial(coeffs: tuple[float, ...]) -> ReactionFunction:
         value_fn=poly,
         deriv_fn=poly.deriv(),
         stable_zero=zero,
-        label="custom:" + ",".join(f"{c:g}" for c in cs),
+        label="custom:" + ",".join(map(_number_text, cs)),
     )
     report = validate_monostable(f)
     if not report.ok:
@@ -129,8 +136,9 @@ def _locate_stable_zero(fn: Callable, hi: float, tail_to: float = 0.0) -> float:
 
     Scans a dense grid on (0, hi], and a geometric one on (hi, tail_to], for
     down-crossings, requires exactly one, refines it by bisection to absolute
-    tolerance ZERO_LOCATION_TOL and polishes with a few Newton steps so the
-    residual reaches evaluator round-off.
+    tolerance ZERO_LOCATION_TOL (or to adjacent doubles, where their spacing
+    exceeds it) and polishes with a few Newton steps so the residual reaches
+    evaluator round-off.
     """
     grid = np.linspace(0.0, hi, 4001)[1:]
     if tail_to > hi:
@@ -147,8 +155,10 @@ def _locate_stable_zero(fn: Callable, hi: float, tail_to: float = 0.0) -> float:
     if len(exact) == 1:
         return float(grid[exact[0]])
     a, b = float(grid[down[0]]), float(grid[down[0] + 1])
-    while b - a > ZERO_LOCATION_TOL:
+    for _ in range(MAX_BISECTIONS):
         mid = 0.5 * (a + b)
+        if b - a <= ZERO_LOCATION_TOL or mid in (a, b):
+            break
         if fn(mid) > 0.0:
             a = mid
         else:

@@ -49,8 +49,6 @@ MIN_DELTA_GAP = 1e-6
 # Doublings of the lower bracket endpoint before giving up on a positive residual.
 MAX_BRACKET_DOUBLINGS = 30
 SUP_GRID = np.linspace(0.0, 50.0, 1001)
-# Profiles of each bracketing sequence kept for the sandwich checks.
-PROFILE_KEEP = 8
 
 
 @dataclass(eq=False)
@@ -142,7 +140,9 @@ class SequenceRun:
     The update law is c_{n+1} = (d/delta)*slope_list[n] + sign/(M+n) with
     sign +1 for the upper direction and -1 for the lower one.  ``sup_gaps``
     holds the sup-norm distance of each iterate's profile from the reference
-    profile on a shared grid.
+    profile on a shared grid.  No profile is kept: profile j is
+    ``reconstruct_profile(integrate_trajectory(c_list[j], d, f, delta))``,
+    bit-identical to the one the sequence built.
     """
 
     direction: str
@@ -151,7 +151,6 @@ class SequenceRun:
     slope_list: list[float]
     converged_at: int | None
     sup_gaps: list[float]
-    profiles: list[SemiWaveProfile] = field(repr=False)
 
     def to_csv(self, path) -> None:
         rows = [
@@ -367,8 +366,9 @@ def bracketing_sequences(
 
     Returns (upper, lower).  The upper sequence starts at c_upper_0 in
     (c*, 0], decreases strictly and stays above c*; the lower mirrors it from
-    below.  If the first step of either sequence would break its ordering,
-    M is doubled and that sequence restarts, up to M = 1e5.  Iteration stops
+    below.  Each iterate is one integration and one profile.  If the first
+    step of either sequence would break its ordering, M is doubled for that
+    sequence before the step, up to M = 1e5.  Iteration stops
     at n_max or once |c_{n+1} - c_n| < 1/(M+n)**2, since the forcing term
     makes full convergence asymptotic.
     """
@@ -387,56 +387,34 @@ def bracketing_sequences(
         raise InputError(f"c_lower_0 must lie below c* = {c_star!r}, got {c_lower_0!r}")
     q_ref = reference.profile.q_at(SUP_GRID)
 
-    def run_direction(sign: float, c0: float, name: str) -> SequenceRun:
-        traj0 = integrate_trajectory(c0, d, f, delta)
-        slope0 = traj0.endpoint_slope
-        # ordering gap for the first step: sign*(c0 - (d/delta)*slope0) must
-        # exceed 1/M, which is exactly sign*(-d/delta)*residual(c0)
-        gap = sign * (c0 - (d / delta) * slope0)
-        M_dir = _escalate_m(M, gap, name)
-
-        c_list = [float(c0)]
-        slope_list = [float(slope0)]
-        profiles: list[SemiWaveProfile] = []
+    runs = []
+    for sign, c, name in ((+1.0, float(c_upper_0), "upper"), (-1.0, float(c_lower_0), "lower")):
+        c_list: list[float] = []
+        slope_list: list[float] = []
         sup_gaps: list[float] = []
-
-        def track(traj: PhaseTrajectory) -> None:
-            prof = reconstruct_profile(traj)
-            sup_gaps.append(float(np.max(np.abs(prof.q_at(SUP_GRID) - q_ref))))
-            if len(profiles) < PROFILE_KEEP:
-                profiles.append(prof)
-
-        track(traj0)
-        converged_at = None
-        n = 0
-        while n < n_max:
-            c_next = (d / delta) * slope_list[n] + sign / (M_dir + n)
-            monotone = c_next < c_list[n] if sign > 0 else c_next > c_list[n]
-            sandwich = c_next > c_star if sign > 0 else c_next < c_star
+        M_dir, converged_at = M, None
+        for n in range(n_max + 1):
+            traj = integrate_trajectory(c, d, f, delta)
+            c_list.append(c)
+            slope_list.append(float(traj.endpoint_slope))
+            q = reconstruct_profile(traj).q_at(SUP_GRID)
+            sup_gaps.append(float(np.max(np.abs(q - q_ref))))
+            if n in (converged_at, n_max):
+                break
+            if n == 0:
+                # ordering gap for the first step: sign*(c0 - (d/delta)*slope0)
+                # must exceed 1/M, which is exactly sign*(-d/delta)*residual(c0)
+                M_dir = _escalate_m(M, sign * (c - (d / delta) * slope_list[0]), name)
+            c = float((d / delta) * slope_list[n] + sign / (M_dir + n))
+            monotone = c < c_list[n] if sign > 0 else c > c_list[n]
+            sandwich = c > c_star if sign > 0 else c < c_star
             if not (monotone and sandwich):
                 raise SequenceOrderingError(
                     f"{name} sequence broke ordering at n={n}: "
-                    f"c_n={c_list[n]!r}, c_next={c_next!r}, c*={c_star!r}, M={M_dir}"
+                    f"c_n={c_list[n]!r}, c_next={c!r}, c*={c_star!r}, M={M_dir}"
                 )
-            traj = integrate_trajectory(c_next, d, f, delta)
-            c_list.append(float(c_next))
-            slope_list.append(float(traj.endpoint_slope))
-            track(traj)
-            if abs(c_list[-1] - c_list[-2]) < 1.0 / (M_dir + n) ** 2:
+            if abs(c - c_list[n]) < 1.0 / (M_dir + n) ** 2:
                 converged_at = n + 1
-                break
-            n += 1
-
-        return SequenceRun(
-            direction=name,
-            M=M_dir,
-            c_list=c_list,
-            slope_list=slope_list,
-            converged_at=converged_at,
-            sup_gaps=sup_gaps,
-            profiles=profiles,
-        )
-
-    upper = run_direction(+1.0, float(c_upper_0), "upper")
-    lower = run_direction(-1.0, float(c_lower_0), "lower")
+        runs.append(SequenceRun(name, M_dir, c_list, slope_list, converged_at, sup_gaps))
+    upper, lower = runs
     return upper, lower

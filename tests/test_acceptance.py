@@ -28,6 +28,7 @@ from retreatwave import (
     make_perturbation_pair,
     perturbed_wave_speeds,
     profile_u0,
+    reconstruct_profile,
     residual_monotonicity_audit,
     run,
     sandwich_check,
@@ -256,8 +257,10 @@ def test_criterion_10_sandwich_at_late_times(headline_run, logistic1):
         D, pair.upper, DELTA, c_upper_0=0.0, M=10, n_max=4
     )
     _, lower_run = bracketing_sequences(D, pair.lower, DELTA, M=10, n_max=4)
-    lower_profiles = lower_run.profiles[1:4]
-    upper_profiles = upper_run.profiles[1:4]
+    lower_profiles = [reconstruct_profile(integrate_trajectory(c, D, pair.lower, DELTA))
+                      for c in lower_run.c_list[1:4]]
+    upper_profiles = [reconstruct_profile(integrate_trajectory(c, D, pair.upper, DELTA))
+                      for c in upper_run.c_list[1:4]]
     t_cut = 0.8 * record.config["T_end"]
     checked = 0
     ok = True

@@ -284,6 +284,19 @@ def test_verify_rejects_speed_of_another_run(tmp_path, runner):
     assert "run_config.json not found" in res.output
 
 
+def test_verify_tells_apart_reactions_that_round_alike(tmp_path, runner):
+    # the two rates agree to 6 digits; each label keeps its rate exactly
+    invoke(runner, ["simulate", "--f", "logistic:r=1.0000001", "--u0", "exp_approach",
+                    "--T", "1", "--N", "400", "--L", "40", "--out", str(tmp_path / "sim")])
+    invoke(runner, ["speed", "--f", "logistic:r=1.0000004", "--delta", "2",
+                    "--out", str(tmp_path / "speed")])
+    res = runner.invoke(main, ["verify", "--record", str(tmp_path / "sim" / "run.csv"),
+                               "--speed", str(tmp_path / "speed" / "speed.json"),
+                               "--out", str(tmp_path / "v")])
+    assert res.exit_code == 1, res.output
+    assert "does not belong to the run" in res.output
+
+
 @pytest.mark.parametrize(
     "spec, delta, code, c_star",
     [

@@ -118,6 +118,7 @@ def test_step_caps_front_speed(logistic1):
         step(make_state(grid, U), 1.0, 2.0, logistic1, 1e-5)
     gp = float(re.search(r"g'=(\S+)", err.value.diagnostic).group(1))
     assert abs(gp) > DEFAULT_SPEED_CAP
+    assert "U in (0, inf]" in err.value.diagnostic
 
 
 def test_initial_data_validation(logistic1):

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 
+from retreatwave import phaseplane
 from retreatwave import (
     InputError,
     IntegrationError,
@@ -127,14 +128,11 @@ def test_trajectory_ode_residual(logistic1):
     assert traj.ode_residual(logistic1) < 5e-6
 
 
-def test_series_start_is_converged(logistic1):
+def test_series_start_is_converged(monkeypatch, logistic1):
     # halving the start offset must leave the endpoint essentially unchanged
-    a = integrate_trajectory(
-        -0.5, 1.0, logistic1, 2.0, IntegrationOptions(start_offset=1e-8)
-    ).endpoint_slope
-    b = integrate_trajectory(
-        -0.5, 1.0, logistic1, 2.0, IntegrationOptions(start_offset=5e-9)
-    ).endpoint_slope
+    a = integrate_trajectory(-0.5, 1.0, logistic1, 2.0).endpoint_slope
+    monkeypatch.setattr(phaseplane, "START_OFFSET", 0.5 * phaseplane.START_OFFSET)
+    b = integrate_trajectory(-0.5, 1.0, logistic1, 2.0).endpoint_slope
     assert abs(a - b) <= 1e-10
 
 

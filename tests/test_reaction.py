@@ -144,6 +144,25 @@ def test_polynomial_stable_zero_is_the_positive_root(coeffs):
     assert make_polynomial(coeffs).stable_zero == pytest.approx(root, abs=1e-10)
 
 
+def test_stable_zero_beyond_the_absolute_tolerance():
+    # the spacing of doubles near 10000 exceeds the bisection tolerance 1e-12
+    xi = make_polynomial((10000.0, -1.0)).stable_zero
+    assert abs(xi - 10000.0) <= np.spacing(10000.0)
+
+
+@pytest.mark.parametrize(
+    "spec, label",
+    [("logistic", "logistic:r=1"), ("logistic:r=1.0000001", "logistic:r=1.0000001"),
+     ("custom:1,-1", "custom:1,-1"), ("custom:0.7,-1", "custom:0.7,-1"),
+     ("custom:1.00000001,-1,-1e-4", "custom:1.00000001,-1,-0.0001")],
+)
+def test_label_rebuilds_the_reaction(spec, label):
+    f = parse_reaction(spec)
+    assert f.label == label
+    u = np.linspace(0.0, 2.0, 9)
+    assert np.array_equal(parse_reaction(f.label)(u), f(u))
+
+
 def test_parse_reaction_grammar():
     assert parse_reaction("logistic").label == "logistic:r=1"
     assert parse_reaction("logistic:r=2.5")(0.5) == pytest.approx(2.5 * 0.25)

@@ -9,8 +9,10 @@ from retreatwave import (
     RunRecord,
     bracket_low,
     bracketing_sequences,
+    integrate_trajectory,
     make_perturbation_pair,
     profile_error,
+    reconstruct_profile,
     residual_monotonicity_audit,
     sandwich_check,
     speed_trend,
@@ -20,6 +22,11 @@ from retreatwave import (
 
 def state_from_profile(profile, grid, gp=0.0):
     return FrontFixedState(grid, 0.0, np.asarray(profile.q_at(grid.nodes), float), 0.0, gp)
+
+
+def sequence_profiles(run, f):
+    """The profiles of a d=1, delta=2 sequence, rebuilt from its speeds."""
+    return [reconstruct_profile(integrate_trajectory(c, 1.0, f, 2.0)) for c in run.c_list]
 
 
 def synthetic_record(times, g_primes, profile_errors=None):
@@ -72,7 +79,8 @@ def test_sandwich_passes_at_reference_profile(logistic1, speed_ref):
     _, lower_run = bracketing_sequences(1.0, pair.lower, 2.0, M=10, n_max=4)
     grid = Grid1D(60.0, 600)
     st = state_from_profile(speed_ref.profile, grid)
-    report = sandwich_check(st, lower_run.profiles, upper_run.profiles)
+    report = sandwich_check(st, sequence_profiles(lower_run, pair.lower),
+                            sequence_profiles(upper_run, pair.upper))
     assert report.all_passed
     assert report.tolerance == pytest.approx(2.0 * grid.h)
 
@@ -83,7 +91,8 @@ def test_sandwich_fails_for_constant_delta_state(logistic1, speed_ref):
     _, lower_run = bracketing_sequences(1.0, pair.lower, 2.0, M=10, n_max=4)
     grid = Grid1D(60.0, 600)
     st = FrontFixedState(grid, 0.0, np.full(601, 2.0), 0.0, 0.0)
-    report = sandwich_check(st, lower_run.profiles, upper_run.profiles)
+    report = sandwich_check(st, sequence_profiles(lower_run, pair.lower),
+                            sequence_profiles(upper_run, pair.upper))
     assert not report.all_passed
     assert report.first_failing is not None
 

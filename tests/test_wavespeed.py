@@ -17,6 +17,7 @@ from retreatwave import (
     integrate_trajectory,
     make_polynomial,
     perturbed_wave_speeds,
+    reconstruct_profile,
     residual_monotonicity_audit,
     slope_residual,
 )
@@ -252,7 +253,31 @@ def test_sequences_profile_gaps_decreasing(logistic1, speed_ref):
     for run in (upper, lower):
         gaps = np.asarray(run.sup_gaps)
         assert np.all(np.diff(gaps) <= 1e-12)
-        assert len(run.profiles) > 3
+        assert len(gaps) == len(run.c_list) > 3
+
+
+def test_sequence_iterate_is_one_integration_and_one_profile(monkeypatch, logistic1, speed_ref):
+    speeds, built = [], []
+
+    def counting_integrate(c, *args, **kwargs):
+        speeds.append(c)
+        return integrate_trajectory(c, *args, **kwargs)
+
+    def counting_reconstruct(traj):
+        built.append(reconstruct_profile(traj))
+        return built[-1]
+
+    monkeypatch.setattr(wavespeed, "integrate_trajectory", counting_integrate)
+    monkeypatch.setattr(wavespeed, "reconstruct_profile", counting_reconstruct)
+    upper, lower = bracketing_sequences(1.0, logistic1, 2.0, M=10, n_max=30, reference=speed_ref)
+    iterates = len(upper.c_list) + len(lower.c_list)
+    assert speeds == upper.c_list + lower.c_list
+    # the reference's profile, read once for the sup gaps, is the one extra build
+    assert len(built) == iterates + 1
+    # a profile rebuilt from its speed is the one the sequence built
+    for c, prof in zip(speeds, built[1:]):
+        rebuilt = reconstruct_profile(integrate_trajectory(c, 1.0, logistic1, 2.0))
+        assert np.array_equal(rebuilt.q_at(wavespeed.SUP_GRID), prof.q_at(wavespeed.SUP_GRID))
 
 
 def test_sequences_escalate_m_near_the_root(logistic1, speed_ref):
