@@ -265,7 +265,8 @@ def sweep(deltas, reaction, d, delta, tol, out_dir):
 @click.option("--N", "N", type=int, default=2000, help="Grid cells.")
 @click.option("--L", "L_y", type=float, default=None,
               help="Domain length [100*max(1, sqrt(d))].")
-@click.option("--dt", type=float, default=None, help="Time step [auto].")
+@click.option("--dt", type=float, default=None,
+              help="Time step [min(h^2/d, 0.5*h/max(|g'(0)|, 10))].")
 @click.option("--g0", type=float, default=0.0, help="Initial front position.")
 @click.option("--output-every", type=float, default=0.5, help="Row cadence.")
 @click.option("--snapshot-times", type=str, default=None,

@@ -17,6 +17,14 @@ traveling speed several times more than the speed checks tolerate.  The
 front speed is extracted from the second-order one-sided boundary
 derivative, and g(t) accumulates by the trapezoid rule.
 
+The scheme's steady state does not depend on dt, so the default step is
+bounded by the scheme, not by accuracy in time: dt = min(h^2/d,
+0.5*h/max(|g'(0)|, DEFAULT_SPEED_CAP)).  The first bound keeps
+r = dt*d/(2h^2) <= 1/2, where the explicit half of Crank-Nicolson has
+nonnegative weights (1 - 2r, r, r); the second is the advection CFL bound
+at the speed cap that every step enforces, which holds for every |g'| a
+step can start from.
+
 The Crank-Nicolson matrix depends only on N and r = dt*d/(2h^2), so it is
 factored once per step size (LAPACK ``dgttrf``, with partial pivoting: the
 ghost-reflection entry -2r in the last row outgrows its pivot once r > 2)
@@ -146,10 +154,14 @@ class InitialData:
 class SolverConfig:
     """Numerical controls for a run.
 
-    ``dt=None`` selects the default 0.25*h**2/d capped by the advection
-    constraint 0.5*h/max(|g'(0)|, eps_speed).  ``output_every`` is a time
-    interval; rows are recorded every round(output_every/dt) steps.  The
-    ceiling on U is sup(u0) + 1 and |g'| is capped at DEFAULT_SPEED_CAP.
+    ``dt=None`` selects the default min(h**2/d, 0.5*h/max(|g'(0)|,
+    DEFAULT_SPEED_CAP)).  The first bound, r = dt*d/(2h^2) <= 1/2, keeps the
+    weights (1 - 2r, r, r) of Crank-Nicolson's explicit half nonnegative.
+    The second takes the speed cap that every step's bound check enforces,
+    so ``step``'s advection guard cannot fire at the default dt.
+    ``output_every`` is a time interval; rows are recorded every
+    round(output_every/dt) steps.  The ceiling on U is sup(u0) + 1 and |g'|
+    is capped at DEFAULT_SPEED_CAP.
     """
 
     T_end: float
@@ -343,7 +355,7 @@ def run(
     c1 = initial.sup_norm + 1.0
     dt = config.dt
     if dt is None:
-        dt = min(0.25 * h * h / d, 0.5 * h / max(abs(gp), EPS_SPEED))
+        dt = min(h * h / d, 0.5 * h / max(abs(gp), DEFAULT_SPEED_CAP))
 
     q_ref = reference.q_at(grid.nodes) if reference is not None else None
     far_value = f.stable_zero

@@ -217,7 +217,7 @@ def test_grid_refinement_improves_speed(logistic1, speed_ref):
     from retreatwave import speed_trend
 
     errs = []
-    for N in (500, 1000):  # halving h also quarters the default dt
+    for N in (500, 1000):  # halving h also halves the default dt
         grid = Grid1D(50.0, N)
         init = InitialData.from_callable(grid, 2.0, profile_u0(speed_ref.profile))
         rec = run(init, 1.0, 2.0, logistic1, SolverConfig(T_end=3.0, output_every=1.0),
@@ -252,7 +252,35 @@ def test_run_aborts_on_bound_violation():
     assert rec.termination_reason == "bound_violation"
     max_u = float(re.search(r"max_U=(\S+)", rec.diagnostic).group(1))
     assert max_u > rec.config["C1"] == 3.0
-    assert rec.final_state.t < 0.1  # measured: aborts at t = 0.085
+    assert rec.final_state.t < 0.1  # measured: aborts at t = 0.0825
+
+
+@pytest.mark.parametrize("L_y", [500.0, 1000.0])
+def test_front_at_rest_on_coarse_grid_completes(logistic1, L_y):
+    # a front at rest (g'(0) = 0) on a coarse grid: the default dt must keep the
+    # explicit reaction from driving U negative; dt = 0.25*h^2/d (1.5625 and
+    # 6.25 here) gives min_U = -1.125 and -10.5 after the first step
+    grid = Grid1D(L_y, 200)
+    init = InitialData.from_callable(grid, 2.0, constant_u0(2.0))
+    rec = run(init, 1.0, 2.0, logistic1, SolverConfig(T_end=20.0, output_every=1.0))
+    assert rec.termination_reason == "completed", rec.diagnostic
+    assert rec.config["dt"] == 0.5 * grid.h / DEFAULT_SPEED_CAP
+    assert rec.final_state.t == pytest.approx(20.0)
+    assert np.all(rec.column("min_U") > 0.0)
+
+
+def test_settled_state_does_not_depend_on_dt(logistic1):
+    # the IMEX scheme's steady state is a fixed point of the step for every dt
+    grid = Grid1D(40.0, 400)
+    init = InitialData.from_callable(grid, 2.0, exp_approach_u0(2.0))
+    coarse = run(init, 1.0, 2.0, logistic1, SolverConfig(T_end=40.0, output_every=10.0))
+    dt = coarse.config["dt"]
+    fine = run(init, 1.0, 2.0, logistic1,
+               SolverConfig(T_end=40.0, dt=dt / 4, output_every=10.0))
+    a, b = coarse.final_state, fine.final_state
+    assert coarse.termination_reason == fine.termination_reason == "completed"
+    assert abs(a.g_prime - b.g_prime) / abs(b.g_prime) <= 1e-10  # measured: 9.1e-14
+    assert float(np.max(np.abs(a.U - b.U))) <= 1e-10  # measured: 9.9e-14
 
 
 def test_record_csv_roundtrip(tmp_path, logistic1):
