@@ -289,10 +289,10 @@ def closed_form_zero_speed(q: float, d: float, f: ReactionFunction) -> float:
     oracle error stays far below the integrator's.
     """
     xi = f.stable_zero
-    if not d > 0:
-        raise InputError(f"diffusivity must be positive, got {d}")
-    if q < xi - 1e-12:
-        raise InputError(f"q must be at least the stable zero {xi:g}, got {q}")
+    if not 0 < d < np.inf:
+        raise InputError(f"diffusivity must be positive and finite, got {d}")
+    if not xi - 1e-12 <= q < np.inf:
+        raise InputError(f"q must be finite and at least the stable zero {xi:g}, got {q}")
     integral, _ = quad(f, q, xi, epsabs=1e-14, epsrel=1e-12, limit=200)
     radicand = (2.0 / d) * integral
     if radicand < -1e-12:

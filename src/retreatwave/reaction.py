@@ -143,7 +143,9 @@ def _locate_stable_zero(fn: Callable, hi: float, tail_to: float = 0.0) -> float:
     grid = np.linspace(0.0, hi, 4001)[1:]
     if tail_to > hi:
         grid = np.concatenate((grid, np.geomspace(hi, tail_to, 4001)[1:]))
-    vals = np.asarray(fn(grid), dtype=float)
+    # tail_to reaches 1e200 for a tiny leading coefficient; overflow keeps the sign
+    with np.errstate(over="ignore"):
+        vals = np.asarray(fn(grid), dtype=float)
     signs = np.sign(vals)
     down = np.nonzero((signs[:-1] > 0) & (signs[1:] < 0))[0]
     exact = np.nonzero(vals == 0.0)[0]

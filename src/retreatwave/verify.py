@@ -157,16 +157,14 @@ def residual_monotonicity_audit(
     """Evaluate the slope residual on a uniform grid over [bracket_low, 0].
 
     The residual must decrease strictly along the grid and change sign in
-    exactly one cell, the one containing the wave speed.  The grid's first
-    point is the positive end of ``bracket_low``; the other n_grid - 1
-    speeds are the lanes of one vector integration (``slope_residual`` on
-    an array).
+    exactly one cell, the one containing the wave speed.  The n_grid speeds
+    are the lanes of one vector integration (``slope_residual`` on an
+    array); ``bracket_low`` is closed form.
     """
     if n_grid < 10:
         raise InputError(f"n_grid must be at least 10, got {n_grid}")
-    low = bracket_low(d, f, delta)[-1]
-    c_values = np.linspace(low.c, 0.0, n_grid)
-    residuals = np.concatenate(([low.residual], slope_residual(c_values[1:], d, f, delta)))
+    c_values = np.linspace(bracket_low(d, f, delta), 0.0, n_grid)
+    residuals = slope_residual(c_values, d, f, delta)
     diffs = np.diff(residuals)
     signs = np.sign(residuals)
     cells = [

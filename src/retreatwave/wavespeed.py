@@ -5,10 +5,10 @@ one-parameter family of decreasing profiles.  The slope residual
 
     r(c) = q_c'(0) - (delta/d) * c
 
-is strictly decreasing in c, negative at c = 0 and positive at c0, which is
-d * P0(delta) (the zero-speed closed form scaled by d), doubled until r > 0;
-that ends because r(c) ~ -c*xi/d as c -> -inf, and is needed for xi < 1.  So
-c* is found by bracketed root finding on [c0, 0].  The retreat speed is -c*.
+is strictly decreasing in c, negative at c = 0 and positive at
+c0 = d * P0(delta) / xi, with P0 the zero-speed closed form and xi the stable
+zero (see ``bracket_low``).  So c* is found by bracketed root finding on
+[c0, 0].  The retreat speed is -c*.
 """
 from __future__ import annotations
 
@@ -46,8 +46,6 @@ __all__ = [
 # Below this gap between delta and the stable zero the bracket degenerates
 # (the closed-form endpoint tends to 0) and the root find is ill conditioned.
 MIN_DELTA_GAP = 1e-6
-# Doublings of the lower bracket endpoint before giving up on a positive residual.
-MAX_BRACKET_DOUBLINGS = 30
 SUP_GRID = np.linspace(0.0, 50.0, 1001)
 
 
@@ -172,28 +170,14 @@ def slope_residual(c, d: float, f: ReactionFunction, delta: float):
     return residuals if np.ndim(c) else float(residuals[0])
 
 
-def bracket_low(
-    d: float,
-    f: ReactionFunction,
-    delta: float,
-    opts: IntegrationOptions | None = None,
-) -> list[PhaseTrajectory]:
-    """Trajectories that find a lower bracket endpoint; the last has a positive residual.
+def bracket_low(d: float, f: ReactionFunction, delta: float) -> float:
+    """Lower bracket endpoint c0 = d * P0(delta) / xi, where the slope residual is positive.
 
-    Starts at c0 = d * P0(delta) = -sqrt(2*d*int_delta^xi f) and doubles it
-    until the slope residual there is positive.
+    With y = -P_c and a = -c/d > 0, y*y' = a*y - f/d on (xi, delta] and
+    z = a*(q - xi) + |P0(q)| is a strict supersolution, so -P_c(delta) < z(delta)
+    and r(c) > -c*xi/d - |P0(delta)|, which is 0 at c0.  No integration is made.
     """
-    c = d * closed_form_zero_speed(delta, d, f)
-    trajs = []
-    for _ in range(MAX_BRACKET_DOUBLINGS + 1):
-        trajs.append(integrate_trajectory(c, d, f, delta, opts))
-        if trajs[-1].residual > 0.0:
-            return trajs
-        c *= 2.0
-    raise BracketError(
-        f"slope residual still {trajs[-1].residual:.3e} at c={trajs[-1].c:.6g}; "
-        "the reaction may be invalid"
-    )
+    return d * closed_form_zero_speed(delta, d, f) / f.stable_zero
 
 
 def _ledger_residual(
@@ -220,14 +204,15 @@ def find_wave_speed(
 ) -> SpeedResult:
     """Find the unique c* in (bracket_low, 0) with zero slope residual.
 
-    Brent's method (bisection-safeguarded inverse interpolation) exploits the
-    strict monotonicity of the residual, and bisection polishes the root if
-    |r(c*)| is still above ``tol``.  Every evaluation goes into one ledger
-    keyed by c, so each speed is integrated once; ``function_calls`` is the
-    number of distinct speeds integrated.  The result carries the trajectory
-    at c*; its profile is built only when read.
+    r(0) and then r(bracket_low) are integrated, and their proven signs are
+    checked.  Brent's method (bisection-safeguarded inverse interpolation)
+    exploits the strict monotonicity of the residual, and bisection polishes
+    the root if |r(c*)| is still above ``tol``.  Every evaluation goes into
+    one ledger keyed by c, so each speed is integrated once;
+    ``function_calls`` is the number of distinct speeds integrated.  The
+    result carries the trajectory at c*; its profile is built only when read.
     """
-    if tol < 1e-12:
+    if not tol >= 1e-12:
         raise InputError(f"tol must be at least 1e-12, got {tol}")
     xi = f.stable_zero
     if delta < xi + MIN_DELTA_GAP:
@@ -238,14 +223,13 @@ def find_wave_speed(
     ledger: dict[float, PhaseTrajectory] = {}
     args = (ledger, d, f, delta, opts)
     r_high = _ledger_residual(0.0, *args)
-    if not r_high < 0.0:
+    c_low = bracket_low(d, f, delta)
+    r_low = _ledger_residual(c_low, *args)
+    if not r_low > 0.0 > r_high:
         raise BracketError(
-            f"bracket sign check failed: r(0) = {r_high:.3e}; the reaction "
-            f"may be invalid or delta <= {xi:g}"
+            f"bracket sign check failed: r({c_low:.6g}) = {r_low:.3e}, r(0) = {r_high:.3e}; "
+            f"the reaction may be invalid or delta <= {xi:g}"
         )
-    low = bracket_low(d, f, delta, opts)
-    ledger.update((traj.c, traj) for traj in low)
-    c_low = low[-1].c
 
     # the ledger goes in through args: brentq's wrapper of the callable sits
     # in a reference cycle, so anything a closure captured would outlive the call

@@ -210,6 +210,13 @@ def test_simulate_unstable_dt_exits_numerical(tmp_path, runner):
     assert res.exit_code == 2
 
 
+def test_speed_failed_bracket_check_exits_numerical(tmp_path, runner, monkeypatch):
+    monkeypatch.setattr(wavespeed, "closed_form_zero_speed", lambda *args: -1e-3)
+    res = runner.invoke(main, ["speed", "--delta", "2", "--out", str(tmp_path)])
+    assert res.exit_code == 2
+    assert "bracket sign check failed" in res.output
+
+
 def test_simulate_verify_roundtrip(tmp_path, runner):
     sim_out = tmp_path / "sim"
     res = invoke(runner, ["simulate", "--u0", "semiwave", "--T", "1", "--N", "400",

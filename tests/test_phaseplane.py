@@ -251,7 +251,7 @@ LANE_PROBLEMS = [
 def test_lanes_match_one_lane_runs_and_tight_reference(spec, d, delta):
     # the residual audit's 50-point grid, integrated as one batch
     f = parse_reaction(spec)
-    cs = np.linspace(bracket_low(d, f, delta)[-1].c, 0.0, 50)
+    cs = np.linspace(bracket_low(d, f, delta), 0.0, 50)
     lanes = [t.endpoint_slope for t in integrate_trajectories(cs, d, f, delta)]
     ones = [integrate_trajectory(c, d, f, delta).endpoint_slope for c in cs]
     tight = IntegrationOptions(rtol=1e-13, atol=1e-15)

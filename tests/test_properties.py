@@ -5,16 +5,21 @@ and a >= 0; it enters as the polynomial spec with coefficients
 (r*xi, -r, r*a*xi, -r*a).  The examples are drawn deterministically so the
 suite stays reproducible.
 """
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from retreatwave import (
+    InputError,
     IntegrationOptions,
     find_wave_speed,
     integrate_trajectory,
+    make_perturbation_pair,
     parse_reaction,
     perturbed_wave_speeds,
     residual_monotonicity_audit,
 )
+from retreatwave.wavespeed import MIN_DELTA_GAP
 
 
 def _floats(lo, hi):
@@ -22,7 +27,7 @@ def _floats(lo, hi):
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
-@given(r=_floats(0.5, 3.0), xi=_floats(1.0, 2.0), a=_floats(0.0, 0.5),
+@given(r=_floats(0.5, 3.0), xi=_floats(0.5, 2.0), a=_floats(0.0, 0.5),
        d=_floats(0.5, 2.0), s=_floats(0.05, 2.0))
 def test_speed_selection_holds_across_monostable_family(r, xi, a, d, s):
     delta = xi * (1.0 + s)
@@ -30,6 +35,10 @@ def test_speed_selection_holds_across_monostable_family(r, xi, a, d, s):
 
     audit = residual_monotonicity_audit(d, f, delta, 50)
     assert audit.strictly_decreasing and len(audit.sign_change_cells) == 1
+    # proven bounds: r(bracket_low) > 0 and -delta/d <= r'(c) <= -xi/d
+    assert audit.residuals[0] > 0.0
+    slopes = np.diff(audit.residuals) / np.diff(audit.c_values)
+    assert np.all((-delta / d < slopes) & (slopes < -xi / d))
 
     res = find_wave_speed(d, f, delta)
     assert abs(res.residual) <= 1e-10
@@ -38,5 +47,10 @@ def test_speed_selection_holds_across_monostable_family(r, xi, a, d, s):
 
     assert find_wave_speed(d, f, 1.1 * delta).retreat_speed > res.retreat_speed
 
-    pert = perturbed_wave_speeds(d, f, delta, 0.05, c_star_base=res.c_star)
-    assert pert.lower.c_star < res.c_star < pert.upper.c_star
+    if make_perturbation_pair(f, 0.05).upper.stable_zero + MIN_DELTA_GAP > delta:
+        # the upper member's stable zero passed delta: it has no semi-wave there
+        with pytest.raises(InputError):
+            perturbed_wave_speeds(d, f, delta, 0.05, c_star_base=res.c_star)
+    else:
+        pert = perturbed_wave_speeds(d, f, delta, 0.05, c_star_base=res.c_star)
+        assert pert.lower.c_star < res.c_star < pert.upper.c_star

@@ -7,7 +7,6 @@ from retreatwave import (
     Grid1D,
     InputError,
     RunRecord,
-    bracket_low,
     bracketing_sequences,
     integrate_trajectory,
     make_perturbation_pair,
@@ -137,8 +136,7 @@ def test_audit_coarse_agrees_with_fine(logistic1, speed_ref):
         assert audit.c_values[j] <= speed_ref.c_star <= audit.c_values[j + 1]
 
 
-def test_audit_is_one_integration_after_bracket_low(logistic1, monkeypatch):
-    n_low = len(bracket_low(1, logistic1, 2))
+def test_audit_is_one_integration(logistic1, monkeypatch):
     lanes = []
     solve_ivp = phaseplane.solve_ivp
 
@@ -148,8 +146,8 @@ def test_audit_is_one_integration_after_bracket_low(logistic1, monkeypatch):
 
     monkeypatch.setattr(phaseplane, "solve_ivp", counted)
     audit = residual_monotonicity_audit(1, logistic1, 2, 50)
-    # bracket_low's speeds one by one, then the other 49 speeds as one batch
-    assert n_low == 1 and lanes == [1] * n_low + [49]
+    # bracket_low is closed form, so all 50 speeds are one batch
+    assert lanes == [50]
     assert audit.residuals.shape == (50,)
 
 

@@ -40,24 +40,34 @@ def test_residual_positive_at_bracket_low(logistic1):
     assert slope_residual(c0, 1.0, logistic1, 2.0) > 0.0
 
 
-def test_bracket_low_doubles_until_residual_is_positive(logistic1):
-    # unchanged where the closed-form endpoint already has a positive residual
-    trajs = bracket_low(1.0, logistic1, 2.0)
-    assert len(trajs) == 1 and trajs[0].residual > 0.0
-    assert trajs[0].c == closed_form_zero_speed(2.0, 1.0, logistic1)
-    # stable zero 0.7 < 1: the closed-form endpoint has a negative residual
-    f = make_polynomial((0.7, -1.0))
-    c0 = closed_form_zero_speed(1.2, 1.0, f)
-    assert slope_residual(c0, 1.0, f, 1.2) < 0.0
-    trajs = bracket_low(1.0, f, 1.2)
-    low = trajs[-1]
-    assert [t.c for t in trajs] == [c0, 2.0 * c0] and trajs[0].residual < 0.0 < low.residual
-    res = find_wave_speed(1.0, f, 1.2)
-    assert res.bracket[0] == low.c < res.c_star < 0.0
-    assert res.residual <= 1e-10
-    audit = residual_monotonicity_audit(1.0, f, 1.2, 20)
-    assert audit.c_values[0] == low.c and audit.residuals[0] == low.residual
-    assert audit.strictly_decreasing and len(audit.sign_change_cells) == 1
+@pytest.mark.parametrize("xi", [0.01, 0.3, 0.7, 1.0, 2.0, 100.0])
+def test_bracket_low_residual_is_positive_for_any_stable_zero(xi):
+    # r(c) > -c*xi/d - |P0(delta)| for every monostable f, and that is 0 at c0
+    f = make_polynomial((xi, -1.0))
+    delta = 1.2 * xi
+    c0 = bracket_low(1.0, f, delta)
+    assert c0 == closed_form_zero_speed(delta, 1.0, f) / xi
+    assert slope_residual(c0, 1.0, f, delta) > 0.0 > slope_residual(0.0, 1.0, f, delta)
+
+
+@pytest.mark.parametrize("d, delta", [(1.0, 2.0), (0.5, 1.2), (2.0, 3.0)])
+def test_logistic_bracket_low_is_bit_equal_to_d_p0(logistic1, d, delta):
+    assert bracket_low(d, logistic1, delta) == d * closed_form_zero_speed(delta, d, logistic1)
+
+
+def test_bracket_low_rejects_non_finite_input(logistic1):
+    for d, delta in ((1.0, math.nan), (1.0, math.inf), (math.inf, 2.0)):
+        with pytest.raises(InputError):
+            bracket_low(d, logistic1, delta)
+    with pytest.raises(InputError):
+        residual_monotonicity_audit(1.0, logistic1, math.nan, 20)
+
+
+def test_failed_bracket_sign_check_raises(logistic1, monkeypatch):
+    # the sign of r(bracket_low) is proven, so only a broken bound can fail it
+    monkeypatch.setattr(wavespeed, "closed_form_zero_speed", lambda *args: -1e-3)
+    with pytest.raises(BracketError, match="bracket sign check failed"):
+        find_wave_speed(1.0, logistic1, 2.0)
 
 
 def test_residual_is_reproducible(logistic1):
@@ -102,8 +112,9 @@ def test_find_wave_speed_canonical(speed_ref):
     "d, coeffs, delta, tol, calls",
     [
         (1.0, (1.0, -1.0), 2.0, 1e-10, 7),
-        (1.0, (0.7, -1.0), 1.2, 1e-10, 8),  # one doubling of the lower bracket end
+        (1.0, (0.7, -1.0), 1.2, 1e-10, 7),
         (0.05, (1.0, -1.0), 20.0, 1e-12, 12),  # three polish bisections after brentq
+        (1.0, (100.0, -1.0), 150.0, 1e-10, 9),  # the polish reaches tol at the noise floor
     ],
 )
 def test_find_wave_speed_integrates_each_speed_once(monkeypatch, d, coeffs, delta, tol, calls):
@@ -163,6 +174,8 @@ def test_find_wave_speed_rejects_degenerate_delta(logistic1):
         find_wave_speed(1.0, logistic1, 1.0 + 1e-8)
     with pytest.raises(InputError):
         find_wave_speed(1.0, logistic1, 2.0, tol=1e-13)
+    with pytest.raises(InputError):
+        find_wave_speed(1.0, logistic1, 2.0, tol=math.nan)
 
 
 def test_invalid_reaction_fails_loudly():
