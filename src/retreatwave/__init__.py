@@ -42,6 +42,7 @@ from .phaseplane import (
     integrate_trajectories,
     integrate_trajectory,
     reconstruct_profile,
+    residual_slope,
     saddle_slope,
 )
 from .reaction import (

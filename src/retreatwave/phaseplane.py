@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-from scipy.integrate import OdeSolution, quad, solve_ivp
+from scipy.integrate import OdeSolution, cumulative_simpson, quad, simpson, solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 
 from .errors import InputError, IntegrationError, NumericalError
@@ -36,6 +36,7 @@ __all__ = [
     "integrate_trajectories",
     "closed_form_zero_speed",
     "reconstruct_profile",
+    "residual_slope",
 ]
 
 
@@ -62,8 +63,8 @@ class PhaseTrajectory:
     ``saddle_slope`` is P'(xi), the linearized decay rate at the equilibrium.
     ``dense`` is the integrator's continuous solution on [xi + eta, delta]
     and the only stored form of P: ``p_at``, ``ode_residual``, ``to_csv``
-    and the profile quadrature all read it.  A batch of speeds shares one
-    ``dense``, and ``lane`` is this speed's component of it.
+    and the quadratures of the profile and of r'(c) read it.  A batch of
+    speeds shares one ``dense``, and ``lane`` is this speed's component of it.
     """
 
     c: float
@@ -302,28 +303,45 @@ def closed_form_zero_speed(q: float, d: float, f: ReactionFunction) -> float:
     return -float(np.sqrt(max(radicand, 0.0)))
 
 
-def reconstruct_profile(traj: PhaseTrajectory) -> SemiWaveProfile:
-    """Profile q(x) from its trajectory by the quadrature x(q) = int_q^delta ds / (-P(s)).
-
-    In w = ln(q - xi) the integrand (q - xi)/(-P) is smooth and tends to
-    -1/saddle_slope at the equilibrium, so composite Simpson on points uniform
-    in w, with P read from the trajectory's dense output, resolves both the
-    boundary and the tail.  The samples run from q(0) = delta to the tail
-    cutoff q - xi = TAIL_CUT*(delta - xi); the profile continues beyond it
-    with the saddle-slope decay rate.
-    """
+def _log_grid(traj: PhaseTrajectory):
+    """Step h, points q and P(q), uniform in w = ln(q - xi) from the tail cutoff to delta."""
     span = traj.delta - traj.xi
     w = np.linspace(np.log(TAIL_CUT * span), np.log(span), 2 * PROFILE_SAMPLES - 1)
     q = traj.xi + np.exp(w)
     q[-1] = traj.delta
     p = traj.p_at(q)
     if not np.all(p < 0.0):
-        raise NumericalError(
-            "trajectory is not negative on the profile range; "
-            "cannot build a monotone profile"
-        )
+        raise NumericalError("trajectory is not negative on the quadrature range")
+    return w[1] - w[0], q, p
+
+
+def residual_slope(traj: PhaseTrajectory, f: ReactionFunction) -> float:
+    """r'(c) = S(delta) - delta/d at the trajectory's speed, by quadrature: no integration.
+
+    S = dP/dc solves S' = a*S + 1/d with a = f/(d*P**2) < 0 on (xi, delta]
+    and S(xi) = 0, so S(delta) = (1/d) int_xi^delta exp(int_s^delta a) ds lies
+    in (0, (delta - xi)/d) and r'(c) in (-delta/d, -xi/d).  At the equilibrium
+    a*(q - xi) tends to -kappa = f'(xi)/(d*lam**2), lam the saddle slope, so
+    below the tail cutoff exp(int_s^delta a) ~ (s - xi)**kappa closes the integral.
+    """
+    h, q, p = _log_grid(traj)
+    s = q - traj.xi
+    g = s * np.asarray(f(q)) / (traj.d * p * p)  # a*(q - xi): int a in w
+    weight = np.exp(cumulative_simpson(g[::-1], dx=h, initial=0.0)[::-1])  # exp(int_q^delta a)
+    outer = simpson(weight * s, dx=h) + weight[0] * s[0] / (1.0 - g[0])
+    return float((outer - traj.delta) / traj.d)
+
+
+def reconstruct_profile(traj: PhaseTrajectory) -> SemiWaveProfile:
+    """Profile q(x) from its trajectory by the quadrature x(q) = int_q^delta ds / (-P(s)).
+
+    The integrand in w, (q - xi)/(-P), tends to -1/saddle_slope at the equilibrium;
+    Simpson panels on ``_log_grid`` give x at every other point.  Beyond the tail
+    cutoff the profile continues with the saddle-slope decay rate.
+    """
+    h, q, p = _log_grid(traj)
     g = (q - traj.xi) / -p
-    panels = (w[1] - w[0]) / 3.0 * (g[:-2:2] + 4.0 * g[1:-1:2] + g[2::2])
+    panels = h / 3.0 * (g[:-2:2] + 4.0 * g[1:-1:2] + g[2::2])
     # x grows from the boundary, where w is largest, so the sums run backwards
     x_grid = np.concatenate(([0.0], np.cumsum(panels[::-1])))
     q_values = q[::-2]

@@ -7,15 +7,14 @@ one-parameter family of decreasing profiles.  The slope residual
 
 is strictly decreasing in c, negative at c = 0 and positive at
 c0 = d * P0(delta) / xi, with P0 the zero-speed closed form and xi the stable
-zero (see ``bracket_low``).  So c* is found by bracketed root finding on
-[c0, 0].  The retreat speed is -c*.
+zero (see ``bracket_low``).  A Newton search kept inside that bracket finds
+c*; the retreat speed is -c*.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BracketError, InputError, NumericalError, SequenceOrderingError
 from .phaseplane import (
@@ -26,6 +25,7 @@ from .phaseplane import (
     integrate_trajectories,
     integrate_trajectory,
     reconstruct_profile,
+    residual_slope,
 )
 from .reaction import ReactionFunction, make_perturbation_pair
 from .serialize import write_csv
@@ -47,6 +47,7 @@ __all__ = [
 # (the closed-form endpoint tends to 0) and the root find is ill conditioned.
 MIN_DELTA_GAP = 1e-6
 SUP_GRID = np.linspace(0.0, 50.0, 1001)
+MAX_SEARCH_STEPS = 30  # Newton or bisection steps of one speed search
 
 
 @dataclass(eq=False)
@@ -180,19 +181,10 @@ def bracket_low(d: float, f: ReactionFunction, delta: float) -> float:
     return d * closed_form_zero_speed(delta, d, f) / f.stable_zero
 
 
-def _ledger_residual(
-    c: float,
-    ledger: dict[float, PhaseTrajectory],
-    d: float,
-    f: ReactionFunction,
-    delta: float,
-    opts: IntegrationOptions | None,
-) -> float:
-    """Slope residual at c, integrated only if ``ledger`` has no entry for c."""
-    traj = ledger.get(c)
-    if traj is None:
-        traj = ledger[c] = integrate_trajectory(c, d, f, delta, opts)
-    return traj.residual
+def _require_gap(xi: float, delta: float, whose: str = "") -> None:
+    if delta < xi + MIN_DELTA_GAP:
+        msg = f"delta must exceed the stable zero {xi:g}{whose} by at least {MIN_DELTA_GAP:g}"
+        raise InputError(msg)
 
 
 def find_wave_speed(
@@ -204,68 +196,55 @@ def find_wave_speed(
 ) -> SpeedResult:
     """Find the unique c* in (bracket_low, 0) with zero slope residual.
 
-    r(0) and then r(bracket_low) are integrated, and their proven signs are
-    checked.  Brent's method (bisection-safeguarded inverse interpolation)
-    exploits the strict monotonicity of the residual, and bisection polishes
-    the root if |r(c*)| is still above ``tol``.  Every evaluation goes into
-    one ledger keyed by c, so each speed is integrated once;
-    ``function_calls`` is the number of distinct speeds integrated.  The
-    result carries the trajectory at c*; its profile is built only when read.
+    After r(0) and r(bracket_low) pass their proven sign check, Newton steps
+    with r'(c) from ``residual_slope`` run from the end with the smaller |r|,
+    bisecting the last sign-change pair when a step leaves it.  Once
+    |r| <= ``tol``, one more step puts c* at the integration noise, and the
+    better of the last two iterates is returned with its trajectory (its
+    profile is built only when read).  Steps stay strictly inside the pair, so
+    each speed is integrated once; ``iterations`` counts the steps.
     """
     if not tol >= 1e-12:
         raise InputError(f"tol must be at least 1e-12, got {tol}")
-    xi = f.stable_zero
-    if delta < xi + MIN_DELTA_GAP:
-        raise InputError(
-            f"delta must exceed the stable zero {xi:g} by at least {MIN_DELTA_GAP:g}"
-        )
+    _require_gap(f.stable_zero, delta)
 
-    ledger: dict[float, PhaseTrajectory] = {}
-    args = (ledger, d, f, delta, opts)
-    r_high = _ledger_residual(0.0, *args)
+    hi = integrate_trajectory(0.0, d, f, delta, opts)
     c_low = bracket_low(d, f, delta)
-    r_low = _ledger_residual(c_low, *args)
-    if not r_low > 0.0 > r_high:
+    lo = integrate_trajectory(c_low, d, f, delta, opts)
+    if not lo.residual > 0.0 > hi.residual:
         raise BracketError(
-            f"bracket sign check failed: r({c_low:.6g}) = {r_low:.3e}, r(0) = {r_high:.3e}; "
-            f"the reaction may be invalid or delta <= {xi:g}"
+            f"bracket sign check failed: r({c_low:.6g}) = {lo.residual:.3e}, r(0) = "
+            f"{hi.residual:.3e}; the reaction may be invalid or delta <= {f.stable_zero:g}"
         )
 
-    # the ledger goes in through args: brentq's wrapper of the callable sits
-    # in a reference cycle, so anything a closure captured would outlive the call
-    c_star, info = brentq(
-        _ledger_residual, c_low, 0.0, args=args,
-        xtol=1e-12, rtol=8.9e-16, maxiter=200, full_output=True,
-    )
-    _ledger_residual(c_star, *args)
-    polish = 0
-    while abs(ledger[c_star].residual) > tol and polish < 80:
-        # brentq met its x tolerance but the residual target is tighter; keep
-        # bisecting on the tightest sign-change interval in the ledger
-        lo = max(c for c, traj in ledger.items() if traj.residual > 0.0)
-        hi = min(c for c, traj in ledger.items() if traj.residual < 0.0)
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+    prev, cur = (lo, hi) if abs(hi.residual) < abs(lo.residual) else (hi, lo)
+    steps = 0
+    while steps < MAX_SEARCH_STEPS and abs(prev.residual) > tol:
+        c = cur.c - cur.residual / residual_slope(cur, f)
+        if not lo.c <= c <= hi.c:
+            c = 0.5 * (lo.c + hi.c)
+        if c in (lo.c, hi.c):
             break
-        _ledger_residual(mid, *args)
-        c_star = mid
-        polish += 1
-    final = ledger[c_star]
+        traj = integrate_trajectory(c, d, f, delta, opts)
+        steps += 1
+        lo, hi = (lo, traj) if traj.residual < 0.0 else (traj, hi)
+        prev, cur = cur, traj
+    final = min(prev, cur, key=lambda traj: abs(traj.residual))
     residual = abs(final.residual)
     if residual > tol:
         raise NumericalError(
-            f"slope residual {residual:.3e} did not reach tol {tol:.1e} at c={c_star!r}"
+            f"slope residual {residual:.3e} did not reach tol {tol:.1e} at c={final.c!r}"
         )
 
     return SpeedResult(
         delta=float(delta),
-        c_star=float(c_star),
-        retreat_speed=float(-c_star),
+        c_star=float(final.c),
+        retreat_speed=float(-final.c),
         bracket=(float(c_low), 0.0),
         residual=float(residual),
         trajectory=final,
-        iterations=int(info.iterations) + polish,
-        function_calls=len(ledger),
+        iterations=steps,
+        function_calls=steps + 2,
     )
 
 
@@ -304,6 +283,8 @@ def perturbed_wave_speeds(
 ) -> PerturbedSpeeds:
     """Wave speeds of the sandwiching pair; they must straddle the base c*."""
     pair = make_perturbation_pair(f, epsilon)
+    for name, member in (("lower", pair.lower), ("upper", pair.upper)):
+        _require_gap(member.stable_zero, delta, f" of the {name} member at epsilon={epsilon:g}")
     if c_star_base is None:
         c_star_base = find_wave_speed(d, f, delta, tol).c_star
     lower = find_wave_speed(d, pair.lower, delta, tol)

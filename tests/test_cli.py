@@ -309,7 +309,7 @@ def test_verify_tells_apart_reactions_that_round_alike(tmp_path, runner):
     [
         ("custom:25,-1", "30", 0, -0.97012),  # stable zero beyond the default scan to 20
         ("custom:1,-1,-1e-4", "2", 0, None),  # small leading coefficient, zero near 0.9999
-        ("custom:0.7,-1", "1.2", 0, None),  # stable zero below 1: the bracket is doubled
+        ("custom:0.7,-1", "1.2", 0, None),  # stable zero below 1
         ("custom:3,-4,1", "2", 1, None),  # positive beyond its zero at 3
         ("custom:3.1,-4.1,1", "2", 1, None),  # positive beyond 3.1, no zero on the scan grid
         ("custom:6,-11,6,-1", "4", 1, None),  # -u(u-1)(u-2)(u-3): positive on (2, 3)
@@ -317,6 +317,7 @@ def test_verify_tells_apart_reactions_that_round_alike(tmp_path, runner):
         ("logistic:r=inf", "2", 1, None),  # non-finite rate
         ("logistic:r=1e308", "2", 2, None),  # the saddle slope overflows: no finite series start
         ("custom:1,-1,1e-100,-1e-310", "2", 1, None),  # the Cauchy root bound overflows
+        ("custom:9000,-1", "9450", 2, None),  # tol 1e-10 lies below the noise of r here
     ],
 )
 def test_speed_exit_codes_for_polynomial_specs(tmp_path, runner, spec, delta, code, c_star):

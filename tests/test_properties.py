@@ -18,6 +18,7 @@ from retreatwave import (
     parse_reaction,
     perturbed_wave_speeds,
     residual_monotonicity_audit,
+    residual_slope,
 )
 from retreatwave.wavespeed import MIN_DELTA_GAP
 
@@ -42,6 +43,7 @@ def test_speed_selection_holds_across_monostable_family(r, xi, a, d, s):
 
     res = find_wave_speed(d, f, delta)
     assert abs(res.residual) <= 1e-10
+    assert -delta / d < residual_slope(res.trajectory, f) < -xi / d
     tight = integrate_trajectory(res.c_star, d, f, delta, IntegrationOptions(rtol=1e-12, atol=1e-14))
     assert abs(tight.endpoint_slope - res.c_star * delta / d) <= 1e-9
 
@@ -49,7 +51,7 @@ def test_speed_selection_holds_across_monostable_family(r, xi, a, d, s):
 
     if make_perturbation_pair(f, 0.05).upper.stable_zero + MIN_DELTA_GAP > delta:
         # the upper member's stable zero passed delta: it has no semi-wave there
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="of the upper member at epsilon=0.05"):
             perturbed_wave_speeds(d, f, delta, 0.05, c_star_base=res.c_star)
     else:
         pert = perturbed_wave_speeds(d, f, delta, 0.05, c_star_base=res.c_star)

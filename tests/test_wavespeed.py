@@ -7,6 +7,7 @@ from retreatwave import wavespeed
 from retreatwave import (
     BracketError,
     InputError,
+    IntegrationOptions,
     NumericalError,
     ReactionFunction,
     bracket_low,
@@ -19,6 +20,7 @@ from retreatwave import (
     perturbed_wave_speeds,
     reconstruct_profile,
     residual_monotonicity_audit,
+    residual_slope,
     slope_residual,
 )
 
@@ -108,13 +110,24 @@ def test_find_wave_speed_canonical(speed_ref):
     assert speed_ref.retreat_speed == -speed_ref.c_star
 
 
+SEARCH_PROBLEMS = [
+    (1.0, (1.0, -1.0), 2.0, 1e-10),
+    (1.0, (0.7, -1.0), 1.2, 1e-10),
+    (0.05, (1.0, -1.0), 20.0, 1e-12),
+    (1.0, (100.0, -1.0), 150.0, 1e-10),
+]
+
+
 @pytest.mark.parametrize(
     "d, coeffs, delta, tol, calls",
     [
-        (1.0, (1.0, -1.0), 2.0, 1e-10, 7),
-        (1.0, (0.7, -1.0), 1.2, 1e-10, 7),
-        (0.05, (1.0, -1.0), 20.0, 1e-12, 12),  # three polish bisections after brentq
-        (1.0, (100.0, -1.0), 150.0, 1e-10, 9),  # the polish reaches tol at the noise floor
+        # the bracket, three Newton steps to |r| <= tol and the one step beyond
+        (*SEARCH_PROBLEMS[0], 6),
+        (*SEARCH_PROBLEMS[1], 6),
+        (*SEARCH_PROBLEMS[2], 9),  # r' grows twelvefold from bracket_low to 0: more steps
+        # at the noise floor: Newton steps wander inside the noise band before
+        # one lands below tol
+        (*SEARCH_PROBLEMS[3], 9),
     ],
 )
 def test_find_wave_speed_integrates_each_speed_once(monkeypatch, d, coeffs, delta, tol, calls):
@@ -132,6 +145,35 @@ def test_find_wave_speed_integrates_each_speed_once(monkeypatch, d, coeffs, delt
     assert profiles == []  # the profile is built only when read
     assert len(set(speeds)) == len(speeds)
     assert res.residual <= tol
+    assert res.iterations == calls - 2
+
+
+@pytest.mark.parametrize("d, coeffs, delta, tol", SEARCH_PROBLEMS)
+def test_residual_slope_matches_central_difference(d, coeffs, delta, tol):
+    f = make_polynomial(coeffs)
+    tight = IntegrationOptions(rtol=1e-12, atol=1e-14)
+    for c in (bracket_low(d, f, delta), find_wave_speed(d, f, delta, tol).c_star, 0.0):
+        h = 1e-5 * max(1.0, abs(c))
+        r_plus = integrate_trajectory(c + h, d, f, delta, tight).residual
+        r_minus = integrate_trajectory(c - h, d, f, delta, tight).residual
+        slope = residual_slope(integrate_trajectory(c, d, f, delta), f)
+        assert slope == pytest.approx((r_plus - r_minus) / (2.0 * h), rel=1e-5)
+        assert -delta / d < slope < -f.stable_zero / d
+
+
+def test_find_wave_speed_stops_at_the_noise_floor(monkeypatch):
+    # tol lies below the integration noise of r at this scale: the search
+    # must end with an error, each speed integrated once
+    speeds = []
+
+    def counting(c, *args, **kwargs):
+        speeds.append(c)
+        return integrate_trajectory(c, *args, **kwargs)
+
+    monkeypatch.setattr(wavespeed, "integrate_trajectory", counting)
+    with pytest.raises(NumericalError, match="did not reach tol"):
+        find_wave_speed(1.0, make_polynomial((100.0, -1.0)), 150.0, tol=1e-12)
+    assert len(set(speeds)) == len(speeds) <= 2 + wavespeed.MAX_SEARCH_STEPS
 
 
 def test_speed_law_consistency(speed_ref):
@@ -241,6 +283,12 @@ def test_perturbed_speeds_monotone_in_epsilon(logistic1, speed_ref):
 def test_perturbed_speeds_rejects_zero_epsilon(logistic1):
     with pytest.raises(InputError):
         perturbed_wave_speeds(1.0, logistic1, 2.0, 0.0)
+
+
+def test_perturbed_speeds_name_the_member_without_a_semi_wave():
+    # the upper member's stable zero, 0.557, lies above delta = 0.525 > xi = 0.5
+    with pytest.raises(InputError, match="zero 0.557277 of the upper member at epsilon=0.05"):
+        perturbed_wave_speeds(0.5, make_polynomial((0.25, -0.5)), 0.525, 0.05)
 
 
 def test_sequences_obey_update_law_and_ordering(logistic1, speed_ref):
