@@ -266,7 +266,8 @@ def sweep(deltas, reaction, d, delta, tol, out_dir):
 @click.option("--L", "L_y", type=float, default=None,
               help="Domain length [100*max(1, sqrt(d))].")
 @click.option("--dt", type=float, default=None,
-              help="Time step [min(h^2/d, 0.5*h/max(|g'(0)|, 10))].")
+              help="Time step [min(h^2/d, 0.5*h/max(|g'(0)|, 10), 0.5/max|f'|), "
+                   "max|f'| on [0, sup u0 + 1]].")
 @click.option("--g0", type=float, default=0.0, help="Initial front position.")
 @click.option("--output-every", type=float, default=0.5, help="Row cadence.")
 @click.option("--snapshot-times", type=str, default=None,

@@ -19,11 +19,12 @@ derivative, and g(t) accumulates by the trapezoid rule.
 
 The scheme's steady state does not depend on dt, so the default step is
 bounded by the scheme, not by accuracy in time: dt = min(h^2/d,
-0.5*h/max(|g'(0)|, DEFAULT_SPEED_CAP)).  The first bound keeps
+0.5*h/max(|g'(0)|, DEFAULT_SPEED_CAP), 0.5/max|f'|).  The first bound keeps
 r = dt*d/(2h^2) <= 1/2, where the explicit half of Crank-Nicolson has
 nonnegative weights (1 - 2r, r, r); the second is the advection CFL bound
 at the speed cap that every step enforces, which holds for every |g'| a
-step can start from.
+step can start from; the third keeps the explicit reaction step
+dt*|f'| <= 1/2, with max|f'| sampled on the a priori range [0, sup(u0) + 1].
 
 The Crank-Nicolson matrix depends only on N and r = dt*d/(2h^2), so it is
 factored once per step size (LAPACK ``dgttrf``, with partial pivoting: the
@@ -70,6 +71,7 @@ __all__ = [
 ROW_FIELDS = ("t", "g", "g_prime", "sup_profile_error", "min_U", "max_U")
 
 DEFAULT_SPEED_CAP = 10.0
+REACTION_SAMPLES = 1001  # points of [0, sup(u0) + 1] where the default dt bounds |f'|
 # Floor on |g'| in the advection CFL bound so a resting front never divides by zero.
 EPS_SPEED = 1e-6
 BOUND_SLACK = 1e-8
@@ -155,10 +157,13 @@ class SolverConfig:
     """Numerical controls for a run.
 
     ``dt=None`` selects the default min(h**2/d, 0.5*h/max(|g'(0)|,
-    DEFAULT_SPEED_CAP)).  The first bound, r = dt*d/(2h^2) <= 1/2, keeps the
-    weights (1 - 2r, r, r) of Crank-Nicolson's explicit half nonnegative.
-    The second takes the speed cap that every step's bound check enforces,
-    so ``step``'s advection guard cannot fire at the default dt.
+    DEFAULT_SPEED_CAP), 0.5/max|f'|).  The first bound, r = dt*d/(2h^2) <= 1/2,
+    keeps the weights (1 - 2r, r, r) of Crank-Nicolson's explicit half
+    nonnegative.  The second takes the speed cap that every step's bound
+    check enforces, so ``step``'s advection guard cannot fire at the default
+    dt.  The third keeps the explicit reaction step dt*|f'| <= 1/2, with
+    max|f'| over the a priori range [0, sup(u0) + 1], sampled at
+    REACTION_SAMPLES points.
     ``output_every`` is a time interval; rows are recorded every
     round(output_every/dt) steps.  The ceiling on U is sup(u0) + 1 and |g'|
     is capped at DEFAULT_SPEED_CAP.
@@ -355,7 +360,8 @@ def run(
     c1 = initial.sup_norm + 1.0
     dt = config.dt
     if dt is None:
-        dt = min(h * h / d, 0.5 * h / max(abs(gp), DEFAULT_SPEED_CAP))
+        f_slope = float(np.max(np.abs(f.deriv(np.linspace(0.0, c1, REACTION_SAMPLES)))))
+        dt = min(h * h / d, 0.5 * h / max(abs(gp), DEFAULT_SPEED_CAP), 0.5 / f_slope)
 
     q_ref = reference.q_at(grid.nodes) if reference is not None else None
     far_value = f.stable_zero

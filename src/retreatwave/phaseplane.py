@@ -13,15 +13,16 @@ equilibrium to q = delta, provides the exact zero-speed solution as an
 oracle, and builds the spatial profile from the same integration: since
 dq/dx = P(q), x(q) is the integral of 1/(-P) from q to delta.  Every speed
 shares the independent variable q, so one integration can carry many speeds
-as the lanes of a vector ODE.
+as the lanes of a vector ODE.  Its dense output is kept as one piecewise
+polynomial in q, whose reads are single vectorised evaluations.
 """
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-from scipy.integrate import OdeSolution, cumulative_simpson, quad, simpson, solve_ivp
-from scipy.interpolate import CubicHermiteSpline
+from scipy.integrate import cumulative_simpson, quad, simpson, solve_ivp
+from scipy.interpolate import CubicHermiteSpline, PPoly
 
 from .errors import InputError, IntegrationError, NumericalError
 from .reaction import ReactionFunction
@@ -61,10 +62,12 @@ class PhaseTrajectory:
 
     ``endpoint_slope`` is P(delta) = q'(0) of the corresponding profile and
     ``saddle_slope`` is P'(xi), the linearized decay rate at the equilibrium.
-    ``dense`` is the integrator's continuous solution on [xi + eta, delta]
-    and the only stored form of P: ``p_at``, ``ode_residual``, ``to_csv``
-    and the quadratures of the profile and of r'(c) read it.  A batch of
-    speeds shares one ``dense``, and ``lane`` is this speed's component of it.
+    ``dense`` is the integrator's dense output on [xi + eta, delta] as one
+    piecewise quartic (``scipy.interpolate.PPoly``, breakpoints at the RK45
+    steps, extrapolating beyond them) and the only stored form of P:
+    ``p_at``, ``ode_residual``, ``to_csv`` and the quadratures of the profile
+    and of r'(c) read it.  A batch of speeds shares one ``dense``, and
+    ``lane`` is this speed's column of it.
     """
 
     c: float
@@ -73,7 +76,7 @@ class PhaseTrajectory:
     xi: float
     endpoint_slope: float
     saddle_slope: float
-    dense: OdeSolution = field(repr=False)
+    dense: PPoly = field(repr=False)
     lane: int = 0
 
     @property
@@ -82,8 +85,8 @@ class PhaseTrajectory:
         return self.endpoint_slope - (self.delta / self.d) * self.c
 
     def p_at(self, q):
-        """P(q): this trajectory's lane of the integrator's dense output."""
-        return self.dense(q)[self.lane]
+        """P(q): this trajectory's lane of the piecewise polynomial."""
+        return self.dense(q)[..., self.lane]
 
     def ode_residual(self, f: ReactionFunction) -> float:
         """Max |P'(q) - (c/d - f(q)/(d P))| at 200 interior points; P' by central difference."""
@@ -95,7 +98,7 @@ class PhaseTrajectory:
 
     def to_csv(self, path) -> None:
         """Write (xi, 0) and TRAJECTORY_SAMPLES points of P on [xi + eta, delta]."""
-        q = np.linspace(self.dense.t_min, self.delta, TRAJECTORY_SAMPLES)
+        q = np.linspace(self.dense.x[0], self.delta, TRAJECTORY_SAMPLES)
         rows = zip(np.concatenate(([self.xi], q)), np.concatenate(([0.0], self.p_at(q))))
         write_csv(path, ("q", "P"), rows)
 
@@ -252,14 +255,14 @@ def integrate_trajectories(
             last_good=float(sol.t[-1]),
         )
 
-    # each dense-output call evaluates at most TRAJECTORY_SAMPLES values, so
-    # the check's memory does not grow with the lanes, and one lane's samples
-    # stay in one call: splitting them can change the last bit of P(delta)
+    dense = _piecewise_polynomial(sol.sol)
+    # each check evaluates at most TRAJECTORY_SAMPLES values, so its memory
+    # does not grow with the lanes; a NaN sample fails it too
     q = np.linspace(q0, delta, TRAJECTORY_SAMPLES)
     block = max(1, TRAJECTORY_SAMPLES // len(cs))
     for start in range(0, TRAJECTORY_SAMPLES, block):
-        p_samples = sol.sol(q[start:start + block])
-        left = np.flatnonzero(np.any(p_samples >= 0.0, axis=1))
+        p_samples = dense(q[start:start + block])
+        left = np.flatnonzero(~np.all(p_samples < 0.0, axis=0))
         if left.size:
             raise NumericalError(
                 f"trajectory left the lower half plane at c={cs[left[0]]:g}; "
@@ -274,11 +277,26 @@ def integrate_trajectories(
             xi=float(xi),
             endpoint_slope=float(p_end),
             saddle_slope=float(lam),
-            dense=sol.sol,
+            dense=dense,
             lane=lane,
         )
-        for lane, (c, lam, p_end) in enumerate(zip(cs, lams, p_samples[:, -1]))
+        for lane, (c, lam, p_end) in enumerate(zip(cs, lams, p_samples[-1]))
     ]
+
+
+def _piecewise_polynomial(sol) -> PPoly:
+    """The RK45 dense output ``sol`` (an ``OdeSolution``) as one PPoly with a column per lane.
+
+    On the step from q_old of length h the solver's interpolant is the quartic
+    y_old + sum_j Q[:, j-1] * h**(1-j) * (q - q_old)**j, j = 1..4; the
+    coefficients are stacked highest power first, shape (5, steps, lanes).
+    """
+    steps = sol.interpolants
+    h = np.array([step.h for step in steps])
+    Q = np.stack([step.Q for step in steps])  # (steps, lanes, 4)
+    scaled = Q / h[:, None, None] ** np.arange(Q.shape[2])
+    coeffs = np.concatenate((np.moveaxis(scaled, 2, 0)[::-1], [[step.y_old for step in steps]]))
+    return PPoly(coeffs, sol.ts)
 
 
 def closed_form_zero_speed(q: float, d: float, f: ReactionFunction) -> float:

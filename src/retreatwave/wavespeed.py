@@ -202,7 +202,8 @@ def find_wave_speed(
     |r| <= ``tol``, one more step puts c* at the integration noise, and the
     better of the last two iterates is returned with its trajectory (its
     profile is built only when read).  Steps stay strictly inside the pair, so
-    each speed is integrated once; ``iterations`` counts the steps.
+    each speed is integrated once; ``iterations`` counts the steps.  A search
+    that stops above ``tol`` names the smallest |r| it reached, and its c.
     """
     if not tol >= 1e-12:
         raise InputError(f"tol must be at least 1e-12, got {tol}")
@@ -218,6 +219,7 @@ def find_wave_speed(
         )
 
     prev, cur = (lo, hi) if abs(hi.residual) < abs(lo.residual) else (hi, lo)
+    best = cur
     steps = 0
     while steps < MAX_SEARCH_STEPS and abs(prev.residual) > tol:
         c = cur.c - cur.residual / residual_slope(cur, f)
@@ -229,11 +231,13 @@ def find_wave_speed(
         steps += 1
         lo, hi = (lo, traj) if traj.residual < 0.0 else (traj, hi)
         prev, cur = cur, traj
+        best = min(best, traj, key=lambda traj: abs(traj.residual))
     final = min(prev, cur, key=lambda traj: abs(traj.residual))
     residual = abs(final.residual)
     if residual > tol:
         raise NumericalError(
-            f"slope residual {residual:.3e} did not reach tol {tol:.1e} at c={final.c!r}"
+            f"smallest slope residual {abs(best.residual):.3e} at c={best.c!r} "
+            f"did not reach tol {tol:.1e}"
         )
 
     return SpeedResult(

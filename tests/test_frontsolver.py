@@ -255,16 +255,19 @@ def test_run_aborts_on_bound_violation():
     assert rec.final_state.t < 0.1  # measured: aborts at t = 0.0825
 
 
-@pytest.mark.parametrize("L_y", [500.0, 1000.0])
+@pytest.mark.parametrize("L_y", [500.0, 1000.0, 4000.0, 8000.0])
 def test_front_at_rest_on_coarse_grid_completes(logistic1, L_y):
     # a front at rest (g'(0) = 0) on a coarse grid: the default dt must keep the
     # explicit reaction from driving U negative; dt = 0.25*h^2/d (1.5625 and
-    # 6.25 here) gives min_U = -1.125 and -10.5 after the first step
+    # 6.25 at L_y = 500 and 1000) gives min_U = -1.125 and -10.5 after the
+    # first step, and the advection bound alone (dt = 1 and 2 at L_y = 4000
+    # and 8000) gives min_U = 0 and -2 after the first step
     grid = Grid1D(L_y, 200)
     init = InitialData.from_callable(grid, 2.0, constant_u0(2.0))
     rec = run(init, 1.0, 2.0, logistic1, SolverConfig(T_end=20.0, output_every=1.0))
     assert rec.termination_reason == "completed", rec.diagnostic
-    assert rec.config["dt"] == 0.5 * grid.h / DEFAULT_SPEED_CAP
+    # dt*max|f'| <= 1/2 binds: |f'| = |1 - 2u| peaks at 5 on [0, sup(u0) + 1] = [0, 3]
+    assert 0.5 / 5.0 == rec.config["dt"] < 0.5 * grid.h / DEFAULT_SPEED_CAP
     assert rec.final_state.t == pytest.approx(20.0)
     assert np.all(rec.column("min_U") > 0.0)
 

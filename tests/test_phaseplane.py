@@ -84,8 +84,61 @@ def test_trajectory_matches_closed_form(logistic1):
 
 def test_trajectory_is_negative_and_ordered(logistic1):
     traj = integrate_trajectory(-0.7, 1.0, logistic1, 2.0)
-    assert np.all(traj.p_at(np.linspace(traj.dense.t_min, 2.0, 2500)) < 0.0)
+    assert np.all(traj.p_at(np.linspace(traj.dense.x[0], 2.0, 2500)) < 0.0)
     assert traj.endpoint_slope == traj.p_at(2.0)
+
+
+def _capture_ode_solutions(monkeypatch):
+    """Wrap phaseplane.solve_ivp; the returned list collects each solve's OdeSolution."""
+    sols = []
+    solve = phaseplane.solve_ivp
+
+    def capturing(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        sols.append(sol.sol)
+        return sol
+
+    monkeypatch.setattr(phaseplane, "solve_ivp", capturing)
+    return sols
+
+
+@pytest.mark.parametrize("spec, d, delta", [("logistic:r=1", 1.0, 2.0),
+                                            ("custom:3,-2,0.9,-0.6", 0.8, 2.4)])
+@pytest.mark.parametrize("lanes", [1, 50])
+def test_piecewise_polynomial_matches_ode_solution(monkeypatch, spec, d, delta, lanes):
+    # the conversion reads RK45's per-step interpolants (h, Q, y_old on the
+    # breakpoints ts); a change of that layout in scipy shows up here.
+    # Measured: 4.4e-16 of the lane's max |P|, extrapolated q = xi included
+    f = parse_reaction(spec)
+    sols = _capture_ode_solutions(monkeypatch)
+    cs = np.linspace(bracket_low(d, f, delta), 0.0, lanes) if lanes > 1 else [-0.5]
+    trajs = integrate_trajectories(cs, d, f, delta)
+    q = np.linspace(f.stable_zero, delta, 2500)
+    expected = sols[-1](q)
+    assert len(trajs) == lanes
+    for traj in trajs:
+        scale = float(np.max(np.abs(expected[traj.lane])))
+        assert np.max(np.abs(traj.p_at(q) - expected[traj.lane])) <= 1e-14 * scale
+        assert traj.p_at(delta) == traj.endpoint_slope
+
+
+@pytest.mark.parametrize("lanes", [1, 3])
+def test_sample_check_rejects_nan(monkeypatch, logistic1, lanes):
+    # NaN coefficients on one step of the last lane: NaN >= 0 is False, so the
+    # check must test P < 0 itself
+    solve = phaseplane.solve_ivp
+
+    def poisoning(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        ts = sol.sol.ts
+        step = int(np.searchsorted(ts, 0.5 * (ts[0] + ts[-1]))) - 1
+        sol.sol.interpolants[step].Q[-1] = np.nan
+        return sol
+
+    monkeypatch.setattr(phaseplane, "solve_ivp", poisoning)
+    cs = np.linspace(-0.9, -0.1, lanes)
+    with pytest.raises(NumericalError, match=f"lower half plane at c={cs[-1]:g};"):
+        integrate_trajectories(cs, 1.0, logistic1, 2.0)
 
 
 def test_trajectory_endpoint_vanishes_as_delta_shrinks(logistic1):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import OdeSolution
 
 from retreatwave import wavespeed
 from retreatwave import (
@@ -127,7 +128,7 @@ SEARCH_PROBLEMS = [
         (*SEARCH_PROBLEMS[2], 9),  # r' grows twelvefold from bracket_low to 0: more steps
         # at the noise floor: Newton steps wander inside the noise band before
         # one lands below tol
-        (*SEARCH_PROBLEMS[3], 9),
+        (*SEARCH_PROBLEMS[3], 8),
     ],
 )
 def test_find_wave_speed_integrates_each_speed_once(monkeypatch, d, coeffs, delta, tol, calls):
@@ -163,17 +164,38 @@ def test_residual_slope_matches_central_difference(d, coeffs, delta, tol):
 
 def test_find_wave_speed_stops_at_the_noise_floor(monkeypatch):
     # tol lies below the integration noise of r at this scale: the search
-    # must end with an error, each speed integrated once
-    speeds = []
+    # must end with an error, each speed integrated once, that names the
+    # smallest |r| of all its integrations (measured: the 11th of 18, not
+    # one of the last two)
+    trajs = []
 
-    def counting(c, *args, **kwargs):
-        speeds.append(c)
-        return integrate_trajectory(c, *args, **kwargs)
+    def recording(c, *args, **kwargs):
+        trajs.append(integrate_trajectory(c, *args, **kwargs))
+        return trajs[-1]
 
-    monkeypatch.setattr(wavespeed, "integrate_trajectory", counting)
-    with pytest.raises(NumericalError, match="did not reach tol"):
+    monkeypatch.setattr(wavespeed, "integrate_trajectory", recording)
+    with pytest.raises(NumericalError, match="did not reach tol") as failure:
         find_wave_speed(1.0, make_polynomial((100.0, -1.0)), 150.0, tol=1e-12)
+    speeds = [traj.c for traj in trajs]
     assert len(set(speeds)) == len(speeds) <= 2 + wavespeed.MAX_SEARCH_STEPS
+    best = min(trajs, key=lambda traj: abs(traj.residual))
+    assert f"residual {abs(best.residual):.3e} at c={best.c!r} " in str(failure.value)
+
+
+def test_speed_search_and_sequences_never_call_the_ode_solution(monkeypatch, logistic1):
+    # every read of P goes through the trajectory's piecewise polynomial:
+    # OdeSolution.__call__ loops in Python over the RK45 steps
+    calls = []
+    ode_solution_call = OdeSolution.__call__
+
+    def counting(self, t):
+        calls.append(t)
+        return ode_solution_call(self, t)
+
+    monkeypatch.setattr(OdeSolution, "__call__", counting)
+    res = find_wave_speed(1.0, logistic1, 2.0)
+    bracketing_sequences(1.0, logistic1, 2.0, n_max=1, reference=res)
+    assert calls == []
 
 
 def test_speed_law_consistency(speed_ref):
