@@ -13,15 +13,18 @@ equilibrium to q = delta, provides the exact zero-speed solution as an
 oracle, and builds the spatial profile from the same integration: since
 dq/dx = P(q), x(q) is the integral of 1/(-P) from q to delta.  Every speed
 shares the independent variable q, so one integration can carry many speeds
-as the lanes of a vector ODE.  Its dense output is kept as one piecewise
-polynomial in q, whose reads are single vectorised evaluations.
+as the lanes of a vector ODE.  The integrator is this module's own
+Dormand-Prince 5(4) stepper, ``solve_ivp``, with the step control of scipy's
+RK45; it builds the quartic dense output of every step as one piecewise
+polynomial in q, and each speed keeps its own column of it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, quad, simpson, solve_ivp
+from scipy.integrate import cumulative_simpson, quad, simpson
 from scipy.interpolate import CubicHermiteSpline, PPoly
 
 from .errors import InputError, IntegrationError, NumericalError
@@ -63,11 +66,11 @@ class PhaseTrajectory:
     ``endpoint_slope`` is P(delta) = q'(0) of the corresponding profile and
     ``saddle_slope`` is P'(xi), the linearized decay rate at the equilibrium.
     ``dense`` is the integrator's dense output on [xi + eta, delta] as one
-    piecewise quartic (``scipy.interpolate.PPoly``, breakpoints at the RK45
-    steps, extrapolating beyond them) and the only stored form of P:
-    ``p_at``, ``ode_residual``, ``to_csv`` and the quadratures of the profile
-    and of r'(c) read it.  A batch of speeds shares one ``dense``, and
-    ``lane`` is this speed's column of it.
+    piecewise quartic (``scipy.interpolate.PPoly``, breakpoints at the
+    Dormand-Prince steps, extrapolating beyond them) and the only stored form
+    of P: ``p_at``, ``ode_residual``, ``to_csv`` and the quadratures of the
+    profile and of r'(c) read it.  Its coefficients are this speed's alone,
+    shape (5, steps), also when the speed was one lane of a batch.
     """
 
     c: float
@@ -77,7 +80,6 @@ class PhaseTrajectory:
     endpoint_slope: float
     saddle_slope: float
     dense: PPoly = field(repr=False)
-    lane: int = 0
 
     @property
     def residual(self) -> float:
@@ -85,8 +87,8 @@ class PhaseTrajectory:
         return self.endpoint_slope - (self.delta / self.d) * self.c
 
     def p_at(self, q):
-        """P(q): this trajectory's lane of the piecewise polynomial."""
-        return self.dense(q)[..., self.lane]
+        """P(q), from the piecewise polynomial."""
+        return self.dense(q)
 
     def ode_residual(self, f: ReactionFunction) -> float:
         """Max |P'(q) - (c/d - f(q)/(d P))| at 200 interior points; P' by central difference."""
@@ -225,28 +227,21 @@ def integrate_trajectories(
         lams.append(lam)
         p0s.append(p0)
 
-    # one lane returns a float: the array expression makes a one-lane
-    # trajectory 15-30 % slower
+    # one lane steps on Python floats; P = 0 is the pole of the right-hand
+    # side, where a NaN rejects the step as numpy's inf would
     if len(cs) == 1:
-        c = cs[0]
+        c_d = cs[0] / d
 
         def rhs(q, p):
-            return c / d - float(f(q)) / (d * p[0])
+            dp = d * p
+            return c_d - float(f(q)) / dp if dp else math.nan
     else:
         cd = np.array(cs) / d
 
         def rhs(q, p):
             return cd - float(f(q)) / (d * p)
 
-    sol = solve_ivp(
-        rhs,
-        (q0, delta),
-        p0s,
-        method="RK45",
-        rtol=opts.rtol,
-        atol=opts.atol,
-        dense_output=True,
-    )
+    sol = solve_ivp(rhs, (q0, delta), p0s, rtol=opts.rtol, atol=opts.atol)
     if not sol.success or sol.t[-1] < delta:
         # the lane closest to P = 0, where its right-hand side blows up
         c = cs[int(np.argmax(sol.y[:, -1]))]
@@ -255,7 +250,7 @@ def integrate_trajectories(
             last_good=float(sol.t[-1]),
         )
 
-    dense = _piecewise_polynomial(sol.sol)
+    dense = sol.dense
     # each check evaluates at most TRAJECTORY_SAMPLES values, so its memory
     # does not grow with the lanes; a NaN sample fails it too
     q = np.linspace(q0, delta, TRAJECTORY_SAMPLES)
@@ -268,7 +263,9 @@ def integrate_trajectories(
                 f"trajectory left the lower half plane at c={cs[left[0]]:g}; "
                 "the reaction may not be monostable on (xi, delta]"
             )
-    # the last block ends at q = delta
+    # the last block ends at q = delta; each lane's coefficients are made
+    # contiguous once, so a read of one speed evaluates that speed alone
+    by_lane = np.ascontiguousarray(np.moveaxis(dense.c, 2, 0))
     return [
         PhaseTrajectory(
             c=c,
@@ -277,26 +274,177 @@ def integrate_trajectories(
             xi=float(xi),
             endpoint_slope=float(p_end),
             saddle_slope=float(lam),
-            dense=dense,
-            lane=lane,
+            dense=PPoly.construct_fast(coeffs, dense.x),
         )
-        for lane, (c, lam, p_end) in enumerate(zip(cs, lams, p_samples[-1]))
+        for c, lam, p_end, coeffs in zip(cs, lams, p_samples[-1], by_lane)
     ]
 
 
-def _piecewise_polynomial(sol) -> PPoly:
-    """The RK45 dense output ``sol`` (an ``OdeSolution``) as one PPoly with a column per lane.
+# Dormand & Prince's 5(4) pair (J. Comput. Appl. Math. 6, 1980) and Shampine's
+# quartic dense output (Math. Comp. 46, 1986): the coefficients of scipy's RK45.
+# _rk_step_float spells the same tableau out as constants.
+_C = (0.0, 1/5, 3/10, 4/5, 8/9, 1.0)  # Python floats: the stage abscissae stay floats
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+SAFETY = 0.9  # on the step factor predicted from the error estimate
+MIN_FACTOR, MAX_FACTOR = 0.2, 10.0  # bounds of the step factor
+ERROR_EXPONENT = -1 / 5  # the error estimate is of order 4
+TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
-    On the step from q_old of length h the solver's interpolant is the quartic
-    y_old + sum_j Q[:, j-1] * h**(1-j) * (q - q_old)**j, j = 1..4; the
-    coefficients are stacked highest power first, shape (5, steps, lanes).
+
+@dataclass(eq=False)
+class RK45Solution:
+    """What ``solve_ivp`` returns: steps, values, status, RHS calls and dense output.
+
+    ``t`` holds the accepted breakpoints and ``y`` the lanes there, shape
+    (lanes, len(t)).  ``dense`` is the piecewise quartic on ``t``, with
+    coefficients of shape (5, steps, lanes); it is None after a failure.
     """
-    steps = sol.interpolants
-    h = np.array([step.h for step in steps])
-    Q = np.stack([step.Q for step in steps])  # (steps, lanes, 4)
-    scaled = Q / h[:, None, None] ** np.arange(Q.shape[2])
-    coeffs = np.concatenate((np.moveaxis(scaled, 2, 0)[::-1], [[step.y_old for step in steps]]))
-    return PPoly(coeffs, sol.ts)
+
+    t: np.ndarray
+    y: np.ndarray
+    success: bool
+    message: str
+    nfev: int
+    dense: PPoly | None = field(repr=False)
+
+
+def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> RK45Solution:
+    """Phaseplane's own RK45: integrate y' = fun(t, y) forward over t_span.
+
+    Every rule is scipy's RK45 (``solve_ivp(method="RK45")``): the
+    Dormand-Prince tableau and its dense output, scipy's initial step, the
+    RMS over the lanes of the error scaled by atol + max(|y|, |y_new|)*rtol,
+    step factors SAFETY*err**ERROR_EXPONENT clipped to [MIN_FACTOR,
+    MAX_FACTOR] and kept at most 1 after a rejection, and failure with
+    TOO_SMALL_STEP once the step falls below 10 ulp of t.  With one lane, y
+    is a Python float and fun must return one; otherwise y is an array of
+    the lanes.  Each accepted step's stages give its quartic directly, so no
+    per-step interpolant object is made.  ``nfev`` counts the calls of fun.
+    """
+    t, t_bound = float(t_span[0]), float(t_span[1])
+    if not t < t_bound:
+        raise ValueError(f"solve_ivp integrates forward, got t_span {t_span}")
+    y = np.array(y0, dtype=float)
+    lanes = y.size
+    if lanes == 1:
+        y, rk_step, norm = float(y[0]), _rk_step_float, abs
+    else:
+        rk_step, norm = _rk_step_lanes, _rms
+    f = fun(t, y)
+    h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol, norm)
+    nfev = 2
+    ts, ys, stages = [t], [y], []
+    message = None
+    while t < t_bound and message is None:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                message = TOO_SMALL_STEP
+                break
+            t_new = min(t + h_abs, t_bound)
+            h = h_abs = t_new - t
+            y_new, f_new, error_norm, k = rk_step(fun, t, y, f, h, rtol, atol)
+            nfev += 6
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                t, y, f = t_new, y_new, f_new
+                ts.append(t)
+                ys.append(y)
+                stages.append(k)
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+            rejected = True
+
+    t_out = np.array(ts)
+    y_out = np.array(ys).reshape(len(ts), lanes).T
+    dense = None
+    if message is None:
+        # the step from t_old of length h is y_old + h * sum_j Q_j * ((t - t_old)/h)**j,
+        # j = 1..4, with Q = K.T @ P: stacked highest power first
+        K = np.array(stages).reshape(len(stages), 7, lanes)
+        Q = (_P.T @ K) / (np.diff(t_out)[:, None, None] ** np.arange(4)[:, None])
+        coeffs = np.concatenate((np.moveaxis(Q, 1, 0)[::-1], y_out[:, :-1].T[None]))
+        dense = PPoly.construct_fast(coeffs, t_out)
+        message = "The solver successfully reached the end of the integration interval."
+    return RK45Solution(t_out, y_out, dense is not None, message, nfev, dense)
+
+
+def _rms(x) -> float:
+    """scipy's RMS norm, np.linalg.norm(x) / sqrt(x.size), whose 2-norm is sqrt(x @ x)."""
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
+
+
+def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol, norm) -> float:
+    """scipy's select_initial_step for an error estimate of order 4 (Hairer, Norsett
+    and Wanner, Solving ODEs I, Sec. II.4); its one RHS call is in the caller's nfev."""
+    interval = t_bound - t0
+    scale = atol + abs(y0) * rtol
+    d0, d1 = norm(y0 / scale), norm(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = fun(t0 + h0, y0 + h0 * f0)
+    d2 = norm((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval)
+
+
+def _rk_step_lanes(fun, t, y, f, h, rtol, atol):
+    """One step on an array of lanes: y_new, f_new, the RMS scaled error and the stages."""
+    K = np.empty((7, y.size))
+    K[0] = f
+    for s in range(1, 6):
+        K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
+    y_new = y + h * np.dot(K[:6].T, _B)
+    K[6] = f_new = fun(t + h, y_new)
+    scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+    return y_new, f_new, _rms(np.dot(K.T, _E) * h / scale), K
+
+
+def _rk_step_float(fun, t, y, f, h, rtol, atol):
+    """``_rk_step_lanes`` on one lane held as a Python float, the tableau written out."""
+    k1 = f
+    k2 = fun(t + 1/5 * h, y + (1/5 * k1) * h)
+    k3 = fun(t + 3/10 * h, y + (3/40 * k1 + 9/40 * k2) * h)
+    k4 = fun(t + 4/5 * h, y + (44/45 * k1 - 56/15 * k2 + 32/9 * k3) * h)
+    k5 = fun(t + 8/9 * h, y + (19372/6561 * k1 - 25360/2187 * k2 + 64448/6561 * k3
+                               - 212/729 * k4) * h)
+    k6 = fun(t + h, y + (9017/3168 * k1 - 355/33 * k2 + 46732/5247 * k3 + 49/176 * k4
+                         - 5103/18656 * k5) * h)
+    y_new = y + h * (35/384 * k1 + 500/1113 * k3 + 125/192 * k4 - 2187/6784 * k5 + 11/84 * k6)
+    k7 = fun(t + h, y_new)
+    err = (-71/57600 * k1 + 71/16695 * k3 - 71/1920 * k4 + 17253/339200 * k5 - 22/525 * k6
+           + 1/40 * k7) * h
+    scale = atol + max(abs(y), abs(y_new)) * rtol
+    return y_new, k7, abs(err / scale), (k1, k2, k3, k4, k5, k6, k7)
 
 
 def closed_form_zero_speed(q: float, d: float, f: ReactionFunction) -> float:

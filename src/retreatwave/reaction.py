@@ -113,13 +113,14 @@ def make_polynomial(coeffs: tuple[float, ...]) -> ReactionFunction:
     if not np.isfinite(bound):
         raise InputError(f"polynomial root bound {bound} is not finite; coefficients {cs}")
     poly = np.polynomial.Polynomial((0.0,) + cs)
+    value = _horner(poly.coef)
     try:
-        zero = _locate_stable_zero(poly, hi=20.0, tail_to=bound)
+        zero = _locate_stable_zero(value, hi=20.0, tail_to=bound)
     except PerturbationError as exc:
         raise InputError(f"polynomial reaction is not monostable: {exc}") from exc
     f = ReactionFunction(
-        value_fn=poly,
-        deriv_fn=poly.deriv(),
+        value_fn=value,
+        deriv_fn=_horner(poly.deriv().coef),
         stable_zero=zero,
         label="custom:" + ",".join(map(_number_text, cs)),
     )
@@ -129,6 +130,25 @@ def make_polynomial(coeffs: tuple[float, ...]) -> ReactionFunction:
             "polynomial reaction is not monostable: " + "; ".join(report.failures)
         )
     return f
+
+
+def _horner(coef) -> Callable:
+    """The power series coef (lowest power first) by Horner's rule.
+
+    The operations and their order are numpy's ``polyval``, and the default
+    domain map of ``np.polynomial.Polynomial`` is x -> 0.0 + 1.0*x, so the
+    values are bit-identical to ``Polynomial(coef)`` on floats and arrays.
+    A Python float gives a Python float, without the per-call domain map.
+    """
+    lead, *rest = (float(c) for c in reversed(coef))
+
+    def value(u):
+        acc = lead + u * 0.0
+        for c in rest:
+            acc = c + acc * u
+        return acc
+
+    return value
 
 
 def _locate_stable_zero(fn: Callable, hi: float, tail_to: float = 0.0) -> float:

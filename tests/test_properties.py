@@ -56,3 +56,21 @@ def test_speed_selection_holds_across_monostable_family(r, xi, a, d, s):
     else:
         pert = perturbed_wave_speeds(d, f, delta, 0.05, c_star_base=res.c_star)
         assert pert.lower.c_star < res.c_star < pert.upper.c_star
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(r=_floats(0.5, 3.0), xi=_floats(0.5, 2.0), a=_floats(0.0, 0.5))
+def test_polynomial_reaction_is_numpys_polynomial_bit_for_bit(r, xi, a):
+    # Horner's rule in polyval's order; numpy's Polynomial adds only the
+    # identity domain map 0.0 + 1.0*u, so values and derivatives agree in
+    # every bit, on arrays and on Python floats
+    coeffs = (r * xi, -r, r * a * xi, -r * a)
+    f = parse_reaction("custom:" + ",".join(repr(c) for c in coeffs))
+    poly = np.polynomial.Polynomial((0.0,) + coeffs)
+    u = np.concatenate(([0.0, -0.0, xi], np.random.default_rng(0).uniform(-1.0, 3.0 * xi, 100_000)))
+    for ours, numpys in ((f, poly), (f.deriv, poly.deriv())):
+        assert np.array_equal(ours(u).view(np.int64), numpys(u).view(np.int64))
+        scalars = u[:2000].tolist()
+        assert all(isinstance(ours(x), float) for x in scalars[:3])
+        assert np.array_equal(np.array([ours(x) for x in scalars]).view(np.int64),
+                              np.array([numpys(x) for x in scalars]).view(np.int64))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import OdeSolution
+from scipy.integrate import OdeSolution, OdeSolver
 
 from retreatwave import wavespeed
 from retreatwave import (
@@ -127,8 +127,8 @@ SEARCH_PROBLEMS = [
         (*SEARCH_PROBLEMS[1], 6),
         (*SEARCH_PROBLEMS[2], 9),  # r' grows twelvefold from bracket_low to 0: more steps
         # at the noise floor: Newton steps wander inside the noise band before
-        # one lands below tol
-        (*SEARCH_PROBLEMS[3], 8),
+        # one lands below tol; the count follows the last bits of P(delta)
+        (*SEARCH_PROBLEMS[3], 11),
     ],
 )
 def test_find_wave_speed_integrates_each_speed_once(monkeypatch, d, coeffs, delta, tol, calls):
@@ -165,7 +165,7 @@ def test_residual_slope_matches_central_difference(d, coeffs, delta, tol):
 def test_find_wave_speed_stops_at_the_noise_floor(monkeypatch):
     # tol lies below the integration noise of r at this scale: the search
     # must end with an error, each speed integrated once, that names the
-    # smallest |r| of all its integrations (measured: the 11th of 18, not
+    # smallest |r| of all its integrations (measured: the 14th of 19, not
     # one of the last two)
     trajs = []
 
@@ -183,16 +183,23 @@ def test_find_wave_speed_stops_at_the_noise_floor(monkeypatch):
 
 
 def test_speed_search_and_sequences_never_call_the_ode_solution(monkeypatch, logistic1):
-    # every read of P goes through the trajectory's piecewise polynomial:
-    # OdeSolution.__call__ loops in Python over the RK45 steps
+    # every integration is phaseplane's own RK45 and every read of P goes
+    # through the trajectory's piecewise polynomial: scipy's solve_ivp, which
+    # starts one of its OdeSolver classes, and OdeSolution are never reached
     calls = []
+    solver_init = OdeSolver.__init__
     ode_solution_call = OdeSolution.__call__
 
-    def counting(self, t):
+    def starting(self, *args, **kwargs):
+        calls.append(type(self).__name__)
+        solver_init(self, *args, **kwargs)
+
+    def evaluating(self, t):
         calls.append(t)
         return ode_solution_call(self, t)
 
-    monkeypatch.setattr(OdeSolution, "__call__", counting)
+    monkeypatch.setattr(OdeSolver, "__init__", starting)
+    monkeypatch.setattr(OdeSolution, "__call__", evaluating)
     res = find_wave_speed(1.0, logistic1, 2.0)
     bracketing_sequences(1.0, logistic1, 2.0, n_max=1, reference=res)
     assert calls == []
