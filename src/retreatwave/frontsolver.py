@@ -26,12 +26,17 @@ at the speed cap that every step enforces, which holds for every |g'| a
 step can start from; the third keeps the explicit reaction step
 dt*|f'| <= 1/2, with max|f'| sampled on the a priori range [0, sup(u0) + 1].
 
-The Crank-Nicolson matrix depends only on N and r = dt*d/(2h^2), so it is
-factored once per step size (LAPACK ``dgttrf``, with partial pivoting: the
-ghost-reflection entry -2r in the last row outgrows its pivot once r > 2)
-and every step solves with the cached factors (``dgttrs``).  This is the
-arithmetic of ``scipy.linalg.solve_banded``'s ``dgtsv``, so the solutions
-are the same bit for bit.
+With g' frozen, the explicit half of a step is U + dt*f(U) plus one 3-tap
+stencil on the differences of U, which adds exact zeros where U is flat.
+The Crank-Nicolson matrix depends only on N and r = dt*d/(2h^2).  Halving
+its ghost-reflection row (-2r, 1 + 2r), and that row's right-hand side,
+makes it symmetric with every row exceeding its off-diagonal sum by at
+least 1/2: strictly diagonally dominant, hence positive definite, for
+every r.  It is factored once per step size as L D L^T (LAPACK ``dpttrf``)
+and every step solves with the cached factors (``dpttrs``).  No pivoting is
+needed: the pivots stay above 1/2, and |L| D |L^T| = |A| for a positive
+definite tridiagonal A, so the solve is backward stable whatever r is
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 9).
 """
 from __future__ import annotations
 
@@ -41,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import (
     BoundViolationError,
@@ -231,37 +236,33 @@ def _boundary_speed(U: np.ndarray, h: float, d: float, delta: float) -> float:
     return float(-(d / delta) * (-3.0 * U[0] + 4.0 * U[1] - U[2]) / (2.0 * h))
 
 
-def _banded_matrix(N: int, r: float) -> np.ndarray:
-    ab = np.zeros((3, N))
-    ab[0, 1:] = -r
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[2, : N - 1] = -r
-    ab[2, N - 2] = -2.0 * r
-    return ab
-
-
 @functools.lru_cache(maxsize=8)
-def _cn_factors(N: int, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only LU factors of ``_banded_matrix(N, r)``: rows (dl, d, du, du2), and the pivots."""
-    ab = _banded_matrix(N, r)
-    dl, d, du, du2, ipiv, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
-    if info != 0:
-        raise np.linalg.LinAlgError(f"singular Crank-Nicolson matrix (N={N}, r={r!r})")
-    lu = np.zeros((4, N))
-    lu[0, :-1], lu[1], lu[2, :-1], lu[3, :-2] = dl, d, du, du2
-    lu.flags.writeable = False
-    ipiv.flags.writeable = False
-    return lu, ipiv
+def _cn_factors(N: int, r: float) -> np.ndarray:
+    """Read-only L D L^T factors, rows (D, L), of the symmetrised Crank-Nicolson matrix.
 
-
-def solve_banded(l_and_u: tuple[int, int], lu: np.ndarray, rhs: np.ndarray,
-                 ipiv: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system factored by ``_cn_factors``; ``l_and_u`` is (1, 1).
-
-    The arguments keep the positions of ``scipy.linalg.solve_banded``, which the
-    benchmark's tracer (``perfbench/spans.py``) reads.
+    Its off-diagonal is -r and its diagonal 1 + 2r, or 1/2 + r in the halved
+    ghost row: strictly diagonally dominant, so positive definite for every r
+    and factored stably without pivoting.  The last entry of the L row is padding.
     """
-    x, _ = dgttrs(lu[0, :-1], lu[1], lu[2, :-1], lu[3, :-2], ipiv, rhs)
+    diag = np.full(N, 1.0 + 2.0 * r)
+    diag[-1] = 0.5 + r
+    D, L, info = dpttrf(diag, np.full(N - 1, -r))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Crank-Nicolson matrix not positive definite (N={N}, r={r})")
+    factors = np.zeros((2, N))
+    factors[0], factors[1, :-1] = D, L
+    factors.flags.writeable = False
+    return factors
+
+
+def solve_banded(l_and_u: tuple[int, int], factors: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the symmetrised system factored by ``_cn_factors``; ``l_and_u`` is (1, 1).
+
+    ``rhs`` must already carry the halved last entry.  The arguments keep the
+    positions of ``scipy.linalg.solve_banded``, which the benchmark's tracer
+    (``perfbench/spans.py``) reads.
+    """
+    x, _ = dpttrs(factors[0], factors[1, :-1], rhs)
     return x
 
 
@@ -290,37 +291,37 @@ def step(
         )
     U = state.U
     N = state.grid.N
-    # interior second difference, ghost reflection at the far end
-    lap = np.empty(N)
-    lap[: N - 1] = (U[0:-2] - 2.0 * U[1:-1] + U[2:]) / (h * h)
-    lap[N - 1] = 2.0 * (U[N - 1] - U[N]) / (h * h)
-
-    # second-order one-sided upwind, switched by the sign of g'; the last
-    # interior node falls back to first order (the far field is flat there)
-    adv = np.zeros(N)
+    r = 0.5 * dt * d / (h * h)
+    a = 0.5 * dt * gp / h
+    # U + dt*f(U) plus diffusion and advection as one 3-tap stencil on dU, so
+    # a flat U adds exact zeros and rounding cannot bias the steady state by
+    # O(eps/dt); the upwinding, switched by the sign of g', falls back to
+    # first order next to the far end (g' >= 0) or the front (g' < 0)
+    rhs = U[1:] + dt * np.asarray(f(U[1:]), dtype=float)
+    dU = U[1:] - U[:-1]
     if gp >= 0.0:
-        adv[: N - 2] = gp * (-3.0 * U[1:-2] + 4.0 * U[2:-1] - U[3:]) / (2.0 * h)
-        adv[N - 2] = gp * (U[N] - U[N - 1]) / h
+        rhs[: N - 2] += np.correlate(dU, (-r, r + 3.0 * a, -a), "valid")
+        d0, d1 = dU[N - 2 :].tolist()
+        rhs[N - 2] += r * (d1 - d0) + 2.0 * a * d1
     else:
-        adv[1 : N - 1] = gp * (3.0 * U[2:-1] - 4.0 * U[1:-2] + U[0:-3]) / (2.0 * h)
-        adv[0] = gp * (U[1] - U[0]) / h
-
-    rhs = U[1:] + dt * (adv + np.asarray(f(U[1:]), dtype=float)) + 0.5 * dt * d * lap
+        rhs[1 : N - 1] += np.correlate(dU, (-a, 3.0 * a - r, r), "valid")
+        d0, d1 = dU[:2].tolist()
+        rhs[0] += r * (d1 - d0) + 2.0 * a * d0
+    rhs[N - 1] -= 2.0 * r * dU[N - 1]  # ghost reflection at the far end
+    rhs[0] += r * delta
     if source is not None:
         rhs += dt * np.asarray(source(state.t, state.grid.nodes[1:]), dtype=float)
-    r = 0.5 * dt * d / (h * h)
-    rhs[0] += r * delta
+    rhs[N - 1] *= 0.5  # the halved ghost row of the symmetrised matrix
 
     U_new = np.empty_like(U)
     U_new[0] = delta
-    lu, ipiv = _cn_factors(N, r)
-    U_new[1:] = solve_banded((1, 1), lu, rhs, ipiv)
+    U_new[1:] = solve_banded((1, 1), _cn_factors(N, r), rhs)
 
     gp_new = _boundary_speed(U_new, h, d, delta)
     t_new = state.t + dt
 
-    min_u = float(np.min(U_new))
-    max_u = float(np.max(U_new))
+    min_u = U_new.min()
+    max_u = U_new.max()
     # a negated conjunction of the bounds, so that a NaN fails the check
     if not (
         min_u > 0.0
