@@ -17,15 +17,21 @@ as the lanes of a vector ODE.  The integrator is this module's own
 Dormand-Prince 5(4) stepper, ``solve_ivp``, with the step control of scipy's
 RK45; it builds the quartic dense output of every step as one piecewise
 polynomial in q, and each speed keeps its own column of it.
+
+The module's numerics are plain numpy: the piecewise polynomials
+(``PiecewisePolynomial``, with the profile's cubic Hermite interpolant built
+as one), the Simpson rules and the 21-point Gauss-Kronrod quadrature each
+repeat the arithmetic of the scipy routine they stand for, so their results
+are scipy's to the bit, without importing ``scipy.integrate`` or
+``scipy.interpolate`` and the modules those load.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, quad, simpson
-from scipy.interpolate import CubicHermiteSpline, PPoly
 
 from .errors import InputError, IntegrationError, NumericalError
 from .reaction import ReactionFunction
@@ -57,6 +63,74 @@ TRAJECTORY_SAMPLES = 2500  # samples of P on [xi + eta, delta] checked and writt
 PROFILE_SAMPLES = 1200  # samples of q on [0, x_end]
 TAIL_CUT = 1e-6  # the profile samples end at q - xi = TAIL_CUT * (delta - xi)
 START_OFFSET = 1e-8  # the series start is at q - xi = START_OFFSET * (delta - xi)
+QUAD_PANELS = 200  # most panels of the adaptive Gauss-Kronrod quadrature
+
+
+class PiecewisePolynomial:
+    """Piecewise polynomial in the power basis, scipy's ``PPoly`` layout.
+
+    On [x[i], x[i+1]] it is sum_k c[k, i] * (t - x[i])**(K-1-k), highest
+    power first; trailing axes of ``c`` are independent columns, and a call
+    returns shape t.shape + c.shape[2:].  ``x`` must be strictly increasing.
+    With ``extrapolate`` the first and last pieces continue beyond the ends;
+    without it, points outside [x[0], x[-1]] give NaN.  Each value is
+    computed as scipy's ``PPoly`` computes it, so the two agree bit for bit.
+    """
+
+    def __init__(self, c: np.ndarray, x: np.ndarray, extrapolate: bool = True):
+        self.c = c
+        self.x = x
+        self.extrapolate = extrapolate
+
+    def piece(self, t):
+        """Index i of the piece that evaluates t: x[i] <= t < x[i+1], the end
+        pieces taking what lies beyond."""
+        return self.x[1:-1].searchsorted(t, "right")
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        flat = t.reshape(-1)
+        x, c = self.x, self.c
+        i = self.piece(flat)
+        s = (flat - x[i]).reshape((-1,) + (1,) * (c.ndim - 2))
+        out = _power_sum([ck.take(i, axis=0) for ck in c], s)
+        if not self.extrapolate:
+            out[(flat < x[0]) | (flat > x[-1])] = np.nan
+        return out.reshape(t.shape + c.shape[2:])
+
+
+def _power_sum(coeffs, s):
+    """sum_k coeffs[k] * s**(K-1-k) in the order of scipy's ``PPoly``: the
+    constant first, then each power of s by one more multiplication.
+
+    Rounding is monotone, so for s >= 0 the rounded sum does not fall when
+    a coefficient is raised, nor, once every coefficient but the constant is
+    >= 0, when s grows; ``_step_bounds`` relies on both.
+    """
+    out = coeffs[-1] + 0.0
+    z = s.copy()
+    for k in range(len(coeffs) - 2, -1, -1):
+        out += coeffs[k] * z
+        if k:
+            z *= s
+    return out
+
+
+def _cubic_hermite(x, y, dydx) -> PiecewisePolynomial:
+    """The cubic Hermite interpolant of (x, y, dydx), NaN outside [x[0], x[-1]].
+
+    The coefficients are scipy's ``CubicHermiteSpline``'s, so both evaluate
+    to the same bits; x must be strictly increasing.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+    c = np.empty((4, len(dx)))
+    c[0] = t / dx
+    c[1] = (slope - dydx[:-1]) / dx - t
+    c[2] = dydx[:-1]
+    c[3] = y[:-1]
+    return PiecewisePolynomial(c, x, extrapolate=False)
 
 
 @dataclass(eq=False)
@@ -66,7 +140,7 @@ class PhaseTrajectory:
     ``endpoint_slope`` is P(delta) = q'(0) of the corresponding profile and
     ``saddle_slope`` is P'(xi), the linearized decay rate at the equilibrium.
     ``dense`` is the integrator's dense output on [xi + eta, delta] as one
-    piecewise quartic (``scipy.interpolate.PPoly``, breakpoints at the
+    piecewise quartic (a ``PiecewisePolynomial``, breakpoints at the
     Dormand-Prince steps, extrapolating beyond them) and the only stored form
     of P: ``p_at``, ``ode_residual``, ``to_csv`` and the quadratures of the
     profile and of r'(c) read it.  Its coefficients are this speed's alone,
@@ -79,7 +153,7 @@ class PhaseTrajectory:
     xi: float
     endpoint_slope: float
     saddle_slope: float
-    dense: PPoly = field(repr=False)
+    dense: PiecewisePolynomial = field(repr=False)
 
     @property
     def residual(self) -> float:
@@ -113,7 +187,8 @@ class SemiWaveProfile:
     the profile continues analytically as xi + (q_end - xi) *
     exp(tail_rate * (x - x_end)), with ``tail_rate`` equal to the trajectory's
     saddle slope.  Inside it the profile is the cubic Hermite interpolant of
-    the samples and their slopes q'(x) = P(q), which are not stored.
+    the samples and their slopes q'(x) = P(q), which are not stored; the
+    interpolant is one ``PiecewisePolynomial``, NaN for x < 0.
     """
 
     x_grid: np.ndarray = field(repr=False)
@@ -124,7 +199,7 @@ class SemiWaveProfile:
     slopes: InitVar[np.ndarray]
 
     def __post_init__(self, slopes):
-        self._interp = CubicHermiteSpline(self.x_grid, self.q_values, slopes, extrapolate=False)
+        self._interp = _cubic_hermite(self.x_grid, self.q_values, slopes)
 
     def q_at(self, x):
         """Evaluate the profile anywhere on [0, inf)."""
@@ -251,20 +326,14 @@ def integrate_trajectories(
         )
 
     dense = sol.dense
-    # each check evaluates at most TRAJECTORY_SAMPLES values, so its memory
-    # does not grow with the lanes; a NaN sample fails it too
-    q = np.linspace(q0, delta, TRAJECTORY_SAMPLES)
-    block = max(1, TRAJECTORY_SAMPLES // len(cs))
-    for start in range(0, TRAJECTORY_SAMPLES, block):
-        p_samples = dense(q[start:start + block])
-        left = np.flatnonzero(~np.all(p_samples < 0.0, axis=0))
-        if left.size:
-            raise NumericalError(
-                f"trajectory left the lower half plane at c={cs[left[0]]:g}; "
-                "the reaction may not be monostable on (xi, delta]"
-            )
-    # the last block ends at q = delta; each lane's coefficients are made
-    # contiguous once, so a read of one speed evaluates that speed alone
+    left = _lane_leaving_lower_half_plane(dense, q0, delta)
+    if left is not None:
+        raise NumericalError(
+            f"trajectory left the lower half plane at c={cs[left]:g}; "
+            "the reaction may not be monostable on (xi, delta]"
+        )
+    # each lane's coefficients are made contiguous once, so a read of one
+    # speed evaluates that speed alone
     by_lane = np.ascontiguousarray(np.moveaxis(dense.c, 2, 0))
     return [
         PhaseTrajectory(
@@ -274,10 +343,47 @@ def integrate_trajectories(
             xi=float(xi),
             endpoint_slope=float(p_end),
             saddle_slope=float(lam),
-            dense=PPoly.construct_fast(coeffs, dense.x),
+            dense=PiecewisePolynomial(coeffs, dense.x),
         )
-        for c, lam, p_end, coeffs in zip(cs, lams, p_samples[-1], by_lane)
+        for c, lam, p_end, coeffs in zip(cs, lams, dense(delta), by_lane)
     ]
+
+
+def _step_bounds(dense: PiecewisePolynomial) -> np.ndarray:
+    """An upper bound of each step's polynomial on its step, shape (steps, lanes).
+
+    On a step of width h it is c[-1] + sum_k max(c[k], 0) * h**(K-1-k), summed
+    by ``_power_sum``, so it is also at least every rounded value ``dense``
+    gives on the step.  A NaN coefficient gives a NaN bound.
+    """
+    c = dense.c
+    h = np.diff(dense.x).reshape((-1,) + (1,) * (c.ndim - 2))
+    return _power_sum([np.maximum(ck, 0.0) for ck in c[:-1]] + [c[-1]], h)
+
+
+def _lane_leaving_lower_half_plane(dense: PiecewisePolynomial, q0: float, delta: float):
+    """The lane where P < 0 fails at one of TRAJECTORY_SAMPLES points of [q0, delta], or None.
+
+    A step whose bound from ``_step_bounds`` is negative holds no such point,
+    so only the points in the other steps, a NaN bound among them, are
+    evaluated, one lane at a time.  The lane named is the one a scan of all
+    points would name: the first block of TRAJECTORY_SAMPLES // lanes points
+    that fails, and its lowest failing lane.
+    """
+    unproven = ~(_step_bounds(dense) < 0.0)
+    if not unproven.any():
+        return None
+    q = np.linspace(q0, delta, TRAJECTORY_SAMPLES)
+    step = dense.piece(q)
+    block = max(1, TRAJECTORY_SAMPLES // unproven.shape[1])
+    failures = []
+    for lane in np.flatnonzero(unproven.any(axis=0)):
+        at = np.flatnonzero(unproven[step, lane])
+        p = PiecewisePolynomial(dense.c[:, :, lane], dense.x)(q[at])
+        bad = at[~(p < 0.0)]
+        if bad.size:
+            failures.append((bad[0] // block, lane))
+    return int(min(failures)[1]) if failures else None
 
 
 # Dormand & Prince's 5(4) pair (J. Comput. Appl. Math. 6, 1980) and Shampine's
@@ -323,7 +429,7 @@ class RK45Solution:
     success: bool
     message: str
     nfev: int
-    dense: PPoly | None = field(repr=False)
+    dense: PiecewisePolynomial | None = field(repr=False)
 
 
 def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> RK45Solution:
@@ -390,7 +496,7 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> RK45Solution:
         K = np.array(stages).reshape(len(stages), 7, lanes)
         Q = (_P.T @ K) / (np.diff(t_out)[:, None, None] ** np.arange(4)[:, None])
         coeffs = np.concatenate((np.moveaxis(Q, 1, 0)[::-1], y_out[:, :-1].T[None]))
-        dense = PPoly.construct_fast(coeffs, t_out)
+        dense = PiecewisePolynomial(coeffs, t_out)
         message = "The solver successfully reached the end of the integration interval."
     return RK45Solution(t_out, y_out, dense is not None, message, nfev, dense)
 
@@ -447,20 +553,109 @@ def _rk_step_float(fun, t, y, f, h, rtol, atol):
     return y_new, k7, abs(err / scale), (k1, k2, k3, k4, k5, k6, k7)
 
 
+# QUADPACK's 21-point Kronrod rule and its embedded 10-point Gauss rule
+# (Piessens et al., QUADPACK, 1983, routine dqk21): abscissae on [0, 1)
+# largest first, the Gauss points at the odd indices; the last Kronrod
+# weight is the centre's.
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077208745170633, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+_EPMACH = 2.0 ** -52  # QUADPACK's d1mach(4)
+_UFLOW = 2.0 ** -1022  # d1mach(1)
+
+
+def _kronrod21(f, a: float, b: float) -> tuple[float, float, float]:
+    """dqk21 on [a, b]: the integral, its error estimate and the integral of
+    |f - mean|, with f called on Python floats in dqk21's order."""
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    fc = float(f(centr))
+    resg = 0.0
+    resk = _WGK[10] * fc
+    resabs = abs(resk)
+    fv1, fv2 = [0.0] * 10, [0.0] * 10
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # the Gauss points first
+        absc = hlgth * _XGK[j]
+        fv1[j] = fval1 = float(f(centr - absc))
+        fv2[j] = fval2 = float(f(centr + absc))
+        fsum = fval1 + fval2
+        if j % 2:
+            resg = resg + _WG[j // 2] * fsum
+        resk = resk + _WGK[j] * fsum
+        resabs = resabs + _WGK[j] * (abs(fval1) + abs(fval2))
+    reskh = resk * 0.5
+    resasc = _WGK[10] * abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    resabs = resabs * abs(hlgth)
+    resasc = resasc * abs(hlgth)
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    if resabs > _UFLOW / (50.0 * _EPMACH):
+        abserr = max((_EPMACH * 50.0) * resabs, abserr)
+    return resk * hlgth, abserr, resasc
+
+
+def _quad(f, a: float, b: float, epsabs: float, epsrel: float) -> float:
+    """int_a^b f by adaptive 21-point Gauss-Kronrod quadrature.
+
+    The first pass is QUADPACK's: dqk21 on [min(a, b), max(a, b)], accepted
+    by dqags' first test, with the sign turned for b < a, so a smooth
+    integrand gets ``quad``'s bits.  Otherwise the panel with the largest
+    error estimate is halved until the summed estimate meets max(epsabs,
+    epsrel*|integral|); an integrand that needs more than QUAD_PANELS panels
+    raises NumericalError.
+    """
+    a, b = float(a), float(b)
+    if a == b:
+        return 0.0
+    sign, lo, hi = (-1.0 if b < a else 1.0), min(a, b), max(a, b)
+    result, error, resasc = _kronrod21(f, lo, hi)
+    if (error <= max(epsabs, epsrel * abs(result)) and error != resasc) or error == 0.0:
+        return sign * result
+    panels = [(-error, lo, hi, result)]
+    while len(panels) < QUAD_PANELS:
+        _, lo, hi, _ = heapq.heappop(panels)
+        mid = 0.5 * (lo + hi)
+        for left, right in ((lo, mid), (mid, hi)):
+            value, err, _ = _kronrod21(f, left, right)
+            heapq.heappush(panels, (-err, left, right, value))
+        result = sum(panel[3] for panel in panels)
+        if -sum(panel[0] for panel in panels) <= max(epsabs, epsrel * abs(result)):
+            return sign * result
+    raise NumericalError(
+        f"quadrature of {getattr(f, 'label', f)} on [{min(a, b):g}, {max(a, b):g}] did not "
+        f"converge in {QUAD_PANELS} panels"
+    )
+
+
 def closed_form_zero_speed(q: float, d: float, f: ReactionFunction) -> float:
     """Exact trajectory value at zero speed: P0(q) = -sqrt((2/d) * int_q^xi f).
 
     For q beyond the stable zero the integrand makes the radicand positive;
     a negative radicand beyond round-off signals a non-monostable reaction.
-    Quadrature is adaptive Gauss-Kronrod at relative tolerance 1e-12 so the
-    oracle error stays far below the integrator's.
+    Quadrature is adaptive Gauss-Kronrod (``_quad``) at relative tolerance
+    1e-12 so the oracle error stays far below the integrator's; one that does
+    not converge raises NumericalError.
     """
     xi = f.stable_zero
     if not 0 < d < np.inf:
         raise InputError(f"diffusivity must be positive and finite, got {d}")
     if not xi - 1e-12 <= q < np.inf:
         raise InputError(f"q must be finite and at least the stable zero {xi:g}, got {q}")
-    integral, _ = quad(f, q, xi, epsabs=1e-14, epsrel=1e-12, limit=200)
+    integral = _quad(f, q, xi, epsabs=1e-14, epsrel=1e-12)
     radicand = (2.0 / d) * integral
     if radicand < -1e-12:
         raise NumericalError(
@@ -481,6 +676,33 @@ def _log_grid(traj: PhaseTrajectory):
     return w[1] - w[0], q, p
 
 
+def _simpson(y: np.ndarray, h: float) -> float:
+    """Composite Simpson rule on an odd number of points h apart: scipy's
+    ``simpson(y, dx=h)``, in its order of operations."""
+    total = np.sum(y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2])
+    total *= h / 3.0
+    return total
+
+
+def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
+    """Running integral of y from its first point, points h apart: scipy's
+    ``cumulative_simpson(y, dx=h, initial=0.0)``, in its order of operations.
+
+    Each interval takes the parabola through three points: the interval and
+    the two after it on even intervals, the interval and the one before it
+    on odd intervals and on the last one.
+    """
+    def first_intervals(v):
+        return h / 3 * (5 * v[:-2] / 4 + 2 * v[1:-1] - v[2:] / 4)
+
+    forward, backward = first_intervals(y), first_intervals(y[::-1])[::-1]
+    pieces = np.empty(len(y) - 1)
+    pieces[:-1:2] = forward[::2]
+    pieces[1::2] = backward[::2]
+    pieces[-1] = backward[-1]
+    return np.concatenate(([0.0], np.cumsum(pieces)))
+
+
 def residual_slope(traj: PhaseTrajectory, f: ReactionFunction) -> float:
     """r'(c) = S(delta) - delta/d at the trajectory's speed, by quadrature: no integration.
 
@@ -493,8 +715,8 @@ def residual_slope(traj: PhaseTrajectory, f: ReactionFunction) -> float:
     h, q, p = _log_grid(traj)
     s = q - traj.xi
     g = s * np.asarray(f(q)) / (traj.d * p * p)  # a*(q - xi): int a in w
-    weight = np.exp(cumulative_simpson(g[::-1], dx=h, initial=0.0)[::-1])  # exp(int_q^delta a)
-    outer = simpson(weight * s, dx=h) + weight[0] * s[0] / (1.0 - g[0])
+    weight = np.exp(_cumulative_simpson(g[::-1], h)[::-1])  # exp(int_q^delta a)
+    outer = _simpson(weight * s, h) + weight[0] * s[0] / (1.0 - g[0])
     return float((outer - traj.delta) / traj.d)
 
 

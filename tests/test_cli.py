@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from retreatwave import cli, wavespeed
+from retreatwave import ReactionFunction, cli, wavespeed
 from retreatwave.cli import main
 from retreatwave.phaseplane import integrate_trajectory
 from retreatwave.serialize import read_csv
@@ -449,3 +453,28 @@ def test_malformed_input_file_exits_1(tmp_path, runner, name, text, message):
     assert res.exit_code == 1, res.output
     assert f"error: {tmp_path / name}" in res.output
     assert message in res.output
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    # a fresh interpreter, so modules other tests imported do not count
+    import retreatwave
+
+    src = str(Path(retreatwave.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, retreatwave, retreatwave.cli; print(*sorted(sys.modules))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    loaded = set(done.stdout.split())
+    heavy = {"scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.sparse", "scipy.special"}
+    assert not heavy & loaded
+
+
+def test_quadrature_that_cannot_converge_exits_numerical(tmp_path, runner, monkeypatch):
+    # the speed search's bracket needs int f, and an oscillation of size 1e-8
+    # and period 6e-6 keeps it from converging; the integrations do not notice
+    noisy = ReactionFunction(lambda u: u * (1.0 - u) + 1e-8 * np.sin(1e6 * u),
+                             lambda u: 1.0 - 2.0 * u, 1.0, "noisy")
+    monkeypatch.setattr(cli, "parse_reaction", lambda text: noisy)
+    res = runner.invoke(main, ["speed", "--delta", "2", "--out", str(tmp_path)])
+    assert res.exit_code == 2
+    assert "did not converge in 200 panels" in res.output

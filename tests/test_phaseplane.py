@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline
+from scipy.integrate import cumulative_simpson, quad, simpson, solve_ivp
+from scipy.interpolate import CubicHermiteSpline, PPoly
 
 from retreatwave import phaseplane
 from retreatwave import (
@@ -387,3 +387,204 @@ def test_lane_whose_integration_stalls_is_named():
     with pytest.raises(IntegrationError) as batch:
         integrate_trajectories([-3.0, -0.5, -2.0], 1.0, f, 2.0)
     assert str(batch.value) == str(alone.value) and "c=-0.5:" in str(batch.value)
+
+
+# -- phaseplane's numpy numerics against the scipy routines they replace --
+
+def _same_bits(ours, theirs) -> bool:
+    ours, theirs = np.asarray(ours), np.asarray(theirs)
+    return (ours.shape == theirs.shape and ours.dtype == theirs.dtype
+            and np.array_equal(ours.view(np.int64), theirs.view(np.int64)))
+
+
+@pytest.mark.parametrize("lanes", [1, 50])
+def test_piecewise_polynomial_is_ppoly_bit_for_bit(monkeypatch, lanes):
+    # the batch's (5, steps, lanes) coefficients and one lane's (5, steps),
+    # on interior points, every breakpoint, both ends, beyond both ends
+    # (extrapolated), a scalar and a 2-d array
+    f = parse_reaction("custom:3,-2,0.9,-0.6")
+    solves = _capture_solves(monkeypatch)
+    trajs = integrate_trajectories(np.linspace(bracket_low(0.8, f, 2.4), 0.0, lanes), 0.8, f, 2.4)
+    dense = solves[-1][-1].dense
+    x = dense.x
+    q = np.concatenate((np.linspace(x[0] - 0.3, x[-1] + 0.3, 2500), x))
+    for ours in (dense, trajs[-1].dense):
+        theirs = PPoly(ours.c, ours.x)
+        assert _same_bits(ours(q), theirs(q))
+        assert _same_bits(ours(q[:2500].reshape(50, 50)), theirs(q[:2500].reshape(50, 50)))
+        for point in (x[0], x[3], 2.4, x[0] - 1.0, 3.0):
+            assert _same_bits(ours(point), theirs(point))
+
+
+def test_hermite_interpolant_is_cubic_hermite_spline_bit_for_bit(logistic1):
+    traj = integrate_trajectory(-0.6, 1.0, logistic1, 2.0)
+    profile = reconstruct_profile(traj)
+    x, q = profile.x_grid, profile.q_values
+    slopes = traj.p_at(q)
+    ours = phaseplane._cubic_hermite(x, q, slopes)
+    theirs = CubicHermiteSpline(x, q, slopes, extrapolate=False)
+    assert _same_bits(ours.c, theirs.c)
+    # inside, at the breakpoints and NaN outside [0, x_end]
+    points = np.concatenate((np.linspace(-1.0, x[-1] + 1.0, 3001), x))
+    assert _same_bits(ours(points), theirs(points))
+    assert _same_bits(ours(x[7]), theirs(x[7]))
+    assert np.isnan(ours(-1e-300)) and np.isnan(ours(np.nextafter(x[-1], np.inf)))
+    assert math.isnan(profile.q_at(-0.5)) and profile.q_at(0.0) == 2.0
+
+
+@pytest.mark.parametrize("spec, d, delta", LANE_PROBLEMS)
+def test_simpson_rules_are_scipys_bit_for_bit(spec, d, delta):
+    f = parse_reaction(spec)
+    traj = integrate_trajectory(0.5 * bracket_low(d, f, delta), d, f, delta)
+    h, q, p = phaseplane._log_grid(traj)
+    g = (q - traj.xi) / -p
+    a = (q - traj.xi) * np.asarray(f(q)) / (d * p * p)
+    for y in (g, a[::-1]):
+        assert _same_bits(phaseplane._simpson(y, h), simpson(y, dx=h))
+        # an odd and an even number of points: the last interval's rule differs
+        for part in (y, y[:-1]):
+            assert _same_bits(phaseplane._cumulative_simpson(part, h),
+                              cumulative_simpson(part, dx=h, initial=0.0))
+
+
+def _family(n):
+    """(spec, stable zero) of f = r*u*(xi - u)*(1 + a*u**2), the property tests' family."""
+    rng = np.random.default_rng(7)
+    for r, xi, a in rng.uniform((0.5, 0.5, 0.0), (3.0, 2.0, 0.5), (n, 3)).tolist():
+        yield parse_reaction("custom:" + ",".join(repr(c) for c in (r * xi, -r, r * a * xi, -r * a)))
+
+
+def _count_kronrod(monkeypatch):
+    calls = []
+    rule = phaseplane._kronrod21
+
+    def counting(*args):
+        calls.append(args)
+        return rule(*args)
+
+    monkeypatch.setattr(phaseplane, "_kronrod21", counting)
+    return calls
+
+
+def test_quadrature_is_quads_on_single_panels(monkeypatch):
+    calls = _count_kronrod(monkeypatch)
+    reactions = [make_logistic(r) for r in (0.5, 1.0, 3.0)] + list(_family(12))
+    pairs = [make_perturbation_pair(f, 0.05) for f in reactions[:6]]
+    reactions += [member for pair in pairs for member in (pair.lower, pair.upper)]
+    for f in reactions:
+        xi = f.stable_zero
+        for q in (xi, xi * (1.0 + 1e-9), 1.05 * xi, 1.7 * xi, 2.0 * xi, 3.0 * xi):
+            calls.clear()
+            ours = phaseplane._quad(f, q, xi, epsabs=1e-14, epsrel=1e-12)
+            theirs, _ = quad(f, q, xi, epsabs=1e-14, epsrel=1e-12, limit=200)
+            assert len(calls) <= 1 and _same_bits(ours, theirs), (f.label, q)
+    assert closed_form_zero_speed(2.0, 1.0, reactions[1]) == -math.sqrt(
+        2.0 * -quad(reactions[1], 1.0, 2.0, epsabs=1e-14, epsrel=1e-12, limit=200)[0])
+
+
+def test_quadrature_bisects_far_ranges_to_quads_accuracy(monkeypatch):
+    # the exponential perturbation is not resolved by one panel on [xi, 150 xi]
+    calls = _count_kronrod(monkeypatch)
+    pair = make_perturbation_pair(make_logistic(1.0), 0.05)
+    panels = []
+    for f in (pair.lower, pair.upper, make_logistic(1.0)):
+        xi = f.stable_zero
+        calls.clear()
+        ours = phaseplane._quad(f, 150.0 * xi, xi, epsabs=1e-14, epsrel=1e-12)
+        theirs, _ = quad(f, 150.0 * xi, xi, epsabs=1e-14, epsrel=1e-12, limit=200)
+        assert abs(ours - theirs) <= 1e-12 * abs(theirs)
+        panels.append(len(calls))
+    assert panels[0] > 1 and panels[1] > 1 and panels[2] == 1
+
+
+def test_quadrature_first_pass_verdict_is_quads(monkeypatch):
+    # quad's first pass is one 21-point rule: accepted, it makes 21 calls.
+    # The step of 1e-12 is within tolerance, but its error estimate saturates
+    # at the integral of |f - mean|, which QUADPACK does not accept
+    calls = _count_kronrod(monkeypatch)
+    lower = make_perturbation_pair(make_logistic(1.0), 0.05).lower
+    cases = [(make_logistic(1.0), 2.0, 1.0), (lambda u: 3.0, 0.0, 2.0),
+             (lower, 150.0 * lower.stable_zero, lower.stable_zero),
+             (lambda u: 1.0 + 1e-12 * (u > 0.37), 0.0, 1.0)]
+    accepted = []
+    for f, a, b in cases:
+        calls.clear()
+        ours = phaseplane._quad(f, a, b, epsabs=1e-14, epsrel=1e-12)
+        theirs, _, info = quad(f, a, b, epsabs=1e-14, epsrel=1e-12, limit=200, full_output=1)
+        assert (len(calls) == 1) == (info["neval"] == 21)
+        assert abs(ours - theirs) <= 1e-12 * abs(theirs)
+        accepted.append(len(calls) == 1)
+    assert accepted == [True, True, False, False]
+
+
+def test_quadrature_that_cannot_converge_is_a_numerical_error():
+    # an oscillation of size 1e-8 and period 6e-6 needs far more than
+    # QUAD_PANELS panels; scipy's quad only warns here
+    noisy = ReactionFunction(lambda u: u * (1.0 - u) + 1e-8 * np.sin(1e6 * u),
+                             lambda u: 1.0 - 2.0 * u, 1.0, "noisy")
+    with pytest.raises(NumericalError, match=f"did not converge in {phaseplane.QUAD_PANELS} panels"):
+        closed_form_zero_speed(2.0, 1.0, noisy)
+
+
+# -- the P < 0 check on each step's quartic --
+
+@pytest.mark.parametrize("spec, d, delta", LANE_PROBLEMS)
+@pytest.mark.parametrize("lanes", [1, 50])
+def test_clean_trajectories_need_no_samples(monkeypatch, spec, d, delta, lanes):
+    f = parse_reaction(spec)
+    solves = _capture_solves(monkeypatch)
+    low = bracket_low(d, f, delta)
+    integrate_trajectories(np.linspace(low, 0.0, lanes) if lanes > 1 else [0.5 * low], d, f, delta)
+    assert np.all(phaseplane._step_bounds(solves[-1][-1].dense) < 0.0)
+
+
+def _poison_step(monkeypatch, pick, coefficients):
+    """Overwrite the last lane's quartic on the step ``pick(steps, sample spacing)``."""
+    solve = phaseplane.solve_ivp
+
+    def poisoning(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        spacing = (sol.t[-1] - sol.t[0]) / (phaseplane.TRAJECTORY_SAMPLES - 1)
+        step = pick(sol.t, spacing)
+        h = sol.t[step + 1] - sol.t[step]
+        sol.dense.c[:, step, -1] = coefficients(h, sol.dense.c[-1, step, -1])
+        return sol
+
+    monkeypatch.setattr(phaseplane, "solve_ivp", poisoning)
+
+
+def _bump(h, p0):
+    # p0 + A*(s*(h - s))**2: P(0) = P(h) = p0 < 0, and 2|p0| above zero at s = h/2
+    A = -48.0 * p0 / h**4
+    return [A, -2.0 * h * A, h * h * A, 0.0, p0]
+
+
+def _widest(t, spacing):
+    return int(np.argmax(np.diff(t)))
+
+
+def _sample_free(t, spacing):
+    # a step narrower than the samples' spacing that holds none of them
+    q = np.linspace(t[0], t[-1], phaseplane.TRAJECTORY_SAMPLES)
+    holding = np.unique(np.searchsorted(t[1:-1], q, "right"))
+    free = np.setdiff1d(np.arange(len(t) - 1), holding)
+    assert free.size
+    return int(free[-1])
+
+
+@pytest.mark.parametrize("lanes", [1, 3])
+@pytest.mark.parametrize("coefficients", [
+    _bump,
+    lambda h, p0: [np.nan, 0.0, 0.0, 0.0, p0],  # only the leading coefficient
+])
+def test_step_check_rejects_what_a_sample_reaches(monkeypatch, logistic1, lanes, coefficients):
+    _poison_step(monkeypatch, _widest, coefficients)
+    cs = np.linspace(-0.9, -0.1, lanes)
+    with pytest.raises(NumericalError, match=f"lower half plane at c={cs[-1]:g};"):
+        integrate_trajectories(cs, 1.0, logistic1, 2.0)
+
+
+def test_step_check_passes_a_bump_no_sample_reaches(monkeypatch, logistic1):
+    # the verdict is the scan's: a step between two samples is not sampled
+    _poison_step(monkeypatch, _sample_free, _bump)
+    integrate_trajectories([-0.9, -0.5], 1.0, logistic1, 2.0)
