@@ -249,7 +249,7 @@ def sweep(deltas, reaction, d, delta, tol, out_dir):
     table = density_sweep(d, f, values, tol)
     table.to_csv(out / "sweep.csv")
     for dv, msg in table.errors.items():
-        click.echo(f"delta={dv:g}: {msg}", err=True)
+        click.echo(f"delta={dv!r}: {msg}", err=True)
     table.assert_monotone()
     click.echo(f"sweep: {len(values)} rows -> {out / 'sweep.csv'}")
 
@@ -355,8 +355,6 @@ def sequences(c_upper0, c_lower0, m_start, n_max, reaction, d, delta, tol, out_d
         "lower_final_c": lower.c_list[-1],
         "upper_iterations": len(upper.c_list) - 1,
         "lower_iterations": len(lower.c_list) - 1,
-        "upper_converged_at": upper.converged_at,
-        "lower_converged_at": lower.converged_at,
     })
     click.echo(f"sequences: c* in [{lower.c_list[-1]!r}, {upper.c_list[-1]!r}]")
 

@@ -14,14 +14,7 @@ class NumericalError(RuntimeError):
 
 
 class IntegrationError(NumericalError):
-    """ODE integration stopped before reaching its target.
-
-    Carries ``last_good`` with the last abscissa the integrator reached.
-    """
-
-    def __init__(self, message: str, last_good: float | None = None):
-        super().__init__(message)
-        self.last_good = last_good
+    """ODE integration stopped before reaching its target."""
 
 
 class BracketError(NumericalError):

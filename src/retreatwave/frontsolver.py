@@ -33,7 +33,9 @@ its ghost-reflection row (-2r, 1 + 2r), and that row's right-hand side,
 makes it symmetric with every row exceeding its off-diagonal sum by at
 least 1/2: strictly diagonally dominant, hence positive definite, for
 every r.  It is factored once per step size as L D L^T (LAPACK ``dpttrf``)
-and every step solves with the cached factors (``dpttrs``).  No pivoting is
+and every step solves with the cached factors (``dpttrs``); the two routines
+are imported on the first step, since ``scipy.linalg`` takes most of the
+package's import time and only this module needs it.  No pivoting is
 needed: the pivots stay above 1/2, and |L| D |L^T| = |A| for a positive
 definite tridiagonal A, so the solve is backward stable whatever r is
 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 9).
@@ -46,7 +48,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import (
     BoundViolationError,
@@ -236,6 +237,14 @@ def _boundary_speed(U: np.ndarray, h: float, d: float, delta: float) -> float:
     return float(-(d / delta) * (-3.0 * U[0] + 4.0 * U[1] - U[2]) / (2.0 * h))
 
 
+@functools.cache
+def _lapack() -> tuple[Callable, Callable]:
+    """LAPACK's (dpttrf, dpttrs), imported once, on first use."""
+    from scipy.linalg.lapack import dpttrf, dpttrs
+
+    return dpttrf, dpttrs
+
+
 @functools.lru_cache(maxsize=8)
 def _cn_factors(N: int, r: float) -> np.ndarray:
     """Read-only L D L^T factors, rows (D, L), of the symmetrised Crank-Nicolson matrix.
@@ -246,7 +255,7 @@ def _cn_factors(N: int, r: float) -> np.ndarray:
     """
     diag = np.full(N, 1.0 + 2.0 * r)
     diag[-1] = 0.5 + r
-    D, L, info = dpttrf(diag, np.full(N - 1, -r))
+    D, L, info = _lapack()[0](diag, np.full(N - 1, -r))
     if info != 0:
         raise np.linalg.LinAlgError(f"Crank-Nicolson matrix not positive definite (N={N}, r={r})")
     factors = np.zeros((2, N))
@@ -262,7 +271,7 @@ def solve_banded(l_and_u: tuple[int, int], factors: np.ndarray, rhs: np.ndarray)
     positions of ``scipy.linalg.solve_banded``, which the benchmark's tracer
     (``perfbench/spans.py``) reads.
     """
-    x, _ = dpttrs(factors[0], factors[1, :-1], rhs)
+    x, _ = _lapack()[1](factors[0], factors[1, :-1], rhs)
     return x
 
 
@@ -354,6 +363,8 @@ def run(
     diagnostic preserved; the record always carries the final state as its
     last snapshot.
     """
+    if not 0 < d < math.inf:
+        raise InputError(f"diffusivity must be positive and finite, got {d}")
     grid = initial.grid
     h = grid.h
     U = initial.samples.copy()

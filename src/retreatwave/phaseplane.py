@@ -194,7 +194,6 @@ class SemiWaveProfile:
     x_grid: np.ndarray = field(repr=False)
     q_values: np.ndarray = field(repr=False)
     xi: float
-    delta: float
     tail_rate: float
     slopes: InitVar[np.ndarray]
 
@@ -317,13 +316,10 @@ def integrate_trajectories(
             return cd - float(f(q)) / (d * p)
 
     sol = solve_ivp(rhs, (q0, delta), p0s, rtol=opts.rtol, atol=opts.atol)
-    if not sol.success or sol.t[-1] < delta:
+    if not sol.success:
         # the lane closest to P = 0, where its right-hand side blows up
         c = cs[int(np.argmax(sol.y[:, -1]))]
-        raise IntegrationError(
-            f"phase-plane integration failed at c={c:g}: {sol.message}",
-            last_good=float(sol.t[-1]),
-        )
+        raise IntegrationError(f"phase-plane integration failed at c={c:g}: {sol.message}")
 
     dense = sol.dense
     left = _lane_leaving_lower_half_plane(dense, q0, delta)
@@ -362,28 +358,22 @@ def _step_bounds(dense: PiecewisePolynomial) -> np.ndarray:
 
 
 def _lane_leaving_lower_half_plane(dense: PiecewisePolynomial, q0: float, delta: float):
-    """The lane where P < 0 fails at one of TRAJECTORY_SAMPLES points of [q0, delta], or None.
+    """The lowest lane where P < 0 fails at one of TRAJECTORY_SAMPLES points of [q0, delta].
 
     A step whose bound from ``_step_bounds`` is negative holds no such point,
     so only the points in the other steps, a NaN bound among them, are
-    evaluated, one lane at a time.  The lane named is the one a scan of all
-    points would name: the first block of TRAJECTORY_SAMPLES // lanes points
-    that fails, and its lowest failing lane.
+    evaluated, one lane at a time.  None when every lane passes.
     """
     unproven = ~(_step_bounds(dense) < 0.0)
     if not unproven.any():
         return None
     q = np.linspace(q0, delta, TRAJECTORY_SAMPLES)
     step = dense.piece(q)
-    block = max(1, TRAJECTORY_SAMPLES // unproven.shape[1])
-    failures = []
     for lane in np.flatnonzero(unproven.any(axis=0)):
         at = np.flatnonzero(unproven[step, lane])
-        p = PiecewisePolynomial(dense.c[:, :, lane], dense.x)(q[at])
-        bad = at[~(p < 0.0)]
-        if bad.size:
-            failures.append((bad[0] // block, lane))
-    return int(min(failures)[1]) if failures else None
+        if not np.all(PiecewisePolynomial(dense.c[:, :, lane], dense.x)(q[at]) < 0.0):
+            return int(lane)
+    return None
 
 
 # Dormand & Prince's 5(4) pair (J. Comput. Appl. Math. 6, 1980) and Shampine's
@@ -744,7 +734,6 @@ def reconstruct_profile(traj: PhaseTrajectory) -> SemiWaveProfile:
         x_grid=x_grid,
         q_values=q_values,
         xi=traj.xi,
-        delta=traj.delta,
         tail_rate=traj.saddle_slope,
         slopes=p[::-2],
     )

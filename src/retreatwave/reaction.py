@@ -64,14 +64,12 @@ class PerturbationPair:
 
     lower: ReactionFunction
     upper: ReactionFunction
-    epsilon: float
 
 
 @dataclass(frozen=True)
 class MonostabilityReport:
     """Outcome of sampling-based monostability validation."""
 
-    label: str
     failures: tuple[str, ...]
 
     @property
@@ -223,7 +221,7 @@ def make_perturbation_pair(base: ReactionFunction, epsilon: float) -> Perturbati
     u = np.linspace(0.0, 2.0 * max(xi, upper.stable_zero), 1001)[1:]
     if not (np.all(lower(u) < base(u)) and np.all(base(u) < upper(u))):
         raise PerturbationError("perturbation pair is not strictly sandwiching")
-    return PerturbationPair(lower=lower, upper=upper, epsilon=float(epsilon))
+    return PerturbationPair(lower=lower, upper=upper)
 
 
 def _additive_member(base: ReactionFunction, eps: float, tag: str) -> ReactionFunction:
@@ -279,7 +277,7 @@ def validate_monostable(f: ReactionFunction) -> MonostabilityReport:
         worst = float(np.max(rel))
         failures.append(f"deriv disagrees with central difference (max rel err {worst:.2e})")
 
-    return MonostabilityReport(label=f.label, failures=tuple(failures))
+    return MonostabilityReport(failures=tuple(failures))
 
 
 def parse_reaction(text: str) -> ReactionFunction:

@@ -13,8 +13,6 @@ from .errors import InputError
 
 
 def format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return format(v, ".17g")
     return str(v)

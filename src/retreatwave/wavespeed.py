@@ -129,17 +129,18 @@ class PerturbedSpeeds:
     lower: SpeedResult
     upper: SpeedResult
     base_c_star: float
-    epsilon: float
 
 
 @dataclass(eq=False)
 class SequenceRun:
-    """One monotone bracketing sequence c_0, c_1, ... closing in on c*.
+    """One monotone bracketing sequence c_0, ..., c_{n_max} closing in on c*.
 
     The update law is c_{n+1} = (d/delta)*slope_list[n] + sign/(M+n) with
-    sign +1 for the upper direction and -1 for the lower one.  ``sup_gaps``
-    holds the sup-norm distance of each iterate's profile from the reference
-    profile on a shared grid.  No profile is kept: profile j is
+    sign +1 for the upper direction and -1 for the lower one, and M the
+    forcing offset after any escalation.  The lists hold all n_max + 1
+    iterates.  ``sup_gaps`` holds the sup-norm distance of each iterate's
+    profile from the reference profile on a shared grid.  No profile is
+    kept: profile j is
     ``reconstruct_profile(integrate_trajectory(c_list[j], d, f, delta))``,
     bit-identical to the one the sequence built.
     """
@@ -148,7 +149,6 @@ class SequenceRun:
     M: int
     c_list: list[float]
     slope_list: list[float]
-    converged_at: int | None
     sup_gaps: list[float]
 
     def to_csv(self, path) -> None:
@@ -298,9 +298,7 @@ def perturbed_wave_speeds(
             f"perturbed speeds do not straddle the base speed: "
             f"{lower.c_star!r} < {c_star_base!r} < {upper.c_star!r} fails"
         )
-    return PerturbedSpeeds(
-        lower=lower, upper=upper, base_c_star=float(c_star_base), epsilon=float(epsilon)
-    )
+    return PerturbedSpeeds(lower=lower, upper=upper, base_c_star=float(c_star_base))
 
 
 def _escalate_m(M: int, gap: float, direction: str) -> int:
@@ -337,9 +335,9 @@ def bracketing_sequences(
     (c*, 0], decreases strictly and stays above c*; the lower mirrors it from
     below.  Each iterate is one integration and one profile.  If the first
     step of either sequence would break its ordering, M is doubled for that
-    sequence before the step, up to M = 1e5.  Iteration stops
-    at n_max or once |c_{n+1} - c_n| < 1/(M+n)**2, since the forcing term
-    makes full convergence asymptotic.
+    sequence before the step, up to M = 1e5.  Each sequence runs exactly
+    n_max steps: the forcing term 1/(M+n) makes convergence asymptotic, so
+    no step size marks it.
     """
     if M <= 0 or n_max <= 0:
         raise InputError("M and n_max must be positive")
@@ -361,14 +359,14 @@ def bracketing_sequences(
         c_list: list[float] = []
         slope_list: list[float] = []
         sup_gaps: list[float] = []
-        M_dir, converged_at = M, None
+        M_dir = M
         for n in range(n_max + 1):
             traj = integrate_trajectory(c, d, f, delta)
             c_list.append(c)
             slope_list.append(float(traj.endpoint_slope))
             q = reconstruct_profile(traj).q_at(SUP_GRID)
             sup_gaps.append(float(np.max(np.abs(q - q_ref))))
-            if n in (converged_at, n_max):
+            if n == n_max:
                 break
             if n == 0:
                 # ordering gap for the first step: sign*(c0 - (d/delta)*slope0)
@@ -382,8 +380,6 @@ def bracketing_sequences(
                     f"{name} sequence broke ordering at n={n}: "
                     f"c_n={c_list[n]!r}, c_next={c!r}, c*={c_star!r}, M={M_dir}"
                 )
-            if abs(c - c_list[n]) < 1.0 / (M_dir + n) ** 2:
-                converged_at = n + 1
-        runs.append(SequenceRun(name, M_dir, c_list, slope_list, converged_at, sup_gaps))
+        runs.append(SequenceRun(name, M_dir, c_list, slope_list, sup_gaps))
     upper, lower = runs
     return upper, lower

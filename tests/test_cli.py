@@ -142,6 +142,16 @@ def test_sweep_monotone_column(tmp_path, runner):
     assert len(speeds) == 3
 
 
+def test_sweep_failed_row_is_nan_and_names_its_delta(tmp_path, runner):
+    res = runner.invoke(main, ["sweep", "--deltas", "1.0000001,2", "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert "delta=1.0000001: delta must exceed the stable zero 1 by at least 1e-06" in res.output
+    _, rows = read_csv(tmp_path / "sweep.csv")
+    assert rows[0][0] == 1.0000001 and rows[0][5] == 0
+    assert all(math.isnan(v) for v in rows[0][1:5])
+    assert rows[1][0] == 2.0 and not any(math.isnan(v) for v in rows[1])
+
+
 def test_sweep_range_spec(tmp_path, runner):
     out = tmp_path / "sweeprange"
     res = invoke(runner, ["sweep", "--deltas", "1.5:2.5:0.5", "--out", str(out)])
@@ -340,6 +350,11 @@ def test_sequences_subcommand(tmp_path, runner):
     assert res.exit_code == 0, res.output
     payload = json.loads((out / "sequences.json").read_text())
     assert payload["lower_final_c"] < payload["c_star"] < payload["upper_final_c"]
+    assert payload["upper_iterations"] == payload["lower_iterations"] == 5
+    assert sorted(payload) == [
+        "c_star", "lower_M", "lower_final_c", "lower_iterations",
+        "upper_M", "upper_final_c", "upper_iterations",
+    ]
     lines = (out / "sequences_upper.csv").read_text().splitlines()
     assert lines[0] == "n,c,slope_at_zero,sup_gap"
     assert len(lines) == 7  # header + c_0..c_5
@@ -455,18 +470,33 @@ def test_malformed_input_file_exits_1(tmp_path, runner, name, text, message):
     assert message in res.output
 
 
-def test_import_loads_no_heavy_scipy_subpackage():
+def _modules_loaded_by(code):
     # a fresh interpreter, so modules other tests imported do not count
     import retreatwave
 
     src = str(Path(retreatwave.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = "import sys, retreatwave, retreatwave.cli; print(*sorted(sys.modules))"
+    code += "; import sys; print(*sorted(sys.modules))"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
-    loaded = set(done.stdout.split())
-    heavy = {"scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.sparse", "scipy.special"}
+    return set(done.stdout.split())
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    loaded = _modules_loaded_by("import retreatwave, retreatwave.cli")
+    heavy = {"scipy.integrate", "scipy.interpolate", "scipy.linalg", "scipy.optimize",
+             "scipy.sparse", "scipy.special"}
     assert not heavy & loaded
+
+
+def test_speed_through_the_cli_loads_no_scipy_linalg(tmp_path):
+    # only the front solver's first step imports its LAPACK routines
+    loaded = _modules_loaded_by(
+        "from retreatwave.cli import main; "
+        f"main(['speed', '--delta', '2', '--out', {str(tmp_path)!r}], standalone_mode=False)"
+    )
+    assert (tmp_path / "speed.json").is_file()
+    assert "retreatwave.frontsolver" in loaded and "scipy.linalg" not in loaded
 
 
 def test_quadrature_that_cannot_converge_exits_numerical(tmp_path, runner, monkeypatch):

@@ -152,6 +152,13 @@ def test_run_zero_horizon_single_row(logistic1):
     assert rec.termination_reason == "completed"
 
 
+@pytest.mark.parametrize("d", [0.0, -1.0, np.inf, np.nan])
+def test_run_rejects_diffusivity_outside_positive_reals(logistic1, d):
+    init = InitialData.from_callable(Grid1D(20.0, 400), 2.0, exp_approach_u0(2.0))
+    with pytest.raises(InputError, match="diffusivity must be positive and finite"):
+        run(init, d, 2.0, logistic1, SolverConfig(T_end=1.0))
+
+
 def test_run_constant_data_burns_in_to_retreat(logistic1):
     grid = Grid1D(30.0, 600)
     init = InitialData.from_callable(grid, 2.0, constant_u0(2.0))
@@ -387,13 +394,13 @@ def test_run_with_cached_factors_matches_scipy_solves(monkeypatch, logistic1):
 
 def test_run_factors_once_per_step_size(monkeypatch, logistic1):
     calls = []
-    factor = frontsolver.dpttrf
+    factor, solve = frontsolver._lapack()
 
     def counting(*args, **kwargs):
         calls.append(args[0].size)
         return factor(*args, **kwargs)
 
-    monkeypatch.setattr(frontsolver, "dpttrf", counting)
+    monkeypatch.setattr(frontsolver, "_lapack", lambda: (counting, solve))
     frontsolver._cn_factors.cache_clear()
     # dt = 2**-5 divides T = 1 exactly: one step size
     _short_run(logistic1, 2.0**-5)

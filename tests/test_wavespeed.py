@@ -289,17 +289,18 @@ def test_sweep_continues_past_failures(logistic1):
 
 
 def test_perturbed_speeds_straddle_and_shrink(logistic1, speed_ref):
-    gaps_lo, gaps_hi = [], []
-    for eps in (0.1, 0.05, 0.025):
-        ps = perturbed_wave_speeds(
-            1.0, logistic1, 2.0, eps, c_star_base=speed_ref.c_star
-        )
-        assert ps.lower.c_star < speed_ref.c_star < ps.upper.c_star
-        assert ps.lower.residual <= 1e-10 and ps.upper.residual <= 1e-10
-        gaps_lo.append(speed_ref.c_star - ps.lower.c_star)
-        gaps_hi.append(ps.upper.c_star - speed_ref.c_star)
-    assert gaps_lo[0] > gaps_lo[1] > gaps_lo[2] > 0
-    assert gaps_hi[0] > gaps_hi[1] > gaps_hi[2] > 0
+    # with no c_star_base given, the base speed is searched for
+    for base in (speed_ref.c_star, None):
+        gaps_lo, gaps_hi = [], []
+        for eps in (0.1, 0.05, 0.025):
+            ps = perturbed_wave_speeds(1.0, logistic1, 2.0, eps, c_star_base=base)
+            assert ps.base_c_star == speed_ref.c_star
+            assert ps.lower.c_star < speed_ref.c_star < ps.upper.c_star
+            assert ps.lower.residual <= 1e-10 and ps.upper.residual <= 1e-10
+            gaps_lo.append(speed_ref.c_star - ps.lower.c_star)
+            gaps_hi.append(ps.upper.c_star - speed_ref.c_star)
+        assert gaps_lo[0] > gaps_lo[1] > gaps_lo[2] > 0
+        assert gaps_hi[0] > gaps_hi[1] > gaps_hi[2] > 0
 
 
 def test_perturbed_speeds_monotone_in_epsilon(logistic1, speed_ref):
@@ -383,6 +384,20 @@ def test_sequences_escalate_m_near_the_root(logistic1, speed_ref):
     assert upper.M > 10
     cl = np.asarray(upper.c_list)
     assert np.all(np.diff(cl) < 0) and np.all(cl > speed_ref.c_star)
+
+
+@pytest.mark.parametrize("start", [{"M": 1}, {"c_upper_0": -0.7471, "M": 10}])
+def test_sequences_run_n_max_steps_even_after_a_short_first_step(logistic1, speed_ref, start):
+    # first steps shorter than 1/M**2: 0.15 and 0.14 at M = 1, escalated to 2,
+    # and 3.3e-4 from c_upper_0 = -0.7471; neither is convergence
+    upper, lower = bracketing_sequences(
+        1.0, logistic1, 2.0, n_max=20, reference=speed_ref, **start
+    )
+    assert len(upper.c_list) == len(lower.c_list) == 21
+    assert upper.M == lower.M == max(start["M"], 2)
+    cu, cl = np.asarray(upper.c_list), np.asarray(lower.c_list)
+    assert np.all(np.diff(cu) < 0.0) and np.all(np.diff(cl) > 0.0)
+    assert cl[-1] < speed_ref.c_star < cu[-1]
 
 
 def test_sequences_reject_bad_starts(logistic1, speed_ref):
