@@ -43,7 +43,7 @@ from .verify import (
     speed_trend,
     truncation_correction,
 )
-from .wavespeed import bracketing_sequences, density_sweep, find_wave_speed
+from .wavespeed import DEFAULT_TOL, bracketing_sequences, density_sweep, find_wave_speed
 
 # click uses exit code 2 for usage errors; fold those into validation errors.
 click.UsageError.exit_code = 1
@@ -92,7 +92,7 @@ def _shared_options(fn):
                       help="Key-value config file; flags override it.")(fn)
     fn = click.option("--out", "out_dir", type=click.Path(file_okay=False), default=".",
                       help="Output directory.")(fn)
-    fn = click.option("--tol", type=float, default=1e-10, help="Root tolerance.")(fn)
+    fn = click.option("--tol", type=float, default=DEFAULT_TOL, help="Root tolerance.")(fn)
     fn = click.option("--delta", type=float, default=2.0, help="Boundary density.")(fn)
     fn = click.option("--d", "d", type=float, default=1.0, help="Diffusivity.")(fn)
     fn = click.option("--f", "reaction", type=str, default="logistic",
@@ -266,8 +266,8 @@ def sweep(deltas, reaction, d, delta, tol, out_dir):
 @click.option("--L", "L_y", type=float, default=None,
               help="Domain length [100*max(1, sqrt(d))].")
 @click.option("--dt", type=float, default=None,
-              help="Time step [min(h^2/d, 0.5*h/max(|g'(0)|, 10), 0.5/max|f'|), "
-                   "max|f'| on [0, sup u0 + 1]].")
+              help="Time step [min(h^2/d, 0.5*h/(2*S), 0.5/max|f'|), "
+                   "S = max(|g'(0)|, |bracket_low|), max|f'| on [0, 1.5*sup u0]].")
 @click.option("--g0", type=float, default=0.0, help="Initial front position.")
 @click.option("--output-every", type=float, default=0.5, help="Row cadence.")
 @click.option("--snapshot-times", type=str, default=None,

@@ -18,13 +18,14 @@ front speed is extracted from the second-order one-sided boundary
 derivative, and g(t) accumulates by the trapezoid rule.
 
 The scheme's steady state does not depend on dt, so the default step is
-bounded by the scheme, not by accuracy in time: dt = min(h^2/d,
-0.5*h/max(|g'(0)|, DEFAULT_SPEED_CAP), 0.5/max|f'|).  The first bound keeps
-r = dt*d/(2h^2) <= 1/2, where the explicit half of Crank-Nicolson has
-nonnegative weights (1 - 2r, r, r); the second is the advection CFL bound
-at the speed cap that every step enforces, which holds for every |g'| a
-step can start from; the third keeps the explicit reaction step
-dt*|f'| <= 1/2, with max|f'| sampled on the a priori range [0, sup(u0) + 1].
+bounded by the scheme alone: dt = min(h^2/d, 0.5*h/(K*S), 0.5/max|f'|).
+r = dt*d/(2h^2) <= 1/2 keeps the weights (1 - 2r, r, r) of Crank-Nicolson's
+explicit half nonnegative; the advection bound holds while |g'| <= K*S, with
+S = max(|g'(0)|, |bracket_low|) the scale of the retreat speed; dt*|f'| <= 1/2
+bounds the explicit reaction step, with max|f'| sampled on [0, c1].  The maximum
+principle gives U <= sup(u0), and each step checks 0 < U <= c1 = (3/2)*sup(u0).
+Every bound is in the problem's units, so a run is bit-identical to its image
+under power-of-2 scalings of u, x and t.
 
 With g' frozen, the explicit half of a step is U + dt*f(U) plus one 3-tap
 stencil on the differences of U, which adds exact zeros where U is flat.
@@ -57,6 +58,7 @@ from .errors import (
 from .phaseplane import SemiWaveProfile
 from .reaction import ReactionFunction
 from .serialize import read_csv, write_csv
+from .wavespeed import bracket_low
 
 __all__ = [
     "Grid1D",
@@ -76,11 +78,10 @@ __all__ = [
 
 ROW_FIELDS = ("t", "g", "g_prime", "sup_profile_error", "min_U", "max_U")
 
-DEFAULT_SPEED_CAP = 10.0
-REACTION_SAMPLES = 1001  # points of [0, sup(u0) + 1] where the default dt bounds |f'|
-# Floor on |g'| in the advection CFL bound so a resting front never divides by zero.
-EPS_SPEED = 1e-6
-BOUND_SLACK = 1e-8
+REACTION_SAMPLES = 1001  # points of [0, c1] where the default dt bounds |f'|
+# K: the default dt keeps the advection guard quiet for |g'| <= K*S; measured
+# transients stay below 1.65*S (kinked tables), the presets below S.
+SPEED_HEADROOM = 2.0
 
 
 @dataclass(frozen=True)
@@ -162,17 +163,15 @@ class InitialData:
 class SolverConfig:
     """Numerical controls for a run.
 
-    ``dt=None`` selects the default min(h**2/d, 0.5*h/max(|g'(0)|,
-    DEFAULT_SPEED_CAP), 0.5/max|f'|).  The first bound, r = dt*d/(2h^2) <= 1/2,
-    keeps the weights (1 - 2r, r, r) of Crank-Nicolson's explicit half
-    nonnegative.  The second takes the speed cap that every step's bound
-    check enforces, so ``step``'s advection guard cannot fire at the default
-    dt.  The third keeps the explicit reaction step dt*|f'| <= 1/2, with
-    max|f'| over the a priori range [0, sup(u0) + 1], sampled at
-    REACTION_SAMPLES points.
+    ``dt=None`` selects the default min(h**2/d, 0.5*h/(K*S), 0.5/max|f'|),
+    with S = max(|g'(0)|, |bracket_low(d, f, delta)|) and K = SPEED_HEADROOM.
+    The first bound, r = dt*d/(2h^2) <= 1/2, keeps the weights (1 - 2r, r, r)
+    of Crank-Nicolson's explicit half nonnegative.  The second keeps
+    ``step``'s advection guard quiet while |g'| <= K*S.  The third keeps the
+    explicit reaction step dt*|f'| <= 1/2, with max|f'| over [0, c1] sampled
+    at REACTION_SAMPLES points.
     ``output_every`` is a time interval; rows are recorded every
-    round(output_every/dt) steps.  The ceiling on U is sup(u0) + 1 and |g'|
-    is capped at DEFAULT_SPEED_CAP.
+    round(output_every/dt) steps.  The ceiling on U is c1 = (3/2)*sup(u0).
     """
 
     T_end: float
@@ -286,17 +285,18 @@ def step(
 ) -> FrontFixedState:
     """Advance one IMEX time step with the front speed frozen, then re-assert the bounds.
 
-    ``c1`` is the a priori ceiling on U (none by default); |g'| is capped at
-    DEFAULT_SPEED_CAP.
+    The one check on g' is the advection guard dt*|g'| <= h/2 before the
+    step; a runaway g' trips it on the next step.  ``c1`` is the a priori
+    ceiling on U (none by default).
     """
     if not dt > 0:
         raise InputError(f"dt must be positive, got {dt}")
     h = state.grid.h
     gp = state.g_prime
-    if dt > 0.5 * h / max(abs(gp), EPS_SPEED):
+    if dt * abs(gp) > 0.5 * h:
         raise InstabilityError(
-            f"dt={dt:g} violates the advection constraint 0.5*h/|g'| "
-            f"= {0.5 * h / max(abs(gp), EPS_SPEED):g} at t={state.t:g}"
+            f"dt={dt:g} violates the advection constraint dt*|g'| <= h/2 "
+            f"with g'={gp:g} at t={state.t:g}"
         )
     U = state.U
     N = state.grid.N
@@ -332,15 +332,10 @@ def step(
     min_u = U_new.min()
     max_u = U_new.max()
     # a negated conjunction of the bounds, so that a NaN fails the check
-    if not (
-        min_u > 0.0
-        and max_u <= c1 + BOUND_SLACK
-        and abs(gp_new) <= DEFAULT_SPEED_CAP
-    ):
+    if not (min_u > 0.0 and max_u <= c1):
         diag = (
             f"t={t_new:.10g} g'={gp_new:.10g} min_U={min_u:.10g} max_U={max_u:.10g} "
-            f"(bounds: U in (0, {c1}], "
-            f"|g'| <= {DEFAULT_SPEED_CAP:g})"
+            f"(bounds: U in (0, {c1}])"
         )
         raise BoundViolationError("a priori bound violated: " + diag, diagnostic=diag)
 
@@ -365,15 +360,18 @@ def run(
     """
     if not 0 < d < math.inf:
         raise InputError(f"diffusivity must be positive and finite, got {d}")
+    if not f.stable_zero < delta < math.inf:
+        raise InputError(f"delta must exceed {f.stable_zero:g} and be finite, got {delta}")
     grid = initial.grid
     h = grid.h
     U = initial.samples.copy()
     gp = _boundary_speed(U, h, d, delta)
-    c1 = initial.sup_norm + 1.0
+    c1 = 1.5 * initial.sup_norm
     dt = config.dt
     if dt is None:
+        speed = max(abs(gp), abs(bracket_low(d, f, delta)))
         f_slope = float(np.max(np.abs(f.deriv(np.linspace(0.0, c1, REACTION_SAMPLES)))))
-        dt = min(h * h / d, 0.5 * h / max(abs(gp), DEFAULT_SPEED_CAP), 0.5 / f_slope)
+        dt = min(h * h / d, 0.5 * h / (SPEED_HEADROOM * speed), 0.5 / f_slope)
 
     q_ref = reference.q_at(grid.nodes) if reference is not None else None
     far_value = f.stable_zero

@@ -48,6 +48,7 @@ __all__ = [
 MIN_DELTA_GAP = 1e-6
 SUP_GRID = np.linspace(0.0, 50.0, 1001)
 MAX_SEARCH_STEPS = 30  # Newton or bisection steps of one speed search
+DEFAULT_TOL = 1e-10  # |r(c*)| a speed search stops at
 
 
 @dataclass(eq=False)
@@ -191,7 +192,7 @@ def find_wave_speed(
     d: float,
     f: ReactionFunction,
     delta: float,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
     opts: IntegrationOptions | None = None,
 ) -> SpeedResult:
     """Find the unique c* in (bracket_low, 0) with zero slope residual.
@@ -256,7 +257,7 @@ def density_sweep(
     d: float,
     f: ReactionFunction,
     deltas,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> SweepTable:
     """Run find_wave_speed over a strictly increasing list of deltas.
 
@@ -282,7 +283,7 @@ def perturbed_wave_speeds(
     f: ReactionFunction,
     delta: float,
     epsilon: float,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
     c_star_base: float | None = None,
 ) -> PerturbedSpeeds:
     """Wave speeds of the sandwiching pair; they must straddle the base c*."""

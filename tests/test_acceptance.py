@@ -244,7 +244,7 @@ def test_criterion_9_a_priori_bounds_and_signs(headline_run):
     _report(
         9,
         bounds_ok and signs_ok and band_ok,
-        f"0 < U <= sup(u0)+1 = {c1:g} on all rows; g' > 0 and interior max U < delta "
+        f"0 < U <= c1 = 1.5*sup(u0) = {c1:g} on all rows; g' > 0 and interior max U < delta "
         f"for t >= {burn_in:g}; far-field band [0.95, 1.05] beyond X0={x0_band:g} "
         f"for t >= {t0_band:g}",
     )

@@ -119,6 +119,27 @@ def test_non_finite_numbers_exit_1(tmp_path, runner, args, message):
     assert message in res.output
 
 
+@pytest.mark.parametrize(
+    "args, table, message",
+    [
+        (["simulate", "--T", "0.01", "--snapshot-times", "0.1,soon"], None,
+         "bad --snapshot-times list '0.1,soon'"),
+        (["simulate", "--T", "0.01", "--u0", "custom_table"], None,
+         "custom_table preset needs --table"),
+        (["simulate", "--T", "0.01", "--u0", "custom_table"], "x,u\n0,2\n20,1\n",
+         "table header must be y,u, got ['x', 'u']"),
+        (["sequences", "--m", "0"], None, "M and n_max must be positive"),
+    ],
+)
+def test_validation_errors_exit_1(tmp_path, runner, args, table, message):
+    if table is not None:
+        (tmp_path / "u0.csv").write_text(table)
+        args = args + ["--table", str(tmp_path / "u0.csv")]
+    res = runner.invoke(main, args + ["--out", str(tmp_path)])
+    assert res.exit_code == 1, res.output
+    assert message in res.output
+
+
 def test_speed_json_and_determinism(tmp_path, runner):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
@@ -222,6 +243,13 @@ def test_simulate_unstable_dt_exits_numerical(tmp_path, runner):
                                "--N", "200", "--L", "20", "--dt", "1.0",
                                "--out", str(tmp_path)])
     assert res.exit_code == 2
+
+
+def test_simulate_runs_a_front_faster_than_ten(tmp_path, runner):
+    # c(20) = -13.876: no absolute cap on |g'| may stop the run
+    res = runner.invoke(main, ["simulate", "--delta", "20", "--N", "4000", "--L", "20",
+                               "--dt", "1.5e-4", "--T", "0.5", "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
 
 
 def test_speed_failed_bracket_check_exits_numerical(tmp_path, runner, monkeypatch):

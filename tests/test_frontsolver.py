@@ -17,14 +17,13 @@ from retreatwave import (
     constant_u0,
     exp_approach_u0,
     front_speed_from_state,
-    make_polynomial,
+    parse_reaction,
     profile_u0,
     run,
     step,
     table_u0,
 )
-from retreatwave import frontsolver
-from retreatwave.frontsolver import DEFAULT_SPEED_CAP
+from retreatwave import bracket_low, frontsolver
 
 
 def zero_reaction():
@@ -108,19 +107,6 @@ def test_step_reports_bound_violation(logistic1):
     assert "max_U" in err.value.diagnostic
 
 
-def test_step_caps_front_speed(logistic1):
-    # a unit jump next to the boundary drives g' to about 66 in one step;
-    # U stays in (0, 2] and no ceiling c1 is set, so only the cap can fire
-    grid = Grid1D(2.0, 200)
-    U = np.ones(grid.N + 1)
-    U[0] = 2.0
-    with pytest.raises(BoundViolationError) as err:
-        step(make_state(grid, U), 1.0, 2.0, logistic1, 1e-5)
-    gp = float(re.search(r"g'=(\S+)", err.value.diagnostic).group(1))
-    assert abs(gp) > DEFAULT_SPEED_CAP
-    assert "U in (0, inf]" in err.value.diagnostic
-
-
 def test_initial_data_validation(logistic1):
     grid = Grid1D(20.0, 400)
     with pytest.raises(InputError):
@@ -186,8 +172,8 @@ def test_run_a_priori_bounds_hold(logistic1):
     init = InitialData.from_callable(grid, 2.0, exp_approach_u0(2.0))
     rec = run(init, 1.0, 2.0, logistic1, SolverConfig(T_end=5.0, output_every=0.25))
     assert np.all(rec.column("min_U") > 0.0)
-    assert np.all(rec.column("max_U") <= init.sup_norm + 1.0)
-    assert np.all(np.abs(rec.column("g_prime")) <= DEFAULT_SPEED_CAP)
+    assert np.all(rec.column("max_U") <= init.sup_norm)  # the maximum principle
+    assert np.all(np.abs(rec.column("g_prime")) <= 0.5 * grid.h / rec.config["dt"])
     assert rec.termination_reason == "completed"
 
 
@@ -251,15 +237,26 @@ def test_step_rejects_nan_node(logistic1):
 
 
 def test_run_aborts_on_bound_violation():
-    # stable zero 10 above delta = 2: U grows past the ceiling sup(u0) + 1 = 3
-    f = make_polynomial((10.0, -1.0))
+    # f = 10(u - 1)(u - 1.8) has its stable zero at 1 and a negative integral
+    # over [1, 2], so bracket_low holds, but f > 0 above 1.8 drives U from
+    # constant data past the ceiling c1 = (3/2)*sup(u0) = 3
+    f = ReactionFunction(lambda u: 10.0 * (u - 1.0) * (u - 1.8),
+                         lambda u: 10.0 * (2.0 * u - 2.8), 1.0, "positive-above-1.8")
     grid = Grid1D(20.0, 400)
-    init = InitialData.from_callable(grid, 2.0, exp_approach_u0(2.0))
+    init = InitialData.from_callable(grid, 2.0, constant_u0(2.0))
     rec = run(init, 1.0, 2.0, f, SolverConfig(T_end=1.0, output_every=0.1))
     assert rec.termination_reason == "bound_violation"
     max_u = float(re.search(r"max_U=(\S+)", rec.diagnostic).group(1))
     assert max_u > rec.config["C1"] == 3.0
-    assert rec.final_state.t < 0.1  # measured: aborts at t = 0.0825
+    assert rec.final_state.t < 0.2  # measured: aborts at t = 0.1425
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.5, np.inf, np.nan])
+def test_run_rejects_delta_outside_retreating_regime(logistic1, delta):
+    # bracket_low, the speed scale of the default dt, needs delta > xi
+    init = InitialData.from_callable(Grid1D(20.0, 400), 2.0, exp_approach_u0(2.0))
+    with pytest.raises(InputError, match="delta must exceed 1 and be finite"):
+        run(init, 1.0, delta, logistic1, SolverConfig(T_end=1.0, dt=0.01))
 
 
 @pytest.mark.parametrize("L_y", [500.0, 1000.0, 4000.0, 8000.0])
@@ -273,8 +270,9 @@ def test_front_at_rest_on_coarse_grid_completes(logistic1, L_y):
     init = InitialData.from_callable(grid, 2.0, constant_u0(2.0))
     rec = run(init, 1.0, 2.0, logistic1, SolverConfig(T_end=20.0, output_every=1.0))
     assert rec.termination_reason == "completed", rec.diagnostic
-    # dt*max|f'| <= 1/2 binds: |f'| = |1 - 2u| peaks at 5 on [0, sup(u0) + 1] = [0, 3]
-    assert 0.5 / 5.0 == rec.config["dt"] < 0.5 * grid.h / DEFAULT_SPEED_CAP
+    # dt*max|f'| <= 1/2 binds: |f'| = |1 - 2u| peaks at 5 on [0, c1] = [0, 3]
+    speed_scale = abs(bracket_low(1.0, logistic1, 2.0))  # g'(0) = 0
+    assert 0.5 / 5.0 == rec.config["dt"] < 0.5 * grid.h / (2.0 * speed_scale)
     assert rec.final_state.t == pytest.approx(20.0)
     assert np.all(rec.column("min_U") > 0.0)
 
@@ -291,6 +289,34 @@ def test_settled_state_does_not_depend_on_dt(logistic1):
     assert coarse.termination_reason == fine.termination_reason == "completed"
     assert abs(a.g_prime - b.g_prime) / abs(b.g_prime) <= 1e-10  # measured: 9.1e-14
     assert float(np.max(np.abs(a.U - b.U))) <= 1e-10  # measured: 9.9e-14
+
+
+@pytest.mark.parametrize("dt", [0.01, None])
+@pytest.mark.parametrize(
+    "alpha, beta, gamma, spec",
+    [(2.0, 2.0, 4.0, "custom:0.25,-0.125"), (4.0, 0.5, 2.0, "custom:0.5,-0.125"),
+     (0.5, 1.0, 1.0, "custom:1,-2")],
+)
+def test_run_is_covariant_under_scaling(logistic1, alpha, beta, gamma, spec, dt):
+    # u = alpha*v, x = beta*y, t = gamma*s maps (d, f, delta, g) to
+    # (d*beta^2/gamma, (alpha/gamma)*f(./alpha), alpha*delta, beta*g); with
+    # power-of-2 factors every product is exact, so a run whose bounds all
+    # carry the problem's units maps bit for bit onto its image
+    def solve(d, f, delta, L_y, u0, scale):
+        grid = Grid1D(L_y, 400)
+        init = InitialData.from_callable(grid, delta, u0)
+        config = SolverConfig(T_end=5.0 * scale, dt=None if dt is None else dt * scale,
+                              output_every=scale)
+        rec = run(init, d, delta, f, config)
+        assert rec.termination_reason == "completed", rec.diagnostic
+        return rec.final_state
+
+    base = solve(1.0, logistic1, 2.0, 40.0, exp_approach_u0(2.0), 1.0)
+    image = solve(beta**2 / gamma, parse_reaction(spec), alpha * 2.0, 40.0 * beta,
+                  lambda y: alpha * exp_approach_u0(2.0)(np.asarray(y) / beta), gamma)
+    assert np.array_equal(image.U, alpha * base.U)
+    assert image.g == beta * base.g
+    assert image.g_prime == beta / gamma * base.g_prime
 
 
 def test_record_csv_roundtrip(tmp_path, logistic1):
