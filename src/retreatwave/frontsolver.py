@@ -10,24 +10,25 @@ on the half line.  The domain is truncated at y = L_y with a homogeneous
 Neumann condition (the solution approaches the reaction's stable zero far
 from the front).  Time stepping is IMEX: the front speed is frozen over the
 step, diffusion is advanced with Crank-Nicolson weighting, and advection and
-reaction are explicit.  The advection term uses second-order one-sided
-upwinding switched by the sign of g'; first-order upwinding biases the
-effective diffusivity by g'*h/2, which at desk-scale resolutions shifts the
-traveling speed several times more than the speed checks tolerate.  The
-front speed is extracted from the second-order one-sided boundary
-derivative, and g(t) accumulates by the trapezoid rule.
+reaction are explicit.  Advection uses central differences: their error
+h^2/6*U''' is half the one-sided upwind stencil's, with the same von Neumann
+stability region, dt*g'^2 <= 2d.  The front speed is extracted from the
+second-order one-sided boundary derivative, and g(t) accumulates by the
+trapezoid rule.
 
 The scheme's steady state does not depend on dt, so the default step is
 bounded by the scheme alone: dt = min(h^2/d, 0.5*h/(K*S), 0.5/max|f'|).
-r = dt*d/(2h^2) <= 1/2 keeps the weights (1 - 2r, r, r) of Crank-Nicolson's
-explicit half nonnegative; the advection bound holds while |g'| <= K*S, with
-S = max(|g'(0)|, |bracket_low|) the scale of the retreat speed; dt*|f'| <= 1/2
-bounds the explicit reaction step, with max|f'| sampled on [0, c1].  The maximum
-principle gives U <= sup(u0), and each step checks 0 < U <= c1 = (3/2)*sup(u0).
-Every bound is in the problem's units, so a run is bit-identical to its image
-under power-of-2 scalings of u, x and t.
+r = dt*d/(2h^2) <= 1/2 keeps the weights (1 - 2r, r + a, r - a) of the
+explicit half, a = dt*g'/(2h), nonnegative while also h*|g'| <= d; they sum
+to 1 and the implicit half is an M-matrix, so the linear part of a step then
+keeps U within [min(U, delta), max(U, delta)].  The advection bound holds
+while |g'| <= K*S, with S = max(|g'(0)|, |bracket_low|) the scale of the
+retreat speed; dt*|f'| <= 1/2 bounds the explicit reaction step, with max|f'|
+sampled on [0, c1].  The maximum principle gives U <= sup(u0), and each step
+checks 0 < U <= c1 = (3/2)*sup(u0).  Every bound is in the problem's units, so
+a run is bit-identical to its image under power-of-2 scalings of u, x and t.
 
-With g' frozen, the explicit half of a step is U + dt*f(U) plus one 3-tap
+With g' frozen, the explicit half of a step is U + dt*f(U) plus one 2-tap
 stencil on the differences of U, which adds exact zeros where U is flat.
 The Crank-Nicolson matrix depends only on N and r = dt*d/(2h^2).  Halving
 its ghost-reflection row (-2r, 1 + 2r), and that row's right-hand side,
@@ -165,8 +166,9 @@ class SolverConfig:
 
     ``dt=None`` selects the default min(h**2/d, 0.5*h/(K*S), 0.5/max|f'|),
     with S = max(|g'(0)|, |bracket_low(d, f, delta)|) and K = SPEED_HEADROOM.
-    The first bound, r = dt*d/(2h^2) <= 1/2, keeps the weights (1 - 2r, r, r)
-    of Crank-Nicolson's explicit half nonnegative.  The second keeps
+    The first bound, r = dt*d/(2h^2) <= 1/2, keeps the weights
+    (1 - 2r, r + a, r - a) of the explicit half nonnegative, a = dt*g'/(2h),
+    while h*|g'| <= d.  The second, applied only when it is the smaller, keeps
     ``step``'s advection guard quiet while |g'| <= K*S.  The third keeps the
     explicit reaction step dt*|f'| <= 1/2, with max|f'| over [0, c1] sampled
     at REACTION_SAMPLES points.
@@ -302,21 +304,15 @@ def step(
     N = state.grid.N
     r = 0.5 * dt * d / (h * h)
     a = 0.5 * dt * gp / h
-    # U + dt*f(U) plus diffusion and advection as one 3-tap stencil on dU, so
-    # a flat U adds exact zeros and rounding cannot bias the steady state by
-    # O(eps/dt); the upwinding, switched by the sign of g', falls back to
-    # first order next to the far end (g' >= 0) or the front (g' < 0)
+    # U + dt*f(U) plus diffusion and central advection as one 2-tap stencil
+    # on dU, r*(dU[j+1] - dU[j]) + a*(dU[j+1] + dU[j]), for every sign of g':
+    # a flat U adds exact zeros, so rounding cannot bias the steady state by
+    # O(eps/dt)
     rhs = U[1:] + dt * np.asarray(f(U[1:]), dtype=float)
     dU = U[1:] - U[:-1]
-    if gp >= 0.0:
-        rhs[: N - 2] += np.correlate(dU, (-r, r + 3.0 * a, -a), "valid")
-        d0, d1 = dU[N - 2 :].tolist()
-        rhs[N - 2] += r * (d1 - d0) + 2.0 * a * d1
-    else:
-        rhs[1 : N - 1] += np.correlate(dU, (-a, 3.0 * a - r, r), "valid")
-        d0, d1 = dU[:2].tolist()
-        rhs[0] += r * (d1 - d0) + 2.0 * a * d0
-    rhs[N - 1] -= 2.0 * r * dU[N - 1]  # ghost reflection at the far end
+    rhs[: N - 1] += np.correlate(dU, (a - r, r + a), "valid")
+    # ghost reflection at the far end, where the central advection vanishes
+    rhs[N - 1] -= 2.0 * r * dU[N - 1]
     rhs[0] += r * delta
     if source is not None:
         rhs += dt * np.asarray(source(state.t, state.grid.nodes[1:]), dtype=float)
@@ -371,7 +367,10 @@ def run(
     if dt is None:
         speed = max(abs(gp), abs(bracket_low(d, f, delta)))
         f_slope = float(np.max(np.abs(f.deriv(np.linspace(0.0, c1, REACTION_SAMPLES)))))
-        dt = min(h * h / d, 0.5 * h / (SPEED_HEADROOM * speed), 0.5 / f_slope)
+        dt = min(h * h / d, 0.5 / f_slope)
+        # the advection bound in the guard's multiplicative form, so S = 0 passes
+        if SPEED_HEADROOM * speed * dt > 0.5 * h:
+            dt = 0.5 * h / (SPEED_HEADROOM * speed)
 
     q_ref = reference.q_at(grid.nodes) if reference is not None else None
     far_value = f.stable_zero

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from retreatwave import ReactionFunction, cli, wavespeed
+from retreatwave import ReactionFunction, cli, parse_reaction, wavespeed
 from retreatwave.cli import main
 from retreatwave.phaseplane import integrate_trajectory
 from retreatwave.serialize import read_csv
@@ -218,6 +218,22 @@ def test_simulate_custom_table(tmp_path, runner):
                           "--T", "0.1", "--N", "200", "--L", "20",
                           "--output-every", "0.05", "--out", str(out)])
     assert res.exit_code == 0, res.output
+
+
+def test_simulate_front_at_rest_with_zero_speed_scale(tmp_path, runner):
+    # at delta = nextafter(1, 2) bracket_low rounds to -0.0, and this table
+    # gives g'(0) = 0 exactly, so the speed scale S of the default dt is 0
+    delta = "1.0000000000000002"
+    table = tmp_path / "u0.csv"
+    table.write_text(f"y,u\n0,{delta}\n0.05,{delta}\n0.1,1\n100,1\n")
+    assert wavespeed.bracket_low(1.0, parse_reaction("logistic"), float(delta)) == 0.0
+    out = tmp_path / "sim"
+    res = invoke(runner, ["simulate", "--delta", delta, "--u0", "custom_table",
+                          "--table", str(table), "--T", "0.1", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert json.loads((out / "run_config.json").read_text())["dt"] == 0.0025000000000000005
+    _, rows = read_csv(out / "run.csv")
+    assert rows[0][2] == 0.0  # g'(0)
 
 
 def test_simulate_unknown_preset(tmp_path, runner):
