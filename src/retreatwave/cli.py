@@ -266,8 +266,8 @@ def sweep(deltas, reaction, d, delta, tol, out_dir):
 @click.option("--L", "L_y", type=float, default=None,
               help="Domain length [100*max(1, sqrt(d))].")
 @click.option("--dt", type=float, default=None,
-              help="Time step [min(h^2/d, 0.5*h/(2*S), 0.5/max|f'|), "
-                   "S = max(|g'(0)|, |bracket_low|), max|f'| on [0, 1.5*sup u0]].")
+              help="Fixed time step [per step the largest 0.5/max|f'|/2^m with "
+                   "dt*|g'| <= h/2, max|f'| on [0, 1.5*sup u0], none below about h^2/d].")
 @click.option("--g0", type=float, default=0.0, help="Initial front position.")
 @click.option("--output-every", type=float, default=0.5, help="Row cadence.")
 @click.option("--snapshot-times", type=str, default=None,

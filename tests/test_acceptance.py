@@ -250,6 +250,14 @@ def test_criterion_9_a_priori_bounds_and_signs(headline_run):
     )
 
 
+def test_headline_run_takes_at_most_an_eighth_of_the_h2_steps(headline_run):
+    # the front speed, not h^2, sets the step: at most 1/8 of the T*d/h^2 =
+    # 40 000 steps at dt = h^2/d (measured: 4002)
+    record, _ = headline_run
+    h = PINNED_GRID["L_y"] / PINNED_GRID["N"]
+    assert record.config["steps"] <= record.config["T_end"] * D / h**2 / 8
+
+
 def test_criterion_10_sandwich_at_late_times(headline_run, logistic1):
     record, _ = headline_run
     pair = make_perturbation_pair(logistic1, 0.1)

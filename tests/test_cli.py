@@ -222,7 +222,7 @@ def test_simulate_custom_table(tmp_path, runner):
 
 def test_simulate_front_at_rest_with_zero_speed_scale(tmp_path, runner):
     # at delta = nextafter(1, 2) bracket_low rounds to -0.0, and this table
-    # gives g'(0) = 0 exactly, so the speed scale S of the default dt is 0
+    # gives g'(0) = 0 exactly: no speed sets the step, which starts at the cap
     delta = "1.0000000000000002"
     table = tmp_path / "u0.csv"
     table.write_text(f"y,u\n0,{delta}\n0.05,{delta}\n0.1,1\n100,1\n")
@@ -231,7 +231,8 @@ def test_simulate_front_at_rest_with_zero_speed_scale(tmp_path, runner):
     res = invoke(runner, ["simulate", "--delta", delta, "--u0", "custom_table",
                           "--table", str(table), "--T", "0.1", "--out", str(out)])
     assert res.exit_code == 0, res.output
-    assert json.loads((out / "run_config.json").read_text())["dt"] == 0.0025000000000000005
+    # the cap 0.5/max|f'|, with |f'| = |1 - 2u| just above 2 at c1 = 1.5*delta
+    assert json.loads((out / "run_config.json").read_text())["dt"] == 0.2499999999999999
     _, rows = read_csv(out / "run.csv")
     assert rows[0][2] == 0.0  # g'(0)
 

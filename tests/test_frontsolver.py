@@ -167,13 +167,26 @@ def test_run_comparison_principle(logistic1):
         assert np.all(s_lo.U <= s_hi.U + 1e-12)
 
 
-def test_run_a_priori_bounds_hold(logistic1):
+def test_run_a_priori_bounds_hold(monkeypatch, logistic1):
     grid = Grid1D(30.0, 600)
     init = InitialData.from_callable(grid, 2.0, exp_approach_u0(2.0))
+    taken = []  # (g' before, g' after, dt) of every step
+    original = frontsolver.step
+
+    def recording(state, d, delta, f, dt, **kwargs):
+        new = original(state, d, delta, f, dt, **kwargs)
+        taken.append((state.g_prime, new.g_prime, dt))
+        return new
+
+    monkeypatch.setattr(frontsolver, "step", recording)
     rec = run(init, 1.0, 2.0, logistic1, SolverConfig(T_end=5.0, output_every=0.25))
     assert np.all(rec.column("min_U") > 0.0)
     assert np.all(rec.column("max_U") <= init.sup_norm)  # the maximum principle
-    assert np.all(np.abs(rec.column("g_prime")) <= 0.5 * grid.h / rec.config["dt"])
+    # the advection bound at each step's own dt, on the speed it starts from
+    # and on the speed it hands to the next step
+    assert len(taken) == rec.config["steps"]
+    for gp_before, gp_after, dt in taken:
+        assert max(abs(gp_before), abs(gp_after)) <= 0.5 * grid.h / dt
     assert rec.termination_reason == "completed"
 
 
@@ -319,6 +332,57 @@ def test_run_is_covariant_under_scaling(logistic1, alpha, beta, gamma, spec, dt)
     assert image.g_prime == beta / gamma * base.g_prime
 
 
+# u = 2 on [0, 0.05], then 1 at 0.1, 1.2 at 10 and 1 at 20: g'(0) = 0, then a
+# transient that outruns the speed scale S = |bracket_low| = 1.29 of a step
+# fixed in advance
+STEEP_TABLE = ([0.0, 0.05, 0.1, 10.0, 20.0], [2.0, 2.0, 1.0, 1.2, 1.0])
+KINKED_DATA = {
+    "steep": table_u0(*STEEP_TABLE),
+    "step": lambda y: np.where(np.asarray(y) < 1.0, 2.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("N", [4000, 8000])
+@pytest.mark.parametrize("data", sorted(KINKED_DATA))
+def test_kinked_data_keep_the_bounds_of_the_continuous_problem(monkeypatch, logistic1, data, N):
+    # steps with r up to 160 give up the discrete maximum principle; the
+    # backward-Euler start-up damps the kinks' ringing, so every step keeps
+    # min(u0, xi) <= U <= sup(u0).  Measured: overshoot 0, undershoot at most
+    # 2.3e-13; without the start-up the steep table overshoots by 0.35 and
+    # the step data undershoot by 0.047 (N = 4000) and 0.072 (N = 8000)
+    grid = Grid1D(100.0, N)
+    init = InitialData.from_callable(grid, 2.0, KINKED_DATA[data])
+    extremes = []
+    original = frontsolver.step
+
+    def recording(state, *args, **kwargs):
+        new = original(state, *args, **kwargs)
+        extremes.append((new.U[1:].min(), new.U[1:].max()))
+        return new
+
+    monkeypatch.setattr(frontsolver, "step", recording)
+    rec = run(init, 1.0, 2.0, logistic1, SolverConfig(T_end=2.0))
+    assert rec.termination_reason == "completed", rec.diagnostic
+    lows, highs = np.array(extremes).T
+    assert highs.max() <= init.sup_norm
+    assert lows.min() >= min(init.inf_value, logistic1.stable_zero) - 1e-12
+
+
+@pytest.mark.parametrize("N", [4000, 8000])
+def test_steep_table_outruns_a_step_fixed_from_the_speed_scale(logistic1, N):
+    # the step rule follows the transient; a step fixed at 0.5*h/(2*S), the
+    # former default's advection bound, aborts as |g'| passes 2*S (measured:
+    # g' = 3.3 at N = 4000 and 3.6 at N = 8000)
+    grid = Grid1D(100.0, N)
+    init = InitialData.from_callable(grid, 2.0, KINKED_DATA["steep"])
+    rec = run(init, 1.0, 2.0, logistic1, SolverConfig(T_end=2.0))
+    assert rec.termination_reason == "completed", rec.diagnostic
+    speed_scale = abs(bracket_low(1.0, logistic1, 2.0))
+    fixed = run(init, 1.0, 2.0, logistic1,
+                SolverConfig(T_end=2.0, dt=0.5 * grid.h / (2.0 * speed_scale)))
+    assert fixed.termination_reason == "instability"
+
+
 def test_record_csv_roundtrip(tmp_path, logistic1):
     grid = Grid1D(20.0, 400)
     init = InitialData.from_callable(grid, 2.0, exp_approach_u0(2.0))
@@ -410,7 +474,7 @@ def test_run_with_cached_factors_matches_scipy_solves(monkeypatch, logistic1):
     monkeypatch.setattr(frontsolver, "_cn_factors", cn_matrix)
     monkeypatch.setattr(frontsolver, "solve_banded", scipy_solve)
     plain = _short_run(logistic1, 0.03)
-    assert len(cached.rows) == len(plain.rows) == 6
+    assert len(cached.rows) == len(plain.rows) == 5  # t = 0 and the 4 output times
     # the two solves round differently; measured: rows differ by at most
     # 2.7e-15 (1/2 + r -> 1 + r in the ghost row moves them by 0.69, and a
     # right-hand side left unhalved aborts the run on its bound check)
@@ -428,13 +492,15 @@ def test_run_factors_once_per_step_size(monkeypatch, logistic1):
 
     monkeypatch.setattr(frontsolver, "_lapack", lambda: (counting, solve))
     frontsolver._cn_factors.cache_clear()
-    # dt = 2**-5 divides T = 1 exactly: one step size
+    # dt = 2**-5 divides the output interval 0.25 exactly: one step size, whose
+    # factors the backward-Euler start-up half-steps of 2**-6 share
     _short_run(logistic1, 2.0**-5)
     assert len(calls) == 1
     # the same run again finds its factors in the cache
     _short_run(logistic1, 2.0**-5)
     assert len(calls) == 1
-    # dt = 0.03 ends with a shortened step of 0.01: two step sizes
+    # dt = 0.03 ends each output interval with a shortened step of 0.01: two
+    # step sizes
     frontsolver._cn_factors.cache_clear()
     _short_run(logistic1, 0.03)
     assert calls == [400] * 3
@@ -556,7 +622,8 @@ def test_spatial_floor_at_n_1000(logistic1, speed_ref):
     rec = run(init, 1.0, 2.0, logistic1, SolverConfig(T_end=25.0, output_every=5.0),
               reference=speed_ref.profile)
     assert rec.termination_reason == "completed"
-    assert rec.config["dt"] == pytest.approx(0.01)
+    # the cap 0.5/max|f'| = 0.1; h/2 = 0.05 admits steps of 0.05 at g' = 0.9
+    assert (rec.config["dt"], rec.config["dt_max"]) == (0.1, 0.05)
     report = speed_trend(rec, speed_ref.retreat_speed)
     assert report.final_speed_error <= 0.022 * abs(speed_ref.retreat_speed)
     assert report.final_profile_error <= 0.003

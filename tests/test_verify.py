@@ -111,6 +111,35 @@ def test_speed_trend_detects_growing_tail():
     assert not report.monotone_tail
 
 
+def first_double_beyond(x, gap):
+    """The least double y > x with y - x > gap, stepping ulp by ulp."""
+    y = x
+    while y - x <= gap:
+        y = np.nextafter(y, np.inf)
+    return y
+
+
+@pytest.mark.parametrize("series", ["speed", "profile"])
+def test_speed_trend_flags_growth_just_over_the_rounding_floor(series):
+    # quartiles of two rows each (t = 0..7), so both means and their gap are
+    # exact; the floor is 4*eps*scale, with scale |c| = 0.5 for the speed and
+    # the largest max_U, 2, for the profile
+    eps = np.finfo(float).eps
+    times = np.linspace(0.0, 7.0, 8)
+    c = 0.5
+    settled = 0.51 if series == "speed" else 1e-3
+    grown = first_double_beyond(settled, 4.0 * eps * (c if series == "speed" else 2.0))
+    verdicts = []
+    for last in (np.nextafter(grown, 0.0), grown):  # at the floor, then one ulp beyond it
+        tail = [0.6] * 4 + [settled] * 2 + [last] * 2
+        if series == "speed":
+            record = synthetic_record(times, tail)
+        else:
+            record = synthetic_record(times, [c] * 8, tail)
+        verdicts.append(speed_trend(record, c).monotone_tail)
+    assert verdicts == [True, False]
+
+
 def test_speed_trend_csv(tmp_path):
     rec = synthetic_record([0.0, 1.0, 2.0, 3.0], [0.5] * 4, [0.1, 0.05, 0.02, 0.01])
     report = speed_trend(rec, 0.5)
