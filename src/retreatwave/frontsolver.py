@@ -96,6 +96,10 @@ STARTUP_STEPS = 4  # backward-Euler half-steps that open every run
 # a step that lands within this fraction of its size of an output time keeps
 # its size, so that rounding in the summed step sizes adds no sliver of a step
 LANDING_SLACK = 2.0**-20
+# above this cell Peclet number h*|g'|/d a run warns: the boundary layer of
+# width d/|g'| is under-resolved, and the speed error is about 2.5*Pe^2
+# (measured: 0.5 % at Pe = 0.045, 1.6 % at Pe = 0.082)
+MAX_PECLET = 0.08
 
 
 @dataclass(frozen=True)
@@ -377,7 +381,8 @@ def run(
     Per-row profile errors are taken against ``reference`` when given.  A
     bound violation or instability terminates the run early with the
     diagnostic preserved; the record always carries the final state as its
-    last snapshot.
+    last snapshot.  A final cell Peclet number h*|g'|/d above MAX_PECLET adds
+    a warning.
     """
     if not 0 < d < math.inf:
         raise InputError(f"diffusivity must be positive and finite, got {d}")
@@ -467,6 +472,13 @@ def run(
         warnings.append(
             f"far-field drift |U(t, L_y) - {far_value:g}| reached {far_drift:.3e}; "
             "consider a longer domain"
+        )
+    peclet = h * abs(state.g_prime) / d
+    if peclet > MAX_PECLET:
+        warnings.append(
+            f"cell Peclet number h*|g'|/d = {peclet:.3g} exceeds {MAX_PECLET:g}: the "
+            "boundary layer of width d/|g'| is under-resolved and the front speed is off "
+            "by about 2.5*Pe^2 or more; consider a larger N"
         )
     if not snapshots or snapshots[-1] is not state:
         snapshots.append(state)

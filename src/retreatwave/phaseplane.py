@@ -18,12 +18,13 @@ Dormand-Prince 5(4) stepper, ``solve_ivp``, with the step control of scipy's
 RK45; it builds the quartic dense output of every step as one piecewise
 polynomial in q, and each speed keeps its own column of it.
 
-The module's numerics are plain numpy: the piecewise polynomials
-(``PiecewisePolynomial``, with the profile's cubic Hermite interpolant built
-as one), the Simpson rules and the 21-point Gauss-Kronrod quadrature each
-repeat the arithmetic of the scipy routine they stand for, so their results
-are scipy's to the bit, without importing ``scipy.integrate`` or
-``scipy.interpolate`` and the modules those load.
+The module's numerics are plain numpy, with no ``scipy.integrate`` or
+``scipy.interpolate`` to import: piecewise polynomials in the power basis
+(``PiecewisePolynomial``, the profile's cubic Hermite interpolant among
+them), Simpson's rule and a running three-point parabola rule, and an
+adaptive 21-point Gauss-Kronrod quadrature.  The tests hold each one to an
+exact oracle within a stated rounding bound: rational arithmetic, exactness
+on polynomials of the rule's degree, and antiderivatives.
 """
 from __future__ import annotations
 
@@ -67,14 +68,14 @@ QUAD_PANELS = 200  # most panels of the adaptive Gauss-Kronrod quadrature
 
 
 class PiecewisePolynomial:
-    """Piecewise polynomial in the power basis, scipy's ``PPoly`` layout.
+    """Piecewise polynomial in the power basis (the layout of scipy's ``PPoly``).
 
     On [x[i], x[i+1]] it is sum_k c[k, i] * (t - x[i])**(K-1-k), highest
     power first; trailing axes of ``c`` are independent columns, and a call
     returns shape t.shape + c.shape[2:].  ``x`` must be strictly increasing.
     With ``extrapolate`` the first and last pieces continue beyond the ends;
-    without it, points outside [x[0], x[-1]] give NaN.  Each value is
-    computed as scipy's ``PPoly`` computes it, so the two agree bit for bit.
+    without it, points outside [x[0], x[-1]] give NaN.  ``_power_sum`` sums a
+    value to within 3K roundings of sum_k |c[k, i]| * |t - x[i]|**(K-1-k).
     """
 
     def __init__(self, c: np.ndarray, x: np.ndarray, extrapolate: bool = True):
@@ -100,8 +101,8 @@ class PiecewisePolynomial:
 
 
 def _power_sum(coeffs, s):
-    """sum_k coeffs[k] * s**(K-1-k) in the order of scipy's ``PPoly``: the
-    constant first, then each power of s by one more multiplication.
+    """sum_k coeffs[k] * s**(K-1-k): the constant first, then each power of s
+    by one more multiplication.
 
     Rounding is monotone, so for s >= 0 the rounded sum does not fall when
     a coefficient is raised, nor, once every coefficient but the constant is
@@ -119,8 +120,9 @@ def _power_sum(coeffs, s):
 def _cubic_hermite(x, y, dydx) -> PiecewisePolynomial:
     """The cubic Hermite interpolant of (x, y, dydx), NaN outside [x[0], x[-1]].
 
-    The coefficients are scipy's ``CubicHermiteSpline``'s, so both evaluate
-    to the same bits; x must be strictly increasing.
+    Each piece is the cubic with the given values and slopes at both ends,
+    so the interpolant reproduces any cubic up to rounding; x must be
+    strictly increasing.
     """
     dx = np.diff(x)
     slope = np.diff(y) / dx
@@ -547,88 +549,67 @@ def _rk_step_float(fun, t, y, f, h, rtol, atol):
 # (Piessens et al., QUADPACK, 1983, routine dqk21): abscissae on [0, 1)
 # largest first, the Gauss points at the odd indices; the last Kronrod
 # weight is the centre's.
-_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-        0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
-_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-        0.123491976262065851077208745170633, 0.134709217311473325928054001771707,
-        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-        0.149445554002916905664936468389821)
-_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-       0.295524224714752870173892994651338)
-_EPMACH = 2.0 ** -52  # QUADPACK's d1mach(4)
-_UFLOW = 2.0 ** -1022  # d1mach(1)
+_XGK = np.array((0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+                 0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+                 0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+                 0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+                 0.294392862701460198131126603103866, 0.148874338981631210884826001129720))
+_WGK = np.array((0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+                 0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+                 0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+                 0.123491976262065851077208745170633, 0.134709217311473325928054001771707,
+                 0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+                 0.149445554002916905664936468389821))
+_WG = np.array((0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+                0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+                0.295524224714752870173892994651338))
+# the 21 nodes on [-1, 1] in increasing order, with their Kronrod weights and
+# their Gauss weights (0 where a node is not a Gauss point)
+_NODES = np.concatenate((-_XGK, [0.0], _XGK[::-1]))
+_KRONROD = np.concatenate((_WGK, _WGK[-2::-1]))
+_GAUSS = np.zeros(21)
+_GAUSS[1:10:2] = _GAUSS[19:10:-2] = _WG
 
 
-def _kronrod21(f, a: float, b: float) -> tuple[float, float, float]:
-    """dqk21 on [a, b]: the integral, its error estimate and the integral of
-    |f - mean|, with f called on Python floats in dqk21's order."""
-    centr = 0.5 * (a + b)
-    hlgth = 0.5 * (b - a)
-    fc = float(f(centr))
-    resg = 0.0
-    resk = _WGK[10] * fc
-    resabs = abs(resk)
-    fv1, fv2 = [0.0] * 10, [0.0] * 10
-    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # the Gauss points first
-        absc = hlgth * _XGK[j]
-        fv1[j] = fval1 = float(f(centr - absc))
-        fv2[j] = fval2 = float(f(centr + absc))
-        fsum = fval1 + fval2
-        if j % 2:
-            resg = resg + _WG[j // 2] * fsum
-        resk = resk + _WGK[j] * fsum
-        resabs = resabs + _WGK[j] * (abs(fval1) + abs(fval2))
-    reskh = resk * 0.5
-    resasc = _WGK[10] * abs(fc - reskh)
-    for j in range(10):
-        resasc = resasc + _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
-    resabs = resabs * abs(hlgth)
-    resasc = resasc * abs(hlgth)
-    abserr = abs((resk - resg) * hlgth)
-    if resasc != 0.0 and abserr != 0.0:
-        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
-    if resabs > _UFLOW / (50.0 * _EPMACH):
-        abserr = max((_EPMACH * 50.0) * resabs, abserr)
-    return resk * hlgth, abserr, resasc
+def _kronrod21(f, a: float, b: float) -> tuple[float, float]:
+    """The 21-point Kronrod value K21 of int_a^b f and |K21 - G10|, from one call of f.
+
+    |K21 - G10| estimates the error of the 10-point Gauss rule (exact to
+    degree 19), so it is a generous estimate for K21 (exact to degree 31).
+    f is called once, on the array of the 21 nodes; a scalar result counts
+    for every node.  For b < a the value carries its sign.
+    """
+    half = 0.5 * (b - a)
+    fx = np.broadcast_to(f(0.5 * (a + b) + half * _NODES), _NODES.shape)
+    kronrod = half * float(_KRONROD @ fx)
+    return kronrod, abs(kronrod - half * float(_GAUSS @ fx))
 
 
 def _quad(f, a: float, b: float, epsabs: float, epsrel: float) -> float:
     """int_a^b f by adaptive 21-point Gauss-Kronrod quadrature.
 
-    The first pass is QUADPACK's: dqk21 on [min(a, b), max(a, b)], accepted
-    by dqags' first test, with the sign turned for b < a, so a smooth
-    integrand gets ``quad``'s bits.  Otherwise the panel with the largest
-    error estimate is halved until the summed estimate meets max(epsabs,
-    epsrel*|integral|); an integrand that needs more than QUAD_PANELS panels
-    raises NumericalError.
+    [a, b] starts as one panel; the panel with the largest error estimate
+    (``_kronrod21``) is halved until the summed estimate meets
+    max(epsabs, epsrel*|integral|).  An integrand that needs more than
+    QUAD_PANELS panels raises NumericalError.
     """
     a, b = float(a), float(b)
-    if a == b:
-        return 0.0
-    sign, lo, hi = (-1.0 if b < a else 1.0), min(a, b), max(a, b)
-    result, error, resasc = _kronrod21(f, lo, hi)
-    if (error <= max(epsabs, epsrel * abs(result)) and error != resasc) or error == 0.0:
-        return sign * result
-    panels = [(-error, lo, hi, result)]
-    while len(panels) < QUAD_PANELS:
-        _, lo, hi, _ = heapq.heappop(panels)
-        mid = 0.5 * (lo + hi)
-        for left, right in ((lo, mid), (mid, hi)):
-            value, err, _ = _kronrod21(f, left, right)
-            heapq.heappush(panels, (-err, left, right, value))
+    panels, pending = [], [(a, b)]
+    while True:
+        for lo, hi in pending:
+            value, error = _kronrod21(f, lo, hi)
+            heapq.heappush(panels, (-error, lo, hi, value))
         result = sum(panel[3] for panel in panels)
         if -sum(panel[0] for panel in panels) <= max(epsabs, epsrel * abs(result)):
-            return sign * result
-    raise NumericalError(
-        f"quadrature of {getattr(f, 'label', f)} on [{min(a, b):g}, {max(a, b):g}] did not "
-        f"converge in {QUAD_PANELS} panels"
-    )
+            return result
+        if len(panels) >= QUAD_PANELS:
+            raise NumericalError(
+                f"quadrature of {getattr(f, 'label', f)} on [{min(a, b):g}, {max(a, b):g}] "
+                f"did not converge in {QUAD_PANELS} panels"
+            )
+        _, lo, hi, _ = heapq.heappop(panels)
+        mid = 0.5 * (lo + hi)
+        pending = [(lo, mid), (mid, hi)]
 
 
 def closed_form_zero_speed(q: float, d: float, f: ReactionFunction) -> float:
@@ -666,31 +647,24 @@ def _log_grid(traj: PhaseTrajectory):
     return w[1] - w[0], q, p
 
 
-def _simpson(y: np.ndarray, h: float) -> float:
-    """Composite Simpson rule on an odd number of points h apart: scipy's
-    ``simpson(y, dx=h)``, in its order of operations."""
-    total = np.sum(y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2])
-    total *= h / 3.0
-    return total
+def _simpson_sums(y: np.ndarray) -> np.ndarray:
+    """y0 + 4*y1 + y2 on each pair of intervals of y, an odd number of points: for
+    points h apart, h/3 times it is Simpson's rule on the pair."""
+    return y[:-2:2] + 4.0 * y[1:-1:2] + y[2::2]
 
 
 def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
-    """Running integral of y from its first point, points h apart: scipy's
-    ``cumulative_simpson(y, dx=h, initial=0.0)``, in its order of operations.
+    """Running integral of y from its first point, points h apart (at least 3).
 
-    Each interval takes the parabola through three points: the interval and
-    the two after it on even intervals, the interval and the one before it
-    on odd intervals and on the last one.
+    Each interval takes the parabola through its two points and the next
+    one, h/12*(5*y0 + 8*y1 - y2); the last, which has no next point, takes
+    the parabola through its two points and the one before.  So the rule is
+    exact on quadratics.
     """
-    def first_intervals(v):
-        return h / 3 * (5 * v[:-2] / 4 + 2 * v[1:-1] - v[2:] / 4)
-
-    forward, backward = first_intervals(y), first_intervals(y[::-1])[::-1]
     pieces = np.empty(len(y) - 1)
-    pieces[:-1:2] = forward[::2]
-    pieces[1::2] = backward[::2]
-    pieces[-1] = backward[-1]
-    return np.concatenate(([0.0], np.cumsum(pieces)))
+    pieces[:-1] = 5.0 * y[:-2] + 8.0 * y[1:-1] - y[2:]
+    pieces[-1] = 5.0 * y[-1] + 8.0 * y[-2] - y[-3]
+    return np.concatenate(([0.0], np.cumsum(h / 12.0 * pieces)))
 
 
 def residual_slope(traj: PhaseTrajectory, f: ReactionFunction) -> float:
@@ -706,7 +680,7 @@ def residual_slope(traj: PhaseTrajectory, f: ReactionFunction) -> float:
     s = q - traj.xi
     g = s * np.asarray(f(q)) / (traj.d * p * p)  # a*(q - xi): int a in w
     weight = np.exp(_cumulative_simpson(g[::-1], h)[::-1])  # exp(int_q^delta a)
-    outer = _simpson(weight * s, h) + weight[0] * s[0] / (1.0 - g[0])
+    outer = np.sum(_simpson_sums(weight * s)) * (h / 3.0) + weight[0] * s[0] / (1.0 - g[0])
     return float((outer - traj.delta) / traj.d)
 
 
@@ -719,7 +693,7 @@ def reconstruct_profile(traj: PhaseTrajectory) -> SemiWaveProfile:
     """
     h, q, p = _log_grid(traj)
     g = (q - traj.xi) / -p
-    panels = h / 3.0 * (g[:-2:2] + 4.0 * g[1:-1:2] + g[2::2])
+    panels = h / 3.0 * _simpson_sums(g)
     # x grows from the boundary, where w is largest, so the sums run backwards
     x_grid = np.concatenate(([0.0], np.cumsum(panels[::-1])))
     q_values = q[::-2]

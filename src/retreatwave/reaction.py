@@ -133,10 +133,10 @@ def make_polynomial(coeffs: tuple[float, ...]) -> ReactionFunction:
 def _horner(coef) -> Callable:
     """The power series coef (lowest power first) by Horner's rule.
 
-    The operations and their order are numpy's ``polyval``, and the default
-    domain map of ``np.polynomial.Polynomial`` is x -> 0.0 + 1.0*x, so the
-    values are bit-identical to ``Polynomial(coef)`` on floats and arrays.
-    A Python float gives a Python float, without the per-call domain map.
+    Degree n takes n multiplications and n additions, so a value is within
+    gamma_2n * sum_k |coef[k]| * |u|**k of the exact one (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., eq. 5.3).  Arrays and
+    Python floats take the same operations; a float gives a Python float.
     """
     lead, *rest = (float(c) for c in reversed(coef))
 

@@ -13,6 +13,7 @@ c*; the retreat speed is -c*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,9 +65,9 @@ class SpeedResult:
     iterations: int
     function_calls: int
 
-    @property
+    @cached_property
     def profile(self) -> SemiWaveProfile:
-        """The profile of c*, rebuilt from the trajectory on every read: bind it once."""
+        """The profile of c*, built from the trajectory on the first read and kept."""
         return reconstruct_profile(self.trajectory)
 
     def to_json_dict(self) -> dict:

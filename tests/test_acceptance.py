@@ -56,6 +56,7 @@ def headline_run(logistic1, speed_ref):
     record = run(init, D, DELTA, logistic1, cfg, reference=speed_ref.profile)
     elapsed = time.perf_counter() - t0
     assert record.termination_reason == "completed"
+    assert record.warnings == []  # cell Peclet number h*|g'|/d = 0.045
     return record, elapsed
 
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -267,6 +268,7 @@ def test_simulate_runs_a_front_faster_than_ten(tmp_path, runner):
     res = runner.invoke(main, ["simulate", "--delta", "20", "--N", "4000", "--L", "20",
                                "--dt", "1.5e-4", "--T", "0.5", "--out", str(tmp_path)])
     assert res.exit_code == 0, res.output
+    assert "warning" not in res.output  # cell Peclet number 0.06 on this grid
 
 
 def test_speed_failed_bracket_check_exits_numerical(tmp_path, runner, monkeypatch):
@@ -532,6 +534,32 @@ def test_import_loads_no_heavy_scipy_subpackage():
     heavy = {"scipy.integrate", "scipy.interpolate", "scipy.linalg", "scipy.optimize",
              "scipy.sparse", "scipy.special"}
     assert not heavy & loaded
+
+
+def _module_level(nodes):
+    """The statements and expressions that run when a module is imported."""
+    for node in nodes:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield node
+            yield from _module_level(ast.iter_child_nodes(node))
+
+
+def test_test_files_import_scipy_only_inside_tests():
+    # pyproject allows scipy >= 1.10, and names the tests compare with may be
+    # newer (cumulative_simpson is 1.12): imported at module level, one such
+    # name would stop its whole file from collecting
+    found = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in _module_level(ast.parse(path.read_text()).body):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_speed_through_the_cli_loads_no_scipy_linalg(tmp_path):

@@ -2,7 +2,6 @@ import re
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from retreatwave import (
     BoundViolationError,
@@ -240,6 +239,21 @@ def test_run_far_field_warning_on_short_domain(logistic1):
     assert any("far-field" in w for w in rec.warnings)
 
 
+@pytest.mark.parametrize("delta, N, L_y, warns", [
+    (20.0, 200, 100.0, True),  # Pe = 1.1; settles 84 % off c(delta)
+    (12.0, 4000, 20.0, False),  # settles at Pe = 0.041, 0.44 % off
+    (2.0, 2000, 100.0, False),  # the headline grid; settles at Pe = 0.045
+])
+def test_run_warns_on_an_under_resolved_boundary_layer(logistic1, delta, N, L_y, warns):
+    grid = Grid1D(L_y, N)
+    init = InitialData.from_callable(grid, delta, exp_approach_u0(delta))
+    rec = run(init, 1.0, delta, logistic1, SolverConfig(T_end=0.5, output_every=0.5))
+    assert rec.termination_reason == "completed"
+    peclet = grid.h * abs(rec.final_state.g_prime)
+    assert (peclet > frontsolver.MAX_PECLET) == warns
+    assert any("Peclet" in w for w in rec.warnings) == warns
+
+
 def test_step_rejects_nan_node(logistic1):
     # one NaN node fails the bound check instead of spreading through the solve
     grid = Grid1D(20.0, 200)
@@ -322,14 +336,18 @@ def test_run_is_covariant_under_scaling(logistic1, alpha, beta, gamma, spec, dt)
                               output_every=scale)
         rec = run(init, d, delta, f, config)
         assert rec.termination_reason == "completed", rec.diagnostic
-        return rec.final_state
+        return rec
 
-    base = solve(1.0, logistic1, 2.0, 40.0, exp_approach_u0(2.0), 1.0)
-    image = solve(beta**2 / gamma, parse_reaction(spec), alpha * 2.0, 40.0 * beta,
-                  lambda y: alpha * exp_approach_u0(2.0)(np.asarray(y) / beta), gamma)
+    base_rec = solve(1.0, logistic1, 2.0, 40.0, exp_approach_u0(2.0), 1.0)
+    image_rec = solve(beta**2 / gamma, parse_reaction(spec), alpha * 2.0, 40.0 * beta,
+                      lambda y: alpha * exp_approach_u0(2.0)(np.asarray(y) / beta), gamma)
+    base, image = base_rec.final_state, image_rec.final_state
     assert np.array_equal(image.U, alpha * base.U)
     assert image.g == beta * base.g
     assert image.g_prime == beta / gamma * base.g_prime
+    # the cell Peclet number h*|g'|/d is a number of the problem, not of its units
+    peclet = [[w for w in rec.warnings if "Peclet" in w] for rec in (base_rec, image_rec)]
+    assert peclet[0] == peclet[1]
 
 
 # u = 2 on [0, 0.05], then 1 at 0.1, 1.2 at 10 and 1 at 20: g'(0) = 0, then a
@@ -424,6 +442,8 @@ def banded_matvec(ab, x):
 @pytest.mark.parametrize("N", [200, 2000, 8000])
 @pytest.mark.parametrize("r", [1e-12, 0.125, 4.0, 128.0, 1e4])
 def test_cached_factor_solve_matches_scipy_bit_for_bit(N, r):
+    import scipy.linalg
+
     factors = frontsolver._cn_factors(N, r)
     assert not factors.flags.writeable
     with pytest.raises(ValueError):
@@ -463,6 +483,8 @@ def _short_run(f, dt):
 
 
 def test_run_with_cached_factors_matches_scipy_solves(monkeypatch, logistic1):
+    import scipy.linalg
+
     # dt = 0.03 gives r = 3.84 and a shortened last step of 0.01
     cached = _short_run(logistic1, 0.03)
 

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import OdeSolution, OdeSolver
 
 from retreatwave import wavespeed
 from retreatwave import (
@@ -128,7 +127,7 @@ SEARCH_PROBLEMS = [
         (*SEARCH_PROBLEMS[2], 9),  # r' grows twelvefold from bracket_low to 0: more steps
         # at the noise floor: Newton steps wander inside the noise band before
         # one lands below tol; the count follows the last bits of P(delta)
-        (*SEARCH_PROBLEMS[3], 11),
+        (*SEARCH_PROBLEMS[3], 17),
     ],
 )
 def test_find_wave_speed_integrates_each_speed_once(monkeypatch, d, coeffs, delta, tol, calls):
@@ -147,6 +146,19 @@ def test_find_wave_speed_integrates_each_speed_once(monkeypatch, d, coeffs, delt
     assert len(set(speeds)) == len(speeds)
     assert res.residual <= tol
     assert res.iterations == calls - 2
+
+
+def test_speed_result_builds_its_profile_once(monkeypatch, logistic1):
+    res = find_wave_speed(1.0, logistic1, 2.0)
+    built = []
+
+    def building(traj):
+        built.append(traj)
+        return reconstruct_profile(traj)
+
+    monkeypatch.setattr(wavespeed, "reconstruct_profile", building)
+    assert res.profile is res.profile
+    assert built == [res.trajectory]
 
 
 @pytest.mark.parametrize("d, coeffs, delta, tol", SEARCH_PROBLEMS)
@@ -186,6 +198,8 @@ def test_speed_search_and_sequences_never_call_the_ode_solution(monkeypatch, log
     # every integration is phaseplane's own RK45 and every read of P goes
     # through the trajectory's piecewise polynomial: scipy's solve_ivp, which
     # starts one of its OdeSolver classes, and OdeSolution are never reached
+    from scipy.integrate import OdeSolution, OdeSolver
+
     calls = []
     solver_init = OdeSolver.__init__
     ode_solution_call = OdeSolution.__call__
@@ -347,7 +361,9 @@ def test_sequences_profile_gaps_decreasing(logistic1, speed_ref):
         assert len(gaps) == len(run.c_list) > 3
 
 
-def test_sequence_iterate_is_one_integration_and_one_profile(monkeypatch, logistic1, speed_ref):
+def test_sequence_iterate_is_one_integration_and_one_profile(monkeypatch, logistic1):
+    # a fresh reference: a shared one may have built and kept its profile already
+    reference = find_wave_speed(1.0, logistic1, 2.0)
     speeds, built = [], []
 
     def counting_integrate(c, *args, **kwargs):
@@ -360,7 +376,7 @@ def test_sequence_iterate_is_one_integration_and_one_profile(monkeypatch, logist
 
     monkeypatch.setattr(wavespeed, "integrate_trajectory", counting_integrate)
     monkeypatch.setattr(wavespeed, "reconstruct_profile", counting_reconstruct)
-    upper, lower = bracketing_sequences(1.0, logistic1, 2.0, M=10, n_max=30, reference=speed_ref)
+    upper, lower = bracketing_sequences(1.0, logistic1, 2.0, M=10, n_max=30, reference=reference)
     iterates = len(upper.c_list) + len(lower.c_list)
     assert speeds == upper.c_list + lower.c_list
     # the reference's profile, read once for the sup gaps, is the one extra build
