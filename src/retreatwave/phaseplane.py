@@ -15,8 +15,10 @@ dq/dx = P(q), x(q) is the integral of 1/(-P) from q to delta.  Every speed
 shares the independent variable q, so one integration can carry many speeds
 as the lanes of a vector ODE.  The integrator is this module's own
 Dormand-Prince 5(4) stepper, ``solve_ivp``, with the step control of scipy's
-RK45; it builds the quartic dense output of every step as one piecewise
-polynomial in q, and each speed keeps its own column of it.
+RK45; one lane runs as one loop on Python floats.  It builds the quartic
+dense output of every step as one piecewise polynomial in q, and each speed
+keeps its own column of it.  The quadrature points of the profile and of
+r'(c) depend on (xi, delta) alone and are built once per pair.
 
 The module's numerics are plain numpy, with no ``scipy.integrate`` or
 ``scipy.interpolate`` to import: piecewise polynomials in the power basis
@@ -28,6 +30,7 @@ on polynomials of the rule's degree, and antiderivatives.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import InitVar, dataclass, field
@@ -94,7 +97,7 @@ class PiecewisePolynomial:
         x, c = self.x, self.c
         i = self.piece(flat)
         s = (flat - x[i]).reshape((-1,) + (1,) * (c.ndim - 2))
-        out = _power_sum([ck.take(i, axis=0) for ck in c], s)
+        out = _power_sum(c.take(i, axis=1), s)
         if not self.extrapolate:
             out[(flat < x[0]) | (flat > x[-1])] = np.nan
         return out.reshape(t.shape + c.shape[2:])
@@ -190,7 +193,8 @@ class SemiWaveProfile:
     exp(tail_rate * (x - x_end)), with ``tail_rate`` equal to the trajectory's
     saddle slope.  Inside it the profile is the cubic Hermite interpolant of
     the samples and their slopes q'(x) = P(q), which are not stored; the
-    interpolant is one ``PiecewisePolynomial``, NaN for x < 0.
+    interpolant is one ``PiecewisePolynomial``, NaN for x < 0.  From
+    ``reconstruct_profile``, ``q_values`` is a read-only view of shared points.
     """
 
     x_grid: np.ndarray = field(repr=False)
@@ -207,9 +211,9 @@ class SemiWaveProfile:
         x = np.asarray(x, dtype=float)
         x_end = self.x_grid[-1]
         q_end = self.q_values[-1]
-        inside = self._interp(np.minimum(x, x_end))
-        tail = self.xi + (q_end - self.xi) * np.exp(self.tail_rate * (x - x_end))
-        out = np.where(x <= x_end, inside, tail)
+        out = np.asarray(self.xi + (q_end - self.xi) * np.exp(self.tail_rate * (x - x_end)))
+        inside = x <= x_end  # the interpolant only there: most of a long grid is tail
+        out[inside] = self._interp(x[inside])
         return out if out.ndim else float(out)
 
     def to_csv(self, path) -> None:
@@ -304,18 +308,20 @@ def integrate_trajectories(
         p0s.append(p0)
 
     # one lane steps on Python floats; P = 0 is the pole of the right-hand
-    # side, where a NaN rejects the step as numpy's inf would
+    # side, where a NaN rejects the step as numpy's inf would.  f.value_fn is
+    # bound once: an RHS call makes no frame for ReactionFunction.__call__
+    value = f.value_fn
     if len(cs) == 1:
         c_d = cs[0] / d
 
         def rhs(q, p):
             dp = d * p
-            return c_d - float(f(q)) / dp if dp else math.nan
+            return c_d - float(value(q)) / dp if dp else math.nan
     else:
         cd = np.array(cs) / d
 
         def rhs(q, p):
-            return cd - float(f(q)) / (d * p)
+            return cd - float(value(q)) / (d * p)
 
     sol = solve_ivp(rhs, (q0, delta), p0s, rtol=opts.rtol, atol=opts.atol)
     if not sol.success:
@@ -354,9 +360,10 @@ def _step_bounds(dense: PiecewisePolynomial) -> np.ndarray:
     by ``_power_sum``, so it is also at least every rounded value ``dense``
     gives on the step.  A NaN coefficient gives a NaN bound.
     """
-    c = dense.c
+    c = np.maximum(dense.c, 0.0)
+    c[-1] = dense.c[-1]
     h = np.diff(dense.x).reshape((-1,) + (1,) * (c.ndim - 2))
-    return _power_sum([np.maximum(ck, 0.0) for ck in c[:-1]] + [c[-1]], h)
+    return _power_sum(c, h)
 
 
 def _lane_leaving_lower_half_plane(dense: PiecewisePolynomial, q0: float, delta: float):
@@ -380,7 +387,7 @@ def _lane_leaving_lower_half_plane(dense: PiecewisePolynomial, q0: float, delta:
 
 # Dormand & Prince's 5(4) pair (J. Comput. Appl. Math. 6, 1980) and Shampine's
 # quartic dense output (Math. Comp. 46, 1986): the coefficients of scipy's RK45.
-# _rk_step_float spells the same tableau out as constants.
+# solve_ivp's one-lane loop spells the same tableau out as constants.
 _C = (0.0, 1/5, 3/10, 4/5, 8/9, 1.0)  # Python floats: the stage abscissae stay floats
 _A = np.array([
     [0, 0, 0, 0, 0],
@@ -433,9 +440,12 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> RK45Solution:
     step factors SAFETY*err**ERROR_EXPONENT clipped to [MIN_FACTOR,
     MAX_FACTOR] and kept at most 1 after a rejection, and failure with
     TOO_SMALL_STEP once the step falls below 10 ulp of t.  With one lane, y
-    is a Python float and fun must return one; otherwise y is an array of
-    the lanes.  Each accepted step's stages give its quartic directly, so no
-    per-step interpolant object is made.  ``nfev`` counts the calls of fun.
+    is a Python float and fun must return one; the loop then writes the
+    tableau out on floats, with no call but fun's per stage.  Otherwise y is
+    an array of the lanes, stepped by ``_rk_step_lanes``.  The stages of the
+    accepted steps go into one flat list and give every step's quartic at
+    the end, so no per-step interpolant object is made.  ``nfev`` counts the
+    calls of fun.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not t < t_bound:
@@ -443,11 +453,9 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> RK45Solution:
     y = np.array(y0, dtype=float)
     lanes = y.size
     if lanes == 1:
-        y, rk_step, norm = float(y[0]), _rk_step_float, abs
-    else:
-        rk_step, norm = _rk_step_lanes, _rms
+        y = float(y[0])
     f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol, norm)
+    h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol, abs if lanes == 1 else _rms)
     nfev = 2
     ts, ys, stages = [t], [y], []
     message = None
@@ -461,7 +469,25 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> RK45Solution:
                 break
             t_new = min(t + h_abs, t_bound)
             h = h_abs = t_new - t
-            y_new, f_new, error_norm, k = rk_step(fun, t, y, f, h, rtol, atol)
+            if lanes > 1:
+                y_new, f_new, error_norm, k = _rk_step_lanes(fun, t, y, f, h, rtol, atol)
+            else:
+                k1 = f
+                k2 = fun(t + 1/5 * h, y + (1/5 * k1) * h)
+                k3 = fun(t + 3/10 * h, y + (3/40 * k1 + 9/40 * k2) * h)
+                k4 = fun(t + 4/5 * h, y + (44/45 * k1 - 56/15 * k2 + 32/9 * k3) * h)
+                k5 = fun(t + 8/9 * h, y + (19372/6561 * k1 - 25360/2187 * k2
+                                           + 64448/6561 * k3 - 212/729 * k4) * h)
+                k6 = fun(t + h, y + (9017/3168 * k1 - 355/33 * k2 + 46732/5247 * k3
+                                     + 49/176 * k4 - 5103/18656 * k5) * h)
+                y_new = y + h * (35/384 * k1 + 500/1113 * k3 + 125/192 * k4
+                                 - 2187/6784 * k5 + 11/84 * k6)
+                f_new = fun(t + h, y_new)
+                err = (-71/57600 * k1 + 71/16695 * k3 - 71/1920 * k4 + 17253/339200 * k5
+                       - 22/525 * k6 + 1/40 * f_new) * h
+                # max(|y|, NaN) is |y|; a conditional expression could give NaN
+                error_norm = abs(err / (atol + max(abs(y), abs(y_new)) * rtol))
+                k = (k1, k2, k3, k4, k5, k6, f_new)
             nfev += 6
             if error_norm < 1:
                 if error_norm == 0:
@@ -474,7 +500,7 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> RK45Solution:
                 t, y, f = t_new, y_new, f_new
                 ts.append(t)
                 ys.append(y)
-                stages.append(k)
+                stages.extend(k)
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             rejected = True
@@ -485,7 +511,7 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> RK45Solution:
     if message is None:
         # the step from t_old of length h is y_old + h * sum_j Q_j * ((t - t_old)/h)**j,
         # j = 1..4, with Q = K.T @ P: stacked highest power first
-        K = np.array(stages).reshape(len(stages), 7, lanes)
+        K = np.array(stages).reshape(-1, 7, lanes)
         Q = (_P.T @ K) / (np.diff(t_out)[:, None, None] ** np.arange(4)[:, None])
         coeffs = np.concatenate((np.moveaxis(Q, 1, 0)[::-1], y_out[:, :-1].T[None]))
         dense = PiecewisePolynomial(coeffs, t_out)
@@ -525,24 +551,6 @@ def _rk_step_lanes(fun, t, y, f, h, rtol, atol):
     K[6] = f_new = fun(t + h, y_new)
     scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
     return y_new, f_new, _rms(np.dot(K.T, _E) * h / scale), K
-
-
-def _rk_step_float(fun, t, y, f, h, rtol, atol):
-    """``_rk_step_lanes`` on one lane held as a Python float, the tableau written out."""
-    k1 = f
-    k2 = fun(t + 1/5 * h, y + (1/5 * k1) * h)
-    k3 = fun(t + 3/10 * h, y + (3/40 * k1 + 9/40 * k2) * h)
-    k4 = fun(t + 4/5 * h, y + (44/45 * k1 - 56/15 * k2 + 32/9 * k3) * h)
-    k5 = fun(t + 8/9 * h, y + (19372/6561 * k1 - 25360/2187 * k2 + 64448/6561 * k3
-                               - 212/729 * k4) * h)
-    k6 = fun(t + h, y + (9017/3168 * k1 - 355/33 * k2 + 46732/5247 * k3 + 49/176 * k4
-                         - 5103/18656 * k5) * h)
-    y_new = y + h * (35/384 * k1 + 500/1113 * k3 + 125/192 * k4 - 2187/6784 * k5 + 11/84 * k6)
-    k7 = fun(t + h, y_new)
-    err = (-71/57600 * k1 + 71/16695 * k3 - 71/1920 * k4 + 17253/339200 * k5 - 22/525 * k6
-           + 1/40 * k7) * h
-    scale = atol + max(abs(y), abs(y_new)) * rtol
-    return y_new, k7, abs(err / scale), (k1, k2, k3, k4, k5, k6, k7)
 
 
 # QUADPACK's 21-point Kronrod rule and its embedded 10-point Gauss rule
@@ -635,16 +643,25 @@ def closed_form_zero_speed(q: float, d: float, f: ReactionFunction) -> float:
     return -float(np.sqrt(max(radicand, 0.0)))
 
 
-def _log_grid(traj: PhaseTrajectory):
-    """Step h, points q and P(q), uniform in w = ln(q - xi) from the tail cutoff to delta."""
-    span = traj.delta - traj.xi
+@functools.lru_cache(maxsize=8)
+def _log_points(xi: float, delta: float):
+    """Step h and read-only points q, uniform in w = ln(q - xi) from the tail cutoff to delta."""
+    span = delta - xi
     w = np.linspace(np.log(TAIL_CUT * span), np.log(span), 2 * PROFILE_SAMPLES - 1)
-    q = traj.xi + np.exp(w)
-    q[-1] = traj.delta
+    q = xi + np.exp(w)
+    q[-1] = delta
+    q.flags.writeable = False
+    return w[1] - w[0], q
+
+
+def _log_grid(traj: PhaseTrajectory):
+    """Step h, points q and P(q) of ``_log_points``, whose points depend on (xi, delta)
+    alone: every speed of a search or a sequence reuses them."""
+    h, q = _log_points(traj.xi, traj.delta)
     p = traj.p_at(q)
     if not np.all(p < 0.0):
         raise NumericalError("trajectory is not negative on the quadrature range")
-    return w[1] - w[0], q, p
+    return h, q, p
 
 
 def _simpson_sums(y: np.ndarray) -> np.ndarray:

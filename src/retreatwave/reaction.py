@@ -225,7 +225,8 @@ def make_perturbation_pair(base: ReactionFunction, epsilon: float) -> Perturbati
 
 
 def _additive_member(base: ReactionFunction, eps: float, tag: str) -> ReactionFunction:
-    fn = lambda u: base(u) + eps * u * np.exp(-u)
+    value = base.value_fn  # bound once: a call makes no frame for base.__call__
+    fn = lambda u: value(u) + eps * u * np.exp(-u)
     dfn = lambda u: base.deriv(u) + eps * (1.0 - u) * np.exp(-u)
     zero = _locate_stable_zero(fn, hi=2.0 * base.stable_zero)
     return ReactionFunction(

@@ -15,7 +15,7 @@ from .frontsolver import FrontFixedState, RunRecord
 from .phaseplane import SemiWaveProfile
 from .reaction import ReactionFunction
 from .serialize import write_csv
-from .wavespeed import bracket_low, slope_residual
+from .wavespeed import _require_gap, bracket_low, slope_residual
 
 __all__ = [
     "ConvergenceReport",
@@ -178,12 +178,14 @@ def residual_monotonicity_audit(
     """Evaluate the slope residual on a uniform grid over [bracket_low, 0].
 
     The residual must decrease strictly along the grid and change sign in
-    exactly one cell, the one containing the wave speed.  The n_grid speeds
-    are the lanes of one vector integration (``slope_residual`` on an
-    array); ``bracket_low`` is closed form.
+    exactly one cell, the one containing the wave speed.  As in
+    ``find_wave_speed``, delta must exceed the stable zero by MIN_DELTA_GAP.
+    The n_grid speeds are the lanes of one vector integration
+    (``slope_residual`` on an array); ``bracket_low`` is closed form.
     """
     if n_grid < 10:
         raise InputError(f"n_grid must be at least 10, got {n_grid}")
+    _require_gap(f.stable_zero, delta)
     c_values = np.linspace(bracket_low(d, f, delta), 0.0, n_grid)
     residuals = slope_residual(c_values, d, f, delta)
     diffs = np.diff(residuals)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from retreatwave import ReactionFunction, cli, parse_reaction, wavespeed
+from retreatwave import ReactionFunction, cli, parse_reaction, phaseplane, wavespeed
 from retreatwave.cli import main
 from retreatwave.phaseplane import integrate_trajectory
 from retreatwave.serialize import read_csv
@@ -405,6 +405,23 @@ def test_sequences_subcommand(tmp_path, runner):
     lines = (out / "sequences_upper.csv").read_text().splitlines()
     assert lines[0] == "n,c,slope_at_zero,sup_gap"
     assert len(lines) == 7  # header + c_0..c_5
+
+
+@pytest.mark.parametrize("args", [["sequences", "--n-max", "5"], ["semiwave", "--c", "auto"]])
+def test_warm_quadrature_grid_keeps_every_byte(tmp_path, runner, args):
+    # the first run builds the (xi, delta) quadrature points, the second
+    # finds them all in the cache: the artifacts must not differ
+    phaseplane._log_points.cache_clear()
+    outs = [tmp_path / "cold", tmp_path / "warm"]
+    for out in outs:
+        misses = phaseplane._log_points.cache_info().misses
+        res = invoke(runner, args + ["--delta", "2.25", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+    assert phaseplane._log_points.cache_info().misses == misses == 1
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir()) and names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 # (config key, value in the file, flag, value of the flag)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -183,3 +185,12 @@ def test_audit_is_one_integration(logistic1, monkeypatch):
 def test_audit_requires_minimum_grid(logistic1):
     with pytest.raises(InputError):
         residual_monotonicity_audit(1.0, logistic1, 2.0, 5)
+
+
+@pytest.mark.parametrize("delta", [1.0 + 1e-9, math.nextafter(1.0, 2.0)])
+def test_audit_requires_the_speed_searchs_delta_gap(logistic1, delta):
+    # below the gap the bracket degenerates: unchecked, the audit at 1 + 1e-9
+    # reports a decreasing residual with no sign change, and at the next
+    # double after 1 bracket_low is -0.0
+    with pytest.raises(InputError, match="by at least 1e-06"):
+        residual_monotonicity_audit(1.0, logistic1, delta, 50)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from retreatwave import wavespeed
+from retreatwave import phaseplane, wavespeed
 from retreatwave import (
     BracketError,
     InputError,
@@ -385,6 +385,38 @@ def test_sequence_iterate_is_one_integration_and_one_profile(monkeypatch, logist
     for c, prof in zip(speeds, built[1:]):
         rebuilt = reconstruct_profile(integrate_trajectory(c, 1.0, logistic1, 2.0))
         assert np.array_equal(rebuilt.q_at(wavespeed.SUP_GRID), prof.q_at(wavespeed.SUP_GRID))
+
+
+def test_sequences_reach_the_names_the_benchmark_wraps(monkeypatch, logistic1):
+    # perfbench counts integration work through phaseplane.solve_ivp (nfev)
+    # and times iterates by wavespeed.reconstruct_profile; a fast path that
+    # went round either name would leave those figures empty
+    reference = find_wave_speed(1.0, logistic1, 2.0)
+    reference.profile  # built here, so the sequences build only their own
+    solves, built = [], []
+    solve_ivp = phaseplane.solve_ivp
+
+    def counting_solve(fun, t_span, y0, **kwargs):
+        calls = []
+
+        def counted(q, p):
+            calls.append(q)
+            return fun(q, p)
+
+        sol = solve_ivp(counted, t_span, y0, **kwargs)
+        solves.append((sol.nfev, len(calls)))
+        return sol
+
+    def counting_reconstruct(traj):
+        built.append(traj.c)
+        return reconstruct_profile(traj)
+
+    monkeypatch.setattr(phaseplane, "solve_ivp", counting_solve)
+    monkeypatch.setattr(wavespeed, "reconstruct_profile", counting_reconstruct)
+    n_max = 3
+    bracketing_sequences(1.0, logistic1, 2.0, M=10, n_max=n_max, reference=reference)
+    assert len(solves) == len(built) == 2 * (n_max + 1)
+    assert all(nfev == calls > 2 for nfev, calls in solves)
 
 
 def test_sequences_escalate_m_near_the_root(logistic1, speed_ref):
