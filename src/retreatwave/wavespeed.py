@@ -8,10 +8,13 @@ one-parameter family of decreasing profiles.  The slope residual
 is strictly decreasing in c, negative at c = 0 and positive at
 c0 = d * P0(delta) / xi, with P0 the zero-speed closed form and xi the stable
 zero (see ``bracket_low``).  A Newton search kept inside that bracket finds
-c*; the retreat speed is -c*.
+c*; the retreat speed is -c*.  A density sweep continues c* along delta: each
+search after the first starts warm from a tangent predictor whose slope
+dc*/ddelta costs no integration.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -87,11 +90,13 @@ class SpeedResult:
 
 @dataclass(eq=False)
 class SweepTable:
-    """Per-delta speed results; failed rows keep their error message."""
+    """Per-delta speed results and dc*/ddelta; failed rows keep their error message
+    and a NaN slope."""
 
     deltas: list[float]
     results: list[SpeedResult | None]
     errors: dict[float, str]
+    dc_ddelta: list[float]
 
     def retreat_speeds(self) -> list[float]:
         return [r.retreat_speed for r in self.results if r is not None]
@@ -103,9 +108,9 @@ class SweepTable:
 
     def to_csv(self, path) -> None:
         rows = []
-        for delta, res in zip(self.deltas, self.results):
+        for delta, res, slope in zip(self.deltas, self.results, self.dc_ddelta):
             if res is None:
-                rows.append((delta, float("nan"), float("nan"), float("nan"), float("nan"), 0))
+                rows.append((delta, math.nan, math.nan, math.nan, math.nan, 0, math.nan))
             else:
                 rows.append(
                     (
@@ -115,11 +120,13 @@ class SweepTable:
                         res.residual,
                         res.bracket[0],
                         res.iterations,
+                        slope,
                     )
                 )
         write_csv(
             path,
-            ("delta", "c_star", "retreat_speed", "residual", "bracket_low", "iterations"),
+            ("delta", "c_star", "retreat_speed", "residual", "bracket_low", "iterations",
+             "dc_ddelta"),
             rows,
         )
 
@@ -195,63 +202,115 @@ def find_wave_speed(
     delta: float,
     tol: float = DEFAULT_TOL,
     opts: IntegrationOptions | None = None,
+    *,
+    guess: float | None = None,
 ) -> SpeedResult:
     """Find the unique c* in (bracket_low, 0) with zero slope residual.
 
-    After r(0) and r(bracket_low) pass their proven sign check, Newton steps
-    with r'(c) from ``residual_slope`` run from the end with the smaller |r|,
-    bisecting the last sign-change pair when a step leaves it.  Once
-    |r| <= ``tol``, one more step puts c* at the integration noise, and the
-    better of the last two iterates is returned with its trajectory (its
+    Cold, after r(0) and r(bracket_low) pass their proven sign check, Newton
+    steps with r'(c) from ``residual_slope`` run from the end with the
+    smaller |r|, bisecting the last sign-change pair when a step leaves it.
+    Once |r| <= ``tol``, one more step puts c* at the integration noise, and
+    the better of the last two iterates is returned with its trajectory (its
     profile is built only when read).  Steps stay strictly inside the pair, so
     each speed is integrated once; ``iterations`` counts the steps.  A search
     that stops above ``tol`` names the smallest |r| it reached, and its c.
+
+    A ``guess`` in (bracket_low, 0) starts a warm search: only the guess is
+    integrated, and it replaces the end of the pair its residual's sign
+    names; the proven ends are clipped to and bisected toward, never
+    integrated.  The same steps follow, and ``iterations`` counts them from
+    the guess.  A warm search that fails falls back to the cold one, and any
+    other guess (NaN among them) runs cold.  ``function_calls`` counts every
+    integration the call made.
     """
     if not tol >= 1e-12:
         raise InputError(f"tol must be at least 1e-12, got {tol}")
     _require_gap(f.stable_zero, delta)
+    made = []  # the speed of every integration of this call
 
-    hi = integrate_trajectory(0.0, d, f, delta, opts)
-    c_low = bracket_low(d, f, delta)
-    lo = integrate_trajectory(c_low, d, f, delta, opts)
-    if not lo.residual > 0.0 > hi.residual:
-        raise BracketError(
-            f"bracket sign check failed: r({c_low:.6g}) = {lo.residual:.3e}, r(0) = "
-            f"{hi.residual:.3e}; the reaction may be invalid or delta <= {f.stable_zero:g}"
-        )
+    def integrate(c):
+        made.append(c)
+        return integrate_trajectory(c, d, f, delta, opts)
 
-    prev, cur = (lo, hi) if abs(hi.residual) < abs(lo.residual) else (hi, lo)
-    best = cur
-    steps = 0
-    while steps < MAX_SEARCH_STEPS and abs(prev.residual) > tol:
-        c = cur.c - cur.residual / residual_slope(cur, f)
-        if not lo.c <= c <= hi.c:
-            c = 0.5 * (lo.c + hi.c)
-        if c in (lo.c, hi.c):
-            break
-        traj = integrate_trajectory(c, d, f, delta, opts)
-        steps += 1
-        lo, hi = (lo, traj) if traj.residual < 0.0 else (traj, hi)
-        prev, cur = cur, traj
-        best = min(best, traj, key=lambda traj: abs(traj.residual))
-    final = min(prev, cur, key=lambda traj: abs(traj.residual))
-    residual = abs(final.residual)
-    if residual > tol:
-        raise NumericalError(
-            f"smallest slope residual {abs(best.residual):.3e} at c={best.c!r} "
-            f"did not reach tol {tol:.1e}"
-        )
+    found = c_low = None
+    if guess is not None:
+        c_low = bracket_low(d, f, delta)
+        if c_low < guess < 0.0:
+            try:
+                start = integrate(guess)
+                lo, hi = (c_low, start.c) if start.residual < 0.0 else (start.c, 0.0)
+                found = _newton_search(integrate, f, lo, hi, None, start, tol)
+            except NumericalError:
+                pass
+    if found is None:
+        hi = integrate(0.0)
+        if c_low is None:
+            c_low = bracket_low(d, f, delta)
+        lo = integrate(c_low)
+        if not lo.residual > 0.0 > hi.residual:
+            raise BracketError(
+                f"bracket sign check failed: r({c_low:.6g}) = {lo.residual:.3e}, r(0) = "
+                f"{hi.residual:.3e}; the reaction may be invalid or delta <= {f.stable_zero:g}"
+            )
+        prev, cur = (lo, hi) if abs(hi.residual) < abs(lo.residual) else (hi, lo)
+        found = _newton_search(integrate, f, lo.c, hi.c, prev, cur, tol)
 
+    final, steps = found
     return SpeedResult(
         delta=float(delta),
         c_star=float(final.c),
         retreat_speed=float(-final.c),
         bracket=(float(c_low), 0.0),
-        residual=float(residual),
+        residual=float(abs(final.residual)),
         trajectory=final,
         iterations=steps,
-        function_calls=steps + 2,
+        function_calls=len(made),
     )
+
+
+def _newton_search(integrate, f, lo, hi, prev, cur, tol) -> tuple[PhaseTrajectory, int]:
+    """Newton steps from ``cur`` kept inside the sign-change pair (lo, hi) of speeds.
+
+    ``prev`` is the iterate before ``cur``, or None when there is none.  The
+    search stops one step after |r| <= ``tol`` and returns the better of the
+    last two iterates and the number of steps; one that ends above ``tol``
+    raises NumericalError.
+    """
+    best = cur
+    steps = 0
+    while steps < MAX_SEARCH_STEPS and (prev is None or abs(prev.residual) > tol):
+        c = cur.c - cur.residual / residual_slope(cur, f)
+        if not lo <= c <= hi:
+            c = 0.5 * (lo + hi)
+        if c in (lo, hi):
+            break
+        traj = integrate(c)
+        steps += 1
+        lo, hi = (lo, c) if traj.residual < 0.0 else (c, hi)
+        prev, cur = cur, traj
+        best = min(best, traj, key=lambda traj: abs(traj.residual))
+    final = cur if prev is None else min(prev, cur, key=lambda traj: abs(traj.residual))
+    if abs(final.residual) > tol:
+        raise NumericalError(
+            f"smallest slope residual {abs(best.residual):.3e} at c={best.c!r} "
+            f"did not reach tol {tol:.1e}"
+        )
+    return final, steps
+
+
+def _dc_ddelta(res: SpeedResult, f: ReactionFunction) -> float:
+    """dc*/ddelta at a found speed, from its trajectory: no integration.
+
+    r(c, delta) = P_c(delta) - delta*c/d and the phase-plane ODE give
+    dr/ddelta = -f(delta)/(d*P_c(delta)), so the implicit function theorem
+    gives dc*/ddelta = -(dr/ddelta)/r'(c*), with r'(c*) from
+    ``residual_slope``.  For delta > xi both derivatives are negative, and so
+    is dc*/ddelta: the retreat speed increases strictly in delta.
+    """
+    traj = res.trajectory
+    dr_ddelta = -float(f(traj.delta)) / (traj.d * traj.endpoint_slope)
+    return -dr_ddelta / residual_slope(traj, f)
 
 
 def density_sweep(
@@ -260,23 +319,32 @@ def density_sweep(
     deltas,
     tol: float = DEFAULT_TOL,
 ) -> SweepTable:
-    """Run find_wave_speed over a strictly increasing list of deltas.
+    """Run find_wave_speed over a strictly increasing list of deltas, by continuation.
 
-    Per-delta failures are recorded and the sweep continues; the table's
-    CSV carries nan rows for failures.
+    The first row is searched cold.  Each later row starts from the tangent
+    predictor c_k + dc*/ddelta(delta_k) * (delta_{k+1} - delta_k) of the row
+    before (``_dc_ddelta``), and from cold after a failed row.  Per-delta
+    failures are recorded and the sweep continues; the table's CSV carries
+    nan rows for failures.
     """
     deltas = [float(x) for x in deltas]
     if any(b <= a for a, b in zip(deltas, deltas[1:])):
         raise InputError("deltas must be strictly increasing")
     results: list[SpeedResult | None] = []
+    slopes: list[float] = []
     errors: dict[float, str] = {}
     for delta in deltas:
+        last = results[-1] if results else None
+        guess = None if last is None else last.c_star + slopes[-1] * (delta - last.delta)
         try:
-            results.append(find_wave_speed(d, f, delta, tol))
+            res = find_wave_speed(d, f, delta, tol, guess=guess)
+            slope = _dc_ddelta(res, f)
         except (InputError, NumericalError) as exc:
-            results.append(None)
+            res, slope = None, math.nan
             errors[delta] = str(exc)
-    return SweepTable(deltas=deltas, results=results, errors=errors)
+        results.append(res)
+        slopes.append(slope)
+    return SweepTable(deltas=deltas, results=results, errors=errors, dc_ddelta=slopes)
 
 
 def perturbed_wave_speeds(
@@ -287,14 +355,18 @@ def perturbed_wave_speeds(
     tol: float = DEFAULT_TOL,
     c_star_base: float | None = None,
 ) -> PerturbedSpeeds:
-    """Wave speeds of the sandwiching pair; they must straddle the base c*."""
+    """Wave speeds of the sandwiching pair; they must straddle the base c*.
+
+    Both members' searches start warm from the base speed, which is searched
+    for first when ``c_star_base`` is not given.
+    """
     pair = make_perturbation_pair(f, epsilon)
     for name, member in (("lower", pair.lower), ("upper", pair.upper)):
         _require_gap(member.stable_zero, delta, f" of the {name} member at epsilon={epsilon:g}")
     if c_star_base is None:
         c_star_base = find_wave_speed(d, f, delta, tol).c_star
-    lower = find_wave_speed(d, pair.lower, delta, tol)
-    upper = find_wave_speed(d, pair.upper, delta, tol)
+    lower = find_wave_speed(d, pair.lower, delta, tol, guess=c_star_base)
+    upper = find_wave_speed(d, pair.upper, delta, tol, guess=c_star_base)
     if not lower.c_star < c_star_base < upper.c_star:
         raise NumericalError(
             f"perturbed speeds do not straddle the base speed: "

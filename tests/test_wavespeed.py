@@ -7,6 +7,7 @@ from retreatwave import phaseplane, wavespeed
 from retreatwave import (
     BracketError,
     InputError,
+    IntegrationError,
     IntegrationOptions,
     NumericalError,
     ReactionFunction,
@@ -16,7 +17,9 @@ from retreatwave import (
     density_sweep,
     find_wave_speed,
     integrate_trajectory,
+    make_perturbation_pair,
     make_polynomial,
+    parse_reaction,
     perturbed_wave_speeds,
     reconstruct_profile,
     residual_monotonicity_audit,
@@ -285,7 +288,7 @@ def test_sweep_matches_single_and_emits_rows(tmp_path, logistic1):
     single = find_wave_speed(1.0, logistic1, 2.0)
     assert table.results[0].c_star == pytest.approx(single.c_star, abs=1e-12)
     text = (tmp_path / "sweep.csv").read_text().splitlines()
-    assert text[0] == "delta,c_star,retreat_speed,residual,bracket_low,iterations"
+    assert text[0] == "delta,c_star,retreat_speed,residual,bracket_low,iterations,dc_ddelta"
     assert len(text) == 2
 
 
@@ -300,6 +303,182 @@ def test_sweep_continues_past_failures(logistic1):
     assert 1.0000001 in table.errors
     assert table.results[1] is not None and table.results[2] is not None
     table.assert_monotone()
+
+
+CONTINUATION_REACTIONS = [
+    ("logistic:r=1", 1.0),
+    ("custom:0.7,-1", 2.0),
+    ("custom:3,-2,0.9,-0.6", 0.8),
+]
+TIGHT = IntegrationOptions(rtol=1e-12, atol=1e-14)
+
+
+def _counting(monkeypatch):
+    """Record the speed of every integration wavespeed starts."""
+    speeds = []
+
+    def counting(c, *args, **kwargs):
+        speeds.append(float(c))
+        return integrate_trajectory(c, *args, **kwargs)
+
+    monkeypatch.setattr(wavespeed, "integrate_trajectory", counting)
+    return speeds
+
+
+@pytest.mark.parametrize("spec, d", CONTINUATION_REACTIONS)
+def test_sweep_dc_ddelta_certifies_an_increasing_retreat_speed(spec, d):
+    # dr/ddelta = -f(delta)/(d P) < 0 and r'(c) < 0, so dc*/ddelta < 0 at
+    # every row: the retreat speed increases strictly in delta
+    f = parse_reaction(spec)
+    xi = f.stable_zero
+    table = density_sweep(d, f, [xi * s for s in (1.0001, 1.01, 1.1, 1.5, 2.0, 3.0, 5.0)])
+    assert not table.errors
+    assert all(slope < 0.0 for slope in table.dc_ddelta)
+    table.assert_monotone()
+
+
+@pytest.mark.parametrize("spec, d", CONTINUATION_REACTIONS)
+def test_sweep_dc_ddelta_matches_central_difference(spec, d):
+    # against (c*(delta + h) - c*(delta - h)) / 2h from two rtol 1e-12 solves
+    # at h = 1e-4*(delta - xi): the largest relative gap measured over these
+    # rows is 7.1e-9, so the bound 1e-7 leaves a margin of 14
+    f = parse_reaction(spec)
+    xi = f.stable_zero
+    deltas = [xi * s for s in (1.01, 1.5, 3.0, 5.0)]
+    table = density_sweep(d, f, deltas)
+    for delta, slope in zip(deltas, table.dc_ddelta):
+        h = 1e-4 * (delta - xi)
+        c_plus = find_wave_speed(d, f, delta + h, 1e-12, TIGHT).c_star
+        c_minus = find_wave_speed(d, f, delta - h, 1e-12, TIGHT).c_star
+        assert slope == pytest.approx((c_plus - c_minus) / (2.0 * h), rel=1e-7)
+
+
+def _assert_agrees_with_cold(res, d, f):
+    # |r'| > xi/d, so each speed lies within |r(c)|*d/xi of c*.  The results'
+    # own residuals carry the integration error, which on a wider family
+    # exceeded them by up to 128 times, so |r| is read from an rtol 1e-12
+    # integration of each speed
+    cold = find_wave_speed(d, f, res.delta)
+    r_warm, r_cold = (
+        abs(integrate_trajectory(c, d, f, res.delta, TIGHT).residual)
+        for c in (res.c_star, cold.c_star)
+    )
+    assert abs(res.c_star - cold.c_star) <= (r_warm + r_cold) * d / f.stable_zero
+
+
+@pytest.mark.parametrize("spec, d", CONTINUATION_REACTIONS)
+def test_warm_rows_and_members_agree_with_cold_searches(spec, d):
+    f = parse_reaction(spec)
+    xi = f.stable_zero
+    table = density_sweep(d, f, [xi * s for s in (1.01, 1.1, 1.5, 2.0, 3.0, 5.0)])
+    for res in table.results:
+        assert res.residual <= 1e-10
+        _assert_agrees_with_cold(res, d, f)
+    base = table.results[3]
+    pair = make_perturbation_pair(f, 0.05)
+    ps = perturbed_wave_speeds(d, f, base.delta, 0.05, c_star_base=base.c_star)
+    for member, fm in ((ps.lower, pair.lower), (ps.upper, pair.upper)):
+        assert member.residual <= 1e-10
+        _assert_agrees_with_cold(member, d, fm)
+
+
+def test_sweep_and_perturbed_pair_integration_counts(monkeypatch, logistic1):
+    # cold, these rows take 5, 6, 6, 7, 7 and 7 integrations (38) and the
+    # members 6 each; warm, every row after the first is its guess and three
+    # Newton steps
+    speeds = _counting(monkeypatch)
+    table = density_sweep(1.0, logistic1, [1.1, 1.5, 2.0, 2.5, 3.0, 4.0])
+    assert [res.function_calls for res in table.results] == [5, 4, 4, 4, 4, 4]
+    assert [res.iterations for res in table.results] == [3, 3, 3, 3, 3, 3]
+    assert len(speeds) == 25
+    speeds.clear()
+    ps = perturbed_wave_speeds(1.0, logistic1, 2.0, 0.05, c_star_base=C_STAR_REF)
+    assert (ps.lower.function_calls, ps.upper.function_calls) == (4, 4)
+    assert len(speeds) == 8 and speeds[0] == speeds[4] == C_STAR_REF  # each starts at the base
+
+
+def test_guess_outside_the_bracket_searches_cold(monkeypatch, logistic1):
+    speeds = _counting(monkeypatch)
+    cold = find_wave_speed(1.0, logistic1, 2.0)
+    cold_speeds = list(speeds)
+    c_low = bracket_low(1.0, logistic1, 2.0)
+    for guess in (c_low, 0.0, -0.0, c_low - 1.0, 0.5, -math.inf, math.nan):
+        speeds.clear()
+        res = find_wave_speed(1.0, logistic1, 2.0, guess=guess)
+        assert speeds == cold_speeds
+        assert (res.function_calls, res.iterations) == (cold.function_calls, cold.iterations)
+        assert res.c_star == cold.c_star
+
+
+def test_failed_warm_search_falls_back_to_cold(monkeypatch, logistic1):
+    # the integration of the guess fails: the cold search runs, and the call
+    # counts that integration too
+    cold = find_wave_speed(1.0, logistic1, 2.0)
+    guess = -0.9
+
+    def failing(c, *args, **kwargs):
+        if c == guess:
+            raise IntegrationError("stand-in failure")
+        return integrate_trajectory(c, *args, **kwargs)
+
+    monkeypatch.setattr(wavespeed, "integrate_trajectory", failing)
+    res = find_wave_speed(1.0, logistic1, 2.0, guess=guess)
+    assert res.c_star == cold.c_star
+    assert res.function_calls == cold.function_calls + 1
+    assert res.iterations == cold.iterations
+
+
+def test_sweep_row_after_a_good_one_records_a_failed_bracket(monkeypatch, logistic1):
+    # the first bracket_low is the true one and every later one is broken, as
+    # in test_failed_bracket_sign_check_raises: the warm guesses lie below the
+    # broken end, so those rows search cold and fail the sign check
+    calls = []
+
+    def breaking(*args):
+        calls.append(args)
+        return closed_form_zero_speed(*args) if len(calls) == 1 else -1e-3
+
+    monkeypatch.setattr(wavespeed, "closed_form_zero_speed", breaking)
+    table = density_sweep(1.0, logistic1, [1.5, 2.0, 2.5])
+    assert table.results[0] is not None and table.dc_ddelta[0] < 0.0
+    assert table.results[1:] == [None, None]
+    assert all("bracket sign check failed" in table.errors[delta] for delta in (2.0, 2.5))
+    assert all(math.isnan(slope) for slope in table.dc_ddelta[1:])
+
+
+@pytest.mark.parametrize("spec, d", CONTINUATION_REACTIONS)
+@pytest.mark.parametrize("g", [1e-2, 1e-3, 1e-4, 1e-5])
+def test_speed_near_the_stable_zero_follows_the_linear_law(spec, d, g):
+    # linearising at the saddle gives c* ~ c_lin = -sqrt(-d f'(xi))*(delta - xi)/xi;
+    # the measured relative deviations are -0.167*g, -0.167*g and +0.102*g, and
+    # c* itself is known to within residual*d/xi
+    f = parse_reaction(spec)
+    xi = f.stable_zero
+    delta = xi * (1.0 + g)
+    res = find_wave_speed(d, f, delta)
+    c_lin = -math.sqrt(-d * float(f.deriv(xi))) * (delta - xi) / xi
+    assert abs(res.c_star / c_lin - 1.0) <= 0.25 * g + res.residual * d / (xi * abs(c_lin))
+
+
+def test_sweep_and_pair_reach_find_wave_speed_through_the_module(monkeypatch, logistic1):
+    # the benchmark's clock and tracer wrap wavespeed.find_wave_speed: every
+    # speed of a sweep or a pair must go through that name
+    guesses = []
+    search = wavespeed.find_wave_speed
+
+    def recording(*args, guess=None, **kwargs):
+        guesses.append(guess)
+        return search(*args, guess=guess, **kwargs)
+
+    monkeypatch.setattr(wavespeed, "find_wave_speed", recording)
+    table = density_sweep(1.0, logistic1, [1.5, 2.0, 2.5])
+    assert len(guesses) == 3 and guesses[0] is None and all(g < 0.0 for g in guesses[1:])
+    guesses.clear()
+    perturbed_wave_speeds(1.0, logistic1, 2.0, 0.05, c_star_base=table.results[1].c_star)
+    assert guesses == [table.results[1].c_star] * 2
+    guesses.clear()
+    perturbed_wave_speeds(1.0, logistic1, 2.0, 0.05)
+    assert guesses[0] is None and guesses[1:] == [guesses[1]] * 2 and len(guesses) == 3
 
 
 def test_perturbed_speeds_straddle_and_shrink(logistic1, speed_ref):
