@@ -8,13 +8,15 @@ one-parameter family of decreasing profiles.  The slope residual
 is strictly decreasing in c, negative at c = 0 and positive at
 c0 = d * P0(delta) / xi, with P0 the zero-speed closed form and xi the stable
 zero (see ``bracket_low``).  A Newton search kept inside that bracket finds
-c*; the retreat speed is -c*.  A density sweep continues c* along delta: each
-search after the first starts warm from a tangent predictor whose slope
-dc*/ddelta costs no integration.
+c* from one integrated start and never integrates the proven ends; the
+retreat speed is -c*.  A density sweep continues c* along delta: each search
+after the first starts from a tangent predictor whose slope dc*/ddelta costs
+no integration.
 """
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -207,22 +209,13 @@ def find_wave_speed(
 ) -> SpeedResult:
     """Find the unique c* in (bracket_low, 0) with zero slope residual.
 
-    Cold, after r(0) and r(bracket_low) pass their proven sign check, Newton
-    steps with r'(c) from ``residual_slope`` run from the end with the
-    smaller |r|, bisecting the last sign-change pair when a step leaves it.
-    Once |r| <= ``tol``, one more step puts c* at the integration noise, and
-    the better of the last two iterates is returned with its trajectory (its
-    profile is built only when read).  Steps stay strictly inside the pair, so
-    each speed is integrated once; ``iterations`` counts the steps.  A search
-    that stops above ``tol`` names the smallest |r| it reached, and its c.
-
-    A ``guess`` in (bracket_low, 0) starts a warm search: only the guess is
-    integrated, and it replaces the end of the pair its residual's sign
-    names; the proven ends are clipped to and bisected toward, never
-    integrated.  The same steps follow, and ``iterations`` counts them from
-    the guess.  A warm search that fails falls back to the cold one, and any
-    other guess (NaN among them) runs cold.  ``function_calls`` counts every
-    integration the call made.
+    The search integrates one start, ``guess`` if it lies in (bracket_low, 0)
+    and else 0, and takes Newton steps from it (``_newton_search``).  Once
+    |r| <= ``tol``, one more step puts c* at the integration noise, and the
+    better of the last two iterates is returned with its trajectory (its
+    profile is built only when read).  A search from the guess that raises
+    NumericalError is retried once from 0.  ``iterations`` counts the steps
+    from the start, and ``function_calls`` every integration of the call.
     """
     if not tol >= 1e-12:
         raise InputError(f"tol must be at least 1e-12, got {tol}")
@@ -233,28 +226,19 @@ def find_wave_speed(
         made.append(c)
         return integrate_trajectory(c, d, f, delta, opts)
 
-    found = c_low = None
-    if guess is not None:
-        c_low = bracket_low(d, f, delta)
-        if c_low < guess < 0.0:
-            try:
-                start = integrate(guess)
-                lo, hi = (c_low, start.c) if start.residual < 0.0 else (start.c, 0.0)
-                found = _newton_search(integrate, f, lo, hi, None, start, tol)
-            except NumericalError:
-                pass
+    # r(0) before bracket_low: where the saddle slope overflows, the integration
+    # raises NumericalError before bracket_low's quadrature overflows
+    zero = None if guess is not None else integrate(0.0)
+    c_low = bracket_low(d, f, delta)
+    found = None
+    if guess is not None and c_low < guess < 0.0:
+        with suppress(NumericalError):  # retried from 0
+            found = _newton_search(integrate, f, c_low, integrate(guess), tol)
     if found is None:
-        hi = integrate(0.0)
-        if c_low is None:
-            c_low = bracket_low(d, f, delta)
-        lo = integrate(c_low)
-        if not lo.residual > 0.0 > hi.residual:
-            raise BracketError(
-                f"bracket sign check failed: r({c_low:.6g}) = {lo.residual:.3e}, r(0) = "
-                f"{hi.residual:.3e}; the reaction may be invalid or delta <= {f.stable_zero:g}"
-            )
-        prev, cur = (lo, hi) if abs(hi.residual) < abs(lo.residual) else (hi, lo)
-        found = _newton_search(integrate, f, lo.c, hi.c, prev, cur, tol)
+        zero = integrate(0.0) if zero is None else zero
+        if not zero.residual < 0.0:
+            _check_bracket(integrate, f, c_low, zero)
+        found = _newton_search(integrate, f, c_low, zero, tol)
 
     final, steps = found
     return SpeedResult(
@@ -269,16 +253,29 @@ def find_wave_speed(
     )
 
 
-def _newton_search(integrate, f, lo, hi, prev, cur, tol) -> tuple[PhaseTrajectory, int]:
-    """Newton steps from ``cur`` kept inside the sign-change pair (lo, hi) of speeds.
+def _check_bracket(integrate, f, c_low, zero) -> None:
+    """Integrate c_low and raise BracketError unless r(c_low) > 0 > r(0)."""
+    low = integrate(c_low)
+    if not low.residual > 0.0 > zero.residual:
+        raise BracketError(
+            f"bracket sign check failed: r({c_low:.6g}) = {low.residual:.3e}, r(0) = "
+            f"{zero.residual:.3e}; the reaction may be invalid or delta <= {f.stable_zero:g}"
+        )
 
-    ``prev`` is the iterate before ``cur``, or None when there is none.  The
-    search stops one step after |r| <= ``tol`` and returns the better of the
-    last two iterates and the number of steps; one that ends above ``tol``
-    raises NumericalError.
+
+def _newton_search(integrate, f, c_low, start, tol) -> tuple[PhaseTrajectory, int]:
+    """Newton steps from the integrated speed ``start`` in (c_low, 0].
+
+    ``start`` and then each step replace the end of the sign-change pair
+    (c_low, 0) that the sign of their residual names; a step that leaves the
+    pair bisects it, so no speed is integrated twice and neither proven end
+    at all.  The search stops one step after |r| <= ``tol`` and returns the
+    better of the last two iterates and the number of steps.  One that ends
+    above ``tol`` raises NumericalError, after ``_check_bracket`` when it
+    started at 0 (a search from a guess is retried from 0) and never passed c_low.
     """
-    best = cur
-    steps = 0
+    lo, hi = (c_low, start.c) if start.residual < 0.0 else (start.c, 0.0)
+    prev, cur, best, steps = None, start, start, 0
     while steps < MAX_SEARCH_STEPS and (prev is None or abs(prev.residual) > tol):
         c = cur.c - cur.residual / residual_slope(cur, f)
         if not lo <= c <= hi:
@@ -292,6 +289,8 @@ def _newton_search(integrate, f, lo, hi, prev, cur, tol) -> tuple[PhaseTrajector
         best = min(best, traj, key=lambda traj: abs(traj.residual))
     final = cur if prev is None else min(prev, cur, key=lambda traj: abs(traj.residual))
     if abs(final.residual) > tol:
+        if start.c == 0.0 and lo == c_low:
+            _check_bracket(integrate, f, c_low, start)
         raise NumericalError(
             f"smallest slope residual {abs(best.residual):.3e} at c={best.c!r} "
             f"did not reach tol {tol:.1e}"
@@ -319,17 +318,17 @@ def density_sweep(
     deltas,
     tol: float = DEFAULT_TOL,
 ) -> SweepTable:
-    """Run find_wave_speed over a strictly increasing list of deltas, by continuation.
+    """Run find_wave_speed over a finite, strictly increasing list of deltas, by continuation.
 
-    The first row is searched cold.  Each later row starts from the tangent
+    The first row starts at 0.  Each later row starts from the tangent
     predictor c_k + dc*/ddelta(delta_k) * (delta_{k+1} - delta_k) of the row
-    before (``_dc_ddelta``), and from cold after a failed row.  Per-delta
+    before (``_dc_ddelta``), and at 0 after a failed row.  Per-delta
     failures are recorded and the sweep continues; the table's CSV carries
     nan rows for failures.
     """
     deltas = [float(x) for x in deltas]
-    if any(b <= a for a, b in zip(deltas, deltas[1:])):
-        raise InputError("deltas must be strictly increasing")
+    if not all(map(math.isfinite, deltas)) or any(b <= a for a, b in zip(deltas, deltas[1:])):
+        raise InputError("deltas must be finite and strictly increasing")
     results: list[SpeedResult | None] = []
     slopes: list[float] = []
     errors: dict[float, str] = {}
@@ -357,7 +356,7 @@ def perturbed_wave_speeds(
 ) -> PerturbedSpeeds:
     """Wave speeds of the sandwiching pair; they must straddle the base c*.
 
-    Both members' searches start warm from the base speed, which is searched
+    Both members' searches start from the base speed, which is searched
     for first when ``c_star_base`` is not given.
     """
     pair = make_perturbation_pair(f, epsilon)

@@ -112,6 +112,9 @@ def test_semiwave_trajectory_csv(tmp_path, runner):
         (["simulate", "--T", "0.01", "--dt", "inf"], "dt must be positive and finite, got inf"),
         (["simulate", "--T", "0.01", "--snapshot-times", "nan"],
          "snapshot times must be finite, got 'nan'"),
+        # every comparison with NaN is False, so the order check alone lets a NaN through
+        (["sweep", "--deltas", "2,nan,1.5"], "deltas must be finite and strictly increasing"),
+        (["sweep", "--deltas", "1.5,inf"], "deltas must be finite and strictly increasing"),
     ],
 )
 def test_non_finite_numbers_exit_1(tmp_path, runner, args, message):

@@ -45,6 +45,7 @@ def test_speed_selection_holds_across_monostable_family(r, xi, a, d, s):
 
     res = find_wave_speed(d, f, delta)
     assert abs(res.residual) <= 1e-10
+    assert res.function_calls == res.iterations + 1  # the start at 0 and one speed per step
     assert -delta / d < residual_slope(res.trajectory, f) < -xi / d
     tight = integrate_trajectory(res.c_star, d, f, delta, IntegrationOptions(rtol=1e-12, atol=1e-14))
     assert abs(tight.endpoint_slope - res.c_star * delta / d) <= 1e-9

@@ -124,13 +124,13 @@ SEARCH_PROBLEMS = [
 @pytest.mark.parametrize(
     "d, coeffs, delta, tol, calls",
     [
-        # the bracket, three Newton steps to |r| <= tol and the one step beyond
+        # the start at 0, the steps to |r| <= tol and the one step beyond
         (*SEARCH_PROBLEMS[0], 6),
-        (*SEARCH_PROBLEMS[1], 6),
-        (*SEARCH_PROBLEMS[2], 9),  # r' grows twelvefold from bracket_low to 0: more steps
+        (*SEARCH_PROBLEMS[1], 5),
+        (*SEARCH_PROBLEMS[2], 8),  # r' grows twelvefold from bracket_low to 0: more steps
         # at the noise floor: Newton steps wander inside the noise band before
         # one lands below tol; the count follows the last bits of P(delta)
-        (*SEARCH_PROBLEMS[3], 17),
+        (*SEARCH_PROBLEMS[3], 14),
     ],
 )
 def test_find_wave_speed_integrates_each_speed_once(monkeypatch, d, coeffs, delta, tol, calls):
@@ -148,7 +148,8 @@ def test_find_wave_speed_integrates_each_speed_once(monkeypatch, d, coeffs, delt
     assert profiles == []  # the profile is built only when read
     assert len(set(speeds)) == len(speeds)
     assert res.residual <= tol
-    assert res.iterations == calls - 2
+    assert res.iterations == calls - 1
+    assert speeds[0] == 0.0 and res.bracket[0] not in speeds  # the start, never the proven end
 
 
 def test_speed_result_builds_its_profile_once(monkeypatch, logistic1):
@@ -383,18 +384,61 @@ def test_warm_rows_and_members_agree_with_cold_searches(spec, d):
 
 
 def test_sweep_and_perturbed_pair_integration_counts(monkeypatch, logistic1):
-    # cold, these rows take 5, 6, 6, 7, 7 and 7 integrations (38) and the
-    # members 6 each; warm, every row after the first is its guess and three
-    # Newton steps
+    # from 0, these rows take 5, 5, 6, 6, 6 and 6 integrations (34) and the
+    # members 6 each; from the tangent guess, every row after the first is
+    # its guess and three Newton steps
     speeds = _counting(monkeypatch)
     table = density_sweep(1.0, logistic1, [1.1, 1.5, 2.0, 2.5, 3.0, 4.0])
     assert [res.function_calls for res in table.results] == [5, 4, 4, 4, 4, 4]
-    assert [res.iterations for res in table.results] == [3, 3, 3, 3, 3, 3]
+    assert [res.iterations for res in table.results] == [4, 3, 3, 3, 3, 3]
     assert len(speeds) == 25
     speeds.clear()
     ps = perturbed_wave_speeds(1.0, logistic1, 2.0, 0.05, c_star_base=C_STAR_REF)
     assert (ps.lower.function_calls, ps.upper.function_calls) == (4, 4)
     assert len(speeds) == 8 and speeds[0] == speeds[4] == C_STAR_REF  # each starts at the base
+
+
+@pytest.mark.parametrize("spec, d", CONTINUATION_REACTIONS)
+def test_sweep_and_pair_never_integrate_bracket_low(monkeypatch, spec, d):
+    # each search integrates its start and one speed per step, and neither
+    # proven end unless 0 is its start
+    f = parse_reaction(spec)
+    xi = f.stable_zero
+    speeds = _counting(monkeypatch)
+    table = density_sweep(d, f, [xi * s for s in (1.01, 1.1, 1.5, 2.0, 3.0, 5.0)])
+    ps = perturbed_wave_speeds(d, f, table.results[3].delta, 0.05,
+                               c_star_base=table.results[3].c_star)
+    for res in table.results + [ps.lower, ps.upper]:
+        made, speeds = speeds[:res.function_calls], speeds[res.function_calls:]
+        assert res.function_calls == res.iterations + 1
+        assert res.bracket[0] not in made and 0.0 not in made[1:]
+    assert speeds == []
+
+
+def test_start_at_zero_with_a_nonnegative_residual_raises(monkeypatch, logistic1):
+    # r(0) = P0(delta) < 0 is proven: a stand-in r(0) >= 0 fails the sign
+    # check before any step, after the one integration of bracket_low it names
+    speeds = []
+
+    def standing_in(c, *args, **kwargs):
+        speeds.append(c)
+        return integrate_trajectory(-1.0 if c == 0.0 else c, *args, **kwargs)
+
+    monkeypatch.setattr(wavespeed, "integrate_trajectory", standing_in)
+    with pytest.raises(BracketError, match="bracket sign check failed"):
+        find_wave_speed(1.0, logistic1, 2.0)
+    assert speeds == [0.0, bracket_low(1.0, logistic1, 2.0)]
+
+
+def test_failed_search_checks_bracket_low_once(monkeypatch, logistic1):
+    # with no step allowed both searches end above tol, neither past
+    # bracket_low: only the search from 0 integrates it, r(c0) > 0 passes the
+    # sign check, and the usual error follows
+    monkeypatch.setattr(wavespeed, "MAX_SEARCH_STEPS", 0)
+    speeds = _counting(monkeypatch)
+    with pytest.raises(NumericalError, match="did not reach tol"):
+        find_wave_speed(1.0, logistic1, 2.0, guess=-0.9)
+    assert speeds == [-0.9, 0.0, bracket_low(1.0, logistic1, 2.0)]
 
 
 def test_guess_outside_the_bracket_searches_cold(monkeypatch, logistic1):
