@@ -227,8 +227,8 @@ def saddle_slope(c: float, d: float, f: ReactionFunction) -> float:
     positive; the returned value is strictly negative.  A slope that is not
     finite (the radicand overflowed) raises IntegrationError.
     """
-    if not d > 0:
-        raise InputError(f"diffusivity must be positive, got {d}")
+    if not 0 < d < np.inf:
+        raise InputError(f"diffusivity must be positive and finite, got {d}")
     fp = float(f.deriv(f.stable_zero))
     if not fp < 0.0:
         raise InputError(

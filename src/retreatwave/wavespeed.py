@@ -5,13 +5,13 @@ one-parameter family of decreasing profiles.  The slope residual
 
     r(c) = q_c'(0) - (delta/d) * c
 
-is strictly decreasing in c, negative at c = 0 and positive at
-c0 = d * P0(delta) / xi, with P0 the zero-speed closed form and xi the stable
-zero (see ``bracket_low``).  A Newton search kept inside that bracket finds
-c* from one integrated start and never integrates the proven ends; the
-retreat speed is -c*.  A density sweep continues c* along delta: each search
-after the first starts from a tangent predictor whose slope dc*/ddelta costs
-no integration.
+is strictly decreasing in c, with slope in (-delta/d, -xi/d), positive at
+c0 = d * P0(delta) / xi and negative on [c_up, 0], c_up = c0*xi/delta, with
+P0 the zero-speed closed form and xi the stable zero (see ``bracket_low``).
+A Newton search from one integrated start stays inside (c0, c_up), checks
+every iterate against these ends and never integrates them; the retreat
+speed is -c*.  A density sweep continues c* along delta from tangent
+predictors whose slope dc*/ddelta costs no integration.
 """
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ from .phaseplane import (
     integrate_trajectory,
     reconstruct_profile,
     residual_slope,
+    saddle_slope,
 )
 from .reaction import ReactionFunction, make_perturbation_pair
 from .serialize import write_csv
@@ -59,7 +60,7 @@ DEFAULT_TOL = 1e-10  # |r(c*)| a speed search stops at
 
 @dataclass(eq=False)
 class SpeedResult:
-    """Selected wave speed c* with its bracket, residual and trajectory."""
+    """Selected wave speed c* with its proven bracket (c0, c_up), residual and trajectory."""
 
     delta: float
     c_star: float
@@ -207,45 +208,45 @@ def find_wave_speed(
     *,
     guess: float | None = None,
 ) -> SpeedResult:
-    """Find the unique c* in (bracket_low, 0) with zero slope residual.
+    """Find the unique c* in the proven bracket (c0, c_up) with zero slope residual.
 
-    The search integrates one start, ``guess`` if it lies in (bracket_low, 0)
-    and else 0, and takes Newton steps from it (``_newton_search``).  Once
-    |r| <= ``tol``, one more step puts c* at the integration noise, and the
-    better of the last two iterates is returned with its trajectory (its
-    profile is built only when read).  A search from the guess that raises
-    NumericalError is retried once from 0.  ``iterations`` counts the steps
-    from the start, and ``function_calls`` every integration of the call.
+    c0 = ``bracket_low`` and c_up = c0*xi/delta (r(c_up) < 0 as P_c < P0 for
+    c < 0) are closed form.  The search integrates one start, ``guess`` if it
+    lies in (c0, 0) and else c_s = 2*d*P0(delta)/(xi + delta), the root for
+    the mean slope of r, and takes Newton steps from it (``_newton_search``)
+    to one step past |r| <= ``tol``, which puts c* at the integration noise;
+    the better of the last two iterates is returned with its trajectory.  A
+    search from the guess that raises NumericalError is retried once from
+    c_s.  ``iterations`` counts the steps from the start, and
+    ``function_calls`` every integration of the call.
     """
     if not tol >= 1e-12:
         raise InputError(f"tol must be at least 1e-12, got {tol}")
-    _require_gap(f.stable_zero, delta)
+    xi = f.stable_zero
+    _require_gap(xi, delta)
+    saddle_slope(0.0, d, f)  # an overflow raises here, not in bracket_low's quadrature
+    c_low = bracket_low(d, f, delta)
+    ends = (c_low, c_low * xi / delta)
     made = []  # the speed of every integration of this call
 
     def integrate(c):
         made.append(c)
         return integrate_trajectory(c, d, f, delta, opts)
 
-    # r(0) before bracket_low: where the saddle slope overflows, the integration
-    # raises NumericalError before bracket_low's quadrature overflows
-    zero = None if guess is not None else integrate(0.0)
-    c_low = bracket_low(d, f, delta)
     found = None
     if guess is not None and c_low < guess < 0.0:
-        with suppress(NumericalError):  # retried from 0
-            found = _newton_search(integrate, f, c_low, integrate(guess), tol)
+        with suppress(NumericalError):  # retried from c_s
+            found = _newton_search(integrate, f, ends, integrate(guess), tol)
     if found is None:
-        zero = integrate(0.0) if zero is None else zero
-        if not zero.residual < 0.0:
-            _check_bracket(integrate, f, c_low, zero)
-        found = _newton_search(integrate, f, c_low, zero, tol)
+        start = integrate(2.0 * c_low * xi / (xi + delta))
+        found = _newton_search(integrate, f, ends, start, tol)
 
     final, steps = found
     return SpeedResult(
         delta=float(delta),
         c_star=float(final.c),
         retreat_speed=float(-final.c),
-        bracket=(float(c_low), 0.0),
+        bracket=(float(ends[0]), float(ends[1])),
         residual=float(abs(final.residual)),
         trajectory=final,
         iterations=steps,
@@ -253,44 +254,42 @@ def find_wave_speed(
     )
 
 
-def _check_bracket(integrate, f, c_low, zero) -> None:
-    """Integrate c_low and raise BracketError unless r(c_low) > 0 > r(0)."""
-    low = integrate(c_low)
-    if not low.residual > 0.0 > zero.residual:
-        raise BracketError(
-            f"bracket sign check failed: r({c_low:.6g}) = {low.residual:.3e}, r(0) = "
-            f"{zero.residual:.3e}; the reaction may be invalid or delta <= {f.stable_zero:g}"
-        )
+def _newton_search(integrate, f, ends, start, tol) -> tuple[PhaseTrajectory, int]:
+    """Newton steps from the integrated speed ``start`` inside the proven ``ends`` (c0, c_up).
 
-
-def _newton_search(integrate, f, c_low, start, tol) -> tuple[PhaseTrajectory, int]:
-    """Newton steps from the integrated speed ``start`` in (c_low, 0].
-
-    ``start`` and then each step replace the end of the sign-change pair
-    (c_low, 0) that the sign of their residual names; a step that leaves the
-    pair bisects it, so no speed is integrated twice and neither proven end
-    at all.  The search stops one step after |r| <= ``tol`` and returns the
-    better of the last two iterates and the number of steps.  One that ends
-    above ``tol`` raises NumericalError, after ``_check_bracket`` when it
-    started at 0 (a search from a guess is retried from 0) and never passed c_low.
+    As -delta/d < r' < -xi/d, c* lies beyond c + r(c)*d/delta, below when
+    r(c) < 0 and above otherwise: the start or a step whose bound reaches
+    the proven end on that side raises BracketError at once.  Each replaces
+    the end of the sign-change pair its residual's sign names; a step that
+    leaves the pair bisects it, so no speed is integrated twice and no
+    proven end at all.  The search stops one step after |r| <= ``tol`` and
+    returns the better of the last two iterates and the step count; one
+    that ends above ``tol`` raises NumericalError.
     """
-    lo, hi = (c_low, start.c) if start.residual < 0.0 else (start.c, 0.0)
+    c_low, c_up = lo, hi = ends
     prev, cur, best, steps = None, start, start, 0
-    while steps < MAX_SEARCH_STEPS and (prev is None or abs(prev.residual) > tol):
+    while True:
+        below = cur.residual < 0.0
+        reach = cur.c + cur.residual * cur.d / cur.delta
+        if (reach <= c_low) if below else (reach >= c_up):
+            raise BracketError(
+                f"bracket sign check failed: r({cur.c!r}) = {cur.residual:.3e} puts c* beyond "
+                f"{reach!r}, outside ({c_low!r}, {c_up!r}); the reaction may be invalid or "
+                f"delta <= {f.stable_zero:g}"
+            )
+        lo, hi = (lo, min(hi, cur.c)) if below else (cur.c, hi)
+        if steps == MAX_SEARCH_STEPS or (prev is not None and abs(prev.residual) <= tol):
+            break
         c = cur.c - cur.residual / residual_slope(cur, f)
         if not lo <= c <= hi:
             c = 0.5 * (lo + hi)
         if c in (lo, hi):
             break
-        traj = integrate(c)
+        prev, cur = cur, integrate(c)
         steps += 1
-        lo, hi = (lo, c) if traj.residual < 0.0 else (c, hi)
-        prev, cur = cur, traj
-        best = min(best, traj, key=lambda traj: abs(traj.residual))
+        best = min(best, cur, key=lambda traj: abs(traj.residual))
     final = cur if prev is None else min(prev, cur, key=lambda traj: abs(traj.residual))
     if abs(final.residual) > tol:
-        if start.c == 0.0 and lo == c_low:
-            _check_bracket(integrate, f, c_low, start)
         raise NumericalError(
             f"smallest slope residual {abs(best.residual):.3e} at c={best.c!r} "
             f"did not reach tol {tol:.1e}"
@@ -320,9 +319,9 @@ def density_sweep(
 ) -> SweepTable:
     """Run find_wave_speed over a finite, strictly increasing list of deltas, by continuation.
 
-    The first row starts at 0.  Each later row starts from the tangent
-    predictor c_k + dc*/ddelta(delta_k) * (delta_{k+1} - delta_k) of the row
-    before (``_dc_ddelta``), and at 0 after a failed row.  Per-delta
+    The first row starts at c_s (``find_wave_speed``).  Each later row starts
+    from the tangent predictor c_k + dc*/ddelta(delta_k) * (delta_{k+1} - delta_k)
+    of the row before (``_dc_ddelta``), and at c_s after a failed row.  Per-delta
     failures are recorded and the sweep continues; the table's CSV carries
     nan rows for failures.
     """

@@ -45,7 +45,14 @@ def test_speed_selection_holds_across_monostable_family(r, xi, a, d, s):
 
     res = find_wave_speed(d, f, delta)
     assert abs(res.residual) <= 1e-10
-    assert res.function_calls == res.iterations + 1  # the start at 0 and one speed per step
+    assert res.function_calls == res.iterations + 1  # the start c_s and one speed per step
+    # the proven ends c0 = bracket_low and c_up = c0*xi/delta, with r < 0 on
+    # [c_up, 0], hold c* and the start c_s
+    c_low, c_up = res.bracket
+    assert c_low == audit.c_values[0] and c_up == c_low * xi / delta
+    assert np.all(audit.residuals[audit.c_values >= c_up] < 0.0)
+    assert c_low < 2.0 * c_low * xi / (xi + delta) < c_up
+    assert c_low < res.c_star < c_up
     assert -delta / d < residual_slope(res.trajectory, f) < -xi / d
     tight = integrate_trajectory(res.c_star, d, f, delta, IntegrationOptions(rtol=1e-12, atol=1e-14))
     assert abs(tight.endpoint_slope - res.c_star * delta / d) <= 1e-9

@@ -62,8 +62,9 @@ def test_logistic_bracket_low_is_bit_equal_to_d_p0(logistic1, d, delta):
 
 def test_bracket_low_rejects_non_finite_input(logistic1):
     for d, delta in ((1.0, math.nan), (1.0, math.inf), (math.inf, 2.0)):
-        with pytest.raises(InputError):
-            bracket_low(d, logistic1, delta)
+        for call in (bracket_low, find_wave_speed):
+            with pytest.raises(InputError):
+                call(d, logistic1, delta)
     with pytest.raises(InputError):
         residual_monotonicity_audit(1.0, logistic1, math.nan, 20)
 
@@ -108,8 +109,9 @@ def test_residual_ordering_examples(logistic1):
 def test_find_wave_speed_canonical(speed_ref):
     assert speed_ref.c_star == pytest.approx(C_STAR_REF, abs=1e-8)
     assert speed_ref.residual <= 1e-10
-    assert speed_ref.bracket[0] < speed_ref.c_star < speed_ref.bracket[1] == 0.0
-    assert speed_ref.bracket[0] == pytest.approx(-math.sqrt(5.0 / 3.0), abs=1e-12)
+    c_low, c_up = speed_ref.bracket
+    assert c_low < speed_ref.c_star < c_up == c_low / 2.0  # c_up = c0*xi/delta
+    assert c_low == pytest.approx(-math.sqrt(5.0 / 3.0), abs=1e-12)
     assert speed_ref.retreat_speed == -speed_ref.c_star
 
 
@@ -124,14 +126,15 @@ SEARCH_PROBLEMS = [
 @pytest.mark.parametrize(
     "d, coeffs, delta, tol, calls",
     [
-        # the start at 0, the steps to |r| <= tol and the one step beyond
-        (*SEARCH_PROBLEMS[0], 6),
-        (*SEARCH_PROBLEMS[1], 5),
-        (*SEARCH_PROBLEMS[2], 8),  # r' grows twelvefold from bracket_low to 0: more steps
-        # at the noise floor: Newton steps wander inside the noise band before
-        # one lands below tol; the count follows the last bits of P(delta)
-        (*SEARCH_PROBLEMS[3], 14),
+        # the start c_s, the steps to |r| <= tol and the one step beyond
+        (*SEARCH_PROBLEMS[0], 4),
+        (*SEARCH_PROBLEMS[1], 4),
+        (*SEARCH_PROBLEMS[2], 7),  # r' grows twelvefold from bracket_low to 0: more steps
+        # at the noise floor: the noise of r (about 5e-10 here) exceeds tol, so
+        # whether a step lands below tol, and the count, follows the last bits of P(delta)
+        (*SEARCH_PROBLEMS[3], 4),
     ],
+    ids=["logistic", "xi-0.7", "d-0.05", "noise-floor"],  # a re-pinned count keeps its id
 )
 def test_find_wave_speed_integrates_each_speed_once(monkeypatch, d, coeffs, delta, tol, calls):
     speeds = []
@@ -143,13 +146,18 @@ def test_find_wave_speed_integrates_each_speed_once(monkeypatch, d, coeffs, delt
     profiles = []
     monkeypatch.setattr(wavespeed, "integrate_trajectory", counting)
     monkeypatch.setattr(wavespeed, "reconstruct_profile", profiles.append)
-    res = find_wave_speed(d, make_polynomial(coeffs), delta, tol)
+    f = make_polynomial(coeffs)
+    res = find_wave_speed(d, f, delta, tol)
     assert len(speeds) == res.function_calls == calls
     assert profiles == []  # the profile is built only when read
     assert len(set(speeds)) == len(speeds)
     assert res.residual <= tol
     assert res.iterations == calls - 1
-    assert speeds[0] == 0.0 and res.bracket[0] not in speeds  # the start, never the proven end
+    # the start c_s = 2*d*P0(delta)/(xi + delta), never a proven end or 0
+    c_low, c_up = res.bracket
+    assert c_up == c_low * f.stable_zero / delta
+    assert speeds[0] == 2.0 * c_low * f.stable_zero / (f.stable_zero + delta)
+    assert not {c_low, c_up, 0.0} & set(speeds)
 
 
 def test_speed_result_builds_its_profile_once(monkeypatch, logistic1):
@@ -384,14 +392,14 @@ def test_warm_rows_and_members_agree_with_cold_searches(spec, d):
 
 
 def test_sweep_and_perturbed_pair_integration_counts(monkeypatch, logistic1):
-    # from 0, these rows take 5, 5, 6, 6, 6 and 6 integrations (34) and the
-    # members 6 each; from the tangent guess, every row after the first is
+    # from c_s, these rows take 3, 4, 4, 5, 5 and 5 integrations (26) and the
+    # members 5 each; from the tangent guess, every row after the first is
     # its guess and three Newton steps
     speeds = _counting(monkeypatch)
     table = density_sweep(1.0, logistic1, [1.1, 1.5, 2.0, 2.5, 3.0, 4.0])
-    assert [res.function_calls for res in table.results] == [5, 4, 4, 4, 4, 4]
-    assert [res.iterations for res in table.results] == [4, 3, 3, 3, 3, 3]
-    assert len(speeds) == 25
+    assert [res.function_calls for res in table.results] == [3, 4, 4, 4, 4, 4]
+    assert [res.iterations for res in table.results] == [2, 3, 3, 3, 3, 3]
+    assert len(speeds) == 23
     speeds.clear()
     ps = perturbed_wave_speeds(1.0, logistic1, 2.0, 0.05, c_star_base=C_STAR_REF)
     assert (ps.lower.function_calls, ps.upper.function_calls) == (4, 4)
@@ -401,7 +409,7 @@ def test_sweep_and_perturbed_pair_integration_counts(monkeypatch, logistic1):
 @pytest.mark.parametrize("spec, d", CONTINUATION_REACTIONS)
 def test_sweep_and_pair_never_integrate_bracket_low(monkeypatch, spec, d):
     # each search integrates its start and one speed per step, and neither
-    # proven end unless 0 is its start
+    # proven end nor 0
     f = parse_reaction(spec)
     xi = f.stable_zero
     speeds = _counting(monkeypatch)
@@ -411,34 +419,61 @@ def test_sweep_and_pair_never_integrate_bracket_low(monkeypatch, spec, d):
     for res in table.results + [ps.lower, ps.upper]:
         made, speeds = speeds[:res.function_calls], speeds[res.function_calls:]
         assert res.function_calls == res.iterations + 1
-        assert res.bracket[0] not in made and 0.0 not in made[1:]
+        assert not {*res.bracket, 0.0} & set(made)
     assert speeds == []
 
 
-def test_start_at_zero_with_a_nonnegative_residual_raises(monkeypatch, logistic1):
-    # r(0) = P0(delta) < 0 is proven: a stand-in r(0) >= 0 fails the sign
-    # check before any step, after the one integration of bracket_low it names
+@pytest.mark.parametrize("wrong", [0, 1])
+@pytest.mark.parametrize("residual", [-1.0, 1.0])
+def test_speed_whose_residual_puts_c_star_past_a_proven_end_raises(monkeypatch, logistic1,
+                                                                   wrong, residual):
+    # since -delta/d < r' < -xi/d, c* lies beyond c + r(c)*d/delta; a stand-in
+    # residual of -1 puts it below c0 and one of +1 above c_up, at the start
+    # (wrong = 0) or at the first step (wrong = 1): the search raises at
+    # once, with no further integration
     speeds = []
 
     def standing_in(c, *args, **kwargs):
         speeds.append(c)
-        return integrate_trajectory(-1.0 if c == 0.0 else c, *args, **kwargs)
+        traj = integrate_trajectory(c, *args, **kwargs)
+        if len(speeds) == wrong + 1:
+            traj.endpoint_slope += residual - traj.residual
+        return traj
 
     monkeypatch.setattr(wavespeed, "integrate_trajectory", standing_in)
     with pytest.raises(BracketError, match="bracket sign check failed"):
         find_wave_speed(1.0, logistic1, 2.0)
-    assert speeds == [0.0, bracket_low(1.0, logistic1, 2.0)]
+    assert len(speeds) == wrong + 1
 
 
-def test_failed_search_checks_bracket_low_once(monkeypatch, logistic1):
-    # with no step allowed both searches end above tol, neither past
-    # bracket_low: only the search from 0 integrates it, r(c0) > 0 passes the
-    # sign check, and the usual error follows
+def test_broken_bracket_low_raises_after_one_integration(logistic1, monkeypatch):
+    # as in test_failed_bracket_sign_check_raises: r(c_s) < 0 at the start
+    # already puts c* below the broken c0 = -1e-3
+    monkeypatch.setattr(wavespeed, "closed_form_zero_speed", lambda *args: -1e-3)
+    speeds = _counting(monkeypatch)
+    with pytest.raises(BracketError, match="bracket sign check failed"):
+        find_wave_speed(1.0, logistic1, 2.0)
+    assert speeds == [2.0 * -1e-3 / 3.0]
+
+
+def test_overflowing_saddle_slope_raises_before_any_quadrature():
+    # the saddle slope at c = 0 overflows: IntegrationError, with a guess or
+    # without, and no numpy overflow warning from bracket_low's quadrature
+    f = parse_reaction("logistic:r=1e308")
+    for guess in (None, -0.5):
+        with pytest.raises(IntegrationError, match="saddle slope -inf is not finite at c=0"):
+            find_wave_speed(1.0, f, 2.0, guess=guess)
+
+
+def test_failed_search_integrates_no_proven_end(monkeypatch, logistic1):
+    # with no step allowed both searches end above tol: the guess and the
+    # retry from c_s are integrated, and neither c0, c_up nor 0
     monkeypatch.setattr(wavespeed, "MAX_SEARCH_STEPS", 0)
     speeds = _counting(monkeypatch)
     with pytest.raises(NumericalError, match="did not reach tol"):
         find_wave_speed(1.0, logistic1, 2.0, guess=-0.9)
-    assert speeds == [-0.9, 0.0, bracket_low(1.0, logistic1, 2.0)]
+    c_low = bracket_low(1.0, logistic1, 2.0)
+    assert speeds == [-0.9, 2.0 * c_low / 3.0]
 
 
 def test_guess_outside_the_bracket_searches_cold(monkeypatch, logistic1):
@@ -452,6 +487,32 @@ def test_guess_outside_the_bracket_searches_cold(monkeypatch, logistic1):
         assert speeds == cold_speeds
         assert (res.function_calls, res.iterations) == (cold.function_calls, cold.iterations)
         assert res.c_star == cold.c_star
+
+
+@pytest.mark.parametrize("spec, d", CONTINUATION_REACTIONS)
+def test_guesses_near_the_proven_ends_pass_the_proof_check(monkeypatch, spec, d):
+    # at delta = 5*xi the slope bounds differ fivefold: a proof check that
+    # read the bound -xi/d in place of -delta/d would reject these starts
+    f = parse_reaction(spec)
+    delta = 5.0 * f.stable_zero
+    c_low = bracket_low(d, f, delta)
+    speeds = _counting(monkeypatch)
+    for guess in (c_low * (1.0 - 1e-6), c_low * f.stable_zero / delta * (1.0 - 1e-6), -1e-6):
+        speeds.clear()
+        res = find_wave_speed(d, f, delta, guess=guess)
+        assert speeds[0] == guess and res.function_calls == res.iterations + 1  # no retry
+
+
+def test_guess_above_c_up_bisects_inside_the_proven_ends(monkeypatch, logistic1):
+    # a stand-in r' of -1e-9 sends every Newton step out of the pair: the
+    # first step from a guess in (c_up, 0) bisects (c0, c_up), not (c0, guess)
+    monkeypatch.setattr(wavespeed, "residual_slope", lambda traj, f: -1e-9)
+    monkeypatch.setattr(wavespeed, "MAX_SEARCH_STEPS", 1)
+    speeds = _counting(monkeypatch)
+    with pytest.raises(NumericalError, match="did not reach tol"):
+        find_wave_speed(1.0, logistic1, 2.0, guess=-0.1)
+    c_low = bracket_low(1.0, logistic1, 2.0)
+    assert speeds[:2] == [-0.1, 0.5 * (c_low + c_low / 2.0)]
 
 
 def test_failed_warm_search_falls_back_to_cold(monkeypatch, logistic1):
