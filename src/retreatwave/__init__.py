@@ -13,7 +13,6 @@ from .errors import (
     BoundViolationError,
     BracketError,
     InputError,
-    InstabilityError,
     IntegrationError,
     NumericalError,
     PerturbationError,

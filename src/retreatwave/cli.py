@@ -266,8 +266,7 @@ def sweep(deltas, reaction, d, delta, tol, out_dir):
 @click.option("--L", "L_y", type=float, default=None,
               help="Domain length [100*max(1, sqrt(d))].")
 @click.option("--dt", type=float, default=None,
-              help="Fixed time step [per step the largest 0.5/max|f'|/2^m with "
-                   "dt*|g'| <= h/2, max|f'| on [0, 1.5*sup u0], none below about h^2/d].")
+              help="Time step [0.5/max|f'|, max|f'| on [0, 1.5*sup u0]].")
 @click.option("--g0", type=float, default=0.0, help="Initial front position.")
 @click.option("--output-every", type=float, default=0.5, help="Row cadence.")
 @click.option("--snapshot-times", type=str, default=None,

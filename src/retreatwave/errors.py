@@ -40,9 +40,5 @@ class BoundViolationError(NumericalError):
         self.diagnostic = diagnostic or message
 
 
-class InstabilityError(NumericalError):
-    """A time step violated the advection stability constraint."""
-
-
 class VerificationFailure(RuntimeError):
     """A convergence or consistency check did not meet its threshold."""

@@ -9,51 +9,38 @@ In the frame y = x - g(t) attached to the front, the density U(t, y) obeys
 on the half line.  The domain is truncated at y = L_y with a homogeneous
 Neumann condition (the solution approaches the reaction's stable zero far
 from the front).  Time stepping is IMEX: the front speed is frozen over the
-step, diffusion is advanced with Crank-Nicolson weighting, and advection and
-reaction are explicit.  Advection uses central differences: their error
-h^2/6*U''' is half the one-sided upwind stencil's, with the same von Neumann
-stability region, dt*g'^2 <= 2d.  The front speed is extracted from the
-second-order one-sided boundary derivative, and g(t) accumulates by the
-trapezoid rule.
+step, diffusion and advection are advanced together with Crank-Nicolson
+weighting, and the reaction is explicit.  Advection uses central
+differences, whose error h^2/6*U''' is half the one-sided upwind stencil's.
+The front speed is extracted from the second-order one-sided boundary
+derivative, and g(t) accumulates by the trapezoid rule.
 
-The scheme's steady state does not depend on dt, so accuracy in the
-transient, not h^2, sets the step.  ``run`` takes each step from the sizes
-dt_cap*2^-m, m >= 0: the largest that keeps the advection guard
-dt*|g'| <= h/2 at the current g', but none below the first size at or below
-h^2/d; below that floor the guard fires.  The default cap dt_cap = 0.5/max|f'|,
-with max|f'| sampled on [0, c1], bounds the explicit reaction step
-dt*|f'| <= 1/2; a user's dt is both cap and floor, a fixed step.  Each size
-is a power of 2 times the cap, so a run is bit-identical to its image under
-power-of-2 scalings of u, x and t, and at most a few step sizes are
-factored.  A step that would cross an output time or T_end is shortened to
-land on it, so rows sit at exact multiples of the output interval whatever
-the step sequence.
+With advection implicit, the front speed bounds no step, and the scheme's
+steady state does not depend on dt, so every step of a run has one size:
+the cap dt_cap = 0.5/max|f'|, with max|f'| sampled on [0, c1], which bounds
+the explicit reaction step dt*|f'| <= 1/2, or the user's dt.  The cap is in
+the problem's own units, so a run is bit-identical to its image under
+power-of-2 scalings of u, x and t.  A step that would cross an output time
+or T_end is shortened to land on it, so rows sit at exact multiples of the
+output interval.
 
 The first four steps are backward-Euler half-steps (Rannacher, Numer. Math.
 43, 1984), which damp the high modes of kinked data that Crank-Nicolson
-leaves ringing when r = dt*d/(2h^2) > 1/2.  A backward-Euler step of dt/2 has
-the matrix of a Crank-Nicolson step of dt, so it shares that step's cached
-factors.  With r <= 1/2 and h*|g'| <= d the weights (1 - 2r, r + a, r - a)
-of the explicit half, a = dt*g'/(2h), are nonnegative and sum to 1, and the
-implicit half is an M-matrix, so the linear part of a step keeps U within
-[min(U, delta), max(U, delta)].  Larger steps give up that a priori discrete
-maximum principle; the bound check 0 < U <= c1 = (3/2)*sup(u0), made on every
-step, still guards them.  With the start-up, steep tables and step data keep
-min(u0, xi) <= U <= sup(u0) on every step (measured to 2.3e-13 at r up to 160).
+leaves ringing when r = dt*d/(2h^2) > 1/2.  With r <= 1/2 and h*|g'| <= 2d
+the weights (1 - 2r, r + a, r - a) of the explicit half, a = dt*g'/(4h), are
+nonnegative and sum to 1, and the implicit half is an M-matrix, so the
+linear part of a step keeps U within [min(U, delta), max(U, delta)].  Larger
+steps give up that a priori discrete maximum principle; the bound check
+0 < U <= c1 = (3/2)*sup(u0), made on every step, still guards them.
 
 With g' frozen, the explicit half of a step is U + dt*f(U) plus one 2-tap
 stencil on the differences of U, which adds exact zeros where U is flat.
-The Crank-Nicolson matrix depends only on N and r = dt*d/(2h^2).  Halving
-its ghost-reflection row (-2r, 1 + 2r), and that row's right-hand side,
-makes it symmetric with every row exceeding its off-diagonal sum by at
-least 1/2: strictly diagonally dominant, hence positive definite, for
-every r.  It is factored once per step size as L D L^T (LAPACK ``dpttrf``)
-and every step solves with the cached factors (``dpttrs``); the two routines
-are imported on the first step, since ``scipy.linalg`` takes most of the
-package's import time and only this module needs it.  No pivoting is
-needed: the pivots stay above 1/2, and |L| D |L^T| = |A| for a positive
-definite tridiagonal A, so the solve is backward stable whatever r is
-(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 9).
+The implicit matrix depends on g', so every step solves it afresh with
+LAPACK ``dgtsv``, Gaussian elimination with partial pivoting, which is
+backward stable on tridiagonal matrices (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., ch. 9).  The routine is imported on the
+first step, since ``scipy.linalg`` takes most of the package's import time
+and only this module needs it.
 """
 from __future__ import annotations
 
@@ -64,11 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    BoundViolationError,
-    InputError,
-    InstabilityError,
-)
+from .errors import BoundViolationError, InputError, NumericalError
 from .phaseplane import SemiWaveProfile
 from .reaction import ReactionFunction
 from .serialize import read_csv, write_csv
@@ -181,18 +164,14 @@ class InitialData:
 class SolverConfig:
     """Numerical controls for a run.
 
-    ``dt=None`` lets ``run`` choose each step from dt_cap*2^-m, m >= 0, with
-    the cap dt_cap = 0.5/max|f'| (max|f'| over [0, c1] sampled at
-    REACTION_SAMPLES points), which keeps the explicit reaction step
-    dt*|f'| <= 1/2.  Each step takes the largest size with dt*|g'| <= h/2 at
-    the current front speed, the advection guard of ``step``, but none below
-    the first size at or below h^2/d.  Steps with r = dt*d/(2h^2) > 1/2 give
-    up the a priori discrete maximum principle; the first STARTUP_STEPS steps
-    are backward-Euler half-steps, and the bound check 0 < U <= c1 guards
-    every step.  A given ``dt`` is both the cap and the floor: a fixed step.
-    ``output_every`` is a time interval: rows are recorded at its multiples
-    and at T_end, which steps are shortened to land on exactly.  The ceiling
-    on U is c1 = (3/2)*sup(u0).
+    Every step has the size ``dt``; ``dt=None`` takes the cap 0.5/max|f'|
+    (max|f'| over [0, c1] sampled at REACTION_SAMPLES points), which keeps
+    the explicit reaction step dt*|f'| <= 1/2.  Steps with
+    r = dt*d/(2h^2) > 1/2 give up the a priori discrete maximum principle;
+    the first STARTUP_STEPS steps are backward-Euler half-steps, and the
+    bound check 0 < U <= c1 guards every step.  ``output_every`` is a time
+    interval: rows are recorded at its multiples and at T_end, which steps
+    are shortened to land on exactly.  The ceiling on U is c1 = (3/2)*sup(u0).
     """
 
     T_end: float
@@ -213,7 +192,7 @@ class SolverConfig:
 class RunRecord:
     """Time series of a run plus its configuration snapshot.
 
-    ``config`` records the inputs, the step cap ``dt``, and what the run did:
+    ``config`` records the inputs, the step size ``dt``, and what the run did:
     ``steps`` taken and their smallest and largest sizes ``dt_min`` and
     ``dt_max`` (None before the first step).  ``rows`` are
     (t, g, g_prime, sup_profile_error, min_U, max_U) with the extrema taken
@@ -261,40 +240,23 @@ def _boundary_speed(U: np.ndarray, h: float, d: float, delta: float) -> float:
 
 
 @functools.cache
-def _lapack() -> tuple[Callable, Callable]:
-    """LAPACK's (dpttrf, dpttrs), imported once, on first use."""
-    from scipy.linalg.lapack import dpttrf, dpttrs
+def _gtsv() -> Callable:
+    """LAPACK's dgtsv, imported once, on first use."""
+    from scipy.linalg.lapack import dgtsv
 
-    return dpttrf, dpttrs
+    return dgtsv
 
 
-@functools.lru_cache(maxsize=8)
-def _cn_factors(N: int, r: float) -> np.ndarray:
-    """Read-only L D L^T factors, rows (D, L), of the symmetrised Crank-Nicolson matrix.
+def solve_banded(l_and_u: tuple[int, int], ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system whose (3, N) band ``ab``, with ``l_and_u`` (1, 1),
+    is in the layout of ``scipy.linalg.solve_banded``, which it matches bit for bit.
 
-    Its off-diagonal is -r and its diagonal 1 + 2r, or 1/2 + r in the halved
-    ghost row: strictly diagonally dominant, so positive definite for every r
-    and factored stably without pivoting.  The last entry of the L row is padding.
+    The arguments keep the positions of scipy's, which the benchmark's tracer
+    (``perfbench/spans.py``) reads.  A singular matrix raises ``NumericalError``.
     """
-    diag = np.full(N, 1.0 + 2.0 * r)
-    diag[-1] = 0.5 + r
-    D, L, info = _lapack()[0](diag, np.full(N - 1, -r))
+    *_, x, info = _gtsv()(ab[2, :-1], ab[1], ab[0, 1:], rhs)
     if info != 0:
-        raise np.linalg.LinAlgError(f"Crank-Nicolson matrix not positive definite (N={N}, r={r})")
-    factors = np.zeros((2, N))
-    factors[0], factors[1, :-1] = D, L
-    factors.flags.writeable = False
-    return factors
-
-
-def solve_banded(l_and_u: tuple[int, int], factors: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the symmetrised system factored by ``_cn_factors``; ``l_and_u`` is (1, 1).
-
-    ``rhs`` must already carry the halved last entry.  The arguments keep the
-    positions of ``scipy.linalg.solve_banded``, which the benchmark's tracer
-    (``perfbench/spans.py``) reads.
-    """
-    x, _ = _lapack()[1](factors[0], factors[1, :-1], rhs)
+        raise NumericalError(f"tridiagonal solve failed: LAPACK dgtsv info={info}")
     return x
 
 
@@ -310,45 +272,45 @@ def step(
 ) -> FrontFixedState:
     """Advance one IMEX time step with the front speed frozen, then re-assert the bounds.
 
-    The one check on g' is the advection guard dt*|g'| <= h/2 before the
-    step; a runaway g' trips it on the next step.  ``c1`` is the a priori
-    ceiling on U (none by default).  ``backward_euler`` takes all of the
-    diffusion implicitly; its matrix is that of a Crank-Nicolson step of
-    2*dt, whose cached factors it shares.
+    Diffusion and central advection take Crank-Nicolson weighting, or with
+    ``backward_euler`` are wholly implicit; the reaction and ``source`` are
+    explicit.  ``c1`` is the a priori ceiling on U (none by default).
     """
     if not dt > 0:
         raise InputError(f"dt must be positive, got {dt}")
     h = state.grid.h
     gp = state.g_prime
-    if dt * abs(gp) > 0.5 * h:
-        raise InstabilityError(
-            f"dt={dt:g} violates the advection constraint dt*|g'| <= h/2 "
-            f"with g'={gp:g} at t={state.t:g}"
-        )
     U = state.U
     N = state.grid.N
-    # the implicit weight r; the explicit half takes re = r (Crank-Nicolson)
-    # or none; 1*dt here is 0.5*(2*dt) exactly, so the key of the factors is too
-    r = (1.0 if backward_euler else 0.5) * dt * d / (h * h)
-    re = 0.0 if backward_euler else r
-    a = 0.5 * dt * gp / h
+    # the implicit weights r of diffusion and a of advection; the explicit
+    # half takes the same weights (Crank-Nicolson) or none
+    theta = 1.0 if backward_euler else 0.5
+    r = theta * dt * d / (h * h)
+    a = theta * dt * gp / (2.0 * h)
+    re, ae = (0.0, 0.0) if backward_euler else (r, a)
     # U + dt*f(U) plus diffusion and central advection as one 2-tap stencil
-    # on dU, re*(dU[j+1] - dU[j]) + a*(dU[j+1] + dU[j]), for every sign of g':
+    # on dU, re*(dU[j+1] - dU[j]) + ae*(dU[j+1] + dU[j]), for every sign of g':
     # a flat U adds exact zeros, so rounding cannot bias the steady state by
     # O(eps/dt)
     rhs = U[1:] + dt * np.asarray(f(U[1:]), dtype=float)
     dU = U[1:] - U[:-1]
-    rhs[: N - 1] += np.correlate(dU, (a - re, re + a), "valid")
+    rhs[: N - 1] += np.correlate(dU, (ae - re, re + ae), "valid")
     # ghost reflection at the far end, where the central advection vanishes
     rhs[N - 1] -= 2.0 * re * dU[N - 1]
-    rhs[0] += r * delta
+    rhs[0] += (r - a) * delta
     if source is not None:
         rhs += dt * np.asarray(source(state.t, state.grid.nodes[1:]), dtype=float)
-    rhs[N - 1] *= 0.5  # the halved ghost row of the symmetrised matrix
 
+    # rows (a - r, 1 + 2r, -r - a), and the ghost row (-2r, 1 + 2r); the
+    # first entry of the top band and the last of the bottom one are padding
+    ab = np.empty((3, N))
+    ab[0] = -r - a
+    ab[1] = 1.0 + 2.0 * r
+    ab[2] = a - r
+    ab[2, N - 2] = -2.0 * r
     U_new = np.empty_like(U)
     U_new[0] = delta
-    U_new[1:] = solve_banded((1, 1), _cn_factors(N, r), rhs)
+    U_new[1:] = solve_banded((1, 1), ab, rhs)
 
     gp_new = _boundary_speed(U_new, h, d, delta)
     t_new = state.t + dt
@@ -377,12 +339,12 @@ def run(
 ) -> RunRecord:
     """Integrate to T_end, recording rows at the output times.
 
-    Each step size follows the current front speed (see ``SolverConfig``).
-    Per-row profile errors are taken against ``reference`` when given.  A
-    bound violation or instability terminates the run early with the
-    diagnostic preserved; the record always carries the final state as its
-    last snapshot.  A final cell Peclet number h*|g'|/d above MAX_PECLET adds
-    a warning.
+    Every step has one size (see ``SolverConfig``), halved in the start-up
+    and shortened to land on output times.  Per-row profile errors are taken
+    against ``reference`` when given.  A bound violation terminates the run
+    early with the diagnostic preserved; the record always carries the final
+    state as its last snapshot.  A final cell Peclet number h*|g'|/d above
+    MAX_PECLET adds a warning.
     """
     if not 0 < d < math.inf:
         raise InputError(f"diffusivity must be positive and finite, got {d}")
@@ -395,11 +357,9 @@ def run(
     c1 = 1.5 * initial.sup_norm
     if config.dt is None:
         f_slope = float(np.max(np.abs(f.deriv(np.linspace(0.0, c1, REACTION_SAMPLES)))))
-        sizes = [0.5 / f_slope]
-        while sizes[-1] > h * h / d:
-            sizes.append(0.5 * sizes[-1])
+        dt_cap = 0.5 / f_slope
     else:
-        sizes = [config.dt]
+        dt_cap = config.dt
 
     q_ref = reference.q_at(grid.nodes) if reference is not None else None
     far_value = f.stable_zero
@@ -433,11 +393,8 @@ def run(
     span = config.T_end if n_out == 1 else config.output_every
     elapsed = 0.0
     while config.T_end > 0:
-        # the largest size the advection guard admits, else the floor, where it fires
-        dt = next((s for s in sizes if s * abs(state.g_prime) <= 0.5 * h), sizes[-1])
         startup = steps < STARTUP_STEPS
-        if startup:
-            dt *= 0.5
+        dt = 0.5 * dt_cap if startup else dt_cap
         rest = span - elapsed
         lands = rest <= dt * (1.0 + LANDING_SLACK)
         if rest < dt * (1.0 - LANDING_SLACK):
@@ -447,10 +404,6 @@ def run(
         except BoundViolationError as exc:
             termination = "bound_violation"
             diagnostic = exc.diagnostic
-            break
-        except InstabilityError as exc:
-            termination = "instability"
-            diagnostic = str(exc)
             break
         steps += 1
         dt_min = dt if dt_min is None else min(dt_min, dt)
@@ -490,7 +443,7 @@ def run(
         "g0": initial.g0,
         "L_y": grid.L_y,
         "N": grid.N,
-        "dt": sizes[0],
+        "dt": dt_cap,
         "steps": steps,
         "dt_min": dt_min,
         "dt_max": dt_max,

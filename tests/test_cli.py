@@ -259,11 +259,13 @@ def test_simulate_snapshot_times(tmp_path, runner):
 
 
 def test_simulate_unstable_dt_exits_numerical(tmp_path, runner):
-    # dt far above the advection constraint for the initial front speed
-    res = runner.invoke(main, ["simulate", "--u0", "exp_approach", "--T", "1",
-                               "--N", "200", "--L", "20", "--dt", "1.0",
-                               "--out", str(tmp_path)])
+    # dt*|f'| = 6.25 breaks the explicit reaction's bound: the first
+    # start-up half-step takes the constant state 2 to 2 + (dt/2)*f(2) = -1.125
+    res = runner.invoke(main, ["simulate", "--u0", "constant_delta", "--T", "20",
+                               "--N", "200", "--L", "500", "--dt", "3.125",
+                               "--output-every", "5", "--out", str(tmp_path)])
     assert res.exit_code == 2
+    assert "min_U=-1.125" in res.output
 
 
 def test_simulate_runs_a_front_faster_than_ten(tmp_path, runner):
