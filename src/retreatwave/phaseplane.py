@@ -88,8 +88,21 @@ class PiecewisePolynomial:
 
     def piece(self, t):
         """Index i of the piece that evaluates t: x[i] <= t < x[i+1], the end
-        pieces taking what lies beyond."""
-        return self.x[1:-1].searchsorted(t, "right")
+        pieces taking what lies beyond.
+
+        Points in ascending order, more of them than breakpoints, are not
+        searched one by one: the breakpoints are located among them and each
+        piece's index is repeated over its run of points, which gives the
+        same indices.  Other points, and any with a NaN, are searched.
+        """
+        inner = self.x[1:-1]
+        t = np.asarray(t)
+        if t.ndim == 1 and t.size > inner.size and (t[:-1] <= t[1:]).all():
+            ends = np.empty(inner.size + 2, dtype=np.intp)  # piece i is t[ends[i]:ends[i+1]]
+            ends[0], ends[-1] = 0, t.size
+            ends[1:-1] = t.searchsorted(inner)
+            return np.repeat(np.arange(inner.size + 1), ends[1:] - ends[:-1])
+        return inner.searchsorted(t, "right")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -336,6 +349,8 @@ def integrate_trajectories(
             f"trajectory left the lower half plane at c={cs[left]:g}; "
             "the reaction may not be monostable on (xi, delta]"
         )
+    # P(delta) from the last piece, summed as a call of ``dense`` would sum it
+    p_ends = _power_sum(dense.c[:, -1], delta - dense.x[-2])
     # each lane's coefficients are made contiguous once, so a read of one
     # speed evaluates that speed alone
     by_lane = np.ascontiguousarray(np.moveaxis(dense.c, 2, 0))
@@ -349,7 +364,7 @@ def integrate_trajectories(
             saddle_slope=float(lam),
             dense=PiecewisePolynomial(coeffs, dense.x),
         )
-        for c, lam, p_end, coeffs in zip(cs, lams, dense(delta), by_lane)
+        for c, lam, p_end, coeffs in zip(cs, lams, p_ends, by_lane)
     ]
 
 
@@ -408,6 +423,8 @@ _P = np.array([
     [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
 ])
+_P_HIGH_FIRST = np.ascontiguousarray(_P.T[::-1])  # rows Q_4 .. Q_1
+_POWERS = np.arange(3, 0, -1)[:, None]  # h**(j-1) divides Q_j for j = 4, 3, 2
 SAFETY = 0.9  # on the step factor predicted from the error estimate
 MIN_FACTOR, MAX_FACTOR = 0.2, 10.0  # bounds of the step factor
 ERROR_EXPONENT = -1 / 5  # the error estimate is of order 4
@@ -459,15 +476,26 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> RK45Solution:
     nfev = 2
     ts, ys, stages = [t], [y], []
     message = None
+    spacing_end = t  # min_step holds while t < spacing_end
+    # the step control compares instead of calling min and max: each
+    # comparison is written so that a NaN takes the branch max or min would
     while t < t_bound and message is None:
-        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
+        if not t < spacing_end:
+            spacing = math.nextafter(t, math.inf) - t
+            min_step = 10.0 * spacing
+            # from t >= 0 the spacing stays the same up to the next power of
+            # two, which is 2**53 spacings; below 0 it is looked up every step
+            spacing_end = spacing * 2.0 ** 53 if t >= 0.0 else t
+        if h_abs < min_step:
+            h_abs = min_step
         rejected = False
         while True:
             if h_abs < min_step:
                 message = TOO_SMALL_STEP
                 break
-            t_new = min(t + h_abs, t_bound)
+            t_new = t + h_abs
+            if t_new > t_bound:
+                t_new = t_bound
             h = h_abs = t_new - t
             if lanes > 1:
                 y_new, f_new, error_norm, k = _rk_step_lanes(fun, t, y, f, h, rtol, atol)
@@ -485,24 +513,31 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> RK45Solution:
                 f_new = fun(t + h, y_new)
                 err = (-71/57600 * k1 + 71/16695 * k3 - 71/1920 * k4 + 17253/339200 * k5
                        - 22/525 * k6 + 1/40 * f_new) * h
-                # max(|y|, NaN) is |y|; a conditional expression could give NaN
-                error_norm = abs(err / (atol + max(abs(y), abs(y_new)) * rtol))
+                # scipy's max(|y|, |y_new|), where a NaN y_new leaves |y|
+                y_abs = y if y >= 0.0 else -y
+                y_new_abs = y_new if y_new >= 0.0 else -y_new
+                err /= atol + (y_new_abs if y_new_abs > y_abs else y_abs) * rtol
+                error_norm = err if err >= 0.0 else -err
                 k = (k1, k2, k3, k4, k5, k6, f_new)
             nfev += 6
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
                 else:
-                    factor = min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
-                if rejected:
-                    factor = min(1, factor)
+                    factor = SAFETY * error_norm ** ERROR_EXPONENT
+                    if factor > MAX_FACTOR:
+                        factor = MAX_FACTOR
+                if rejected and factor > 1.0:
+                    factor = 1.0
                 h_abs *= factor
                 t, y, f = t_new, y_new, f_new
                 ts.append(t)
                 ys.append(y)
                 stages.extend(k)
                 break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+            # a NaN error norm shrinks the step by MIN_FACTOR
+            factor = SAFETY * error_norm ** ERROR_EXPONENT
+            h_abs *= factor if factor > MIN_FACTOR else MIN_FACTOR
             rejected = True
 
     t_out = np.array(ts)
@@ -510,10 +545,13 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> RK45Solution:
     dense = None
     if message is None:
         # the step from t_old of length h is y_old + h * sum_j Q_j * ((t - t_old)/h)**j,
-        # j = 1..4, with Q = K.T @ P: stacked highest power first
-        K = np.array(stages).reshape(-1, 7, lanes)
-        Q = (_P.T @ K) / (np.diff(t_out)[:, None, None] ** np.arange(4)[:, None])
-        coeffs = np.concatenate((np.moveaxis(Q, 1, 0)[::-1], y_out[:, :-1].T[None]))
+        # j = 1..4, with Q = K.T @ P: one product gives every step's and every
+        # lane's Q_j at once, highest power first, then each is divided by h**(j-1)
+        K = np.array(stages).reshape(-1, 7, lanes).transpose(1, 0, 2).reshape(7, -1)
+        coeffs = np.empty((5, len(ts) - 1, lanes))
+        np.dot(_P_HIGH_FIRST, K, out=coeffs[:4].reshape(4, -1))
+        coeffs[:3] /= (np.diff(t_out) ** _POWERS)[:, :, None]
+        coeffs[4] = y_out[:, :-1].T
         dense = PiecewisePolynomial(coeffs, t_out)
         message = "The solver successfully reached the end of the integration interval."
     return RK45Solution(t_out, y_out, dense is not None, message, nfev, dense)
@@ -645,11 +683,22 @@ def closed_form_zero_speed(q: float, d: float, f: ReactionFunction) -> float:
 
 @functools.lru_cache(maxsize=8)
 def _log_points(xi: float, delta: float):
-    """Step h and read-only points q, uniform in w = ln(q - xi) from the tail cutoff to delta."""
+    """Step h and read-only points q, uniform in w = ln(q - xi) from the tail cutoff to delta.
+
+    Every other point, from the first, is a sample of the profile, so those
+    must lie above xi and rise strictly; where delta - xi is too small
+    against xi for that, NumericalError.  The first point is checked first:
+    where it rounds to xi, ties follow among the next ones.
+    """
     span = delta - xi
     w = np.linspace(np.log(TAIL_CUT * span), np.log(span), 2 * PROFILE_SAMPLES - 1)
     q = xi + np.exp(w)
     q[-1] = delta
+    where = f"(xi = {xi!r}, delta = {delta!r})"
+    if not q[0] > xi:
+        raise NumericalError(f"profile samples fell to the stable zero {where}")
+    if not np.all(np.diff(q[::2]) > 0.0):
+        raise NumericalError(f"profile samples are not strictly decreasing {where}")
     q.flags.writeable = False
     return w[1] - w[0], q
 
@@ -716,10 +765,6 @@ def reconstruct_profile(traj: PhaseTrajectory) -> SemiWaveProfile:
     q_values = q[::-2]
     if not np.all(np.diff(x_grid) > 0.0):
         raise NumericalError("reconstructed profile abscissae are not strictly increasing")
-    if not np.all(np.diff(q_values) < 0.0):
-        raise NumericalError("reconstructed profile is not strictly decreasing")
-    if not np.all(q_values > traj.xi):
-        raise NumericalError("reconstructed profile fell to the stable zero")
 
     return SemiWaveProfile(
         x_grid=x_grid,

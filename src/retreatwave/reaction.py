@@ -8,6 +8,7 @@ Evaluators must accept floats and numpy arrays alike.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -224,10 +225,16 @@ def make_perturbation_pair(base: ReactionFunction, epsilon: float) -> Perturbati
     return PerturbationPair(lower=lower, upper=upper)
 
 
+def _exp(u):
+    """exp(u), by math.exp for a float: the per-call RHS of an integration then
+    does no numpy scalar arithmetic."""
+    return math.exp(u) if isinstance(u, float) else np.exp(u)
+
+
 def _additive_member(base: ReactionFunction, eps: float, tag: str) -> ReactionFunction:
     value = base.value_fn  # bound once: a call makes no frame for base.__call__
-    fn = lambda u: value(u) + eps * u * np.exp(-u)
-    dfn = lambda u: base.deriv(u) + eps * (1.0 - u) * np.exp(-u)
+    fn = lambda u: value(u) + eps * u * _exp(-u)
+    dfn = lambda u: base.deriv(u) + eps * (1.0 - u) * _exp(-u)
     zero = _locate_stable_zero(fn, hi=2.0 * base.stable_zero)
     return ReactionFunction(
         value_fn=fn,

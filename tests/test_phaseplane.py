@@ -151,12 +151,18 @@ def test_sample_check_rejects_nan(monkeypatch, logistic1, lanes):
         integrate_trajectories(cs, 1.0, logistic1, 2.0)
 
 
+def _bump_reaction() -> ReactionFunction:
+    # f = -u*(u - 1)*(u - 1.05)*(u - 1.9) is positive on (1.05, 1.9): slow
+    # trajectories are pushed up to P = 0 there, where the step size collapses
+    poly = -np.polynomial.Polynomial.fromroots([0.0, 1.0, 1.05, 1.9])
+    return ReactionFunction(poly, poly.deriv(), 1.0, "bump")
+
+
 @pytest.mark.parametrize("lanes", [1, 50])
 def test_nfev_counts_every_rhs_call(monkeypatch, lanes):
     # the benchmark's phaseplane.integrate_nfev sums this field; the stalled
     # integration fails after many rejected steps
-    poly = -np.polynomial.Polynomial.fromroots([0.0, 1.0, 1.05, 1.9])
-    stalls = ReactionFunction(poly, poly.deriv(), 1.0, "bump")
+    stalls = _bump_reaction()
     solve = phaseplane.solve_ivp
     counts = []
 
@@ -178,6 +184,112 @@ def test_nfev_counts_every_rhs_call(monkeypatch, lanes):
         integrate_trajectories(np.linspace(-0.5, -3.0, lanes), 1.0, stalls, 2.0)
     assert [success for *_, success in counts] == [True, False]
     assert all(nfev == calls > 2 for nfev, calls, _ in counts)
+
+
+@pytest.mark.parametrize("lanes, nfev, points, t_end", [
+    (1, 1592, 199, 1.3782602044310335),
+    (3, 1586, 184, 1.3782602045001877),
+])
+def test_stalled_integration_keeps_its_step_sequence(monkeypatch, lanes, nfev, points, t_end):
+    # the step control compares where scipy calls min and max; this run
+    # rejects step after step until the step falls below 10 ulp of t, so its
+    # counts follow every rule.  The counts are this stepper's own: scipy's
+    # RK45 sums the one-lane stages by np.dot and makes 1598 calls and 198
+    # points
+    solves = _capture_solves(monkeypatch)
+    with pytest.raises(IntegrationError, match="c=-0.5:"):
+        integrate_trajectories(np.linspace(-0.5, -3.0, lanes), 1.0, _bump_reaction(), 2.0)
+    sol = solves[-1][-1]
+    assert (sol.success, sol.message) == (False, phaseplane.TOO_SMALL_STEP)
+    assert (sol.nfev, len(sol.t), float(sol.t[-1])) == (nfev, points, t_end)
+
+
+@pytest.mark.parametrize("y0, nfev, points, t_end", [
+    ([1.0], 488, 50, 0.6931471805744837),
+    ([1.0, 1.2, 1.5], 560, 55, 0.6931471805744401),
+])
+def test_nan_error_shrinks_the_step_by_min_factor(y0, nfev, points, t_end):
+    # y' = -y, but NaN once y < 1/2: every step into the wall has a NaN error
+    # norm, is rejected and shrinks by MIN_FACTOR, as scipy's
+    # max(MIN_FACTOR, NaN) does, until the step falls below 10 ulp of t
+    # where the computed y reaches 1/2, next to t = ln 2
+    if len(y0) == 1:
+        def fun(t, y):
+            return -y if y >= 0.5 else math.nan
+    else:
+        def fun(t, y):
+            return np.where(y >= 0.5, -y, np.nan)
+    sol = phaseplane.solve_ivp(fun, (0.0, 2.0), y0, rtol=1e-10, atol=1e-12)
+    assert (sol.success, sol.message, sol.dense) == (False, phaseplane.TOO_SMALL_STEP, None)
+    assert (sol.nfev, len(sol.t), float(sol.t[-1])) == (nfev, points, t_end)
+    assert float(sol.t[-1]) == pytest.approx(math.log(2.0), abs=1e-10)
+
+
+def _pole_squared(t, y):
+    # y' = 1/(w - t)**2 with w = 1 + 8e-12: the steps shrink to the floor of
+    # 10 ulp of t while t crosses 1, where that floor doubles
+    gap = (1.0 + 8e-12) - t
+    return 1.0 / (gap * gap) if gap > 0.0 else math.nan
+
+
+def _root_pole(t, y):
+    # y' = -1/(2 sqrt(4 - t)): the stall is in [2, 4), a binade above the
+    # one where the steps began to shrink
+    return -0.5 / math.sqrt(4.0 - t) if t < 4.0 else math.nan
+
+
+@pytest.mark.parametrize("fun, t_span, nfev, points, t_end", [
+    (_pole_squared, (0.5, 2.0), 39548, 5660, 1.0000000000005336),
+    (_root_pole, (0.0, 8.0), 1658, 183, 3.9999999999999942),
+], ids=["floor-doubles-at-1", "stall-in-[2,4)"])
+def test_step_floor_follows_the_spacing_of_t(fun, t_span, nfev, points, t_end):
+    # the floor 10*(nextafter(t) - t) is taken again wherever t may have
+    # left its binade, and a step below it is raised to it before it is
+    # tried; the counts are those of looking the floor up on every step
+    sol = phaseplane.solve_ivp(fun, t_span, [1.0], rtol=1e-10, atol=1e-12)
+    assert (sol.success, sol.message) == (False, phaseplane.TOO_SMALL_STEP)
+    assert (sol.nfev, len(sol.t), float(sol.t[-1])) == (nfev, points, t_end)
+
+
+def test_sorted_points_take_the_pieces_of_a_search(logistic1):
+    # the lookup for ascending points, more of them than breakpoints, against
+    # the point-by-point search: at every breakpoint, twice, between them,
+    # below x[0] and beyond x[-1]
+    dense = integrate_trajectory(-0.4, 1.0, logistic1, 2.0).dense
+    x = dense.x
+    t = np.sort(np.concatenate((x, x, np.linspace(x[0] - 1.0, x[-1] + 1.0, 3 * len(x)))))
+    assert t[0] < x[0] and t[-1] > x[-1] and len(t) > len(x)
+    searched = x[1:-1].searchsorted(t, "right")
+    assert np.array_equal(dense.piece(t), searched)
+    assert np.array_equal(dense.piece(t[::-1])[::-1], searched)  # not ascending: searched
+    assert [int(dense.piece(point)) for point in t.tolist()] == searched.tolist()
+
+
+@pytest.mark.parametrize("spec, d, delta", [("logistic:r=1", 1.0, 2.0),
+                                            ("custom:3,-2,0.9,-0.6", 0.8, 2.4)])
+def test_log_grid_reads_p_as_a_search_would(spec, d, delta):
+    # P on the shared log grid, whose points are ascending, is bit-identical
+    # to its evaluation point by point, reached here through reversed points
+    f = parse_reaction(spec)
+    traj = integrate_trajectory(0.5 * bracket_low(d, f, delta), d, f, delta)
+    _, q, p = phaseplane._log_grid(traj)
+    assert np.array_equal(p, traj.p_at(q[::-1])[::-1])
+    assert np.array_equal(p, traj.p_at(q))
+
+
+@pytest.mark.parametrize("gap, message", [
+    (1e-3, "not strictly decreasing"),  # q[0] above xi, ties among the next samples
+    (1e-6, "fell to the stable zero"),
+    (1e-9, "fell to the stable zero"),
+])
+def test_log_points_reject_samples_that_round_together(gap, message):
+    # against xi = 1e5, whose spacing is 1.5e-11, these gaps put the tail
+    # cutoff below the spacing, or the samples after it within one
+    xi = 1e5
+    with pytest.raises(NumericalError, match=message):
+        phaseplane._log_points(xi, xi + gap)
+    _, q = phaseplane._log_points(1.0, 2.0)
+    assert q[0] > 1.0 and np.all(np.diff(q) > 0.0)
 
 
 def test_trajectory_endpoint_vanishes_as_delta_shrinks(logistic1):
@@ -383,10 +495,7 @@ def test_bad_lane_raises_its_own_error(logistic1):
 
 
 def test_lane_whose_integration_stalls_is_named():
-    # f = -u*(u - 1)*(u - 1.05)*(u - 1.9) is positive on (1.05, 1.9): slow
-    # trajectories are pushed up to P = 0 there, where the step size collapses
-    poly = -np.polynomial.Polynomial.fromroots([0.0, 1.0, 1.05, 1.9])
-    f = ReactionFunction(poly, poly.deriv(), 1.0, "bump")
+    f = _bump_reaction()
     with pytest.raises(IntegrationError) as alone:
         integrate_trajectory(-0.5, 1.0, f, 2.0)
     with pytest.raises(IntegrationError) as batch:

@@ -124,6 +124,22 @@ def test_pair_generic_family_on_polynomial_base():
         assert validate_monostable(member).ok
 
 
+@pytest.mark.parametrize("base", [make_logistic(1.0), make_polynomial((1.0, -1.0))],
+                         ids=["logistic", "polynomial"])
+def test_pair_members_take_python_floats(base):
+    # a float stays a Python float through the member, as the one-lane
+    # integration's right-hand side calls it, and agrees with the array value
+    pair = make_perturbation_pair(base, 0.05)
+    u = np.linspace(0.05, 3.0, 60)
+    for member in (pair.lower, pair.upper):
+        for fn in (member, member.deriv):
+            at_array = fn(u)
+            for k, x in enumerate(u.tolist()):
+                value = fn(x)
+                assert type(value) is float
+                assert abs(value - at_array[k]) <= np.spacing(abs(at_array[k]))
+
+
 def test_pair_members_validate(logistic1):
     pair = make_perturbation_pair(logistic1, 0.1)
     assert validate_monostable(pair.lower).ok

@@ -129,7 +129,9 @@ SEARCH_PROBLEMS = [
         # the start c_s, the steps to |r| <= tol and the one step beyond
         (*SEARCH_PROBLEMS[0], 4),
         (*SEARCH_PROBLEMS[1], 4),
-        (*SEARCH_PROBLEMS[2], 7),  # r' grows twelvefold from bracket_low to 0: more steps
+        # r' grows twelvefold from bracket_low to 0: more steps; tol 1e-12 is at
+        # the noise floor here too, so the count follows the last bits of P(delta)
+        (*SEARCH_PROBLEMS[2], 6),
         # at the noise floor: the noise of r (about 5e-10 here) exceeds tol, so
         # whether a step lands below tol, and the count, follows the last bits of P(delta)
         (*SEARCH_PROBLEMS[3], 4),
