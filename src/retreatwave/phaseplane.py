@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,63 +91,74 @@ class PiecewisePolynomial:
         pieces taking what lies beyond.
 
         Points in ascending order, more of them than breakpoints, are not
-        searched one by one: the breakpoints are located among them and each
-        piece's index is repeated over its run of points, which gives the
-        same indices.  Other points, and any with a NaN, are searched.
+        searched one by one (``_runs``).  Other points, and any with a NaN,
+        are searched.
         """
-        inner = self.x[1:-1]
         t = np.asarray(t)
-        if t.ndim == 1 and t.size > inner.size and (t[:-1] <= t[1:]).all():
-            ends = np.empty(inner.size + 2, dtype=np.intp)  # piece i is t[ends[i]:ends[i+1]]
-            ends[0], ends[-1] = 0, t.size
-            ends[1:-1] = t.searchsorted(inner)
-            return np.repeat(np.arange(inner.size + 1), ends[1:] - ends[:-1])
-        return inner.searchsorted(t, "right")
+        if t.ndim == 1 and t.size > self.x.size - 2 and (t[:-1] <= t[1:]).all():
+            return self._runs(t)
+        return self.x[1:-1].searchsorted(t, "right")
+
+    def _runs(self, t):
+        """``piece`` of 1-d ascending points, unchecked: the breakpoints are
+        located among the points and each piece's index is repeated over its
+        run of points, which gives the indices a search would."""
+        inner = self.x[1:-1]
+        ends = np.empty(inner.size + 2, dtype=np.intp)  # piece i is t[ends[i]:ends[i+1]]
+        ends[0], ends[-1] = 0, t.size
+        ends[1:-1] = t.searchsorted(inner)
+        return np.repeat(np.arange(inner.size + 1), ends[1:] - ends[:-1])
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         flat = t.reshape(-1)
+        return self._at(flat, self.piece(flat)).reshape(t.shape + self.c.shape[2:])
+
+    def _at(self, t, i):
+        """The values at 1-d points t, which lie in the pieces i."""
         x, c = self.x, self.c
-        i = self.piece(flat)
-        s = (flat - x[i]).reshape((-1,) + (1,) * (c.ndim - 2))
+        s = (t - x[i]).reshape((-1,) + (1,) * (c.ndim - 2))
         out = _power_sum(c.take(i, axis=1), s)
         if not self.extrapolate:
-            out[(flat < x[0]) | (flat > x[-1])] = np.nan
-        return out.reshape(t.shape + c.shape[2:])
+            out[(t < x[0]) | (t > x[-1])] = np.nan
+        return out
 
 
 def _power_sum(coeffs, s):
     """sum_k coeffs[k] * s**(K-1-k): the constant first, then each power of s
-    by one more multiplication.
+    by one more multiplication.  Arrays, or a sequence of Python floats and a
+    Python float, which give the same sum.
 
     Rounding is monotone, so for s >= 0 the rounded sum does not fall when
     a coefficient is raised, nor, once every coefficient but the constant is
     >= 0, when s grows; ``_step_bounds`` relies on both.
     """
     out = coeffs[-1] + 0.0
-    z = s.copy()
+    z = s
     for k in range(len(coeffs) - 2, -1, -1):
         out += coeffs[k] * z
         if k:
-            z *= s
+            z = z * s
     return out
 
 
-def _cubic_hermite(x, y, dydx) -> PiecewisePolynomial:
-    """The cubic Hermite interpolant of (x, y, dydx), NaN outside [x[0], x[-1]].
-
-    Each piece is the cubic with the given values and slopes at both ends,
-    so the interpolant reproduces any cubic up to rounding; x must be
-    strictly increasing.
+def _hermite_pieces(x, y, dydx, i) -> tuple:
+    """Power-basis coefficients, highest power first, of the pieces i of the
+    cubic Hermite interpolant of (x, y, dydx): each is the cubic with the
+    given values and slopes at x[i] and x[i + 1], so it reproduces any cubic
+    up to rounding.  x must be strictly increasing.
     """
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
-    c = np.empty((4, len(dx)))
-    c[0] = t / dx
-    c[1] = (slope - dydx[:-1]) / dx - t
-    c[2] = dydx[:-1]
-    c[3] = y[:-1]
+    x0, y0, s0, j = x.take(i), y.take(i), dydx.take(i), i + 1
+    dx = x.take(j) - x0
+    slope = (y.take(j) - y0) / dx
+    t = (s0 + dydx.take(j) - 2 * slope) / dx
+    return t / dx, (slope - s0) / dx - t, s0, y0
+
+
+def _cubic_hermite(x, y, dydx) -> PiecewisePolynomial:
+    """The cubic Hermite interpolant of (x, y, dydx), every piece built, NaN outside
+    [x[0], x[-1]]: the reference for ``SemiWaveProfile.q_at``."""
+    c = np.array(_hermite_pieces(x, y, dydx, np.arange(len(x) - 1)))
     return PiecewisePolynomial(c, x, extrapolate=False)
 
 
@@ -205,28 +216,30 @@ class SemiWaveProfile:
     the profile continues analytically as xi + (q_end - xi) *
     exp(tail_rate * (x - x_end)), with ``tail_rate`` equal to the trajectory's
     saddle slope.  Inside it the profile is the cubic Hermite interpolant of
-    the samples and their slopes q'(x) = P(q), which are not stored; the
-    interpolant is one ``PiecewisePolynomial``, NaN for x < 0.  From
-    ``reconstruct_profile``, ``q_values`` is a read-only view of shared points.
+    the samples and their slopes q'(x) = P(q), NaN for x < 0; ``q_at`` builds
+    only the pieces its points fall in.  From ``reconstruct_profile``,
+    ``q_values`` is a read-only view of shared points.
     """
 
     x_grid: np.ndarray = field(repr=False)
     q_values: np.ndarray = field(repr=False)
     xi: float
     tail_rate: float
-    slopes: InitVar[np.ndarray]
-
-    def __post_init__(self, slopes):
-        self._interp = _cubic_hermite(self.x_grid, self.q_values, slopes)
+    slopes: np.ndarray = field(repr=False)
 
     def q_at(self, x):
         """Evaluate the profile anywhere on [0, inf)."""
         x = np.asarray(x, dtype=float)
-        x_end = self.x_grid[-1]
+        grid = self.x_grid
+        x_end = grid[-1]
         q_end = self.q_values[-1]
         out = np.asarray(self.xi + (q_end - self.xi) * np.exp(self.tail_rate * (x - x_end)))
         inside = x <= x_end  # the interpolant only there: most of a long grid is tail
-        out[inside] = self._interp(x[inside])
+        t = x[inside]
+        i = grid[1:-1].searchsorted(t, "right")  # the pieces ``_cubic_hermite`` would read
+        q = _power_sum(_hermite_pieces(grid, self.q_values, self.slopes, i), t - grid.take(i))
+        q[t < grid[0]] = np.nan
+        out[inside] = q
         return out if out.ndim else float(out)
 
     def to_csv(self, path) -> None:
@@ -310,12 +323,12 @@ def integrate_trajectories(
     q0 = xi + eta
     lams, p0s = [], []
     for c in cs:
-        if not np.isfinite(c):
+        if not math.isfinite(c):
             raise InputError(f"speed c must be finite, got {c}")
         lam = saddle_slope(c, d, f)
         sigma2 = _curvature_at_saddle(c, d, f, lam)
         p0 = lam * eta + 0.5 * sigma2 * eta * eta
-        if not np.isfinite(p0):
+        if not math.isfinite(p0):
             raise IntegrationError(f"series start P(xi + eta) = {p0} is not finite at c={c:g}")
         lams.append(lam)
         p0s.append(p0)
@@ -349,11 +362,16 @@ def integrate_trajectories(
             f"trajectory left the lower half plane at c={cs[left]:g}; "
             "the reaction may not be monostable on (xi, delta]"
         )
-    # P(delta) from the last piece, summed as a call of ``dense`` would sum it
-    p_ends = _power_sum(dense.c[:, -1], delta - dense.x[-2])
-    # each lane's coefficients are made contiguous once, so a read of one
-    # speed evaluates that speed alone
-    by_lane = np.ascontiguousarray(np.moveaxis(dense.c, 2, 0))
+    # P(delta) from the last piece, summed as a call of ``dense`` would sum it,
+    # and each lane's own contiguous coefficients, so a read of one speed
+    # evaluates that speed alone: one lane's are dense.c's, summed on floats
+    s_end = delta - float(dense.x[-2])
+    if len(cs) == 1:
+        by_lane = [dense.c[:, :, 0]]
+        p_ends = [_power_sum(dense.c[:, -1, 0].tolist(), s_end)]
+    else:
+        by_lane = np.ascontiguousarray(np.moveaxis(dense.c, 2, 0))
+        p_ends = _power_sum(dense.c[:, -1], s_end)
     return [
         PhaseTrajectory(
             c=c,
@@ -377,7 +395,7 @@ def _step_bounds(dense: PiecewisePolynomial) -> np.ndarray:
     """
     c = np.maximum(dense.c, 0.0)
     c[-1] = dense.c[-1]
-    h = np.diff(dense.x).reshape((-1,) + (1,) * (c.ndim - 2))
+    h = (dense.x[1:] - dense.x[:-1]).reshape((-1,) + (1,) * (c.ndim - 2))
     return _power_sum(c, h)
 
 
@@ -472,6 +490,7 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> RK45Solution:
     if lanes == 1:
         y = float(y[0])
     f = fun(t, y)
+    # NaN when f is: the floor then takes its place, so the step is tried and fails
     h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol, abs if lanes == 1 else _rms)
     nfev = 2
     ts, ys, stages = [t], [y], []
@@ -486,7 +505,7 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> RK45Solution:
             # from t >= 0 the spacing stays the same up to the next power of
             # two, which is 2**53 spacings; below 0 it is looked up every step
             spacing_end = spacing * 2.0 ** 53 if t >= 0.0 else t
-        if h_abs < min_step:
+        if not h_abs >= min_step:
             h_abs = min_step
         rejected = False
         while True:
@@ -540,17 +559,19 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> RK45Solution:
             h_abs *= factor if factor > MIN_FACTOR else MIN_FACTOR
             rejected = True
 
-    t_out = np.array(ts)
-    y_out = np.array(ys).reshape(len(ts), lanes).T
+    # dtype=float spares numpy the search for the items' common type
+    t_out = np.array(ts, dtype=float)
+    y_out = np.array(ys, dtype=float).reshape(len(ts), lanes).T
     dense = None
     if message is None:
         # the step from t_old of length h is y_old + h * sum_j Q_j * ((t - t_old)/h)**j,
         # j = 1..4, with Q = K.T @ P: one product gives every step's and every
-        # lane's Q_j at once, highest power first, then each is divided by h**(j-1)
-        K = np.array(stages).reshape(-1, 7, lanes).transpose(1, 0, 2).reshape(7, -1)
+        # lane's Q_j at once, highest power first, then each is divided by h**(j-1);
+        # with one lane every reshape is a view, and coeffs[:, :, 0] is contiguous
+        K = np.array(stages, dtype=float).reshape(-1, 7, lanes).transpose(1, 0, 2).reshape(7, -1)
         coeffs = np.empty((5, len(ts) - 1, lanes))
         np.dot(_P_HIGH_FIRST, K, out=coeffs[:4].reshape(4, -1))
-        coeffs[:3] /= (np.diff(t_out) ** _POWERS)[:, :, None]
+        coeffs[:3] /= ((t_out[1:] - t_out[:-1]) ** _POWERS)[:, :, None]
         coeffs[4] = y_out[:, :-1].T
         dense = PiecewisePolynomial(coeffs, t_out)
         message = "The solver successfully reached the end of the integration interval."
@@ -683,7 +704,8 @@ def closed_form_zero_speed(q: float, d: float, f: ReactionFunction) -> float:
 
 @functools.lru_cache(maxsize=8)
 def _log_points(xi: float, delta: float):
-    """Step h and read-only points q, uniform in w = ln(q - xi) from the tail cutoff to delta.
+    """Step h, read-only points q, uniform in w = ln(q - xi) from the tail cutoff to
+    delta, and their read-only offsets q - xi.
 
     Every other point, from the first, is a sample of the profile, so those
     must lie above xi and rise strictly; where delta - xi is too small
@@ -699,18 +721,20 @@ def _log_points(xi: float, delta: float):
         raise NumericalError(f"profile samples fell to the stable zero {where}")
     if not np.all(np.diff(q[::2]) > 0.0):
         raise NumericalError(f"profile samples are not strictly decreasing {where}")
-    q.flags.writeable = False
-    return w[1] - w[0], q
+    s = q - xi
+    q.flags.writeable = s.flags.writeable = False
+    return w[1] - w[0], q, s
 
 
 def _log_grid(traj: PhaseTrajectory):
-    """Step h, points q and P(q) of ``_log_points``, whose points depend on (xi, delta)
-    alone: every speed of a search or a sequence reuses them."""
-    h, q = _log_points(traj.xi, traj.delta)
-    p = traj.p_at(q)
+    """Step h, points q and offsets q - xi of ``_log_points``, whose points depend on
+    (xi, delta) alone: every speed of a search or a sequence reuses them; and P(q),
+    read as ``p_at`` reads it but without checking that the points ascend."""
+    h, q, s = _log_points(traj.xi, traj.delta)
+    p = traj.dense._at(q, traj.dense._runs(q))
     if not np.all(p < 0.0):
         raise NumericalError("trajectory is not negative on the quadrature range")
-    return h, q, p
+    return h, q, s, p
 
 
 def _simpson_sums(y: np.ndarray) -> np.ndarray:
@@ -742,8 +766,7 @@ def residual_slope(traj: PhaseTrajectory, f: ReactionFunction) -> float:
     a*(q - xi) tends to -kappa = f'(xi)/(d*lam**2), lam the saddle slope, so
     below the tail cutoff exp(int_s^delta a) ~ (s - xi)**kappa closes the integral.
     """
-    h, q, p = _log_grid(traj)
-    s = q - traj.xi
+    h, q, s, p = _log_grid(traj)
     g = s * np.asarray(f(q)) / (traj.d * p * p)  # a*(q - xi): int a in w
     weight = np.exp(_cumulative_simpson(g[::-1], h)[::-1])  # exp(int_q^delta a)
     outer = np.sum(_simpson_sums(weight * s)) * (h / 3.0) + weight[0] * s[0] / (1.0 - g[0])
@@ -757,8 +780,8 @@ def reconstruct_profile(traj: PhaseTrajectory) -> SemiWaveProfile:
     Simpson panels on ``_log_grid`` give x at every other point.  Beyond the tail
     cutoff the profile continues with the saddle-slope decay rate.
     """
-    h, q, p = _log_grid(traj)
-    g = (q - traj.xi) / -p
+    h, q, s, p = _log_grid(traj)
+    g = s / -p
     panels = h / 3.0 * _simpson_sums(g)
     # x grows from the boundary, where w is largest, so the sums run backwards
     x_grid = np.concatenate(([0.0], np.cumsum(panels[::-1])))

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import signal
 from fractions import Fraction
 
 import mpmath
@@ -7,6 +9,7 @@ import pytest
 
 from retreatwave import phaseplane
 from retreatwave import (
+    Grid1D,
     InputError,
     IntegrationError,
     IntegrationOptions,
@@ -225,6 +228,44 @@ def test_nan_error_shrinks_the_step_by_min_factor(y0, nfev, points, t_end):
     assert float(sol.t[-1]) == pytest.approx(math.log(2.0), abs=1e-10)
 
 
+@contextlib.contextmanager
+def _watchdog(seconds: float):
+    """Raise TimeoutError inside the block once it has run for ``seconds``, so a
+    hang fails the test instead of stalling the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_nan_at_the_start_ends_the_solve_as_a_failure(lanes):
+    # a right-hand side that is NaN at the start makes the initial step NaN,
+    # which fails every comparison; it is raised to the step floor, tried once
+    # and rejected, and the floor then ends the solve.  In integrate_trajectories
+    # that is a reaction that is NaN at xi + eta
+    if lanes == 1:
+        def fun(t, y):
+            return math.nan
+    else:
+        def fun(t, y):
+            return np.full(lanes, math.nan)
+    nan_reaction = ReactionFunction(lambda u: math.nan * np.asarray(u),
+                                    lambda u: 1.0 - 2.0 * np.asarray(u), 1.0, "nan")
+    with _watchdog(10.0):
+        sol = phaseplane.solve_ivp(fun, (0.0, 1.0), [1.0] * lanes, rtol=1e-10, atol=1e-12)
+        with pytest.raises(IntegrationError, match=phaseplane.TOO_SMALL_STEP):
+            integrate_trajectories(np.linspace(-0.5, -0.1, lanes), 1.0, nan_reaction, 2.0)
+    assert (sol.success, sol.message, sol.dense) == (False, phaseplane.TOO_SMALL_STEP, None)
+    assert (sol.nfev, sol.t.tolist()) == (8, [0.0])
+
+
 def _pole_squared(t, y):
     # y' = 1/(w - t)**2 with w = 1 + 8e-12: the steps shrink to the floor of
     # 10 ulp of t while t crosses 1, where that floor doubles
@@ -272,7 +313,7 @@ def test_log_grid_reads_p_as_a_search_would(spec, d, delta):
     # to its evaluation point by point, reached here through reversed points
     f = parse_reaction(spec)
     traj = integrate_trajectory(0.5 * bracket_low(d, f, delta), d, f, delta)
-    _, q, p = phaseplane._log_grid(traj)
+    _, q, _, p = phaseplane._log_grid(traj)
     assert np.array_equal(p, traj.p_at(q[::-1])[::-1])
     assert np.array_equal(p, traj.p_at(q))
 
@@ -288,7 +329,7 @@ def test_log_points_reject_samples_that_round_together(gap, message):
     xi = 1e5
     with pytest.raises(NumericalError, match=message):
         phaseplane._log_points(xi, xi + gap)
-    _, q = phaseplane._log_points(1.0, 2.0)
+    _, q, _ = phaseplane._log_points(1.0, 2.0)
     assert q[0] > 1.0 and np.all(np.diff(q) > 0.0)
 
 
@@ -329,6 +370,15 @@ def test_trajectory_continuous_in_speed(logistic1):
 
 def test_trajectory_ode_residual(logistic1):
     traj = integrate_trajectory(-0.5, 1.0, logistic1, 2.0)
+    assert traj.ode_residual(logistic1) < 5e-6
+
+
+@pytest.mark.parametrize("d", [0.5, 2.0])
+def test_trajectory_ode_residual_tells_c_over_d_from_c_times_d(logistic1, d):
+    # at d = 1 the drift c/d equals c*d; here the two differ by |c|*|d - 1/d| =
+    # 0.75, so c*d in the integrated or the checked right-hand side fails.
+    # Measured: 1.7e-8 (d = 0.5) and 5.4e-8 (d = 2)
+    traj = integrate_trajectory(-0.5, d, logistic1, 2.0)
     assert traj.ode_residual(logistic1) < 5e-6
 
 
@@ -469,6 +519,17 @@ def test_lanes_match_one_lane_runs_and_tight_reference(spec, d, delta):
     assert np.max(np.abs(np.subtract(lanes, refs))) <= worst_one
 
 
+@pytest.mark.parametrize("spec, d, delta", LANE_PROBLEMS)
+@pytest.mark.parametrize("lanes", [1, 3])
+def test_endpoint_slope_is_the_value_a_read_gives_at_delta(spec, d, delta, lanes):
+    # one lane sums P(delta) on Python floats, a batch on the lanes' arrays;
+    # both must be bit-identical to evaluating the stored trajectory there
+    f = parse_reaction(spec)
+    cs = np.linspace(bracket_low(d, f, delta), 0.0, lanes + 2)[1:-1]
+    for traj in integrate_trajectories(cs, d, f, delta):
+        assert traj.p_at(delta) == traj.endpoint_slope, traj.c
+
+
 def test_lane_profile_is_its_own():
     f = parse_reaction("custom:3,-2,0.9,-0.6")
     d, delta = 0.8, 2.4
@@ -574,6 +635,28 @@ def test_hermite_interpolant_reproduces_a_cubic(logistic1):
     assert math.isnan(profile.q_at(-0.5)) and profile.q_at(0.0) == 2.0
 
 
+def test_profile_builds_only_the_pieces_it_reads_bit_for_bit(logistic1):
+    # q_at builds the Hermite pieces its points fall in; the values must be
+    # those of the interpolant with every piece built, and the tail beyond x_end
+    profile = reconstruct_profile(integrate_trajectory(-0.4, 1.0, logistic1, 2.0))
+    x_end = profile.x_grid[-1]
+    eager = phaseplane._cubic_hermite(profile.x_grid, profile.q_values, profile.slopes)
+
+    def expected(x):
+        tail = profile.xi + (profile.q_values[-1] - profile.xi) * np.exp(
+            profile.tail_rate * (x - x_end))
+        return np.where(x <= x_end, eager(x), tail)
+
+    grids = [SUP_GRID, Grid1D(100.0, 2000).nodes, np.linspace(0.0, x_end, 2001), profile.x_grid,
+             np.array([-1.0, 0.0, x_end, np.nextafter(x_end, np.inf), x_end + 1.0])]
+    for x in grids:
+        assert np.array_equal(profile.q_at(x), expected(x), equal_nan=True)
+    assert math.isnan(profile.q_at(-1e-300)) and profile.q_at(0.0) == 2.0
+    for x in (0.0, 0.37 * x_end, x_end, x_end + 3.0):
+        value = profile.q_at(x)
+        assert type(value) is float and value == expected(np.array(x)), x
+
+
 def _samples(n: int, coefficients):
     """n points 1/16 apart from -3/4, exact in binary, with the polynomial's
     values there rounded once, and its antiderivative's exact values."""
@@ -625,7 +708,7 @@ def test_simpson_rules_agree_with_scipys(spec, d, delta):
 
     f = parse_reaction(spec)
     traj = integrate_trajectory(0.5 * bracket_low(d, f, delta), d, f, delta)
-    h, q, p = phaseplane._log_grid(traj)
+    h, q, _, p = phaseplane._log_grid(traj)
     g = (q - traj.xi) / -p
     a = (q - traj.xi) * np.asarray(f(q)) / (d * p * p)
     for y in (g, a[::-1]):
