@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: semiwave, speed, sweep, simulate, sequences, verify.  Shared
-flags are --f (reaction spec), --d, --delta, --tol, --out and --config.
+flags are --f (reaction spec), --d, --delta (not on sweep), --tol, --out
+and --config.
 Values resolve with the precedence CLI flag > config file > default: the
 config file becomes click's ``default_map``, so each of its keys is the
 name of an option and each default is written once, in its option.  The
@@ -93,20 +94,24 @@ def _shared_options(fn):
     fn = click.option("--out", "out_dir", type=click.Path(file_okay=False), default=".",
                       help="Output directory.")(fn)
     fn = click.option("--tol", type=float, default=DEFAULT_TOL, help="Root tolerance.")(fn)
-    fn = click.option("--delta", type=float, default=2.0, help="Boundary density.")(fn)
     fn = click.option("--d", "d", type=float, default=1.0, help="Diffusivity.")(fn)
     fn = click.option("--f", "reaction", type=str, default="logistic",
                       help="Reaction spec, e.g. logistic:r=1.")(fn)
     return fn
 
 
-def _common(reaction, d, delta, tol, out_dir):
+# every subcommand with the shared options but sweep, which reads --deltas
+_delta_option = click.option("--delta", type=float, default=2.0, help="Boundary density.")
+
+
+def _common(reaction, d, tol, out_dir, delta=None):
+    """Check the shared values, and delta unless it is None; parse f and make the output dir."""
     if not 0 < d < math.inf:
         raise InputError(f"d must be positive and finite, got {d}")
     if not tol > 0:
         raise InputError(f"tol must be positive, got {tol}")
     f = parse_reaction(reaction)
-    if not f.stable_zero < delta < math.inf:
+    if delta is not None and not f.stable_zero < delta < math.inf:
         raise InputError(f"delta must exceed {f.stable_zero:g} and be finite, got {delta}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -173,11 +178,12 @@ def main():
 
 @main.command()
 @_shared_options
+@_delta_option
 @click.option("--c", "c_value", type=str, default="auto",
               help="Wave speed, a float or 'auto' for the selected speed c*.")
 def semiwave(c_value, reaction, d, delta, tol, out_dir):
     """Compute one phase trajectory and its spatial profile."""
-    f, out = _common(reaction, d, delta, tol, out_dir)
+    f, out = _common(reaction, d, tol, out_dir, delta)
     if c_value == "auto":
         traj = find_wave_speed(d, f, delta, tol).trajectory
     else:
@@ -203,11 +209,12 @@ def semiwave(c_value, reaction, d, delta, tol, out_dir):
 
 @main.command()
 @_shared_options
+@_delta_option
 @click.option("--audit-grid", type=int, default=0,
               help="Also audit residual monotonicity on this many grid points.")
 def speed(audit_grid, reaction, d, delta, tol, out_dir):
     """Find the retreat speed for one boundary density."""
-    f, out = _common(reaction, d, delta, tol, out_dir)
+    f, out = _common(reaction, d, tol, out_dir, delta)
     result = find_wave_speed(d, f, delta, tol)
     write_json(out / "speed.json", result.to_json_dict() | {"d": d, "reaction": f.label})
     if audit_grid:
@@ -242,9 +249,9 @@ def _parse_deltas(text: str) -> list[float]:
 @_shared_options
 @click.option("--deltas", type=str, required=True,
               help="Comma list (1.1,1.5,2) or range start:stop:step (1.1:3:0.1).")
-def sweep(deltas, reaction, d, delta, tol, out_dir):
+def sweep(deltas, reaction, d, tol, out_dir):
     """Sweep the retreat speed over a range of boundary densities."""
-    f, out = _common(reaction, d, delta, tol, out_dir)
+    f, out = _common(reaction, d, tol, out_dir)
     values = _parse_deltas(deltas)
     table = density_sweep(d, f, values, tol)
     table.to_csv(out / "sweep.csv")
@@ -256,6 +263,7 @@ def sweep(deltas, reaction, d, delta, tol, out_dir):
 
 @main.command()
 @_shared_options
+@_delta_option
 @click.option("--u0", type=click.Choice(["semiwave", "exp_approach", "constant_delta",
                                          "custom_table"]),
               default="exp_approach", help="Initial data preset.")
@@ -278,7 +286,7 @@ def sweep(deltas, reaction, d, delta, tol, out_dir):
 def simulate(u0, table_path, T_end, N, L_y, dt, g0, output_every, snapshot_times,
              do_verify, speed_rtol, profile_tol, reaction, d, delta, tol, out_dir):
     """Run the front-fixed PDE and record the front speed history."""
-    f, out = _common(reaction, d, delta, tol, out_dir)
+    f, out = _common(reaction, d, tol, out_dir, delta)
     grid = Grid1D(L_y if L_y is not None else 100.0 * max(1.0, math.sqrt(d)), N)
     try:
         snap_times = [float(s) for s in snapshot_times.split(",")] if snapshot_times else []
@@ -332,13 +340,14 @@ def simulate(u0, table_path, T_end, N, L_y, dt, g0, output_every, snapshot_times
 
 @main.command()
 @_shared_options
+@_delta_option
 @click.option("--c-upper0", type=float, default=0.0, help="Upper start, in (c*, 0].")
 @click.option("--c-lower0", type=float, default=None, help="Lower start, below c* [c*-1].")
 @click.option("--m", "m_start", type=int, default=10, help="Forcing offset M.")
 @click.option("--n-max", type=int, default=2000, help="Iteration cap.")
 def sequences(c_upper0, c_lower0, m_start, n_max, reaction, d, delta, tol, out_dir):
     """Iterate the monotone speed sequences bracketing c*."""
-    f, out = _common(reaction, d, delta, tol, out_dir)
+    f, out = _common(reaction, d, tol, out_dir, delta)
     reference = find_wave_speed(d, f, delta, tol)
     upper, lower = bracketing_sequences(
         d, f, delta, c_upper_0=c_upper0, c_lower_0=c_lower0,

@@ -390,11 +390,11 @@ def run(
     # steps are timed from the last output time, so every interval of a
     # settled run repeats one step sequence, not one shifted by the rounding
     # of a summed t (at dt = 0.02 the settled g' then spreads 3.3e-15, not 1.2e-14)
-    span = config.T_end if n_out == 1 else config.output_every
     elapsed = 0.0
     while config.T_end > 0:
         startup = steps < STARTUP_STEPS
         dt = 0.5 * dt_cap if startup else dt_cap
+        span = config.output_every if k < n_out else config.T_end - (k - 1) * config.output_every
         rest = span - elapsed
         lands = rest <= dt * (1.0 + LANDING_SLACK)
         if rest < dt * (1.0 - LANDING_SLACK):
@@ -418,7 +418,6 @@ def run(
             if k == n_out:
                 break
             k += 1
-            span = config.output_every if k < n_out else config.T_end - state.t
             elapsed = 0.0
 
     if far_drift > 1e-3:

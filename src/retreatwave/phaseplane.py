@@ -172,8 +172,9 @@ class PhaseTrajectory:
     piecewise quartic (a ``PiecewisePolynomial``, breakpoints at the
     Dormand-Prince steps, extrapolating beyond them) and the only stored form
     of P: ``p_at``, ``ode_residual``, ``to_csv`` and the quadratures of the
-    profile and of r'(c) read it.  Its coefficients are this speed's alone,
-    shape (5, steps), also when the speed was one lane of a batch.
+    profile and of r'(c) read it.  Its coefficients, shape (5, steps), are
+    this speed's column of the integration's quartics, a view of them also
+    when the speed was one lane of a batch.
     """
 
     c: float
@@ -362,27 +363,21 @@ def integrate_trajectories(
             f"trajectory left the lower half plane at c={cs[left]:g}; "
             "the reaction may not be monostable on (xi, delta]"
         )
-    # P(delta) from the last piece, summed as a call of ``dense`` would sum it,
-    # and each lane's own contiguous coefficients, so a read of one speed
-    # evaluates that speed alone: one lane's are dense.c's, summed on floats
+    # each lane reads its column of the shared quartics, a view, and sums
+    # P(delta) from its last piece on Python floats, as a call of ``dense``
+    # would sum it
     s_end = delta - float(dense.x[-2])
-    if len(cs) == 1:
-        by_lane = [dense.c[:, :, 0]]
-        p_ends = [_power_sum(dense.c[:, -1, 0].tolist(), s_end)]
-    else:
-        by_lane = np.ascontiguousarray(np.moveaxis(dense.c, 2, 0))
-        p_ends = _power_sum(dense.c[:, -1], s_end)
     return [
         PhaseTrajectory(
             c=c,
             d=float(d),
             delta=float(delta),
             xi=float(xi),
-            endpoint_slope=float(p_end),
+            endpoint_slope=_power_sum(last, s_end),
             saddle_slope=float(lam),
-            dense=PiecewisePolynomial(coeffs, dense.x),
+            dense=PiecewisePolynomial(dense.c[:, :, lane], dense.x),
         )
-        for c, lam, p_end, coeffs in zip(cs, lams, p_ends, by_lane)
+        for lane, (c, lam, last) in enumerate(zip(cs, lams, dense.c[:, -1].T.tolist()))
     ]
 
 

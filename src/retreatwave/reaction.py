@@ -27,11 +27,10 @@ __all__ = [
     "parse_reaction",
 ]
 
-# Absolute tolerance for locating stable zeros by bisection.  The saddle slope
-# downstream depends on f'(z), so the zero has to be tight.
-ZERO_LOCATION_TOL = 1e-12
-# Halvings that take the widest finite double interval below ZERO_LOCATION_TOL.
-MAX_BISECTIONS = 1100
+# A cap on the halvings of a scan cell [a, b] in _locate_stable_zero.  Every
+# cell has b - a <= a, fewer than 2**53 spacings of a, so about 54 halvings
+# reach adjacent doubles; the cap only bounds the loop.
+MAX_BISECTIONS = 64
 # Intervals of the sampling grid on [0, 2*stable_zero] in validate_monostable.
 VALIDATION_GRID = 2000
 
@@ -154,10 +153,10 @@ def _locate_stable_zero(fn: Callable, hi: float, tail_to: float = 0.0) -> float:
     """Find the positive zero where fn changes sign from + to -.
 
     Scans a dense grid on (0, hi], and a geometric one on (hi, tail_to], for
-    down-crossings, requires exactly one, refines it by bisection to absolute
-    tolerance ZERO_LOCATION_TOL (or to adjacent doubles, where their spacing
-    exceeds it) and polishes with a few Newton steps so the residual reaches
-    evaluator round-off.
+    down-crossings and requires exactly one.  Its cell is bisected, keeping
+    fn > 0 at the lower end and fn <= 0 at the upper, until the midpoint
+    rounds to an end: the ends are then adjacent doubles, at any scale, and
+    the one with the smaller |fn| is returned, the lower on a tie.
     """
     grid = np.linspace(0.0, hi, 4001)[1:]
     if tail_to > hi:
@@ -178,32 +177,25 @@ def _locate_stable_zero(fn: Callable, hi: float, tail_to: float = 0.0) -> float:
     a, b = float(grid[down[0]]), float(grid[down[0] + 1])
     for _ in range(MAX_BISECTIONS):
         mid = 0.5 * (a + b)
-        if b - a <= ZERO_LOCATION_TOL or mid in (a, b):
+        if mid in (a, b):
             break
         if fn(mid) > 0.0:
             a = mid
         else:
             b = mid
-    z = 0.5 * (a + b)
-    h = 1e-7 * max(1.0, z)
-    for _ in range(3):
-        slope = (float(fn(z + h)) - float(fn(z - h))) / (2.0 * h)
-        if slope == 0.0:
-            break
-        z_next = z - float(fn(z)) / slope
-        if not a - ZERO_LOCATION_TOL <= z_next <= b + ZERO_LOCATION_TOL:
-            break
-        z = z_next
-    return z
+    return b if abs(float(fn(b))) < abs(float(fn(a))) else a
 
 
 def make_perturbation_pair(base: ReactionFunction, epsilon: float) -> PerturbationPair:
     """Build sandwiching reactions (lower < base < upper) for a given epsilon.
 
-    The members are the additive family base(u) -/+ eps*u*exp(-u) for every
-    base.  Their stable zeros are re-located by bisection and both members
-    are validated for monostability; an epsilon that breaks monostability is
-    rejected with the validator's diagnostics.
+    The members are the additive family base(u) -/+ eps*u*exp(-u/s) with the
+    decay length s = max(1, xi), the scale of the stable zero xi: near 2*xi
+    the bump then stays far above one rounding of base, for every base, and
+    a base with xi <= 1 keeps s = 1 and its bits.  The members' stable zeros
+    are re-located by bisection and both members are validated for
+    monostability; an epsilon that breaks monostability is rejected with the
+    validator's diagnostics.
     """
     xi = base.stable_zero
     if not 0.0 < epsilon < min(1.0, xi) / 2.0:
@@ -233,8 +225,9 @@ def _exp(u):
 
 def _additive_member(base: ReactionFunction, eps: float, tag: str) -> ReactionFunction:
     value = base.value_fn  # bound once: a call makes no frame for base.__call__
-    fn = lambda u: value(u) + eps * u * _exp(-u)
-    dfn = lambda u: base.deriv(u) + eps * (1.0 - u) * _exp(-u)
+    s = max(1.0, base.stable_zero)  # u / 1.0 is u, so s = 1 keeps every bit
+    fn = lambda u: value(u) + eps * u * _exp(-u / s)
+    dfn = lambda u: base.deriv(u) + eps * (1.0 - u / s) * _exp(-u / s)
     zero = _locate_stable_zero(fn, hi=2.0 * base.stable_zero)
     return ReactionFunction(
         value_fn=fn,

@@ -157,6 +157,34 @@ def test_speed_json_and_determinism(tmp_path, runner):
     assert payload["residual"] <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        (["speed", "--tol", "0"], 1, "tol must be positive"),
+        (["sequences", "--c-upper0", "{above}", "--n-max", "5"], 2,
+         "auto-escalation exceeded M=1e5 for the upper sequence"),
+        (["sequences", "--c-lower0", "{below}", "--n-max", "5"], 2,
+         "auto-escalation exceeded M=1e5 for the lower sequence"),
+        (["verify", "--record", "{record}", "--speed", "{speed}"], 1,
+         "unexpected run record header"),
+        (["simulate", "--T", "0.01", "--u0", "custom_table", "--table", "{table}"], 1,
+         "initial data contains non-finite values"),
+    ],
+    ids=["zero-tol", "upper-start-at-c*", "lower-start-at-c*", "record-header", "nan-table"],
+)
+def test_error_exits_keep_their_codes(tmp_path, runner, speed_ref, args, code, message):
+    # a start 1e-8 from c* needs a forcing term 1/M below M = 1e5 allows
+    (tmp_path / "run.csv").write_text("t,g\n0,0\n")
+    (tmp_path / "speed.json").write_text("{}")
+    (tmp_path / "u0.csv").write_text("y,u\n0,2\n50,nan\n100,1\n")
+    names = {"above": repr(speed_ref.c_star + 1e-8), "below": repr(speed_ref.c_star - 1e-8),
+             "record": str(tmp_path / "run.csv"), "speed": str(tmp_path / "speed.json"),
+             "table": str(tmp_path / "u0.csv")}
+    res = runner.invoke(main, [a.format(**names) for a in args] + ["--out", str(tmp_path / "out")])
+    assert res.exit_code == code, res.output
+    assert message in res.output
+
+
 def test_sweep_monotone_column(tmp_path, runner):
     out = tmp_path / "sweep"
     res = invoke(runner, ["sweep", "--deltas", "1.1,1.5,2", "--out", str(out)])
@@ -192,6 +220,17 @@ def test_sweep_rejects_bad_spec(tmp_path, runner):
     res = runner.invoke(main, ["sweep", "--deltas", "1.1:3:1e-300", "--out", str(tmp_path)])
     assert res.exit_code == 1, res.output
     assert "has more than 100000 values" in res.output
+
+
+def test_sweep_reads_no_delta(tmp_path, runner):
+    # the shared --delta default 2 lies below xi = 5, and sweep reads only --deltas
+    args = ["sweep", "--f", "custom:5,-1", "--deltas", "6,7", "--out", str(tmp_path)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    _, rows = read_csv(tmp_path / "sweep.csv")
+    assert [row[0] for row in rows] == [6.0, 7.0]
+    res = runner.invoke(main, args + ["--delta", "6"])
+    assert res.exit_code == 1 and "No such option '--delta'" in res.output
 
 
 def test_delta_range_parser_counts():

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -496,7 +497,8 @@ def test_run_through_scipy_solve_gives_identical_rows(monkeypatch, logistic1):
     assert np.array_equal(ours.final_state.U, plain.final_state.U)
 
 
-def test_run_takes_one_step_size(monkeypatch, logistic1):
+def _record_steps(monkeypatch):
+    """The dt of every ``step`` that ``run`` takes, in order."""
     taken = []
     original = frontsolver.step
 
@@ -505,6 +507,11 @@ def test_run_takes_one_step_size(monkeypatch, logistic1):
         return original(state, d, delta, f, dt, **kwargs)
 
     monkeypatch.setattr(frontsolver, "step", recording)
+    return taken
+
+
+def test_run_takes_one_step_size(monkeypatch, logistic1):
+    taken = _record_steps(monkeypatch)
     rec = _short_run(logistic1, None)
     # the cap 0.5/max|f'| = 0.1 at g' = 0.9, where dt*|g'| is 1.4*h: four
     # backward-Euler half-steps, then steps of 0.1 but for one shortened step
@@ -513,6 +520,18 @@ def test_run_takes_one_step_size(monkeypatch, logistic1):
     shortened = [dt for dt in taken[4:] if dt != 0.1]
     assert len(shortened) == 4 and max(shortened) < 0.1
     assert (rec.config["dt"], rec.config["dt_max"]) == (0.1, 0.1)
+
+
+@pytest.mark.parametrize("T_end, times", [(0.3, [0.0, 0.3]), (1.1, [0.0, 0.5, 1.0, 1.1])])
+def test_last_output_interval_ends_at_T_end(monkeypatch, logistic1, T_end, times):
+    # T_end is no multiple of output_every = 0.5: the last interval, also when
+    # it is the first, spans T_end - (k - 1)*output_every
+    taken = _record_steps(monkeypatch)
+    grid = Grid1D(25.0, 400)
+    init = InitialData.from_callable(grid, 2.0, exp_approach_u0(2.0))
+    rec = run(init, 1.0, 2.0, logistic1, SolverConfig(T_end=T_end, dt=0.03, output_every=0.5))
+    assert [row[0] for row in rec.rows] == times
+    assert math.fsum(taken) == pytest.approx(T_end, rel=1e-14)
 
 
 def reference_rhs(U, h, d, delta, gp, dt, f_values, source_values):

@@ -765,12 +765,13 @@ def test_kronrod_rule_is_exact_to_degree_31(a, b):
     assert phaseplane._kronrod21(lambda t: t**20, -1.0, 1.0)[1] > 1e-7
 
 
-def _member_integrals(f, coeffs, eps, q):
-    """int_q^xi f and int_q^xi of |each term| of f = sum c_k u**k + eps*u*exp(-u), in mpmath."""
+def _member_integrals(f, coeffs, eps, q, s=1.0):
+    """int_q^xi f and int_q^xi of |each term| of f = sum c_k u**k + eps*u*exp(-u/s), in mpmath."""
     with mpmath.workdps(50):
         lo, hi = sorted((mpmath.mpf(q), mpmath.mpf(f.stable_zero)))
         powers = [(hi ** (k + 2) - lo ** (k + 2)) / (k + 2) for k in range(len(coeffs))]
-        bump = (lo + 1) * mpmath.exp(-lo) - (hi + 1) * mpmath.exp(-hi)  # int u*exp(-u)
+        # int u*exp(-u/s) from its antiderivative -s*(u + s)*exp(-u/s)
+        bump = s * ((lo + s) * mpmath.exp(-lo / s) - (hi + s) * mpmath.exp(-hi / s))
         sign = 1 if q <= f.stable_zero else -1
         exact = sign * (sum(c * power for c, power in zip(coeffs, powers)) + eps * bump)
         scale = sum(abs(c) * power for c, power in zip(coeffs, powers)) + abs(eps) * bump
@@ -778,26 +779,27 @@ def _member_integrals(f, coeffs, eps, q):
 
 
 def test_quadrature_matches_exact_antiderivatives(monkeypatch):
-    # the logistic and polynomial family members and their eps*u*exp(-u)
-    # perturbations, from q down to the stable zero.  Near xi the value of f
-    # cancels, so the bound scales with M = int of the terms' magnitudes, not
-    # with |int f|: Horner's gamma(8), the nodes' rounding (3 each, times
-    # the degree 4), and the rule's 43, all of M; a perturbed member also
-    # keeps the tolerance max(1e-14, 1e-12*|int f|), met by the estimate
-    # |K21 - G10|, which exceeds the Kronrod error on these analytic f.  A
-    # polynomial takes one panel
+    # the logistic and polynomial family members and their eps*u*exp(-u/s)
+    # perturbations, s = max(1, xi) of the base, from q down to the stable
+    # zero.  Near xi the value of f cancels, so the bound scales with M = int
+    # of the terms' magnitudes, not with |int f|: Horner's gamma(8), the
+    # nodes' rounding (3 each, times the degree 4), and the rule's 43, all
+    # of M; a perturbed member also keeps the tolerance max(1e-14,
+    # 1e-12*|int f|), met by the estimate |K21 - G10|, which exceeds the
+    # Kronrod error on these analytic f.  A polynomial takes one panel
     calls = _count_kronrod(monkeypatch)
-    cases = [(make_logistic(r), (r, -r), 0.0) for r in (0.5, 1.0, 3.0)] + [
-        (f, coeffs, 0.0) for f, coeffs in _family(12)]
-    for f, coeffs, _ in cases[:6]:
+    cases = [(make_logistic(r), (r, -r), 0.0, 1.0) for r in (0.5, 1.0, 3.0)] + [
+        (f, coeffs, 0.0, 1.0) for f, coeffs in _family(12)]
+    for f, coeffs, _, _ in cases[:6]:
         pair = make_perturbation_pair(f, 0.05)
-        cases += [(pair.lower, coeffs, -0.05), (pair.upper, coeffs, 0.05)]
-    for f, coeffs, eps in cases:
+        s = max(1.0, f.stable_zero)
+        cases += [(pair.lower, coeffs, -0.05, s), (pair.upper, coeffs, 0.05, s)]
+    for f, coeffs, eps, s in cases:
         xi = f.stable_zero
         for q in (xi, xi * (1.0 + 1e-9), 1.05 * xi, 1.7 * xi, 2.0 * xi, 3.0 * xi, 0.5 * xi):
             calls.clear()
             ours = phaseplane._quad(f, q, xi, epsabs=1e-14, epsrel=1e-12)
-            exact, scale = _member_integrals(f, coeffs, eps, q)
+            exact, scale = _member_integrals(f, coeffs, eps, q, s)
             tolerance = max(1e-14, 1e-12 * abs(exact)) if eps else 0.0
             assert abs(ours - exact) <= tolerance + _gamma(64) * scale, (f.label, q)
             assert eps or len(calls) == 1, (f.label, q)

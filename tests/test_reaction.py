@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -188,3 +190,48 @@ def test_parse_reaction_grammar():
     for bad in ("logistic:k=2", "logistic:r=abc", "custom:1,zz", "sine"):
         with pytest.raises(InputError):
             parse_reaction(bad)
+
+
+ZERO_SPECS = ["logistic", "logistic:r=3", "custom:1,-1", "custom:0.7,-1", "custom:3,-2",
+              "custom:3,-2,0.9,-0.6", "custom:5,-1", "custom:15,-1", "custom:16,-1",
+              "custom:20,-1", "custom:50,-1", "custom:100,-1", "custom:1,-1,-1e-4",
+              "custom:25,-1", "custom:0.5,0,-2"]
+
+
+def _assert_nearer_of_adjacent_doubles(f):
+    # the stable zero is one of two adjacent doubles with f > 0 at the lower
+    # and f <= 0 at the upper, the one with the smaller |f|, the lower on a tie
+    z = f.stable_zero
+    lo = z if f(z) > 0.0 else math.nextafter(z, -math.inf)
+    hi = math.nextafter(lo, math.inf)
+    f_lo, f_hi = float(f(lo)), float(f(hi))
+    assert f_lo > 0.0 >= f_hi, (f.label, z)
+    assert z == (hi if abs(f_hi) < abs(f_lo) else lo), (f.label, z)
+
+
+def test_stable_zero_is_the_nearer_of_two_adjacent_doubles(workloads):
+    bases = [parse_reaction(spec) for spec in ZERO_SPECS]
+    for seed in range(10):
+        bases += [p.f for p in workloads.build("speed_family", seed)["problems"]]
+    rng = np.random.default_rng(30)  # r*u*(xi - u)*(1 + a*u**2), xi in [0.5, 4]
+    for r, xi, a in rng.uniform((0.5, 0.5, 0.0), (3.0, 4.0, 0.5), (20, 3)).tolist():
+        bases.append(make_polynomial((r * xi, -r, r * a * xi, -r * a)))
+    for f in bases:
+        pair = make_perturbation_pair(f, 0.05)
+        for member in (f, pair.lower, pair.upper):
+            _assert_nearer_of_adjacent_doubles(member)
+    # logistic, and every base with xi <= 1, keeps s = 1 and the members' bits
+    logistic = make_perturbation_pair(make_logistic(1.0), 0.05)
+    assert (logistic.lower.stable_zero, logistic.upper.stable_zero) == (
+        0.981258037995028, 1.0180646742295483)
+
+
+@pytest.mark.parametrize("spec", ["custom:16,-1", "custom:20,-1", "custom:50,-1"])
+def test_pair_sandwiches_bases_with_large_stable_zeros(spec):
+    # the bump eps*u*exp(-u/s), s = max(1, xi), stays far above one rounding
+    # of f near u = 2*xi; with s = 1 it fell below it from xi = 16 up
+    f = parse_reaction(spec)
+    pair = make_perturbation_pair(f, 0.05)
+    u = np.linspace(0.0, 4.0 * f.stable_zero, 10_001)[1:]
+    assert np.all(pair.lower(u) < f(u)) and np.all(f(u) < pair.upper(u))
+    assert pair.lower.stable_zero < f.stable_zero < pair.upper.stable_zero

@@ -610,6 +610,14 @@ def test_perturbed_speeds_monotone_in_epsilon(logistic1, speed_ref):
     assert p2.upper.c_star > p1.upper.c_star
 
 
+def test_perturbed_speeds_straddle_above_a_large_stable_zero():
+    # custom:20,-1 had no sandwiching pair while the bump decayed like exp(-u)
+    f = parse_reaction("custom:20,-1")
+    ps = perturbed_wave_speeds(1.0, f, 1.5 * f.stable_zero, 0.05)
+    assert ps.lower.c_star < ps.base_c_star < ps.upper.c_star
+    assert ps.lower.residual <= 1e-10 and ps.upper.residual <= 1e-10
+
+
 def test_perturbed_speeds_rejects_zero_epsilon(logistic1):
     with pytest.raises(InputError):
         perturbed_wave_speeds(1.0, logistic1, 2.0, 0.0)
