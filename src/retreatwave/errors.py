@@ -14,7 +14,7 @@ class NumericalError(RuntimeError):
 
 
 class IntegrationError(NumericalError):
-    """ODE integration stopped before reaching its target."""
+    """A trajectory solve did not converge, or its values are not finite."""
 
 
 class BracketError(NumericalError):

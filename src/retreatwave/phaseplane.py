@@ -4,29 +4,37 @@ A decreasing semi-wave q(x) with speed parameter c solves
 d*q'' - c*q' + f(q) = 0, and along it the slope p = q' is a single-valued
 function of q.  That function P(q) obeys the singular first-order ODE
 
-    P'(q) = c/d - f(q) / (d * P(q)),
+    d * P(q) * P'(q) = c * P(q) - f(q),
 
 entering the equilibrium (xi, 0) of the (q, p) system along the stable
 direction with slope (c - sqrt(c**2 - 4*d*f'(xi))) / (2*d) < 0, where xi is
-the stable zero of f.  This module integrates that ODE outward from the
-equilibrium to q = delta, provides the exact zero-speed solution as an
-oracle, and builds the spatial profile from the same integration: since
-dq/dx = P(q), x(q) is the integral of 1/(-P) from q to delta.  Every speed
-shares the independent variable q, so one integration can carry many speeds
-as the lanes of a vector ODE.  The integrator is this module's own
-Dormand-Prince 5(4) stepper, ``solve_ivp``, with the step control of scipy's
-RK45; one lane runs as one loop on Python floats.  It builds the quartic
-dense output of every step as one piecewise polynomial in q, and each speed
-keeps its own column of it.  The quadrature points of the profile and of
-r'(c) depend on (xi, delta) alone and are built once per pair.
+the stable zero of f.  With s = q - xi and P = s*w the singularity goes:
 
-The module's numerics are plain numpy, with no ``scipy.integrate`` or
-``scipy.interpolate`` to import: piecewise polynomials in the power basis
-(``PiecewisePolynomial``, the profile's cubic Hermite interpolant among
-them), Simpson's rule and a running three-point parabola rule, and an
-adaptive 21-point Gauss-Kronrod quadrature.  The tests hold each one to an
-exact oracle within a stated rounding bound: rational arithmetic, exactness
-on polynomials of the rule's degree, and antiderivatives.
+    d*w*(w + s*w') - c*w + f(q)/s = 0   on [xi, delta],
+
+with f/s taken as f'(xi) at s = 0, where the equation is the saddle's
+quadratic d*w**2 - c*w + f'(xi) = 0.  w is analytic for every reaction the
+package builds, so this module collocates it at the n + 1 Chebyshev-Lobatto
+points of [xi, delta] (Trefethen, Spectral Methods in MATLAB, SIAM 2000;
+Boyd, Chebyshev and Fourier Spectral Methods, 2001) and solves the
+collocation equations by Newton's method from the flat start w = saddle
+slope, which leads to the stable branch.  n starts at N_START and doubles
+until the Chebyshev coefficients of w have decayed to the options'
+tolerances.  The speeds of one call are the lanes of one batched solve, and
+each lane stops on its own, so its values do not depend on the batch.  With
+c as one more unknown and the boundary law P(delta) = (delta/d)*c as one more
+row, the same equations give the wave speed (``solve_wave_speed``), and their
+Jacobian gives r'(c) by one linear solve (``residual_slope``).  The profile
+is x(q) = int_q^delta ds/(-P(s)) by Simpson's rule on points uniform in
+ln(q - xi), where P is read by barycentric interpolation.
+
+The module's numerics are plain numpy, with ``np.linalg.solve`` for the
+Newton steps and no ``scipy`` to import: the collocation, Simpson's rule, an
+adaptive 21-point Gauss-Kronrod quadrature for the zero-speed closed form,
+and ``solve_ivp``, a one-lane Dormand-Prince 5(4) stepper with scipy's RK45
+rules that nothing in the package calls: the tests integrate the phase-plane
+ODE with it as an independent reference.  The tests hold each piece to an
+exact oracle within a stated rounding bound.
 """
 from __future__ import annotations
 
@@ -48,6 +56,7 @@ __all__ = [
     "saddle_slope",
     "integrate_trajectory",
     "integrate_trajectories",
+    "solve_wave_speed",
     "closed_form_zero_speed",
     "reconstruct_profile",
     "residual_slope",
@@ -56,83 +65,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntegrationOptions:
-    """Tolerances for trajectory integration."""
+    """Tolerances of a trajectory solve: its degree n is the first of N_START,
+    2*N_START, ... whose last three Chebyshev coefficients of w lie within
+    atol + rtol * (the largest one)."""
 
     rtol: float = 1e-10
     atol: float = 1e-12
 
 
 DEFAULT_OPTIONS = IntegrationOptions()
-TRAJECTORY_SAMPLES = 2500  # samples of P on [xi + eta, delta] checked and written
+TRAJECTORY_SAMPLES = 2500  # samples of P on (xi, delta] written
 PROFILE_SAMPLES = 1200  # samples of q on [0, x_end]
 TAIL_CUT = 1e-6  # the profile samples end at q - xi = TAIL_CUT * (delta - xi)
-START_OFFSET = 1e-8  # the series start is at q - xi = START_OFFSET * (delta - xi)
 QUAD_PANELS = 200  # most panels of the adaptive Gauss-Kronrod quadrature
-
-
-class PiecewisePolynomial:
-    """Piecewise polynomial in the power basis (the layout of scipy's ``PPoly``).
-
-    On [x[i], x[i+1]] it is sum_k c[k, i] * (t - x[i])**(K-1-k), highest
-    power first; trailing axes of ``c`` are independent columns, and a call
-    returns shape t.shape + c.shape[2:].  ``x`` must be strictly increasing.
-    With ``extrapolate`` the first and last pieces continue beyond the ends;
-    without it, points outside [x[0], x[-1]] give NaN.  ``_power_sum`` sums a
-    value to within 3K roundings of sum_k |c[k, i]| * |t - x[i]|**(K-1-k).
-    """
-
-    def __init__(self, c: np.ndarray, x: np.ndarray, extrapolate: bool = True):
-        self.c = c
-        self.x = x
-        self.extrapolate = extrapolate
-
-    def piece(self, t):
-        """Index i of the piece that evaluates t: x[i] <= t < x[i+1], the end
-        pieces taking what lies beyond.
-
-        Points in ascending order, more of them than breakpoints, are not
-        searched one by one (``_runs``).  Other points, and any with a NaN,
-        are searched.
-        """
-        t = np.asarray(t)
-        if t.ndim == 1 and t.size > self.x.size - 2 and (t[:-1] <= t[1:]).all():
-            return self._runs(t)
-        return self.x[1:-1].searchsorted(t, "right")
-
-    def _runs(self, t):
-        """``piece`` of 1-d ascending points, unchecked: the breakpoints are
-        located among the points and each piece's index is repeated over its
-        run of points, which gives the indices a search would."""
-        inner = self.x[1:-1]
-        ends = np.empty(inner.size + 2, dtype=np.intp)  # piece i is t[ends[i]:ends[i+1]]
-        ends[0], ends[-1] = 0, t.size
-        ends[1:-1] = t.searchsorted(inner)
-        return np.repeat(np.arange(inner.size + 1), ends[1:] - ends[:-1])
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        flat = t.reshape(-1)
-        return self._at(flat, self.piece(flat)).reshape(t.shape + self.c.shape[2:])
-
-    def _at(self, t, i):
-        """The values at 1-d points t, which lie in the pieces i."""
-        x, c = self.x, self.c
-        s = (t - x[i]).reshape((-1,) + (1,) * (c.ndim - 2))
-        out = _power_sum(c.take(i, axis=1), s)
-        if not self.extrapolate:
-            out[(t < x[0]) | (t > x[-1])] = np.nan
-        return out
+N_START, N_MAX = 16, 256  # the first and the largest collocation degree
+NEWTON_STEPS = 40  # most Newton steps of one solve at one degree
+NEWTON_TOL = 1e-13  # bound of the relative error estimate that stops Newton (``_newton``)
 
 
 def _power_sum(coeffs, s):
     """sum_k coeffs[k] * s**(K-1-k): the constant first, then each power of s
     by one more multiplication.  Arrays, or a sequence of Python floats and a
-    Python float, which give the same sum.
-
-    Rounding is monotone, so for s >= 0 the rounded sum does not fall when
-    a coefficient is raised, nor, once every coefficient but the constant is
-    >= 0, when s grows; ``_step_bounds`` relies on both.
-    """
+    Python float, which give the same sum."""
     out = coeffs[-1] + 0.0
     z = s
     for k in range(len(coeffs) - 2, -1, -1):
@@ -155,26 +109,15 @@ def _hermite_pieces(x, y, dydx, i) -> tuple:
     return t / dx, (slope - s0) / dx - t, s0, y0
 
 
-def _cubic_hermite(x, y, dydx) -> PiecewisePolynomial:
-    """The cubic Hermite interpolant of (x, y, dydx), every piece built, NaN outside
-    [x[0], x[-1]]: the reference for ``SemiWaveProfile.q_at``."""
-    c = np.array(_hermite_pieces(x, y, dydx, np.arange(len(x) - 1)))
-    return PiecewisePolynomial(c, x, extrapolate=False)
-
-
 @dataclass(eq=False)
 class PhaseTrajectory:
     """Curve p = P(q) on [xi, delta] for one speed parameter c.
 
     ``endpoint_slope`` is P(delta) = q'(0) of the corresponding profile and
     ``saddle_slope`` is P'(xi), the linearized decay rate at the equilibrium.
-    ``dense`` is the integrator's dense output on [xi + eta, delta] as one
-    piecewise quartic (a ``PiecewisePolynomial``, breakpoints at the
-    Dormand-Prince steps, extrapolating beyond them) and the only stored form
-    of P: ``p_at``, ``ode_residual``, ``to_csv`` and the quadratures of the
-    profile and of r'(c) read it.  Its coefficients, shape (5, steps), are
-    this speed's column of the integration's quartics, a view of them also
-    when the speed was one lane of a batch.
+    ``nodes`` holds w = P/(q - xi) at the n + 1 Chebyshev-Lobatto points of
+    [xi, delta], ascending from xi, and is the only stored form of P:
+    ``p_at``, ``ode_residual``, ``to_csv``, the profile and r'(c) read it.
     """
 
     c: float
@@ -183,7 +126,7 @@ class PhaseTrajectory:
     xi: float
     endpoint_slope: float
     saddle_slope: float
-    dense: PiecewisePolynomial = field(repr=False)
+    nodes: np.ndarray = field(repr=False)
 
     @property
     def residual(self) -> float:
@@ -191,8 +134,12 @@ class PhaseTrajectory:
         return self.endpoint_slope - (self.delta / self.d) * self.c
 
     def p_at(self, q):
-        """P(q), from the piecewise polynomial."""
-        return self.dense(q)
+        """P(q) = (q - xi) * w(q), w by barycentric interpolation of the nodes."""
+        q = np.asarray(q, dtype=float)
+        s = q - self.xi
+        t = s.reshape(-1) / (self.delta - self.xi)
+        p = s * (_interpolation(self.nodes.size - 1, t) @ self.nodes).reshape(q.shape)
+        return p if p.ndim else float(p)
 
     def ode_residual(self, f: ReactionFunction) -> float:
         """Max |P'(q) - (c/d - f(q)/(d P))| at 200 interior points; P' by central difference."""
@@ -203,8 +150,8 @@ class PhaseTrajectory:
         return float(np.max(np.abs(dps - rhs)))
 
     def to_csv(self, path) -> None:
-        """Write (xi, 0) and TRAJECTORY_SAMPLES points of P on [xi + eta, delta]."""
-        q = np.linspace(self.dense.x[0], self.delta, TRAJECTORY_SAMPLES)
+        """Write (xi, 0) and TRAJECTORY_SAMPLES points of P on (xi, delta]."""
+        q = np.linspace(self.xi, self.delta, TRAJECTORY_SAMPLES + 1)[1:]
         rows = zip(np.concatenate(([self.xi], q)), np.concatenate(([0.0], self.p_at(q))))
         write_csv(path, ("q", "P"), rows)
 
@@ -237,7 +184,7 @@ class SemiWaveProfile:
         out = np.asarray(self.xi + (q_end - self.xi) * np.exp(self.tail_rate * (x - x_end)))
         inside = x <= x_end  # the interpolant only there: most of a long grid is tail
         t = x[inside]
-        i = grid[1:-1].searchsorted(t, "right")  # the pieces ``_cubic_hermite`` would read
+        i = grid[1:-1].searchsorted(t, "right")  # the pieces the interpolant would read
         q = _power_sum(_hermite_pieces(grid, self.q_values, self.slopes, i), t - grid.take(i))
         q[t < grid[0]] = np.nan
         out[inside] = q
@@ -267,17 +214,140 @@ def saddle_slope(c: float, d: float, f: ReactionFunction) -> float:
     return lam
 
 
-def _curvature_at_saddle(c: float, d: float, f: ReactionFunction, lam: float) -> float:
-    """Second-order series coefficient s2 in P = lam*s + s2*s**2/2 at the saddle.
+@functools.lru_cache(maxsize=8)
+def _chebyshev(n: int):
+    """The n + 1 Chebyshev-Lobatto points t of [0, 1], ascending, their
+    barycentric weights, the differentiation matrix d/dt and the matrix that
+    takes values to Chebyshev coefficients (up to sign), all read-only.
 
-    Matching powers of s = q - xi in d*P*P' = c*P - f gives
-    s2 = -f''(xi) / (3*d*lam - c); the denominator is strictly negative for
-    the stable branch.  f'' is estimated by a central difference of deriv.
+    D[i, k] = (weight_k/weight_i) / (t_i - t_k) off the diagonal, and each
+    row sums to zero, as the derivative of a constant does (Trefethen,
+    ``cheb.m``).
     """
+    j = np.arange(n + 1)
+    t = np.sin(0.5 * np.pi * j / n) ** 2  # (1 - cos(pi*j/n))/2, with no cancellation near 0
+    weights = np.where(j % 2, -1.0, 1.0)
+    weights[[0, -1]] *= 0.5
+    D = weights / weights[:, None] / (t[:, None] - t + np.eye(n + 1))
+    D[j, j] = 0.0
+    D[j, j] = -D.sum(axis=1)
+    coeffs = np.cos(np.pi / n * np.outer(j, j)) * (2.0 / n)
+    coeffs[:, [0, -1]] *= 0.5
+    coeffs[[0, -1]] *= 0.5
+    for a in (t, weights, D, coeffs):
+        a.flags.writeable = False
+    return t, weights, D, coeffs
+
+
+def _interpolation(n: int, t: np.ndarray) -> np.ndarray:
+    """The matrix of barycentric interpolation from the points of ``_chebyshev(n)``
+    to the points t: row k reads w(t[k]) off the node values, and a point on a
+    node reads that node's value."""
+    nodes, weights = _chebyshev(n)[:2]
+    diff = t[:, None] - nodes
+    on_node = diff == 0.0
+    diff[on_node] = 1.0
+    m = weights / diff
+    m /= m.sum(axis=1, keepdims=True)
+    hit = on_node.any(axis=1)
+    m[hit] = on_node[hit]
+    return m
+
+
+def _collocation_grid(n: int, d: float, f: ReactionFunction, delta: float):
+    """d*s at the n + 1 collocation points q of [xi, delta], s = q - xi, f(q)/s there
+    (f'(xi) at s = 0) and d/ds.  Points that round to xi raise NumericalError."""
     xi = f.stable_zero
-    h = 6e-6 * max(1.0, xi)
-    f2 = (float(f.deriv(xi + h)) - float(f.deriv(xi - h))) / (2.0 * h)
-    return -f2 / (3.0 * d * lam - c)
+    span = delta - xi
+    q = xi + span * _chebyshev(n)[0]
+    q[-1] = delta
+    s = q - xi
+    if not s[1] > 0.0:
+        raise NumericalError(f"collocation points fell to the stable zero (xi = {xi!r}, "
+                             f"delta = {delta!r})")
+    g = np.empty(n + 1)
+    g[0] = f.deriv(xi)
+    g[1:] = f(q[1:]) / s[1:]
+    return d * s, g, _chebyshev(n)[2] / span
+
+
+def _equations(w, c, d, ds, g, D):
+    """The collocation equations F = d*w*(w + s*w') - c*w + g and their Jacobian
+    dF/dw, for lanes w of shape (L, n + 1) at speeds c of shape (L, 1), on the
+    grid (ds, g, D) of ``_collocation_grid``.  Each lane's w' is its own
+    product with D, so a lane's values do not depend on the others."""
+    dw = d * w
+    b = dw + ds * np.matmul(D, w[..., None])[..., 0] - c
+    J = (ds * w)[..., None] * D
+    J.reshape(len(w), -1)[:, ::w.shape[1] + 1] += dw + b
+    return w * b + g, J
+
+
+def _newton_step(J, F, c):
+    """The Newton step J^-1 F of each lane, speeds c of shape (L, 1); a singular
+    Jacobian raises IntegrationError naming the first lane that has one."""
+    try:
+        return np.linalg.solve(J, F[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        lane = int(np.argmax(np.linalg.matrix_rank(J) < J.shape[-1]))
+        raise IntegrationError(f"collocation Jacobian is singular at c={c[lane, 0]:g}") from None
+
+
+def _newton(w, c, d, grid) -> np.ndarray:
+    """The lanes w, shape (L, n + 1), at speeds c, shape (L, 1), after Newton steps.
+
+    Step sizes are taken against max |w|.  A lane stops after a step whose
+    size, times the square of its ratio theta to the step before, is at most
+    NEWTON_TOL: under quadratic convergence, e' = K*e**2, the next step would
+    be theta**2*size, and at the rounding floor, where theta is about 1, both
+    steps are tiny.  A stopped lane is frozen, so its values do not depend
+    on the batch.  A lane that is not finite, or not converged after
+    NEWTON_STEPS steps, raises IntegrationError naming its speed.
+    """
+    out = np.empty_like(w)
+    lanes = np.arange(len(w))
+    last = np.full(len(w), np.nan)  # no step yet: the first step never stops a lane
+    for _ in range(NEWTON_STEPS):
+        F, J = _equations(w, c, d, *grid)
+        step = _newton_step(J, F, c)
+        w = w - step
+        size = np.abs(step).max(axis=1) / np.abs(w).max(axis=1)
+        if not np.isfinite(size).all():
+            bad = float(c[np.argmin(np.isfinite(size)), 0])
+            raise IntegrationError(f"collocation at c={bad:g} is not finite")
+        done = size ** 3 <= NEWTON_TOL * last ** 2
+        if done.any():
+            out[lanes[done]] = w[done]
+            lanes, w, c, size = lanes[~done], w[~done], c[~done], size[~done]
+            if not lanes.size:
+                return out
+        last = size
+    raise IntegrationError(f"collocation at c={float(c[0, 0]):g} did not converge "
+                           f"in {NEWTON_STEPS} Newton steps")
+
+
+def _resolved(w, n: int, opts: IntegrationOptions) -> np.ndarray:
+    """Per lane: the last three Chebyshev coefficients of w are within atol + rtol * the largest."""
+    a = np.abs(np.matmul(_chebyshev(n)[3], w[..., None])[..., 0])
+    return a[:, -3:].max(axis=1) <= opts.atol + opts.rtol * a.max(axis=1)
+
+
+def _refined(w, n: int):
+    """Lanes w at the 2n + 1 points of degree 2n, interpolated from degree n."""
+    return np.matmul(_interpolation(n, _chebyshev(2 * n)[0]), w[..., None])[..., 0]
+
+
+def _trajectory(c, d, f, delta, lam, w) -> PhaseTrajectory:
+    """The trajectory of the converged node values w at speed c."""
+    if not np.all(w < 0.0):
+        raise NumericalError(
+            f"trajectory left the lower half plane at c={c:g}; "
+            "the reaction may not be monostable on (xi, delta]"
+        )
+    xi = f.stable_zero
+    return PhaseTrajectory(c=float(c), d=float(d), delta=float(delta), xi=float(xi),
+                           endpoint_slope=float((delta - xi) * w[-1]),
+                           saddle_slope=float(lam), nodes=w)
 
 
 def integrate_trajectory(
@@ -287,7 +357,7 @@ def integrate_trajectory(
     delta: float,
     opts: IntegrationOptions | None = None,
 ) -> PhaseTrajectory:
-    """Integrate the phase-plane ODE for one speed: the one-lane ``integrate_trajectories``."""
+    """Solve the phase-plane equation for one speed: the one-lane ``integrate_trajectories``."""
     return integrate_trajectories([c], d, f, delta, opts)[0]
 
 
@@ -298,15 +368,15 @@ def integrate_trajectories(
     delta: float,
     opts: IntegrationOptions | None = None,
 ) -> list[PhaseTrajectory]:
-    """Integrate the phase-plane ODE from the equilibrium out to q = delta for each speed in cs.
+    """Solve the collocation equations on [xi, delta] for each speed in cs.
 
-    The speeds are the lanes of one vector ODE in q, integrated by one RK45
-    call whose step control takes the RMS of all lanes' scaled errors; the
-    trajectories share its dense output.  The 0/0 start is removed by a
-    second-order series step to q = xi + eta with eta =
-    START_OFFSET*(delta - xi); the outward direction is self-correcting, so
-    the series truncation decays along the way.  A lane that fails raises
-    the error its own one-lane integration would, naming its speed.
+    The speeds are the lanes of one batched Newton solve from the flat start
+    w = saddle slope, at degree N_START; a lane whose coefficients have not
+    decayed (``_resolved``) moves on to twice the degree from its
+    interpolated values, up to N_MAX.  Every lane's arithmetic is its own, so
+    a trajectory is a pure function of its arguments, bit-identical in any
+    batch.  A lane that fails raises the error its own solve would, naming
+    its speed.
     """
     opts = opts or DEFAULT_OPTIONS
     xi = f.stable_zero
@@ -319,176 +389,125 @@ def integrate_trajectories(
         raise InputError(f"speeds must be a non-empty 1-d array, got shape {cs.shape}")
     # Python floats: a numpy scalar would warn where c*c overflows in saddle_slope
     cs = cs.tolist()
-
-    eta = START_OFFSET * (delta - xi)
-    q0 = xi + eta
-    lams, p0s = [], []
+    lams = []
     for c in cs:
         if not math.isfinite(c):
             raise InputError(f"speed c must be finite, got {c}")
-        lam = saddle_slope(c, d, f)
-        sigma2 = _curvature_at_saddle(c, d, f, lam)
-        p0 = lam * eta + 0.5 * sigma2 * eta * eta
-        if not math.isfinite(p0):
-            raise IntegrationError(f"series start P(xi + eta) = {p0} is not finite at c={c:g}")
-        lams.append(lam)
-        p0s.append(p0)
+        lams.append(saddle_slope(c, d, f))
 
-    # one lane steps on Python floats; P = 0 is the pole of the right-hand
-    # side, where a NaN rejects the step as numpy's inf would.  f.value_fn is
-    # bound once: an RHS call makes no frame for ReactionFunction.__call__
-    value = f.value_fn
-    if len(cs) == 1:
-        c_d = cs[0] / d
-
-        def rhs(q, p):
-            dp = d * p
-            return c_d - float(value(q)) / dp if dp else math.nan
-    else:
-        cd = np.array(cs) / d
-
-        def rhs(q, p):
-            return cd - float(value(q)) / (d * p)
-
-    sol = solve_ivp(rhs, (q0, delta), p0s, rtol=opts.rtol, atol=opts.atol)
-    if not sol.success:
-        # the lane closest to P = 0, where its right-hand side blows up
-        c = cs[int(np.argmax(sol.y[:, -1]))]
-        raise IntegrationError(f"phase-plane integration failed at c={c:g}: {sol.message}")
-
-    dense = sol.dense
-    left = _lane_leaving_lower_half_plane(dense, q0, delta)
-    if left is not None:
-        raise NumericalError(
-            f"trajectory left the lower half plane at c={cs[left]:g}; "
-            "the reaction may not be monostable on (xi, delta]"
-        )
-    # each lane reads its column of the shared quartics, a view, and sums
-    # P(delta) from its last piece on Python floats, as a call of ``dense``
-    # would sum it
-    s_end = delta - float(dense.x[-2])
-    return [
-        PhaseTrajectory(
-            c=c,
-            d=float(d),
-            delta=float(delta),
-            xi=float(xi),
-            endpoint_slope=_power_sum(last, s_end),
-            saddle_slope=float(lam),
-            dense=PiecewisePolynomial(dense.c[:, :, lane], dense.x),
-        )
-        for lane, (c, lam, last) in enumerate(zip(cs, lams, dense.c[:, -1].T.tolist()))
-    ]
+    n = N_START
+    speeds = np.array(cs)[:, None]
+    w = np.repeat(np.array(lams)[:, None], n + 1, axis=1)
+    pending = np.arange(len(cs))
+    nodes = [None] * len(cs)
+    while True:
+        w = _newton(w, speeds[pending], d, _collocation_grid(n, d, f, delta))
+        done = _resolved(w, n, opts)
+        for lane, values in zip(pending[done].tolist(), w[done]):
+            nodes[lane] = values
+        pending, w = pending[~done], w[~done]
+        if not pending.size:
+            break
+        if n == N_MAX:
+            raise IntegrationError(f"collocation at c={cs[pending[0]]:g} is not resolved "
+                                   f"at degree {N_MAX}")
+        w, n = _refined(w, n), 2 * n
+    return [_trajectory(c, d, f, delta, lam, w) for c, lam, w in zip(cs, lams, nodes)]
 
 
-def _step_bounds(dense: PiecewisePolynomial) -> np.ndarray:
-    """An upper bound of each step's polynomial on its step, shape (steps, lanes).
+def solve_wave_speed(start: PhaseTrajectory, f: ReactionFunction, bounds, max_steps: int,
+                     opts: IntegrationOptions | None = None) -> tuple[PhaseTrajectory, int]:
+    """The trajectory whose slope residual vanishes, and the Newton steps taken.
 
-    On a step of width h it is c[-1] + sum_k max(c[k], 0) * h**(K-1-k), summed
-    by ``_power_sum``, so it is also at least every rounded value ``dense``
-    gives on the step.  A NaN coefficient gives a NaN bound.
+    Newton runs on the collocation equations with c as one more unknown
+    (dF/dc = -w) and the boundary law P(delta) - (delta/d)*c = 0 as one more
+    row, from the speed and node values of ``start`` and at its degree.  c
+    stays strictly inside ``bounds``: a step that would reach an end is
+    shortened to go half way to it.  Newton stops as ``_newton`` does, on the
+    larger of the relative steps in w and in c of two full steps in a row;
+    the degree then doubles until the coefficients are resolved.  A solve
+    not done in ``max_steps`` steps raises NumericalError.
     """
-    c = np.maximum(dense.c, 0.0)
-    c[-1] = dense.c[-1]
-    h = (dense.x[1:] - dense.x[:-1]).reshape((-1,) + (1,) * (c.ndim - 2))
-    return _power_sum(c, h)
-
-
-def _lane_leaving_lower_half_plane(dense: PiecewisePolynomial, q0: float, delta: float):
-    """The lowest lane where P < 0 fails at one of TRAJECTORY_SAMPLES points of [q0, delta].
-
-    A step whose bound from ``_step_bounds`` is negative holds no such point,
-    so only the points in the other steps, a NaN bound among them, are
-    evaluated, one lane at a time.  None when every lane passes.
-    """
-    unproven = ~(_step_bounds(dense) < 0.0)
-    if not unproven.any():
-        return None
-    q = np.linspace(q0, delta, TRAJECTORY_SAMPLES)
-    step = dense.piece(q)
-    for lane in np.flatnonzero(unproven.any(axis=0)):
-        at = np.flatnonzero(unproven[step, lane])
-        if not np.all(PiecewisePolynomial(dense.c[:, :, lane], dense.x)(q[at]) < 0.0):
-            return int(lane)
-    return None
-
-
-# Dormand & Prince's 5(4) pair (J. Comput. Appl. Math. 6, 1980) and Shampine's
-# quartic dense output (Math. Comp. 46, 1986): the coefficients of scipy's RK45.
-# solve_ivp's one-lane loop spells the same tableau out as constants.
-_C = (0.0, 1/5, 3/10, 4/5, 8/9, 1.0)  # Python floats: the stage abscissae stay floats
-_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1/5, 0, 0, 0, 0],
-    [3/40, 9/40, 0, 0, 0],
-    [44/45, -56/15, 32/9, 0, 0],
-    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
-])
-_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
-_P = np.array([
-    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
-    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
-    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
-    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
-])
-_P_HIGH_FIRST = np.ascontiguousarray(_P.T[::-1])  # rows Q_4 .. Q_1
-_POWERS = np.arange(3, 0, -1)[:, None]  # h**(j-1) divides Q_j for j = 4, 3, 2
-SAFETY = 0.9  # on the step factor predicted from the error estimate
-MIN_FACTOR, MAX_FACTOR = 0.2, 10.0  # bounds of the step factor
-ERROR_EXPONENT = -1 / 5  # the error estimate is of order 4
-TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+    opts = opts or DEFAULT_OPTIONS
+    d, delta, xi = start.d, start.delta, start.xi
+    lo, hi = bounds
+    span = delta - xi
+    w, c = start.nodes, start.c
+    n, steps = w.size - 1, 0
+    while True:
+        grid = _collocation_grid(n, d, f, delta)
+        bordered = np.zeros((1, n + 2, n + 2))
+        bordered[0, -1, -2:] = span, -delta / d
+        last = math.nan
+        while True:
+            if steps == max_steps:
+                raise NumericalError(f"speed solve from c={start.c!r} did not converge "
+                                     f"in {max_steps} Newton steps")
+            F, J = _equations(w[None], np.array([[c]]), d, *grid)
+            bordered[0, :-1, :-1] = J[0]
+            bordered[0, :-1, -1] = -w
+            rhs = np.append(F[0], span * w[-1] - (delta / d) * c)
+            step = _newton_step(bordered, rhs[None], np.array([[c]]))[0]
+            dc, scale = step[-1], 1.0
+            if not lo < c - dc < hi:
+                scale = 0.5 * (c - (lo if c - dc <= lo else hi)) / dc
+            w, c = w - scale * step[:-1], c - scale * dc
+            steps += 1
+            size = max(np.abs(step[:-1]).max() / np.abs(w).max(), abs(dc / c))
+            if not math.isfinite(size):
+                raise IntegrationError(f"speed solve from c={start.c!r} is not finite")
+            if scale == 1.0 and size ** 3 <= NEWTON_TOL * last ** 2:
+                break
+            last = size if scale == 1.0 else math.nan
+        if _resolved(w[None], n, opts)[0]:
+            break
+        if n == N_MAX:
+            raise IntegrationError(f"speed solve from c={start.c!r} is not resolved "
+                                   f"at degree {N_MAX}")
+        w, n = _refined(w[None], n)[0], 2 * n
+    return _trajectory(c, d, f, delta, saddle_slope(c, d, f), w), steps
 
 
 @dataclass(eq=False)
 class RK45Solution:
-    """What ``solve_ivp`` returns: steps, values, status, RHS calls and dense output.
-
-    ``t`` holds the accepted breakpoints and ``y`` the lanes there, shape
-    (lanes, len(t)).  ``dense`` is the piecewise quartic on ``t``, with
-    coefficients of shape (5, steps, lanes); it is None after a failure.
-    """
+    """What ``solve_ivp`` returns: the accepted steps ``t``, the values there as
+    ``y`` of shape (1, len(t)), the status and the number of RHS calls."""
 
     t: np.ndarray
     y: np.ndarray
     success: bool
     message: str
     nfev: int
-    dense: PiecewisePolynomial | None = field(repr=False)
+
+
+SAFETY = 0.9  # on the step factor predicted from the error estimate
+MIN_FACTOR, MAX_FACTOR = 0.2, 10.0  # bounds of the step factor
+ERROR_EXPONENT = -1 / 5  # the error estimate is of order 4
+TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
 def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> RK45Solution:
-    """Phaseplane's own RK45: integrate y' = fun(t, y) forward over t_span.
+    """Integrate the scalar ODE y' = fun(t, y) forward over t_span by scipy's RK45 rules.
 
-    Every rule is scipy's RK45 (``solve_ivp(method="RK45")``): the
-    Dormand-Prince tableau and its dense output, scipy's initial step, the
-    RMS over the lanes of the error scaled by atol + max(|y|, |y_new|)*rtol,
-    step factors SAFETY*err**ERROR_EXPONENT clipped to [MIN_FACTOR,
-    MAX_FACTOR] and kept at most 1 after a rejection, and failure with
-    TOO_SMALL_STEP once the step falls below 10 ulp of t.  With one lane, y
-    is a Python float and fun must return one; the loop then writes the
-    tableau out on floats, with no call but fun's per stage.  Otherwise y is
-    an array of the lanes, stepped by ``_rk_step_lanes``.  The stages of the
-    accepted steps go into one flat list and give every step's quartic at
-    the end, so no per-step interpolant object is made.  ``nfev`` counts the
-    calls of fun.
+    Every rule is scipy's RK45 (``solve_ivp(method="RK45")``): Dormand and
+    Prince's 5(4) tableau (J. Comput. Appl. Math. 6, 1980), scipy's initial
+    step, the error scaled by atol + max(|y|, |y_new|)*rtol, step factors
+    SAFETY*err**ERROR_EXPONENT clipped to [MIN_FACTOR, MAX_FACTOR] and kept
+    at most 1 after a rejection, and failure with TOO_SMALL_STEP once the
+    step falls below 10 ulp of t.  y0 holds one value; y is a Python float,
+    fun returns one, and the loop writes the tableau out on floats.
+    ``nfev`` counts the calls of fun.  The package solves by collocation;
+    this integrator is the tests' independent reference.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not t < t_bound:
         raise ValueError(f"solve_ivp integrates forward, got t_span {t_span}")
-    y = np.array(y0, dtype=float)
-    lanes = y.size
-    if lanes == 1:
-        y = float(y[0])
+    y = float(np.asarray(y0, dtype=float).item())
     f = fun(t, y)
     # NaN when f is: the floor then takes its place, so the step is tried and fails
-    h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol, abs if lanes == 1 else _rms)
+    h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
     nfev = 2
-    ts, ys, stages = [t], [y], []
+    ts, ys = [t], [y]
     message = None
     spacing_end = t  # min_step holds while t < spacing_end
     # the step control compares instead of calling min and max: each
@@ -511,28 +530,24 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> RK45Solution:
             if t_new > t_bound:
                 t_new = t_bound
             h = h_abs = t_new - t
-            if lanes > 1:
-                y_new, f_new, error_norm, k = _rk_step_lanes(fun, t, y, f, h, rtol, atol)
-            else:
-                k1 = f
-                k2 = fun(t + 1/5 * h, y + (1/5 * k1) * h)
-                k3 = fun(t + 3/10 * h, y + (3/40 * k1 + 9/40 * k2) * h)
-                k4 = fun(t + 4/5 * h, y + (44/45 * k1 - 56/15 * k2 + 32/9 * k3) * h)
-                k5 = fun(t + 8/9 * h, y + (19372/6561 * k1 - 25360/2187 * k2
-                                           + 64448/6561 * k3 - 212/729 * k4) * h)
-                k6 = fun(t + h, y + (9017/3168 * k1 - 355/33 * k2 + 46732/5247 * k3
-                                     + 49/176 * k4 - 5103/18656 * k5) * h)
-                y_new = y + h * (35/384 * k1 + 500/1113 * k3 + 125/192 * k4
-                                 - 2187/6784 * k5 + 11/84 * k6)
-                f_new = fun(t + h, y_new)
-                err = (-71/57600 * k1 + 71/16695 * k3 - 71/1920 * k4 + 17253/339200 * k5
-                       - 22/525 * k6 + 1/40 * f_new) * h
-                # scipy's max(|y|, |y_new|), where a NaN y_new leaves |y|
-                y_abs = y if y >= 0.0 else -y
-                y_new_abs = y_new if y_new >= 0.0 else -y_new
-                err /= atol + (y_new_abs if y_new_abs > y_abs else y_abs) * rtol
-                error_norm = err if err >= 0.0 else -err
-                k = (k1, k2, k3, k4, k5, k6, f_new)
+            k1 = f
+            k2 = fun(t + 1/5 * h, y + (1/5 * k1) * h)
+            k3 = fun(t + 3/10 * h, y + (3/40 * k1 + 9/40 * k2) * h)
+            k4 = fun(t + 4/5 * h, y + (44/45 * k1 - 56/15 * k2 + 32/9 * k3) * h)
+            k5 = fun(t + 8/9 * h, y + (19372/6561 * k1 - 25360/2187 * k2
+                                       + 64448/6561 * k3 - 212/729 * k4) * h)
+            k6 = fun(t + h, y + (9017/3168 * k1 - 355/33 * k2 + 46732/5247 * k3
+                                 + 49/176 * k4 - 5103/18656 * k5) * h)
+            y_new = y + h * (35/384 * k1 + 500/1113 * k3 + 125/192 * k4
+                             - 2187/6784 * k5 + 11/84 * k6)
+            f_new = fun(t + h, y_new)
+            err = (-71/57600 * k1 + 71/16695 * k3 - 71/1920 * k4 + 17253/339200 * k5
+                   - 22/525 * k6 + 1/40 * f_new) * h
+            # scipy's max(|y|, |y_new|), where a NaN y_new leaves |y|
+            y_abs = y if y >= 0.0 else -y
+            y_new_abs = y_new if y_new >= 0.0 else -y_new
+            err /= atol + (y_new_abs if y_new_abs > y_abs else y_abs) * rtol
+            error_norm = err if err >= 0.0 else -err
             nfev += 6
             if error_norm < 1:
                 if error_norm == 0:
@@ -547,64 +562,32 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> RK45Solution:
                 t, y, f = t_new, y_new, f_new
                 ts.append(t)
                 ys.append(y)
-                stages.extend(k)
                 break
             # a NaN error norm shrinks the step by MIN_FACTOR
             factor = SAFETY * error_norm ** ERROR_EXPONENT
             h_abs *= factor if factor > MIN_FACTOR else MIN_FACTOR
             rejected = True
 
-    # dtype=float spares numpy the search for the items' common type
-    t_out = np.array(ts, dtype=float)
-    y_out = np.array(ys, dtype=float).reshape(len(ts), lanes).T
-    dense = None
     if message is None:
-        # the step from t_old of length h is y_old + h * sum_j Q_j * ((t - t_old)/h)**j,
-        # j = 1..4, with Q = K.T @ P: one product gives every step's and every
-        # lane's Q_j at once, highest power first, then each is divided by h**(j-1);
-        # with one lane every reshape is a view, and coeffs[:, :, 0] is contiguous
-        K = np.array(stages, dtype=float).reshape(-1, 7, lanes).transpose(1, 0, 2).reshape(7, -1)
-        coeffs = np.empty((5, len(ts) - 1, lanes))
-        np.dot(_P_HIGH_FIRST, K, out=coeffs[:4].reshape(4, -1))
-        coeffs[:3] /= ((t_out[1:] - t_out[:-1]) ** _POWERS)[:, :, None]
-        coeffs[4] = y_out[:, :-1].T
-        dense = PiecewisePolynomial(coeffs, t_out)
         message = "The solver successfully reached the end of the integration interval."
-    return RK45Solution(t_out, y_out, dense is not None, message, nfev, dense)
+    return RK45Solution(np.array(ts), np.array([ys]), message != TOO_SMALL_STEP, message, nfev)
 
 
-def _rms(x) -> float:
-    """scipy's RMS norm, np.linalg.norm(x) / sqrt(x.size), whose 2-norm is sqrt(x @ x)."""
-    return math.sqrt(x.dot(x)) / x.size ** 0.5
-
-
-def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol, norm) -> float:
+def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol) -> float:
     """scipy's select_initial_step for an error estimate of order 4 (Hairer, Norsett
     and Wanner, Solving ODEs I, Sec. II.4); its one RHS call is in the caller's nfev."""
     interval = t_bound - t0
     scale = atol + abs(y0) * rtol
-    d0, d1 = norm(y0 / scale), norm(f0 / scale)
+    d0, d1 = abs(y0 / scale), abs(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
     f1 = fun(t0 + h0, y0 + h0 * f0)
-    d2 = norm((f1 - f0) / scale) / h0
+    d2 = abs((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 5)
     return min(100 * h0, h1, interval)
-
-
-def _rk_step_lanes(fun, t, y, f, h, rtol, atol):
-    """One step on an array of lanes: y_new, f_new, the RMS scaled error and the stages."""
-    K = np.empty((7, y.size))
-    K[0] = f
-    for s in range(1, 6):
-        K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
-    y_new = y + h * np.dot(K[:6].T, _B)
-    K[6] = f_new = fun(t + h, y_new)
-    scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-    return y_new, f_new, _rms(np.dot(K.T, _E) * h / scale), K
 
 
 # QUADPACK's 21-point Kronrod rule and its embedded 10-point Gauss rule
@@ -680,7 +663,7 @@ def closed_form_zero_speed(q: float, d: float, f: ReactionFunction) -> float:
     For q beyond the stable zero the integrand makes the radicand positive;
     a negative radicand beyond round-off signals a non-monostable reaction.
     Quadrature is adaptive Gauss-Kronrod (``_quad``) at relative tolerance
-    1e-12 so the oracle error stays far below the integrator's; one that does
+    1e-12 so the oracle error stays far below the solve's; one that does
     not converge raises NumericalError.
     """
     xi = f.stable_zero
@@ -699,7 +682,7 @@ def closed_form_zero_speed(q: float, d: float, f: ReactionFunction) -> float:
 
 @functools.lru_cache(maxsize=8)
 def _log_points(xi: float, delta: float):
-    """Step h, read-only points q, uniform in w = ln(q - xi) from the tail cutoff to
+    """Step h, read-only points q, uniform in ln(q - xi) from the tail cutoff to
     delta, and their read-only offsets q - xi.
 
     Every other point, from the first, is a sample of the profile, so those
@@ -708,8 +691,8 @@ def _log_points(xi: float, delta: float):
     where it rounds to xi, ties follow among the next ones.
     """
     span = delta - xi
-    w = np.linspace(np.log(TAIL_CUT * span), np.log(span), 2 * PROFILE_SAMPLES - 1)
-    q = xi + np.exp(w)
+    logs = np.linspace(np.log(TAIL_CUT * span), np.log(span), 2 * PROFILE_SAMPLES - 1)
+    q = xi + np.exp(logs)
     q[-1] = delta
     where = f"(xi = {xi!r}, delta = {delta!r})"
     if not q[0] > xi:
@@ -718,18 +701,18 @@ def _log_points(xi: float, delta: float):
         raise NumericalError(f"profile samples are not strictly decreasing {where}")
     s = q - xi
     q.flags.writeable = s.flags.writeable = False
-    return w[1] - w[0], q, s
+    return logs[1] - logs[0], q, s
 
 
-def _log_grid(traj: PhaseTrajectory):
-    """Step h, points q and offsets q - xi of ``_log_points``, whose points depend on
-    (xi, delta) alone: every speed of a search or a sequence reuses them; and P(q),
-    read as ``p_at`` reads it but without checking that the points ascend."""
-    h, q, s = _log_points(traj.xi, traj.delta)
-    p = traj.dense._at(q, traj.dense._runs(q))
-    if not np.all(p < 0.0):
-        raise NumericalError("trajectory is not negative on the quadrature range")
-    return h, q, s, p
+@functools.lru_cache(maxsize=8)
+def _profile_interpolation(n: int) -> np.ndarray:
+    """``_interpolation`` from degree n to the points of ``_log_points`` on the scale
+    of [0, 1], read-only.  Those are uniform in their logarithm from ln(TAIL_CUT)
+    to 0, whatever (xi, delta), so one matrix per degree serves every pair."""
+    t = np.exp(np.linspace(np.log(TAIL_CUT), 0.0, 2 * PROFILE_SAMPLES - 1))
+    m = _interpolation(n, t)
+    m.flags.writeable = False
+    return m
 
 
 def _simpson_sums(y: np.ndarray) -> np.ndarray:
@@ -738,44 +721,32 @@ def _simpson_sums(y: np.ndarray) -> np.ndarray:
     return y[:-2:2] + 4.0 * y[1:-1:2] + y[2::2]
 
 
-def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
-    """Running integral of y from its first point, points h apart (at least 3).
-
-    Each interval takes the parabola through its two points and the next
-    one, h/12*(5*y0 + 8*y1 - y2); the last, which has no next point, takes
-    the parabola through its two points and the one before.  So the rule is
-    exact on quadratics.
-    """
-    pieces = np.empty(len(y) - 1)
-    pieces[:-1] = 5.0 * y[:-2] + 8.0 * y[1:-1] - y[2:]
-    pieces[-1] = 5.0 * y[-1] + 8.0 * y[-2] - y[-3]
-    return np.concatenate(([0.0], np.cumsum(h / 12.0 * pieces)))
-
-
 def residual_slope(traj: PhaseTrajectory, f: ReactionFunction) -> float:
-    """r'(c) = S(delta) - delta/d at the trajectory's speed, by quadrature: no integration.
+    """r'(c) = S(delta) - delta/d at the trajectory's speed, S = dP/dc: one linear solve.
 
-    S = dP/dc solves S' = a*S + 1/d with a = f/(d*P**2) < 0 on (xi, delta]
-    and S(xi) = 0, so S(delta) = (1/d) int_xi^delta exp(int_s^delta a) ds lies
-    in (0, (delta - xi)/d) and r'(c) in (-delta/d, -xi/d).  At the equilibrium
-    a*(q - xi) tends to -kappa = f'(xi)/(d*lam**2), lam the saddle slope, so
-    below the tail cutoff exp(int_s^delta a) ~ (s - xi)**kappa closes the integral.
+    The collocation equations F(w, c) = 0 have dF/dc = -w, so dw/dc = J^-1 w
+    with J = dF/dw at the trajectory's nodes, and S(delta) = (delta - xi) times
+    its last entry.  In exact arithmetic S(delta) lies in (0, (delta - xi)/d),
+    so r'(c) lies in (-delta/d, -xi/d).
     """
-    h, q, s, p = _log_grid(traj)
-    g = s * np.asarray(f(q)) / (traj.d * p * p)  # a*(q - xi): int a in w
-    weight = np.exp(_cumulative_simpson(g[::-1], h)[::-1])  # exp(int_q^delta a)
-    outer = np.sum(_simpson_sums(weight * s)) * (h / 3.0) + weight[0] * s[0] / (1.0 - g[0])
-    return float((outer - traj.delta) / traj.d)
+    grid = _collocation_grid(traj.nodes.size - 1, traj.d, f, traj.delta)
+    _, J = _equations(traj.nodes[None], np.array([[traj.c]]), traj.d, *grid)
+    dw_dc = _newton_step(J, traj.nodes[None], np.array([[traj.c]]))[0]
+    return float((traj.delta - traj.xi) * dw_dc[-1] - traj.delta / traj.d)
 
 
 def reconstruct_profile(traj: PhaseTrajectory) -> SemiWaveProfile:
     """Profile q(x) from its trajectory by the quadrature x(q) = int_q^delta ds / (-P(s)).
 
-    The integrand in w, (q - xi)/(-P), tends to -1/saddle_slope at the equilibrium;
-    Simpson panels on ``_log_grid`` give x at every other point.  Beyond the tail
+    P is read on ``_log_points`` by barycentric interpolation of the nodes.
+    The integrand in ln(q - xi), (q - xi)/(-P), tends to -1/saddle_slope at
+    the equilibrium; Simpson panels give x at every other point.  Beyond the tail
     cutoff the profile continues with the saddle-slope decay rate.
     """
-    h, q, s, p = _log_grid(traj)
+    h, q, s = _log_points(traj.xi, traj.delta)
+    p = s * (_profile_interpolation(traj.nodes.size - 1) @ traj.nodes)
+    if not np.all(p < 0.0):
+        raise NumericalError("trajectory is not negative on the quadrature range")
     g = s / -p
     panels = h / 3.0 * _simpson_sums(g)
     # x grows from the boundary, where w is largest, so the sums run backwards

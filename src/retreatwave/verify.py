@@ -180,7 +180,7 @@ def residual_monotonicity_audit(
     The residual must decrease strictly along the grid and change sign in
     exactly one cell, the one containing the wave speed.  As in
     ``find_wave_speed``, delta must exceed the stable zero by MIN_DELTA_GAP.
-    The n_grid speeds are the lanes of one vector integration
+    The n_grid speeds are the lanes of one batched solve
     (``slope_residual`` on an array); ``bracket_low`` is closed form.
     """
     if n_grid < 10:

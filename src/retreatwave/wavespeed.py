@@ -8,10 +8,12 @@ one-parameter family of decreasing profiles.  The slope residual
 is strictly decreasing in c, with slope in (-delta/d, -xi/d), positive at
 c0 = d * P0(delta) / xi and negative on [c_up, 0], c_up = c0*xi/delta, with
 P0 the zero-speed closed form and xi the stable zero (see ``bracket_low``).
-A Newton search from one integrated start stays inside (c0, c_up), checks
-every iterate against these ends and never integrates them; the retreat
-speed is -c*.  A density sweep continues c* along delta from tangent
-predictors whose slope dc*/ddelta costs no integration.
+A search solves one start at a fixed speed, checks its residual against
+these ends, and then solves the phase-plane collocation with c as one more
+unknown and r(c) = 0 as one more row, inside the ends (``phaseplane``); it
+never solves at an end.  The retreat speed is -c*.  A density sweep
+continues c* along delta from tangent predictors whose slope dc*/ddelta
+costs one linear solve.
 """
 from __future__ import annotations
 
@@ -33,6 +35,7 @@ from .phaseplane import (
     reconstruct_profile,
     residual_slope,
     saddle_slope,
+    solve_wave_speed,
 )
 from .reaction import ReactionFunction, make_perturbation_pair
 from .serialize import write_csv
@@ -54,8 +57,9 @@ __all__ = [
 # (the closed-form endpoint tends to 0) and the root find is ill conditioned.
 MIN_DELTA_GAP = 1e-6
 SUP_GRID = np.linspace(0.0, 50.0, 1001)
-MAX_SEARCH_STEPS = 30  # Newton or bisection steps of one speed search
-DEFAULT_TOL = 1e-10  # |r(c*)| a speed search stops at
+MAX_SEARCH_STEPS = 30  # Newton steps of one speed solve
+DEFAULT_TOL = 1e-10  # the largest |r(c*)| a speed search accepts
+FLOOR_ULPS = 4  # k of the residual's rounding floor k*eps*max(|P(delta)|, |delta*c/d|)
 
 
 @dataclass(eq=False)
@@ -172,10 +176,11 @@ class SequenceRun:
 
 
 def slope_residual(c, d: float, f: ReactionFunction, delta: float):
-    """The slope residual r(c) = q_c'(0) - (delta/d)*c, from one integration.
+    """The slope residual r(c) = q_c'(0) - (delta/d)*c, from one solve.
 
-    ``c`` is a speed or a 1-d array of speeds; an array is integrated as the
-    lanes of one vector ODE and gives an array of residuals.
+    ``c`` is a speed or a 1-d array of speeds; an array is solved as the
+    lanes of one batch and gives an array of residuals, each bit for bit
+    the residual of its speed alone.
     """
     residuals = np.array(
         [traj.residual for traj in integrate_trajectories(np.atleast_1d(c), d, f, delta)]
@@ -188,7 +193,7 @@ def bracket_low(d: float, f: ReactionFunction, delta: float) -> float:
 
     With y = -P_c and a = -c/d > 0, y*y' = a*y - f/d on (xi, delta] and
     z = a*(q - xi) + |P0(q)| is a strict supersolution, so -P_c(delta) < z(delta)
-    and r(c) > -c*xi/d - |P0(delta)|, which is 0 at c0.  No integration is made.
+    and r(c) > -c*xi/d - |P0(delta)|, which is 0 at c0.  No trajectory is solved.
     """
     return d * closed_form_zero_speed(delta, d, f) / f.stable_zero
 
@@ -211,14 +216,20 @@ def find_wave_speed(
     """Find the unique c* in the proven bracket (c0, c_up) with zero slope residual.
 
     c0 = ``bracket_low`` and c_up = c0*xi/delta (r(c_up) < 0 as P_c < P0 for
-    c < 0) are closed form.  The search integrates one start, ``guess`` if it
-    lies in (c0, 0) and else c_s = 2*d*P0(delta)/(xi + delta), the root for
-    the mean slope of r, and takes Newton steps from it (``_newton_search``)
-    to one step past |r| <= ``tol``, which puts c* at the integration noise;
-    the better of the last two iterates is returned with its trajectory.  A
+    c < 0) are closed form.  The search solves one start at a fixed speed,
+    ``guess`` if it lies in (c0, 0) and else c_s = 2*d*P0(delta)/(xi + delta),
+    the root for the mean slope of r.  Its residual must not put c* beyond
+    the proven end on its side (``_proven_bounds``), and its sign narrows the
+    bracket; ``phaseplane.solve_wave_speed`` then finds c* inside it.  A
     search from the guess that raises NumericalError is retried once from
-    c_s.  ``iterations`` counts the steps from the start, and
-    ``function_calls`` every integration of the call.
+    c_s.  ``iterations`` counts the Newton steps of the speed solve, and
+    ``function_calls`` every collocation solve of the call, the fixed-speed
+    starts and the speed solves alike.
+
+    |r(c*)| is computed as the difference of P(delta) and delta*c/d, so it
+    cannot be resolved below the floor FLOOR_ULPS*eps*max(|P(delta)|,
+    |delta*c/d|) there: a ``tol`` below that floor raises NumericalError
+    naming it, and so does a residual above ``tol``.
     """
     if not tol >= 1e-12:
         raise InputError(f"tol must be at least 1e-12, got {tol}")
@@ -227,21 +238,37 @@ def find_wave_speed(
     saddle_slope(0.0, d, f)  # an overflow raises here, not in bracket_low's quadrature
     c_low = bracket_low(d, f, delta)
     ends = (c_low, c_low * xi / delta)
-    made = []  # the speed of every integration of this call
+    calls = 0
 
-    def integrate(c):
-        made.append(c)
-        return integrate_trajectory(c, d, f, delta, opts)
+    def search(c):
+        nonlocal calls
+        calls += 1
+        start = integrate_trajectory(c, d, f, delta, opts)
+        bounds = _proven_bounds(start, f, ends)
+        calls += 1
+        return solve_wave_speed(start, f, bounds, MAX_SEARCH_STEPS, opts)
 
     found = None
     if guess is not None and c_low < guess < 0.0:
         with suppress(NumericalError):  # retried from c_s
-            found = _newton_search(integrate, f, ends, integrate(guess), tol)
+            found = search(guess)
     if found is None:
-        start = integrate(2.0 * c_low * xi / (xi + delta))
-        found = _newton_search(integrate, f, ends, start, tol)
+        found = search(2.0 * c_low * xi / (xi + delta))
 
     final, steps = found
+    scale = max(abs(final.endpoint_slope), abs(final.delta / final.d * final.c))
+    floor = FLOOR_ULPS * float(np.finfo(float).eps) * scale
+    if tol < floor:
+        raise NumericalError(
+            f"tol {tol:.1e} lies below the reachable floor {floor:.3e} = "
+            f"{FLOOR_ULPS}*eps*max(|P(delta)|, |delta*c/d|) of the slope residual at "
+            f"c={final.c!r}"
+        )
+    if abs(final.residual) > tol:
+        raise NumericalError(
+            f"slope residual {abs(final.residual):.3e} at c={final.c!r} did not reach tol "
+            f"{tol:.1e}"
+        )
     return SpeedResult(
         delta=float(delta),
         c_star=float(final.c),
@@ -250,60 +277,37 @@ def find_wave_speed(
         residual=float(abs(final.residual)),
         trajectory=final,
         iterations=steps,
-        function_calls=len(made),
+        function_calls=calls,
     )
 
 
-def _newton_search(integrate, f, ends, start, tol) -> tuple[PhaseTrajectory, int]:
-    """Newton steps from the integrated speed ``start`` inside the proven ``ends`` (c0, c_up).
+def _proven_bounds(start: PhaseTrajectory, f, ends) -> tuple[float, float]:
+    """The part of the proven ``ends`` (c0, c_up) that holds c*, from the solved ``start``.
 
     As -delta/d < r' < -xi/d, c* lies beyond c + r(c)*d/delta, below when
-    r(c) < 0 and above otherwise: the start or a step whose bound reaches
-    the proven end on that side raises BracketError at once.  Each replaces
-    the end of the sign-change pair its residual's sign names; a step that
-    leaves the pair bisects it, so no speed is integrated twice and no
-    proven end at all.  The search stops one step after |r| <= ``tol`` and
-    returns the better of the last two iterates and the step count; one
-    that ends above ``tol`` raises NumericalError.
+    r(c) < 0 and above when r(c) > 0: a start whose bound reaches the proven
+    end on that side raises BracketError.  Otherwise the start replaces the
+    end on its other side where it is the tighter one.
     """
-    c_low, c_up = lo, hi = ends
-    prev, cur, best, steps = None, start, start, 0
-    while True:
-        below = cur.residual < 0.0
-        reach = cur.c + cur.residual * cur.d / cur.delta
-        if (reach <= c_low) if below else (reach >= c_up):
-            raise BracketError(
-                f"bracket sign check failed: r({cur.c!r}) = {cur.residual:.3e} puts c* beyond "
-                f"{reach!r}, outside ({c_low!r}, {c_up!r}); the reaction may be invalid or "
-                f"delta <= {f.stable_zero:g}"
-            )
-        lo, hi = (lo, min(hi, cur.c)) if below else (cur.c, hi)
-        if steps == MAX_SEARCH_STEPS or (prev is not None and abs(prev.residual) <= tol):
-            break
-        c = cur.c - cur.residual / residual_slope(cur, f)
-        if not lo <= c <= hi:
-            c = 0.5 * (lo + hi)
-        if c in (lo, hi):
-            break
-        prev, cur = cur, integrate(c)
-        steps += 1
-        best = min(best, cur, key=lambda traj: abs(traj.residual))
-    final = cur if prev is None else min(prev, cur, key=lambda traj: abs(traj.residual))
-    if abs(final.residual) > tol:
-        raise NumericalError(
-            f"smallest slope residual {abs(best.residual):.3e} at c={best.c!r} "
-            f"did not reach tol {tol:.1e}"
+    c_low, c_up = ends
+    r = start.residual
+    reach = start.c + r * start.d / start.delta
+    if (reach <= c_low) if r < 0.0 else (reach >= c_up):
+        raise BracketError(
+            f"bracket sign check failed: r({start.c!r}) = {r:.3e} puts c* beyond "
+            f"{reach!r}, outside ({c_low!r}, {c_up!r}); the reaction may be invalid or "
+            f"delta <= {f.stable_zero:g}"
         )
-    return final, steps
+    return (start.c if r > 0.0 else c_low), (min(start.c, c_up) if r < 0.0 else c_up)
 
 
 def _dc_ddelta(res: SpeedResult, f: ReactionFunction) -> float:
-    """dc*/ddelta at a found speed, from its trajectory: no integration.
+    """dc*/ddelta at a found speed, from its trajectory: no further solve.
 
     r(c, delta) = P_c(delta) - delta*c/d and the phase-plane ODE give
     dr/ddelta = -f(delta)/(d*P_c(delta)), so the implicit function theorem
-    gives dc*/ddelta = -(dr/ddelta)/r'(c*), with r'(c*) from
-    ``residual_slope``.  For delta > xi both derivatives are negative, and so
+    gives dc*/ddelta = -(dr/ddelta)/r'(c*), with r'(c*) from one linear solve
+    (``residual_slope``).  For delta > xi both derivatives are negative, and so
     is dc*/ddelta: the retreat speed increases strictly in delta.
     """
     traj = res.trajectory
@@ -405,11 +409,11 @@ def bracketing_sequences(
 
     Returns (upper, lower).  The upper sequence starts at c_upper_0 in
     (c*, 0], decreases strictly and stays above c*; the lower mirrors it from
-    below.  Each iterate is one integration and one profile.  If the first
-    step of either sequence would break its ordering, M is doubled for that
-    sequence before the step, up to M = 1e5.  Each sequence runs exactly
-    n_max steps: the forcing term 1/(M+n) makes convergence asymptotic, so
-    no step size marks it.
+    below.  Each iterate is one solve and one profile; the two starts are
+    solved together, and M is doubled for a sequence whose first step would
+    break its ordering, up to M = 1e5, before either sequence runs.  Each
+    sequence runs exactly n_max steps: the forcing term 1/(M+n) makes
+    convergence asymptotic, so no step size marks it.
     """
     if M <= 0 or n_max <= 0:
         raise InputError("M and n_max must be positive")
@@ -426,24 +430,28 @@ def bracketing_sequences(
         raise InputError(f"c_lower_0 must lie below c* = {c_star!r}, got {c_lower_0!r}")
     q_ref = reference.profile.q_at(SUP_GRID)
 
+    # a start that cannot be forced fails before either sequence runs
+    starts = integrate_trajectories([float(c_upper_0), float(c_lower_0)], d, f, delta)
+    directions = ((+1.0, "upper"), (-1.0, "lower"))
+    # ordering gap for the first step: sign*(c0 - (d/delta)*slope0) must
+    # exceed 1/M, which is exactly sign*(-d/delta)*residual(c0)
+    Ms = [_escalate_m(M, sign * (t.c - (d / delta) * t.endpoint_slope), name)
+          for (sign, name), t in zip(directions, starts)]
     runs = []
-    for sign, c, name in ((+1.0, float(c_upper_0), "upper"), (-1.0, float(c_lower_0), "lower")):
+    for (sign, name), traj, M_dir in zip(directions, starts, Ms):
+        c = traj.c
         c_list: list[float] = []
         slope_list: list[float] = []
         sup_gaps: list[float] = []
-        M_dir = M
         for n in range(n_max + 1):
-            traj = integrate_trajectory(c, d, f, delta)
+            if n:
+                traj = integrate_trajectory(c, d, f, delta)
             c_list.append(c)
             slope_list.append(float(traj.endpoint_slope))
             q = reconstruct_profile(traj).q_at(SUP_GRID)
             sup_gaps.append(float(np.max(np.abs(q - q_ref))))
             if n == n_max:
                 break
-            if n == 0:
-                # ordering gap for the first step: sign*(c0 - (d/delta)*slope0)
-                # must exceed 1/M, which is exactly sign*(-d/delta)*residual(c0)
-                M_dir = _escalate_m(M, sign * (c - (d / delta) * slope_list[0]), name)
             c = float((d / delta) * slope_list[n] + sign / (M_dir + n))
             monotone = c < c_list[n] if sign > 0 else c > c_list[n]
             sandwich = c > c_star if sign > 0 else c < c_star

@@ -103,7 +103,7 @@ def test_criterion_2_residual_monotone_and_bracket(logistic1, speed_ref):
 
 
 def test_criterion_3_speed_law_consistency(logistic1, speed_ref):
-    # q*'(0) = P(delta) from a fresh, tighter integration at c*, not the
+    # q*'(0) = P(delta) from a fresh, tighter solve at c*, not the
     # trajectory whose residual the root search itself drove below tol
     tight = IntegrationOptions(rtol=1e-12, atol=1e-14)
     cases = [(D, DELTA, speed_ref.c_star)] + [

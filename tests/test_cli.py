@@ -55,7 +55,7 @@ def test_semiwave_rejects_malformed_speed(tmp_path, runner):
     assert res.exit_code == 1
 
 
-def test_semiwave_auto_integrates_each_speed_once(tmp_path, runner, monkeypatch, speed_ref):
+def test_semiwave_auto_integrates_each_speed_once(tmp_path, runner, monkeypatch):
     speeds = []
 
     def counting(c, *args, **kwargs):
@@ -69,7 +69,8 @@ def test_semiwave_auto_integrates_each_speed_once(tmp_path, runner, monkeypatch,
         speeds.clear()
         res = invoke(runner, ["semiwave", "--delta", "2", "--out", str(out)])
         assert res.exit_code == 0, res.output
-        assert len(speeds) == speed_ref.function_calls  # c* is not integrated again
+        # the search's start: c* comes from its speed solve and is not solved again
+        assert len(speeds) == 1
     for name in ("trajectory.csv", "profile.csv", "semiwave.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
@@ -420,9 +421,13 @@ def test_verify_tells_apart_reactions_that_round_alike(tmp_path, runner):
         ("custom:6,-11,6,-1", "4", 1, None),  # -u(u-1)(u-2)(u-3): positive on (2, 3)
         ("custom:0", "2", 1, None),  # no stable zero
         ("logistic:r=inf", "2", 1, None),  # non-finite rate
-        ("logistic:r=1e308", "2", 2, None),  # the saddle slope overflows: no finite series start
+        ("logistic:r=1e308", "2", 2, None),  # the saddle slope overflows: no finite flat start
         ("custom:1,-1,1e-100,-1e-310", "2", 1, None),  # the Cauchy root bound overflows
-        ("custom:9000,-1", "9450", 2, None),  # tol 1e-10 lies below the noise of r here
+        # the residual's floor 4*eps*|delta*c/d| is 3.9e-11 here, below tol
+        ("custom:9000,-1", "9450", 0, -4.705005146),
+        # tol 1e-10 lies below the floor: 6.3e-8 and 7.5e-10
+        ("logistic", "10000", 2, None),
+        ("custom:0.7,-1", "1000", 2, None),
     ],
 )
 def test_speed_exit_codes_for_polynomial_specs(tmp_path, runner, spec, delta, code, c_star):
@@ -430,6 +435,8 @@ def test_speed_exit_codes_for_polynomial_specs(tmp_path, runner, spec, delta, co
                                "--out", str(tmp_path)])
     assert res.exit_code == code, res.output
     assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+    if delta in ("10000", "1000"):
+        assert "lies below the reachable floor" in res.output
     if c_star is not None:
         payload = json.loads((tmp_path / "speed.json").read_text())
         assert payload["c_star"] == pytest.approx(c_star, abs=1e-5)
@@ -635,7 +642,7 @@ def test_speed_through_the_cli_loads_no_scipy_linalg(tmp_path):
 
 def test_quadrature_that_cannot_converge_exits_numerical(tmp_path, runner, monkeypatch):
     # the speed search's bracket needs int f, and an oscillation of size 1e-8
-    # and period 6e-6 keeps it from converging; the integrations do not notice
+    # and period 6e-6 keeps it from converging; the solves do not notice
     noisy = ReactionFunction(lambda u: u * (1.0 - u) + 1e-8 * np.sin(1e6 * u),
                              lambda u: 1.0 - 2.0 * u, 1.0, "noisy")
     monkeypatch.setattr(cli, "parse_reaction", lambda text: noisy)

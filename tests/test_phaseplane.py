@@ -87,70 +87,78 @@ def test_trajectory_matches_closed_form(logistic1):
 
 def test_trajectory_is_negative_and_ordered(logistic1):
     traj = integrate_trajectory(-0.7, 1.0, logistic1, 2.0)
-    assert np.all(traj.p_at(np.linspace(traj.dense.x[0], 2.0, 2500)) < 0.0)
+    assert np.all(traj.p_at(np.linspace(1.0, 2.0, 2500)[1:]) < 0.0)
     assert traj.endpoint_slope == traj.p_at(2.0)
 
 
-def _capture_solves(monkeypatch):
-    """Wrap phaseplane.solve_ivp; the returned list collects each solve's arguments and result."""
-    solves = []
-    solve = phaseplane.solve_ivp
+def _series_start(c: float, d: float, f: ReactionFunction, delta: float):
+    """(q0, P(q0)) of the second-order saddle series P = lam*s + s2*s**2/2 at
+    s = q0 - xi = 1e-8*(delta - xi), with s2 = -f''(xi)/(3*d*lam - c) and f''
+    by a central difference of f'."""
+    xi = f.stable_zero
+    lam = saddle_slope(c, d, f)
+    h = 6e-6 * max(1.0, xi)
+    s2 = -(float(f.deriv(xi + h)) - float(f.deriv(xi - h))) / (2.0 * h) / (3.0 * d * lam - c)
+    eta = 1e-8 * (delta - xi)
+    return xi + eta, lam * eta + 0.5 * s2 * eta * eta
 
-    def capturing(fun, t_span, y0, **kwargs):
-        sol = solve(fun, t_span, y0, **kwargs)
-        solves.append((fun, t_span, y0, kwargs, sol))
-        return sol
 
-    monkeypatch.setattr(phaseplane, "solve_ivp", capturing)
-    return solves
+def _phase_rhs(c: float, d: float, f: ReactionFunction):
+    """P' = c/d - f(q)/(d*P) on Python floats, NaN at the pole P = 0."""
+    def rhs(q, p):
+        dp = d * p
+        return c / d - float(f(q)) / dp if dp else math.nan
+    return rhs
+
+
+def reference_solve(c: float, d: float, f: ReactionFunction, delta: float, rtol: float):
+    """phaseplane.solve_ivp, the package's Dormand-Prince stepper, on the
+    phase-plane ODE from the saddle series start out to delta."""
+    q0, p0 = _series_start(c, d, f, delta)
+    return phaseplane.solve_ivp(_phase_rhs(c, d, f), (q0, delta), [p0], rtol=rtol,
+                                atol=rtol * 1e-2)
 
 
 @pytest.mark.parametrize("spec, d, delta", [("logistic:r=1", 1.0, 2.0),
                                             ("custom:3,-2,0.9,-0.6", 0.8, 2.4)])
 @pytest.mark.parametrize("lanes", [1, 50])
-def test_piecewise_polynomial_matches_ode_solution(monkeypatch, spec, d, delta, lanes):
-    # phaseplane's RK45 against scipy's, on the same right-hand side: the same
-    # steps and RHS calls, and each lane's quartics against scipy's
-    # OdeSolution on 2500 points from xi (extrapolated) to delta.  The one-lane
-    # stepper sums the stages on Python floats, where scipy's np.dot may fuse
-    # multiply-adds, so the two differ in the last bits of every step and
-    # the old bound of 1e-14 no longer applies; measured: 1.1e-11 of the
-    # lane's max |P| (and 4.4e-16, with bit-equal steps, on 50 lanes)
+def test_piecewise_polynomial_matches_ode_solution(spec, d, delta, lanes):
+    # P of the first, a middle and the last lane, barycentric interpolation of
+    # their collocation nodes, against scipy's DOP853 dense output on 2500
+    # points of [xi + 1e-8*(delta - xi), delta], from the saddle series start;
+    # measured: at most 7.8e-14 of the lane's max |P|, against the bound 1e-11
     from scipy.integrate import solve_ivp
 
     f = parse_reaction(spec)
-    solves = _capture_solves(monkeypatch)
     cs = np.linspace(bracket_low(d, f, delta), 0.0, lanes) if lanes > 1 else [-0.5]
     trajs = integrate_trajectories(cs, d, f, delta)
-    fun, t_span, y0, kwargs, sol = solves[-1]
-    one_lane = (lambda q, p: fun(q, p[0])) if lanes == 1 else fun
-    ref = solve_ivp(one_lane, t_span, y0, method="RK45", dense_output=True, **kwargs)
-    assert len(sol.t) == len(ref.t) and sol.nfev == ref.nfev
-    q = np.linspace(f.stable_zero, delta, 2500)
-    expected = ref.sol(q)
     assert len(trajs) == lanes
-    for traj, lane in zip(trajs, expected):
-        # each trajectory holds its own lane only
-        assert traj.dense.c.shape == (5, len(sol.t) - 1)
-        assert np.max(np.abs(traj.p_at(q) - lane)) <= 1e-10 * np.max(np.abs(lane))
+    for lane in sorted({0, lanes // 2, lanes - 1}):
+        traj, c = trajs[lane], cs[lane]
+        q0, p0 = _series_start(c, d, f, delta)
+        ref = solve_ivp(lambda q, p: _phase_rhs(c, d, f)(q, p[0]), (q0, delta), [p0],
+                        method="DOP853", rtol=1e-13, atol=1e-16, dense_output=True)
+        q = np.linspace(q0, delta, 2500)
+        lane = ref.sol(q)[0]
+        assert np.max(np.abs(traj.p_at(q) - lane)) <= 1e-11 * np.max(np.abs(lane))
         assert traj.p_at(delta) == traj.endpoint_slope
 
 
 @pytest.mark.parametrize("lanes", [1, 3])
 def test_sample_check_rejects_nan(monkeypatch, logistic1, lanes):
-    # NaN coefficients on one step of the last lane: NaN >= 0 is False, so the
-    # check must test P < 0 itself
-    solve = phaseplane.solve_ivp
-
-    def poisoning(*args, **kwargs):
-        sol = solve(*args, **kwargs)
-        step = int(np.searchsorted(sol.t, 0.5 * (sol.t[0] + sol.t[-1]))) - 1
-        sol.dense.c[:, step, -1] = np.nan
-        return sol
-
-    monkeypatch.setattr(phaseplane, "solve_ivp", poisoning)
+    # a reaction that is NaN at one collocation point of the last lane's
+    # problem: the lane's solve is not finite, and the error names its speed
     cs = np.linspace(-0.9, -0.1, lanes)
-    with pytest.raises(NumericalError, match=f"lower half plane at c={cs[-1]:g};"):
+    grid = phaseplane._collocation_grid
+
+    def poisoning(n, d, f, delta):
+        ds, g, D = grid(n, d, f, delta)
+        g = g.copy()
+        g[n // 2] = np.nan
+        return ds, g, D
+
+    monkeypatch.setattr(phaseplane, "_collocation_grid", poisoning)
+    with pytest.raises(IntegrationError, match=f"collocation at c={cs[0]:g} is not finite"):
         integrate_trajectories(cs, 1.0, logistic1, 2.0)
 
 
@@ -162,68 +170,51 @@ def _bump_reaction() -> ReactionFunction:
 
 
 @pytest.mark.parametrize("lanes", [1, 50])
-def test_nfev_counts_every_rhs_call(monkeypatch, lanes):
-    # the benchmark's phaseplane.integrate_nfev sums this field; the stalled
-    # integration fails after many rejected steps
-    stalls = _bump_reaction()
-    solve = phaseplane.solve_ivp
-    counts = []
-
-    def counting(fun, t_span, y0, **kwargs):
+def test_nfev_counts_every_rhs_call(lanes):
+    # the benchmark's phaseplane.integrate_nfev sums this field of the
+    # reference integrator: over ``lanes`` speeds, solved one at a time, clean
+    # integrations, and over up to three, ones that stall and fail after many
+    # rejected steps
+    f, stalls = parse_reaction("custom:3,-2,0.9,-0.6"), _bump_reaction()
+    problems = [(c, 0.8, f, 2.4, True) for c in np.linspace(bracket_low(0.8, f, 2.4), 0.0, lanes)]
+    problems += [(c, 1.0, stalls, 2.0, False) for c in np.linspace(-0.5, -0.6, min(lanes, 3))]
+    for c, d, g, delta, success in problems:
         calls = []
-
-        def counted(q, p):
-            calls.append(q)
-            return fun(q, p)
-
-        sol = solve(counted, t_span, y0, **kwargs)
-        counts.append((sol.nfev, len(calls), sol.success))
-        return sol
-
-    monkeypatch.setattr(phaseplane, "solve_ivp", counting)
-    f = parse_reaction("custom:3,-2,0.9,-0.6")
-    integrate_trajectories(np.linspace(bracket_low(0.8, f, 2.4), 0.0, lanes), 0.8, f, 2.4)
-    with pytest.raises(IntegrationError):
-        integrate_trajectories(np.linspace(-0.5, -3.0, lanes), 1.0, stalls, 2.0)
-    assert [success for *_, success in counts] == [True, False]
-    assert all(nfev == calls > 2 for nfev, calls, _ in counts)
+        rhs = _phase_rhs(c, d, g)
+        q0, p0 = _series_start(c, d, g, delta)
+        sol = phaseplane.solve_ivp(lambda q, p: calls.append(q) or rhs(q, p), (q0, delta), [p0],
+                                   rtol=1e-10, atol=1e-12)
+        assert sol.success == success and sol.nfev == len(calls) > 2, c
 
 
 @pytest.mark.parametrize("lanes, nfev, points, t_end", [
     (1, 1592, 199, 1.3782602044310335),
-    (3, 1586, 184, 1.3782602045001877),
 ])
-def test_stalled_integration_keeps_its_step_sequence(monkeypatch, lanes, nfev, points, t_end):
+def test_stalled_integration_keeps_its_step_sequence(lanes, nfev, points, t_end):
     # the step control compares where scipy calls min and max; this run
     # rejects step after step until the step falls below 10 ulp of t, so its
     # counts follow every rule.  The counts are this stepper's own: scipy's
     # RK45 sums the one-lane stages by np.dot and makes 1598 calls and 198
     # points
-    solves = _capture_solves(monkeypatch)
-    with pytest.raises(IntegrationError, match="c=-0.5:"):
-        integrate_trajectories(np.linspace(-0.5, -3.0, lanes), 1.0, _bump_reaction(), 2.0)
-    sol = solves[-1][-1]
+    q0, p0 = _series_start(-0.5, 1.0, _bump_reaction(), 2.0)
+    sol = phaseplane.solve_ivp(_phase_rhs(-0.5, 1.0, _bump_reaction()), (q0, 2.0), [p0] * lanes,
+                               rtol=1e-10, atol=1e-12)
     assert (sol.success, sol.message) == (False, phaseplane.TOO_SMALL_STEP)
     assert (sol.nfev, len(sol.t), float(sol.t[-1])) == (nfev, points, t_end)
 
 
 @pytest.mark.parametrize("y0, nfev, points, t_end", [
     ([1.0], 488, 50, 0.6931471805744837),
-    ([1.0, 1.2, 1.5], 560, 55, 0.6931471805744401),
 ])
 def test_nan_error_shrinks_the_step_by_min_factor(y0, nfev, points, t_end):
     # y' = -y, but NaN once y < 1/2: every step into the wall has a NaN error
     # norm, is rejected and shrinks by MIN_FACTOR, as scipy's
     # max(MIN_FACTOR, NaN) does, until the step falls below 10 ulp of t
     # where the computed y reaches 1/2, next to t = ln 2
-    if len(y0) == 1:
-        def fun(t, y):
-            return -y if y >= 0.5 else math.nan
-    else:
-        def fun(t, y):
-            return np.where(y >= 0.5, -y, np.nan)
+    def fun(t, y):
+        return -y if y >= 0.5 else math.nan
     sol = phaseplane.solve_ivp(fun, (0.0, 2.0), y0, rtol=1e-10, atol=1e-12)
-    assert (sol.success, sol.message, sol.dense) == (False, phaseplane.TOO_SMALL_STEP, None)
+    assert (sol.success, sol.message) == (False, phaseplane.TOO_SMALL_STEP)
     assert (sol.nfev, len(sol.t), float(sol.t[-1])) == (nfev, points, t_end)
     assert float(sol.t[-1]) == pytest.approx(math.log(2.0), abs=1e-10)
 
@@ -248,21 +239,18 @@ def _watchdog(seconds: float):
 def test_nan_at_the_start_ends_the_solve_as_a_failure(lanes):
     # a right-hand side that is NaN at the start makes the initial step NaN,
     # which fails every comparison; it is raised to the step floor, tried once
-    # and rejected, and the floor then ends the solve.  In integrate_trajectories
-    # that is a reaction that is NaN at xi + eta
-    if lanes == 1:
-        def fun(t, y):
-            return math.nan
-    else:
-        def fun(t, y):
-            return np.full(lanes, math.nan)
+    # and rejected, and the floor then ends the solve.  A reaction that is NaN
+    # everywhere but at xi makes the collocation of one lane, or of the first
+    # of a batch, fail as not finite
+    def fun(t, y):
+        return math.nan
     nan_reaction = ReactionFunction(lambda u: math.nan * np.asarray(u),
                                     lambda u: 1.0 - 2.0 * np.asarray(u), 1.0, "nan")
     with _watchdog(10.0):
-        sol = phaseplane.solve_ivp(fun, (0.0, 1.0), [1.0] * lanes, rtol=1e-10, atol=1e-12)
-        with pytest.raises(IntegrationError, match=phaseplane.TOO_SMALL_STEP):
+        sol = phaseplane.solve_ivp(fun, (0.0, 1.0), [1.0], rtol=1e-10, atol=1e-12)
+        with pytest.raises(IntegrationError, match="c=-0.5 is not finite"):
             integrate_trajectories(np.linspace(-0.5, -0.1, lanes), 1.0, nan_reaction, 2.0)
-    assert (sol.success, sol.message, sol.dense) == (False, phaseplane.TOO_SMALL_STEP, None)
+    assert (sol.success, sol.message) == (False, phaseplane.TOO_SMALL_STEP)
     assert (sol.nfev, sol.t.tolist()) == (8, [0.0])
 
 
@@ -293,29 +281,37 @@ def test_step_floor_follows_the_spacing_of_t(fun, t_span, nfev, points, t_end):
 
 
 def test_sorted_points_take_the_pieces_of_a_search(logistic1):
-    # the lookup for ascending points, more of them than breakpoints, against
-    # the point-by-point search: at every breakpoint, twice, between them,
-    # below x[0] and beyond x[-1]
-    dense = integrate_trajectory(-0.4, 1.0, logistic1, 2.0).dense
-    x = dense.x
+    # the profile's Hermite pieces are looked up by a search of the grid's
+    # breakpoints: ascending points, the same points reversed and one point
+    # at a time read the same values, at every breakpoint, twice, between
+    # them, below 0 (NaN) and beyond x_end (the tail); one at a time at every
+    # seventh point and both ends
+    profile = reconstruct_profile(integrate_trajectory(-0.4, 1.0, logistic1, 2.0))
+    x = profile.x_grid
     t = np.sort(np.concatenate((x, x, np.linspace(x[0] - 1.0, x[-1] + 1.0, 3 * len(x)))))
     assert t[0] < x[0] and t[-1] > x[-1] and len(t) > len(x)
-    searched = x[1:-1].searchsorted(t, "right")
-    assert np.array_equal(dense.piece(t), searched)
-    assert np.array_equal(dense.piece(t[::-1])[::-1], searched)  # not ascending: searched
-    assert [int(dense.piece(point)) for point in t.tolist()] == searched.tolist()
+    ascending = profile.q_at(t)
+    assert np.array_equal(profile.q_at(t[::-1])[::-1], ascending, equal_nan=True)
+    few = np.r_[0:len(t):7, len(t) - 1]
+    assert np.array_equal([profile.q_at(point) for point in t[few].tolist()], ascending[few],
+                          equal_nan=True)
 
 
 @pytest.mark.parametrize("spec, d, delta", [("logistic:r=1", 1.0, 2.0),
                                             ("custom:3,-2,0.9,-0.6", 0.8, 2.4)])
 def test_log_grid_reads_p_as_a_search_would(spec, d, delta):
-    # P on the shared log grid, whose points are ascending, is bit-identical
-    # to its evaluation point by point, reached here through reversed points
+    # the profile reads P on the shared log grid through one interpolation
+    # matrix per degree, at the grid's points on the scale of [0, 1]; p_at
+    # reads it point by point from q.  The two place a point within a few
+    # roundings of each other, so they agree to rounding: measured 4.9e-16
+    # of max |P|, and the value at delta is the node's own, bit for bit
     f = parse_reaction(spec)
     traj = integrate_trajectory(0.5 * bracket_low(d, f, delta), d, f, delta)
-    _, q, _, p = phaseplane._log_grid(traj)
-    assert np.array_equal(p, traj.p_at(q[::-1])[::-1])
-    assert np.array_equal(p, traj.p_at(q))
+    profile = reconstruct_profile(traj)
+    q = profile.q_values
+    p = traj.p_at(q)
+    assert np.max(np.abs(profile.slopes - p)) <= 1e-14 * np.max(np.abs(p))
+    assert profile.slopes[0] == p[0] == traj.endpoint_slope
 
 
 @pytest.mark.parametrize("gap, message", [
@@ -376,18 +372,21 @@ def test_trajectory_ode_residual(logistic1):
 @pytest.mark.parametrize("d", [0.5, 2.0])
 def test_trajectory_ode_residual_tells_c_over_d_from_c_times_d(logistic1, d):
     # at d = 1 the drift c/d equals c*d; here the two differ by |c|*|d - 1/d| =
-    # 0.75, so c*d in the integrated or the checked right-hand side fails.
-    # Measured: 1.7e-8 (d = 0.5) and 5.4e-8 (d = 2)
+    # 0.75, so c*d in the solved or the checked right-hand side fails.
+    # Measured: 5.8e-10 (d = 0.5) and 3.4e-10 (d = 2), the central
+    # difference's rounding
     traj = integrate_trajectory(-0.5, d, logistic1, 2.0)
     assert traj.ode_residual(logistic1) < 5e-6
 
 
 def test_series_start_is_converged(monkeypatch, logistic1):
-    # halving the start offset must leave the endpoint essentially unchanged
-    a = integrate_trajectory(-0.5, 1.0, logistic1, 2.0).endpoint_slope
-    monkeypatch.setattr(phaseplane, "START_OFFSET", 0.5 * phaseplane.START_OFFSET)
-    b = integrate_trajectory(-0.5, 1.0, logistic1, 2.0).endpoint_slope
-    assert abs(a - b) <= 1e-10
+    # the flat start at twice the first degree must leave the endpoint
+    # unchanged to rounding: the degree is converged where it stops
+    a = integrate_trajectory(-0.5, 1.0, logistic1, 2.0)
+    monkeypatch.setattr(phaseplane, "N_START", 2 * phaseplane.N_START)
+    b = integrate_trajectory(-0.5, 1.0, logistic1, 2.0)
+    assert b.nodes.size - 1 == 2 * (a.nodes.size - 1)
+    assert abs(a.endpoint_slope - b.endpoint_slope) <= 1e-14
 
 
 def test_trajectory_rejects_bad_inputs(logistic1):
@@ -506,24 +505,26 @@ LANE_PROBLEMS = [
 
 @pytest.mark.parametrize("spec, d, delta", LANE_PROBLEMS)
 def test_lanes_match_one_lane_runs_and_tight_reference(spec, d, delta):
-    # the residual audit's 50-point grid, integrated as one batch
+    # the residual audit's 50-point grid, solved as one batch: every lane's
+    # nodes are those of its own solve, bit for bit, and its P(delta) is
+    # within 1e-13 of max |P| of a solve at rtol 1e-13 (measured: 1.7e-16)
     f = parse_reaction(spec)
     cs = np.linspace(bracket_low(d, f, delta), 0.0, 50)
-    lanes = [t.endpoint_slope for t in integrate_trajectories(cs, d, f, delta)]
-    ones = [integrate_trajectory(c, d, f, delta).endpoint_slope for c in cs]
+    lanes = integrate_trajectories(cs, d, f, delta)
+    ones = [integrate_trajectory(c, d, f, delta) for c in cs]
     tight = IntegrationOptions(rtol=1e-13, atol=1e-15)
     refs = [integrate_trajectory(c, d, f, delta, tight).endpoint_slope for c in cs]
-    assert np.max(np.abs(np.subtract(lanes, ones))) <= 1e-9
-    # sharing its steps with the other lanes must not cost a lane accuracy
-    worst_one = np.max(np.abs(np.subtract(ones, refs)))
-    assert np.max(np.abs(np.subtract(lanes, refs))) <= worst_one
+    for lane, one in zip(lanes, ones):
+        assert np.array_equal(lane.nodes, one.nodes) and lane.endpoint_slope == one.endpoint_slope
+    slopes = [lane.endpoint_slope for lane in lanes]
+    assert np.max(np.abs(np.subtract(slopes, refs))) <= 1e-13 * np.max(np.abs(refs))
 
 
 @pytest.mark.parametrize("spec, d, delta", LANE_PROBLEMS)
 @pytest.mark.parametrize("lanes", [1, 3])
 def test_endpoint_slope_is_the_value_a_read_gives_at_delta(spec, d, delta, lanes):
-    # one lane sums P(delta) on Python floats, a batch on the lanes' arrays;
-    # both must be bit-identical to evaluating the stored trajectory there
+    # P(delta) is (delta - xi) times the last node, and a read at delta, which
+    # is a node, gives that product bit for bit, in a batch or alone
     f = parse_reaction(spec)
     cs = np.linspace(bracket_low(d, f, delta), 0.0, lanes + 2)[1:-1]
     for traj in integrate_trajectories(cs, d, f, delta):
@@ -539,7 +540,7 @@ def test_lane_profile_is_its_own():
     for lane, c in zip(lanes, cs):
         batch = reconstruct_profile(lane).q_at(SUP_GRID)
         alone = reconstruct_profile(integrate_trajectory(c, d, f, delta)).q_at(SUP_GRID)
-        assert np.max(np.abs(batch - alone)) <= 1e-9 * (delta - f.stable_zero), c
+        assert np.array_equal(batch, alone), c
 
 
 def test_bad_lane_raises_its_own_error(logistic1):
@@ -561,7 +562,7 @@ def test_lane_whose_integration_stalls_is_named():
         integrate_trajectory(-0.5, 1.0, f, 2.0)
     with pytest.raises(IntegrationError) as batch:
         integrate_trajectories([-3.0, -0.5, -2.0], 1.0, f, 2.0)
-    assert str(batch.value) == str(alone.value) and "c=-0.5:" in str(batch.value)
+    assert str(batch.value) == str(alone.value) and "c=-0.5 " in str(batch.value)
 
 
 # -- phaseplane's numerics against exact oracles --
@@ -576,32 +577,44 @@ def _gamma(n: int) -> float:
 
 
 @pytest.mark.parametrize("lanes", [1, 50])
-def test_piecewise_polynomial_meets_its_rounding_bound(monkeypatch, lanes):
-    # the batch's (5, steps, lanes) coefficients and one lane's (5, steps), at
-    # interior points, every breakpoint, both ends and beyond both ends
-    # (extrapolated), against rational arithmetic on the same coefficients.
-    # s = t - x[i] is one rounding, s**j then j - 1 more and j from s, each
-    # term one, and the K - 1 additions: a term of degree j <= K - 1 takes at
-    # most 3K - 3 roundings, a bound of gamma(3K) * sum_k |c_k| |s|**(K-1-k)
+def test_piecewise_polynomial_meets_its_rounding_bound(lanes):
+    # barycentric interpolation of the nodes of the first and last lane of a
+    # batch, at points across [0, 1], every node and both ends, against
+    # rational arithmetic on the same nodes, weights and points.  Each term
+    # a_j = weight_j/(t - t_j) takes two roundings, their sum n + 1 more, each
+    # a_j/sum one, and the dot product with the nodes n + 2: to first order
+    # the value is within gamma(2n + 8) of (sum |a_j w_j| + |value| sum |a_j|)
+    # / |sum a_j|, and a node reads its own value exactly
     f = parse_reaction("custom:3,-2,0.9,-0.6")
-    solves = _capture_solves(monkeypatch)
     trajs = integrate_trajectories(np.linspace(bracket_low(0.8, f, 2.4), 0.0, lanes), 0.8, f, 2.4)
-    dense = solves[-1][-1].dense
-    x = dense.x
-    q = np.concatenate((np.linspace(x[0] - 0.3, x[-1] + 0.3, 301), x))
-    for ours in (dense, trajs[-1].dense):
-        values = ours(q).reshape(len(q), -1)
-        assert ours(q[:300].reshape(20, 15)).shape == (20, 15) + ours.c.shape[2:]
-        coeffs = ours.c.reshape(5, len(x) - 1, -1)
-        for t, value in zip(q.tolist(), values):
-            i = max([0] + [j for j in range(1, len(x) - 1) if x[j] <= t])
-            s = Fraction(t) - Fraction(x[i])
-            powers = [s**j for j in range(4, -1, -1)]
-            for lane in sorted({0, coeffs.shape[2] // 2, coeffs.shape[2] - 1}):
-                c = [Fraction(ck) for ck in coeffs[:, i, lane].tolist()]
-                exact = sum(ck * power for ck, power in zip(c, powers))
-                scale = sum(abs(ck * power) for ck, power in zip(c, powers))
-                assert abs(Fraction(value[lane]) - exact) <= _gamma(15) * scale, (t, lane)
+    n = trajs[0].nodes.size - 1
+    nodes, weights = phaseplane._chebyshev(n)[:2]
+    t = np.concatenate((np.linspace(0.0, 1.0, 101), nodes))
+    exact_nodes = [Fraction(x) for x in nodes.tolist()]
+    exact_weights = [Fraction(x) for x in weights.tolist()]
+    for traj in {id(trajs[0]): trajs[0], id(trajs[-1]): trajs[-1]}.values():
+        values = phaseplane._interpolation(n, t) @ traj.nodes
+        w = [Fraction(x) for x in traj.nodes.tolist()]
+        for point, value in zip(t.tolist(), values.tolist()):
+            if point in nodes:
+                assert value == traj.nodes[nodes.tolist().index(point)]
+                continue
+            a = [wj / (Fraction(point) - tj) for wj, tj in zip(exact_weights, exact_nodes)]
+            total = sum(a)
+            exact = sum(aj * wj for aj, wj in zip(a, w)) / total
+            scale = (sum(abs(aj * wj) for aj, wj in zip(a, w))
+                     + abs(exact) * sum(abs(aj) for aj in a)) / abs(total)
+            assert abs(Fraction(value) - exact) <= _gamma(2 * n + 8) * scale, point
+
+
+def _hermite(x, y, dydx, t):
+    """The cubic Hermite interpolant of (x, y, dydx) at t, every piece built
+    first, NaN outside [x[0], x[-1]]: the reference for ``q_at``."""
+    pieces = np.array(phaseplane._hermite_pieces(x, y, dydx, np.arange(len(x) - 1)))
+    t = np.asarray(t, dtype=float)
+    i = x[1:-1].searchsorted(t, "right")
+    out = phaseplane._power_sum(pieces[:, i], t - x[i])
+    return np.where((t < x[0]) | (t > x[-1]), np.nan, out)
 
 
 def test_hermite_interpolant_reproduces_a_cubic(logistic1):
@@ -622,7 +635,9 @@ def test_hermite_interpolant_reproduces_a_cubic(logistic1):
     exact_x = [Fraction(xj) for xj in x.tolist()]
     y = np.array([float(p(t)) for t in exact_x])
     slopes = np.array([float(dp(t)) for t in exact_x])
-    ours = phaseplane._cubic_hermite(x, y, slopes)
+    def ours(t):
+        return _hermite(x, y, slopes, t)
+
     points = np.concatenate((np.linspace(0.0, x[-1], 1501), x))
     pieces = np.minimum(np.searchsorted(x, points, "right") - 1, len(x) - 2)
     for t, i, value in zip(points.tolist(), pieces.tolist(), ours(points).tolist()):
@@ -640,12 +655,11 @@ def test_profile_builds_only_the_pieces_it_reads_bit_for_bit(logistic1):
     # those of the interpolant with every piece built, and the tail beyond x_end
     profile = reconstruct_profile(integrate_trajectory(-0.4, 1.0, logistic1, 2.0))
     x_end = profile.x_grid[-1]
-    eager = phaseplane._cubic_hermite(profile.x_grid, profile.q_values, profile.slopes)
-
     def expected(x):
         tail = profile.xi + (profile.q_values[-1] - profile.xi) * np.exp(
             profile.tail_rate * (x - x_end))
-        return np.where(x <= x_end, eager(x), tail)
+        return np.where(x <= x_end, _hermite(profile.x_grid, profile.q_values, profile.slopes, x),
+                        tail)
 
     grids = [SUP_GRID, Grid1D(100.0, 2000).nodes, np.linspace(0.0, x_end, 2001), profile.x_grid,
              np.array([-1.0, 0.0, x_end, np.nextafter(x_end, np.inf), x_end + 1.0])]
@@ -680,45 +694,19 @@ def test_simpson_sums_are_exact_on_cubics():
         assert abs(Fraction(panel) - exact) <= _gamma(5) * scale, j
 
 
-@pytest.mark.parametrize("n", [3, 4, 40, 41])
-def test_cumulative_rule_is_exact_on_quadratics(n):
-    # at every point, odd and even counts alike: each piece
-    # h/12 * (5*y0 + 8*y1 - y2) is the data's rounding, 5*y0, two additions,
-    # h/12 and the product, gamma(6) of h/12*(5|y0| + 8|y1| + |y2|); the
-    # running sum adds one rounding per piece
-    h, y, antiderivative = _samples(n, [Fraction(3, 2), Fraction(-7, 3), Fraction(5, 4)])
-    running = phaseplane._cumulative_simpson(y, h)
-    a = np.abs(y)
-    pieces = np.append(5 * a[:-2] + 8 * a[1:-1] + a[2:], 5 * a[-1] + 8 * a[-2] + a[-3])
-    scales = np.concatenate(([0.0], np.cumsum(h / 12.0 * pieces)))
-    assert running.shape == (n,) and running[0] == 0.0
-    for j in range(1, n):
-        exact = antiderivative[j] - antiderivative[0]
-        assert abs(Fraction(running[j].item()) - exact) <= _gamma(6 + j) * scales[j], j
-
-
 @pytest.mark.parametrize("spec, d, delta", LANE_PROBLEMS)
 def test_simpson_rules_agree_with_scipys(spec, d, delta):
-    # on the solver's own integrands.  Simpson's rule is scipy's to rounding.
-    # The running rule takes each interval's parabola through the next point,
-    # scipy's every other one through the point before; the two differ by
-    # h/12 * (third difference of y) on such an interval, so their sums differ
-    # by at most h/12 * sum |third differences|, plus rounding
-    from scipy.integrate import cumulative_simpson, simpson
+    # on the profile's own integrand (q - xi)/(-P) on the log grid, Simpson's
+    # rule is scipy's to rounding
+    from scipy.integrate import simpson
 
     f = parse_reaction(spec)
     traj = integrate_trajectory(0.5 * bracket_low(d, f, delta), d, f, delta)
-    h, q, _, p = phaseplane._log_grid(traj)
-    g = (q - traj.xi) / -p
-    a = (q - traj.xi) * np.asarray(f(q)) / (d * p * p)
-    for y in (g, a[::-1]):
-        rounding = 2.0 * _gamma(len(y) + 6) * h * np.sum(np.abs(y))
-        ours = h / 3.0 * np.sum(phaseplane._simpson_sums(y))
-        assert abs(ours - simpson(y, dx=h)) <= rounding
-        for part in (y, y[:-1]):
-            gap = h / 12.0 * np.sum(np.abs(np.diff(part, 3)))
-            theirs = cumulative_simpson(part, dx=h, initial=0.0)
-            assert np.max(np.abs(phaseplane._cumulative_simpson(part, h) - theirs)) <= gap + rounding
+    h, q, s = phaseplane._log_points(traj.xi, traj.delta)
+    y = s / -traj.p_at(q)
+    rounding = 2.0 * _gamma(len(y) + 6) * h * np.sum(np.abs(y))
+    ours = h / 3.0 * np.sum(phaseplane._simpson_sums(y))
+    assert abs(ours - simpson(y, dx=h)) <= rounding
 
 
 def _family(n):
@@ -853,31 +841,34 @@ def test_quadrature_that_cannot_converge_is_a_numerical_error():
         closed_form_zero_speed(2.0, 1.0, noisy)
 
 
-# -- the P < 0 check on each step's quartic --
+# -- the P < 0 check on the collocation nodes --
 
 @pytest.mark.parametrize("spec, d, delta", LANE_PROBLEMS)
 @pytest.mark.parametrize("lanes", [1, 50])
 def test_clean_trajectories_need_no_samples(monkeypatch, spec, d, delta, lanes):
+    # the check that P < 0 on (xi, delta] reads the nodes, which are all
+    # negative on clean trajectories: no sample of P is taken
+    def sampling(self, q):
+        raise AssertionError("a sample of P was read")
+
+    monkeypatch.setattr(phaseplane.PhaseTrajectory, "p_at", sampling)
     f = parse_reaction(spec)
-    solves = _capture_solves(monkeypatch)
     low = bracket_low(d, f, delta)
-    integrate_trajectories(np.linspace(low, 0.0, lanes) if lanes > 1 else [0.5 * low], d, f, delta)
-    assert np.all(phaseplane._step_bounds(solves[-1][-1].dense) < 0.0)
+    trajs = integrate_trajectories(np.linspace(low, 0.0, lanes) if lanes > 1 else [0.5 * low],
+                                   d, f, delta)
+    assert all(np.all(traj.nodes < 0.0) for traj in trajs)
 
 
-def _poison_step(monkeypatch, pick, coefficients):
-    """Overwrite the last lane's quartic on the step ``pick(steps, sample spacing)``."""
-    solve = phaseplane.solve_ivp
+def _poison_node(monkeypatch, value):
+    """Set one interior node of the last lane to ``value`` once the lanes are resolved."""
+    resolved = phaseplane._resolved
 
-    def poisoning(*args, **kwargs):
-        sol = solve(*args, **kwargs)
-        spacing = (sol.t[-1] - sol.t[0]) / (phaseplane.TRAJECTORY_SAMPLES - 1)
-        step = pick(sol.t, spacing)
-        h = sol.t[step + 1] - sol.t[step]
-        sol.dense.c[:, step, -1] = coefficients(h, sol.dense.c[-1, step, -1])
-        return sol
+    def poisoning(w, n, opts):
+        done = resolved(w, n, opts)
+        w[-1, n // 2] = value
+        return done
 
-    monkeypatch.setattr(phaseplane, "solve_ivp", poisoning)
+    monkeypatch.setattr(phaseplane, "_resolved", poisoning)
 
 
 def _bump(h, p0):
@@ -886,32 +877,110 @@ def _bump(h, p0):
     return [A, -2.0 * h * A, h * h * A, 0.0, p0]
 
 
-def _widest(t, spacing):
-    return int(np.argmax(np.diff(t)))
-
-
-def _sample_free(t, spacing):
-    # a step narrower than the samples' spacing that holds none of them
-    q = np.linspace(t[0], t[-1], phaseplane.TRAJECTORY_SAMPLES)
-    holding = np.unique(np.searchsorted(t[1:-1], q, "right"))
-    free = np.setdiff1d(np.arange(len(t) - 1), holding)
-    assert free.size
-    return int(free[-1])
-
-
 @pytest.mark.parametrize("lanes", [1, 3])
 @pytest.mark.parametrize("coefficients", [
     _bump,
     lambda h, p0: [np.nan, 0.0, 0.0, 0.0, p0],  # only the leading coefficient
 ])
 def test_step_check_rejects_what_a_sample_reaches(monkeypatch, logistic1, lanes, coefficients):
-    _poison_step(monkeypatch, _widest, coefficients)
+    # a node at or above zero, or NaN, where NaN >= 0 is False too: the
+    # check must test w < 0 itself, and it names the lane's speed
+    _poison_node(monkeypatch, coefficients(1.0, -1.0)[0])
     cs = np.linspace(-0.9, -0.1, lanes)
     with pytest.raises(NumericalError, match=f"lower half plane at c={cs[-1]:g};"):
         integrate_trajectories(cs, 1.0, logistic1, 2.0)
 
 
-def test_step_check_passes_a_bump_no_sample_reaches(monkeypatch, logistic1):
-    # the verdict is the scan's: a step between two samples is not sampled
-    _poison_step(monkeypatch, _sample_free, _bump)
-    integrate_trajectories([-0.9, -0.5], 1.0, logistic1, 2.0)
+def test_step_check_passes_a_bump_no_sample_reaches(logistic1):
+    # the verdict is the nodes': nodes all below zero whose interpolant rises
+    # above zero between two of them pass the trajectory's check, and the
+    # profile's check on the log grid, which reads P between the nodes,
+    # rejects them
+    traj = integrate_trajectory(-0.5, 1.0, logistic1, 2.0)
+    n = traj.nodes.size - 1
+    traj.nodes = np.full(n + 1, -1.0)
+    traj.nodes[n // 2] = -1000.0
+    t = np.linspace(0.0, 1.0, 2001)
+    assert np.max(phaseplane._interpolation(n, t) @ traj.nodes) > 0.0
+    with pytest.raises(NumericalError, match="not negative on the quadrature range"):
+        reconstruct_profile(traj)
+
+
+# -- the collocation against the reference integrator --
+
+def _oracle_problems():
+    """Members of the property tests' family f = r*u*(xi - u)*(1 + a*u**2), and
+    the epsilon = 0.05 perturbation members of two drawn from speed_family's
+    ranges (xi in [1, 2]), each with its d and delta = xi*(1 + s), from a
+    fixed seed."""
+    rng = np.random.default_rng(11)
+    low, high = (0.5, 0.5, 0.0, 0.5, 0.05), (3.0, 2.0, 0.5, 2.0, 2.0)  # r, xi, a, d, s
+    rows = [(row, False) for row in rng.uniform(low, high, (3, 5)).tolist()]
+    rows += [(row, True) for row in rng.uniform((0.5, 1.0) + low[2:], high, (2, 5)).tolist()]
+    problems = []
+    for (r, xi, a, d, s), perturbed in rows:
+        f = parse_reaction("custom:" + ",".join(repr(c) for c in (r * xi, -r, r * a * xi, -r * a)))
+        pair = make_perturbation_pair(f, 0.05)
+        members = (pair.lower, pair.upper) if perturbed else (f,)
+        problems += [(g, d, xi * (1.0 + s)) for g in members]
+    return problems
+
+
+def _oracle_gaps(problems):
+    """The largest relative gaps, over the problems and c in {c0, c*, c_up, 0},
+    of P_c(delta) from the package and from ``reference_solve`` at rtol 1e-13;
+    of c* from the root, |r_ref(c*)|*d/xi against |c*|; and of the node at xi
+    from the saddle slope."""
+    gaps = {"P": 0.0, "c*": 0.0, "w(xi)": 0.0}
+    for f, d, delta in problems:
+        res = find_wave_speed(d, f, delta)
+        cs = [res.bracket[0], res.c_star, res.bracket[1], 0.0]
+        for c, traj in zip(cs, integrate_trajectories(cs, d, f, delta)):
+            p_ref = reference_solve(c, d, f, delta, 1e-13).y[0, -1]
+            gaps["P"] = max(gaps["P"], abs(traj.endpoint_slope - p_ref) / abs(p_ref))
+            w0 = saddle_slope(c, d, f)
+            gaps["w(xi)"] = max(gaps["w(xi)"], abs(traj.nodes[0] - w0) / abs(w0))
+        r_ref = reference_solve(res.c_star, d, f, delta, 1e-13).y[0, -1] - delta / d * res.c_star
+        gaps["c*"] = max(gaps["c*"], abs(r_ref) * d / f.stable_zero / abs(res.c_star))
+    return gaps
+
+
+ORACLE_BOUNDS = {"P": 1e-12, "c*": 1e-12, "w(xi)": 4.0 * U}
+
+
+def test_collocation_matches_the_reference_integrator(monkeypatch):
+    # measured: P 5.0e-14, c* 7.0e-14 and w(xi) 1 ulp.  w(xi) is the negative
+    # root of the saddle's quadratic, so the flat start led to the stable
+    # branch.  A drift of c*d in place of c/d in the collocation equations,
+    # planted below, fails the same comparison (measured: P 0.11 at d = 0.54)
+    problems = _oracle_problems()
+    gaps = _oracle_gaps(problems)
+    assert all(gaps[key] <= bound for key, bound in ORACLE_BOUNDS.items()), gaps
+    equations = phaseplane._equations
+    monkeypatch.setattr(phaseplane, "_equations",
+                        lambda w, c, d, *grid: equations(w, c * d * d, d, *grid))
+    planted = _oracle_gaps(problems[:1])
+    assert planted["P"] > 1e3 * ORACLE_BOUNDS["P"], planted
+
+
+def test_collocation_at_twice_the_degree_agrees(monkeypatch):
+    # P_c(delta) for c in {c0, c*, c_up, 0} and c* itself, solved from degree
+    # N_START and from 2*N_START: measured gaps of at most 1.1e-15 of max |P|
+    # and 6.4e-16 of |c*|
+    problems = _oracle_problems()
+
+    def solves():
+        out = []
+        for f, d, delta in problems:
+            res = find_wave_speed(d, f, delta)
+            cs = [res.bracket[0], res.c_star, res.bracket[1], 0.0]
+            trajs = integrate_trajectories(cs, d, f, delta)
+            out.append((res.c_star, [t.endpoint_slope for t in trajs], trajs[0].nodes.size))
+        return out
+
+    coarse = solves()
+    monkeypatch.setattr(phaseplane, "N_START", 2 * phaseplane.N_START)
+    for (c, p, size), (c2, p2, size2) in zip(coarse, solves()):
+        assert size2 - 1 >= 2 * (size - 1)
+        assert abs(c - c2) <= 1e-14 * abs(c2)
+        assert np.max(np.abs(np.subtract(p, p2))) <= 1e-13 * np.max(np.abs(p2))

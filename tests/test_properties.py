@@ -45,7 +45,7 @@ def test_speed_selection_holds_across_monostable_family(r, xi, a, d, s):
 
     res = find_wave_speed(d, f, delta)
     assert abs(res.residual) <= 1e-10
-    assert res.function_calls == res.iterations + 1  # the start c_s and one speed per step
+    assert res.function_calls == 2  # the start c_s and one speed solve
     # the proven ends c0 = bracket_low and c_up = c0*xi/delta, with r < 0 on
     # [c_up, 0], hold c* and the start c_s
     c_low, c_up = res.bracket

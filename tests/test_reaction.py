@@ -129,8 +129,8 @@ def test_pair_generic_family_on_polynomial_base():
 @pytest.mark.parametrize("base", [make_logistic(1.0), make_polynomial((1.0, -1.0))],
                          ids=["logistic", "polynomial"])
 def test_pair_members_take_python_floats(base):
-    # a float stays a Python float through the member, as the one-lane
-    # integration's right-hand side calls it, and agrees with the array value
+    # a float stays a Python float through the member, as the reference
+    # integrator's right-hand side calls it, and agrees with the array value
     pair = make_perturbation_pair(base, 0.05)
     u = np.linspace(0.05, 3.0, 60)
     for member in (pair.lower, pair.upper):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from retreatwave import phaseplane
+from retreatwave import wavespeed
 from retreatwave import (
     FrontFixedState,
     Grid1D,
@@ -169,13 +169,13 @@ def test_audit_coarse_agrees_with_fine(logistic1, speed_ref):
 
 def test_audit_is_one_integration(logistic1, monkeypatch):
     lanes = []
-    solve_ivp = phaseplane.solve_ivp
+    solve = wavespeed.integrate_trajectories
 
-    def counted(fun, t_span, y0, **kwargs):
-        lanes.append(len(y0))
-        return solve_ivp(fun, t_span, y0, **kwargs)
+    def counted(cs, *args, **kwargs):
+        lanes.append(len(cs))
+        return solve(cs, *args, **kwargs)
 
-    monkeypatch.setattr(phaseplane, "solve_ivp", counted)
+    monkeypatch.setattr(wavespeed, "integrate_trajectories", counted)
     audit = residual_monotonicity_audit(1, logistic1, 2, 50)
     # bracket_low is closed form, so all 50 speeds are one batch
     assert lanes == [50]

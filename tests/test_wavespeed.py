@@ -26,6 +26,8 @@ from retreatwave import (
     residual_slope,
     slope_residual,
 )
+from retreatwave.phaseplane import solve_wave_speed
+from retreatwave.wavespeed import DEFAULT_TOL
 
 # Reference values from an independent fixed-step RK4 + bisection shooting
 # run (25k-100k steps agree to ~4e-12).
@@ -124,42 +126,47 @@ SEARCH_PROBLEMS = [
 
 
 @pytest.mark.parametrize(
-    "d, coeffs, delta, tol, calls",
+    "d, coeffs, delta, tol, steps",
     [
-        # the start c_s, the steps to |r| <= tol and the one step beyond
-        (*SEARCH_PROBLEMS[0], 4),
-        (*SEARCH_PROBLEMS[1], 4),
-        # r' grows twelvefold from bracket_low to 0: more steps; tol 1e-12 is at
-        # the noise floor here too, so the count follows the last bits of P(delta)
-        (*SEARCH_PROBLEMS[2], 6),
-        # at the noise floor: the noise of r (about 5e-10 here) exceeds tol, so
-        # whether a step lands below tol, and the count, follows the last bits of P(delta)
-        (*SEARCH_PROBLEMS[3], 4),
+        # one start solve at c_s and one speed solve, of these Newton steps
+        (*SEARCH_PROBLEMS[0], 3),
+        (*SEARCH_PROBLEMS[1], 3),
+        # tol 1e-12 lies below the residual's rounding floor here (1.1e-12):
+        # the search ends after its two solves with an error naming the floor
+        (*SEARCH_PROBLEMS[2], None),
+        # the floor (6.2e-13 here) lies far below tol
+        (*SEARCH_PROBLEMS[3], 3),
     ],
     ids=["logistic", "xi-0.7", "d-0.05", "noise-floor"],  # a re-pinned count keeps its id
 )
-def test_find_wave_speed_integrates_each_speed_once(monkeypatch, d, coeffs, delta, tol, calls):
-    speeds = []
+def test_find_wave_speed_integrates_each_speed_once(monkeypatch, d, coeffs, delta, tol, steps):
+    speeds, solves, profiles = [], [], []
 
     def counting(c, *args, **kwargs):
         speeds.append(float(c))
         return integrate_trajectory(c, *args, **kwargs)
 
-    profiles = []
+    def solving(start, *args, **kwargs):
+        solves.append(solve_wave_speed(start, *args, **kwargs))
+        return solves[-1]
+
     monkeypatch.setattr(wavespeed, "integrate_trajectory", counting)
+    monkeypatch.setattr(wavespeed, "solve_wave_speed", solving)
     monkeypatch.setattr(wavespeed, "reconstruct_profile", profiles.append)
     f = make_polynomial(coeffs)
-    res = find_wave_speed(d, f, delta, tol)
-    assert len(speeds) == res.function_calls == calls
+    xi = f.stable_zero
+    c_low = bracket_low(d, f, delta)
+    if steps is None:
+        with pytest.raises(NumericalError, match="lies below the reachable floor"):
+            find_wave_speed(d, f, delta, tol)
+    else:
+        res = find_wave_speed(d, f, delta, tol)
+        assert (res.function_calls, res.iterations) == (2, steps)
+        assert res.residual <= tol and res.bracket == (c_low, c_low * xi / delta)
+        assert res.trajectory is solves[0][0]
     assert profiles == []  # the profile is built only when read
-    assert len(set(speeds)) == len(speeds)
-    assert res.residual <= tol
-    assert res.iterations == calls - 1
     # the start c_s = 2*d*P0(delta)/(xi + delta), never a proven end or 0
-    c_low, c_up = res.bracket
-    assert c_up == c_low * f.stable_zero / delta
-    assert speeds[0] == 2.0 * c_low * f.stable_zero / (f.stable_zero + delta)
-    assert not {c_low, c_up, 0.0} & set(speeds)
+    assert speeds == [2.0 * c_low * xi / (xi + delta)] and len(solves) == 1
 
 
 def test_speed_result_builds_its_profile_once(monkeypatch, logistic1):
@@ -175,11 +182,13 @@ def test_speed_result_builds_its_profile_once(monkeypatch, logistic1):
     assert built == [res.trajectory]
 
 
-@pytest.mark.parametrize("d, coeffs, delta, tol", SEARCH_PROBLEMS)
-def test_residual_slope_matches_central_difference(d, coeffs, delta, tol):
+@pytest.mark.parametrize("d, coeffs, delta, _tol", SEARCH_PROBLEMS)
+def test_residual_slope_matches_central_difference(d, coeffs, delta, _tol):
+    # r'(c) at the proven lower end, at c* (searched at the default tol, which
+    # every problem here can reach) and at 0
     f = make_polynomial(coeffs)
     tight = IntegrationOptions(rtol=1e-12, atol=1e-14)
-    for c in (bracket_low(d, f, delta), find_wave_speed(d, f, delta, tol).c_star, 0.0):
+    for c in (bracket_low(d, f, delta), find_wave_speed(d, f, delta).c_star, 0.0):
         h = 1e-5 * max(1.0, abs(c))
         r_plus = integrate_trajectory(c + h, d, f, delta, tight).residual
         r_minus = integrate_trajectory(c - h, d, f, delta, tight).residual
@@ -189,29 +198,25 @@ def test_residual_slope_matches_central_difference(d, coeffs, delta, tol):
 
 
 def test_find_wave_speed_stops_at_the_noise_floor(monkeypatch):
-    # tol lies below the integration noise of r at this scale: the search
-    # must end with an error, each speed integrated once, that names the
-    # smallest |r| of all its integrations (measured: the 14th of 19, not
-    # one of the last two)
-    trajs = []
-
-    def recording(c, *args, **kwargs):
-        trajs.append(integrate_trajectory(c, *args, **kwargs))
-        return trajs[-1]
-
-    monkeypatch.setattr(wavespeed, "integrate_trajectory", recording)
-    with pytest.raises(NumericalError, match="did not reach tol") as failure:
-        find_wave_speed(1.0, make_polynomial((100.0, -1.0)), 150.0, tol=1e-12)
-    speeds = [traj.c for traj in trajs]
-    assert len(set(speeds)) == len(speeds) <= 2 + wavespeed.MAX_SEARCH_STEPS
-    best = min(trajs, key=lambda traj: abs(traj.residual))
-    assert f"residual {abs(best.residual):.3e} at c={best.c!r} " in str(failure.value)
+    # at tol 1e-12 the residual's rounding floor, 4*eps*|delta*c/d| = 6.2e-13
+    # here, lies below tol: the search reaches it.  c* agrees with the solve
+    # at twice the degree and lies inside the proven ends, above item 12's
+    # c_G = -sqrt(d*G(delta)/xi), G = (delta**2 - xi**2)/2 for f = u*(xi - u)
+    f, d, delta, xi = make_polynomial((100.0, -1.0)), 1.0, 150.0, 100.0
+    res = find_wave_speed(d, f, delta, tol=1e-12)
+    monkeypatch.setattr(phaseplane, "N_START", 2 * phaseplane.N_START)
+    fine = find_wave_speed(d, f, delta, tol=1e-12)
+    assert res.residual <= 1e-12 and fine.residual <= 1e-12
+    assert fine.trajectory.nodes.size - 1 == 2 * (res.trajectory.nodes.size - 1)
+    assert abs(res.c_star - fine.c_star) <= 1e-13 * abs(fine.c_star)
+    c_g = -math.sqrt(d * (delta**2 - xi**2) / 2.0 / xi)
+    assert max(c_g, res.bracket[0]) < res.c_star < res.bracket[1]
 
 
 def test_speed_search_and_sequences_never_call_the_ode_solution(monkeypatch, logistic1):
-    # every integration is phaseplane's own RK45 and every read of P goes
-    # through the trajectory's piecewise polynomial: scipy's solve_ivp, which
-    # starts one of its OdeSolver classes, and OdeSolution are never reached
+    # every solve is phaseplane's own collocation and every read of P
+    # interpolates the trajectory's nodes: scipy's solve_ivp, which starts
+    # one of its OdeSolver classes, and OdeSolution are never reached
     from scipy.integrate import OdeSolution, OdeSolver
 
     calls = []
@@ -325,7 +330,7 @@ TIGHT = IntegrationOptions(rtol=1e-12, atol=1e-14)
 
 
 def _counting(monkeypatch):
-    """Record the speed of every integration wavespeed starts."""
+    """Record the speed of every fixed-speed solve wavespeed starts."""
     speeds = []
 
     def counting(c, *args, **kwargs):
@@ -365,14 +370,17 @@ def test_sweep_dc_ddelta_matches_central_difference(spec, d):
 
 
 def _assert_agrees_with_cold(res, d, f):
-    # |r'| > xi/d, so each speed lies within |r(c)|*d/xi of c*.  The results'
-    # own residuals carry the integration error, which on a wider family
-    # exceeded them by up to 128 times, so |r| is read from an rtol 1e-12
-    # integration of each speed
+    # |r'| > xi/d, so each speed lies within |r(c)|*d/xi of c*.  |r| is read
+    # from an rtol 1e-12 solve of each speed, and each read carries the
+    # rounding of P(delta) - delta*c/d, at most its floor
+    # FLOOR_ULPS*eps*max(|P(delta)|, |delta*c/d|), which is where the
+    # residuals of collocation searches sit
     cold = find_wave_speed(d, f, res.delta)
     r_warm, r_cold = (
-        abs(integrate_trajectory(c, d, f, res.delta, TIGHT).residual)
-        for c in (res.c_star, cold.c_star)
+        abs(traj.residual) + wavespeed.FLOOR_ULPS * np.finfo(float).eps
+        * max(abs(traj.endpoint_slope), abs(traj.delta / d * traj.c))
+        for traj in (integrate_trajectory(c, d, f, res.delta, TIGHT)
+                     for c in (res.c_star, cold.c_star))
     )
     assert abs(res.c_star - cold.c_star) <= (r_warm + r_cold) * d / f.stable_zero
 
@@ -394,24 +402,24 @@ def test_warm_rows_and_members_agree_with_cold_searches(spec, d):
 
 
 def test_sweep_and_perturbed_pair_integration_counts(monkeypatch, logistic1):
-    # from c_s, these rows take 3, 4, 4, 5, 5 and 5 integrations (26) and the
-    # members 5 each; from the tangent guess, every row after the first is
-    # its guess and three Newton steps
+    # every search solves its start once and then c* once: the first row
+    # starts at c_s, every later row at its tangent guess, which leaves the
+    # speed solve fewer Newton steps, and each member at the base c*
     speeds = _counting(monkeypatch)
     table = density_sweep(1.0, logistic1, [1.1, 1.5, 2.0, 2.5, 3.0, 4.0])
-    assert [res.function_calls for res in table.results] == [3, 4, 4, 4, 4, 4]
+    assert [res.function_calls for res in table.results] == [2, 2, 2, 2, 2, 2]
     assert [res.iterations for res in table.results] == [2, 3, 3, 3, 3, 3]
-    assert len(speeds) == 23
+    assert len(speeds) == 6
     speeds.clear()
     ps = perturbed_wave_speeds(1.0, logistic1, 2.0, 0.05, c_star_base=C_STAR_REF)
-    assert (ps.lower.function_calls, ps.upper.function_calls) == (4, 4)
-    assert len(speeds) == 8 and speeds[0] == speeds[4] == C_STAR_REF  # each starts at the base
+    assert (ps.lower.function_calls, ps.upper.function_calls) == (2, 2)
+    assert speeds == [C_STAR_REF, C_STAR_REF]  # each starts at the base
 
 
 @pytest.mark.parametrize("spec, d", CONTINUATION_REACTIONS)
 def test_sweep_and_pair_never_integrate_bracket_low(monkeypatch, spec, d):
-    # each search integrates its start and one speed per step, and neither
-    # proven end nor 0
+    # each search solves its start and then c*, and solves neither proven
+    # end nor 0
     f = parse_reaction(spec)
     xi = f.stable_zero
     speeds = _counting(monkeypatch)
@@ -419,8 +427,8 @@ def test_sweep_and_pair_never_integrate_bracket_low(monkeypatch, spec, d):
     ps = perturbed_wave_speeds(d, f, table.results[3].delta, 0.05,
                                c_star_base=table.results[3].c_star)
     for res in table.results + [ps.lower, ps.upper]:
-        made, speeds = speeds[:res.function_calls], speeds[res.function_calls:]
-        assert res.function_calls == res.iterations + 1
+        made, speeds = speeds[:1], speeds[1:]
+        assert res.function_calls == 2
         assert not {*res.bracket, 0.0} & set(made)
     assert speeds == []
 
@@ -430,21 +438,22 @@ def test_sweep_and_pair_never_integrate_bracket_low(monkeypatch, spec, d):
 def test_speed_whose_residual_puts_c_star_past_a_proven_end_raises(monkeypatch, logistic1,
                                                                    wrong, residual):
     # since -delta/d < r' < -xi/d, c* lies beyond c + r(c)*d/delta; a stand-in
-    # residual of -1 puts it below c0 and one of +1 above c_up, at the start
-    # (wrong = 0) or at the first step (wrong = 1): the search raises at
-    # once, with no further integration
+    # residual of -1 puts it below c0 and one of +1 above c_up.  With no guess
+    # (wrong = 0) the start is c_s; with a guess (wrong = 1) the guess's start
+    # fails the check and is retried from c_s, which fails it too.  Each
+    # search raises at once, with no speed solve
     speeds = []
 
     def standing_in(c, *args, **kwargs):
         speeds.append(c)
         traj = integrate_trajectory(c, *args, **kwargs)
-        if len(speeds) == wrong + 1:
-            traj.endpoint_slope += residual - traj.residual
+        traj.endpoint_slope += residual - traj.residual
         return traj
 
     monkeypatch.setattr(wavespeed, "integrate_trajectory", standing_in)
+    monkeypatch.setattr(wavespeed, "solve_wave_speed", None)
     with pytest.raises(BracketError, match="bracket sign check failed"):
-        find_wave_speed(1.0, logistic1, 2.0)
+        find_wave_speed(1.0, logistic1, 2.0, guess=-0.9 if wrong else None)
     assert len(speeds) == wrong + 1
 
 
@@ -468,11 +477,11 @@ def test_overflowing_saddle_slope_raises_before_any_quadrature():
 
 
 def test_failed_search_integrates_no_proven_end(monkeypatch, logistic1):
-    # with no step allowed both searches end above tol: the guess and the
-    # retry from c_s are integrated, and neither c0, c_up nor 0
+    # with no step allowed both speed solves fail: the guess and the retry
+    # from c_s are solved, and neither c0, c_up nor 0
     monkeypatch.setattr(wavespeed, "MAX_SEARCH_STEPS", 0)
     speeds = _counting(monkeypatch)
-    with pytest.raises(NumericalError, match="did not reach tol"):
+    with pytest.raises(NumericalError, match="did not converge in 0 Newton steps"):
         find_wave_speed(1.0, logistic1, 2.0, guess=-0.9)
     c_low = bracket_low(1.0, logistic1, 2.0)
     assert speeds == [-0.9, 2.0 * c_low / 3.0]
@@ -502,24 +511,31 @@ def test_guesses_near_the_proven_ends_pass_the_proof_check(monkeypatch, spec, d)
     for guess in (c_low * (1.0 - 1e-6), c_low * f.stable_zero / delta * (1.0 - 1e-6), -1e-6):
         speeds.clear()
         res = find_wave_speed(d, f, delta, guess=guess)
-        assert speeds[0] == guess and res.function_calls == res.iterations + 1  # no retry
+        assert speeds == [guess] and res.function_calls == 2  # no retry
 
 
 def test_guess_above_c_up_bisects_inside_the_proven_ends(monkeypatch, logistic1):
-    # a stand-in r' of -1e-9 sends every Newton step out of the pair: the
-    # first step from a guess in (c_up, 0) bisects (c0, c_up), not (c0, guess)
-    monkeypatch.setattr(wavespeed, "residual_slope", lambda traj, f: -1e-9)
+    # a guess in (c_up, 0) has r < 0, and c_up is the tighter upper end: the
+    # speed solve runs inside (c0, c_up), not (c0, guess), and with one step
+    # allowed fails there
+    bounds = []
+
+    def solving(start, f, ends, *args):
+        bounds.append(ends)
+        return solve_wave_speed(start, f, ends, *args)
+
+    monkeypatch.setattr(wavespeed, "solve_wave_speed", solving)
     monkeypatch.setattr(wavespeed, "MAX_SEARCH_STEPS", 1)
     speeds = _counting(monkeypatch)
-    with pytest.raises(NumericalError, match="did not reach tol"):
+    with pytest.raises(NumericalError, match="did not converge in 1 Newton steps"):
         find_wave_speed(1.0, logistic1, 2.0, guess=-0.1)
     c_low = bracket_low(1.0, logistic1, 2.0)
-    assert speeds[:2] == [-0.1, 0.5 * (c_low + c_low / 2.0)]
+    assert speeds[0] == -0.1 and bounds[0] == (c_low, c_low / 2.0)
 
 
 def test_failed_warm_search_falls_back_to_cold(monkeypatch, logistic1):
-    # the integration of the guess fails: the cold search runs, and the call
-    # counts that integration too
+    # the solve of the guess fails: the cold search runs, and the call counts
+    # that solve too
     cold = find_wave_speed(1.0, logistic1, 2.0)
     guess = -0.9
 
@@ -672,45 +688,61 @@ def test_sequence_iterate_is_one_integration_and_one_profile(monkeypatch, logist
     monkeypatch.setattr(wavespeed, "reconstruct_profile", counting_reconstruct)
     upper, lower = bracketing_sequences(1.0, logistic1, 2.0, M=10, n_max=30, reference=reference)
     iterates = len(upper.c_list) + len(lower.c_list)
-    assert speeds == upper.c_list + lower.c_list
+    # the two starts are solved together, as two lanes of one batch
+    assert speeds == upper.c_list[1:] + lower.c_list[1:]
     # the reference's profile, read once for the sup gaps, is the one extra build
     assert len(built) == iterates + 1
-    # a profile rebuilt from its speed is the one the sequence built
-    for c, prof in zip(speeds, built[1:]):
+    # a profile rebuilt from its speed is the one the sequence built, the
+    # starts' too: a lane's solve does not depend on its batch
+    for c, prof in zip(upper.c_list + lower.c_list, built[1:]):
         rebuilt = reconstruct_profile(integrate_trajectory(c, 1.0, logistic1, 2.0))
         assert np.array_equal(rebuilt.q_at(wavespeed.SUP_GRID), prof.q_at(wavespeed.SUP_GRID))
 
 
 def test_sequences_reach_the_names_the_benchmark_wraps(monkeypatch, logistic1):
-    # perfbench counts integration work through phaseplane.solve_ivp (nfev)
-    # and times iterates by wavespeed.reconstruct_profile; a fast path that
-    # went round either name would leave those figures empty
+    # perfbench times iterates by wavespeed.reconstruct_profile and traces
+    # solves through wavespeed.integrate_trajectory; a fast path that went
+    # round either name would leave those figures empty.  Its nfev counter
+    # wraps phaseplane.solve_ivp, which the package, solving by collocation,
+    # never calls
     reference = find_wave_speed(1.0, logistic1, 2.0)
     reference.profile  # built here, so the sequences build only their own
-    solves, built = [], []
-    solve_ivp = phaseplane.solve_ivp
+    solved, built = [], []
 
-    def counting_solve(fun, t_span, y0, **kwargs):
-        calls = []
+    def never(*args, **kwargs):
+        raise AssertionError("the package called the reference integrator")
 
-        def counted(q, p):
-            calls.append(q)
-            return fun(q, p)
-
-        sol = solve_ivp(counted, t_span, y0, **kwargs)
-        solves.append((sol.nfev, len(calls)))
-        return sol
+    def counting_integrate(c, *args, **kwargs):
+        solved.append(c)
+        return integrate_trajectory(c, *args, **kwargs)
 
     def counting_reconstruct(traj):
         built.append(traj.c)
         return reconstruct_profile(traj)
 
-    monkeypatch.setattr(phaseplane, "solve_ivp", counting_solve)
+    monkeypatch.setattr(phaseplane, "solve_ivp", never)
+    monkeypatch.setattr(wavespeed, "integrate_trajectory", counting_integrate)
     monkeypatch.setattr(wavespeed, "reconstruct_profile", counting_reconstruct)
     n_max = 3
     bracketing_sequences(1.0, logistic1, 2.0, M=10, n_max=n_max, reference=reference)
-    assert len(solves) == len(built) == 2 * (n_max + 1)
-    assert all(nfev == calls > 2 for nfev, calls in solves)
+    assert len(built) == 2 * (n_max + 1) and len(solved) == 2 * n_max
+
+
+def test_hopeless_lower_start_fails_before_either_sequence_runs(monkeypatch, tmp_path):
+    # the lower start c* - 1e-8 would need M of about 1.4e8, past 1e5: the
+    # CLI exits 2 after at most two solves, the search's start and the two
+    # sequence starts, which are one batch, with no iterate of either sequence
+    from click.testing import CliRunner
+
+    from retreatwave.cli import main
+
+    c_star = find_wave_speed(1.0, parse_reaction("logistic"), 2.0).c_star
+    speeds = _counting(monkeypatch)
+    res = CliRunner().invoke(main, ["sequences", "--delta", "2", "--c-lower0", repr(c_star - 1e-8),
+                                    "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert "auto-escalation exceeded M=1e5 for the lower sequence" in res.output
+    assert len(speeds) <= 2
 
 
 def test_sequences_escalate_m_near_the_root(logistic1, speed_ref):
@@ -769,3 +801,47 @@ def test_speed_result_json_fields(speed_ref):
         "tail_rate",
     ):
         assert key in payload
+
+
+@pytest.mark.parametrize("delta", [2.0, 20.0])
+def test_batch_lanes_equal_single_solves(logistic1, delta):
+    # 50 speeds as one batch and each alone give the same residual, bit for
+    # bit: every lane does its own arithmetic and stops on its own
+    cs = np.linspace(bracket_low(1.0, logistic1, delta), 0.0, 50)
+    lanes = slope_residual(cs, 1.0, logistic1, delta)
+    assert lanes.tolist() == [slope_residual(c, 1.0, logistic1, delta) for c in cs]
+
+
+# item 5's cases at large scale, each f = u*(xi - u), so G = (delta**2 - xi**2)/2
+@pytest.mark.parametrize("spec, delta, floor", [
+    ("logistic", 10000.0, True),  # floor 6.3e-8
+    ("custom:0.7,-1", 1000.0, True),  # floor 7.5e-10
+    ("custom:9000,-1", 9450.0, False),  # floor 3.9e-11
+])
+def test_large_scale_search_resolves_or_names_its_floor(monkeypatch, spec, delta, floor):
+    # at the default tol 1e-10 a search either reaches it, with c* agreeing
+    # with the solve at twice the degree and above item 12's c_G =
+    # -sqrt(d*G(delta)/xi), or raises at once with the reachable floor
+    # 4*eps*max(|P(delta)|, |delta*c/d|) in its message; it never stalls:
+    # measured at most 10 Newton steps of the speed solve
+    f = parse_reaction(spec)
+    xi = f.stable_zero
+    steps = []
+
+    def solving(*args):
+        traj, n = solve_wave_speed(*args)
+        steps.append(n)
+        return traj, n
+
+    monkeypatch.setattr(wavespeed, "solve_wave_speed", solving)
+    if floor:
+        with pytest.raises(NumericalError, match="lies below the reachable floor") as failure:
+            find_wave_speed(1.0, f, delta)
+        assert float(str(failure.value).split("floor ")[1].split(" ")[0]) > DEFAULT_TOL
+    else:
+        res = find_wave_speed(1.0, f, delta)
+        monkeypatch.setattr(phaseplane, "N_START", 2 * phaseplane.N_START)
+        fine = find_wave_speed(1.0, f, delta)
+        assert abs(res.c_star - fine.c_star) <= 1e-13 * abs(fine.c_star)
+        assert -math.sqrt((delta**2 - xi**2) / 2.0 / xi) < res.c_star < res.bracket[1]
+    assert steps and max(steps) <= 12
