@@ -98,8 +98,8 @@ def make_logistic(r: float) -> ReactionFunction:
 def make_polynomial(coeffs: tuple[float, ...]) -> ReactionFunction:
     """Reaction f(u) = c1*u + c2*u**2 + ... with no constant term.
 
-    The stable zero is located by a dense sign scan on (0, 20] continued
-    geometrically to the Cauchy root bound, so with a negative leading
+    The stable zero is located by a sign scan on (0, 20], dense above 0.005,
+    continued geometrically to the Cauchy root bound, so with a negative leading
     coefficient f is negative on all of (stable_zero, inf).  The result is
     validated for monostability; an inadmissible polynomial is rejected.
     """
@@ -152,13 +152,15 @@ def _horner(coef) -> Callable:
 def _locate_stable_zero(fn: Callable, hi: float, tail_to: float = 0.0) -> float:
     """Find the positive zero where fn changes sign from + to -.
 
-    Scans a dense grid on (0, hi], and a geometric one on (hi, tail_to], for
-    down-crossings and requires exactly one.  Its cell is bisected, keeping
-    fn > 0 at the lower end and fn <= 0 at the upper, until the midpoint
-    rounds to an end: the ends are then adjacent doubles, at any scale, and
-    the one with the smaller |fn| is returned, the lower on a tie.
+    Scans a dense grid on (0, hi], led by a geometric one down to 1e-12 of
+    its first point for a zero below that point, and a geometric one on
+    (hi, tail_to], for down-crossings and requires exactly one.  Its cell is
+    bisected, keeping fn > 0 at the lower end and fn <= 0 at the upper, until
+    the midpoint rounds to an end: the ends are then adjacent doubles, at any
+    scale, and the one with the smaller |fn| is returned, the lower on a tie.
     """
     grid = np.linspace(0.0, hi, 4001)[1:]
+    grid = np.concatenate((np.geomspace(1e-12 * grid[0], grid[0], 241)[:-1], grid))
     if tail_to > hi:
         grid = np.concatenate((grid, np.geomspace(hi, tail_to, 4001)[1:]))
     # tail_to reaches 1e200 for a tiny leading coefficient; overflow keeps the sign

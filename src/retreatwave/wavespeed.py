@@ -158,7 +158,8 @@ class SequenceRun:
     profile from the reference profile on a shared grid.  No profile is
     kept: profile j is
     ``reconstruct_profile(integrate_trajectory(c_list[j], d, f, delta))``,
-    bit-identical to the one the sequence built.
+    bit-identical to the one the sequence built as a lane of a two-lane
+    solve, so every list is that of the direction run on its own.
     """
 
     direction: str
@@ -409,11 +410,15 @@ def bracketing_sequences(
 
     Returns (upper, lower).  The upper sequence starts at c_upper_0 in
     (c*, 0], decreases strictly and stays above c*; the lower mirrors it from
-    below.  Each iterate is one solve and one profile; the two starts are
-    solved together, and M is doubled for a sequence whose first step would
-    break its ordering, up to M = 1e5, before either sequence runs.  Each
-    sequence runs exactly n_max steps: the forcing term 1/(M+n) makes
-    convergence asymptotic, so no step size marks it.
+    below.  M is doubled for a sequence whose first step would break its
+    ordering, up to M = 1e5, before either sequence runs.  The two sequences
+    then step in lockstep: each n is one two-lane solve of (upper c_n,
+    lower c_n) and one profile per lane, and a lane is bit for bit its
+    speed's solve alone.  Each sequence runs exactly n_max steps: the
+    forcing term 1/(M+n) makes convergence asymptotic, so no step size
+    marks it.  The first iterate that breaks its ordering raises
+    SequenceOrderingError naming its direction and n; where both break at
+    the same n, the upper one is named.
     """
     if M <= 0 or n_max <= 0:
         raise InputError("M and n_max must be positive")
@@ -437,29 +442,27 @@ def bracketing_sequences(
     # exceed 1/M, which is exactly sign*(-d/delta)*residual(c0)
     Ms = [_escalate_m(M, sign * (t.c - (d / delta) * t.endpoint_slope), name)
           for (sign, name), t in zip(directions, starts)]
-    runs = []
-    for (sign, name), traj, M_dir in zip(directions, starts, Ms):
-        c = traj.c
-        c_list: list[float] = []
-        slope_list: list[float] = []
-        sup_gaps: list[float] = []
-        for n in range(n_max + 1):
-            if n:
-                traj = integrate_trajectory(c, d, f, delta)
-            c_list.append(c)
-            slope_list.append(float(traj.endpoint_slope))
+    runs = [SequenceRun(name, M_dir, [], [], []) for (_, name), M_dir in zip(directions, Ms)]
+    cs = [t.c for t in starts]
+    trajs = starts
+    for n in range(n_max + 1):
+        if n:
+            trajs = integrate_trajectories(cs, d, f, delta)
+        for i, ((sign, name), run, traj) in enumerate(zip(directions, runs, trajs)):
+            run.c_list.append(cs[i])
+            run.slope_list.append(float(traj.endpoint_slope))
             q = reconstruct_profile(traj).q_at(SUP_GRID)
-            sup_gaps.append(float(np.max(np.abs(q - q_ref))))
+            run.sup_gaps.append(float(np.max(np.abs(q - q_ref))))
             if n == n_max:
-                break
-            c = float((d / delta) * slope_list[n] + sign / (M_dir + n))
-            monotone = c < c_list[n] if sign > 0 else c > c_list[n]
+                continue
+            c = float((d / delta) * run.slope_list[n] + sign / (run.M + n))
+            monotone = c < cs[i] if sign > 0 else c > cs[i]
             sandwich = c > c_star if sign > 0 else c < c_star
             if not (monotone and sandwich):
                 raise SequenceOrderingError(
                     f"{name} sequence broke ordering at n={n}: "
-                    f"c_n={c_list[n]!r}, c_next={c!r}, c*={c_star!r}, M={M_dir}"
+                    f"c_n={cs[i]!r}, c_next={c!r}, c*={c_star!r}, M={run.M}"
                 )
-        runs.append(SequenceRun(name, M_dir, c_list, slope_list, sup_gaps))
+            cs[i] = c
     upper, lower = runs
     return upper, lower

@@ -7,12 +7,14 @@ from retreatwave import (
     InputError,
     PerturbationError,
     ReactionFunction,
+    find_wave_speed,
     make_logistic,
     make_perturbation_pair,
     make_polynomial,
     parse_reaction,
     validate_monostable,
 )
+from retreatwave.wavespeed import DEFAULT_TOL
 
 
 def test_logistic_values():
@@ -166,6 +168,17 @@ def test_stable_zero_beyond_the_absolute_tolerance():
     # the spacing of doubles near 10000 exceeds the bisection tolerance 1e-12
     xi = make_polynomial((10000.0, -1.0)).stable_zero
     assert abs(xi - 10000.0) <= np.spacing(10000.0)
+
+
+@pytest.mark.parametrize("xi", [0.001, 1e-6])
+def test_stable_zero_below_the_first_dense_scan_point(xi):
+    # the dense scan starts at 20/4000 = 0.005; the geometric scan below it
+    # finds these zeros, and the reaction passes the validator and has a speed
+    f = parse_reaction(f"custom:{xi!r},-1")
+    _assert_nearer_of_adjacent_doubles(f)
+    assert validate_monostable(f).ok
+    res = find_wave_speed(1.0, f, 2.0 * xi)
+    assert res.bracket[0] < res.c_star < res.bracket[1] and res.residual <= DEFAULT_TOL
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,11 +12,13 @@ from retreatwave import (
     IntegrationOptions,
     NumericalError,
     ReactionFunction,
+    SequenceOrderingError,
     bracket_low,
     bracketing_sequences,
     closed_form_zero_speed,
     density_sweep,
     find_wave_speed,
+    integrate_trajectories,
     integrate_trajectory,
     make_perturbation_pair,
     make_polynomial,
@@ -671,61 +674,162 @@ def test_sequences_profile_gaps_decreasing(logistic1, speed_ref):
         assert len(gaps) == len(run.c_list) > 3
 
 
+def _counting_lanes(monkeypatch):
+    """Record the speeds of every batch wavespeed solves; a one-lane solve fails."""
+    batches = []
+
+    def counting(cs, *args, **kwargs):
+        batches.append([float(c) for c in cs])
+        return integrate_trajectories(cs, *args, **kwargs)
+
+    def one_lane(*args, **kwargs):
+        raise AssertionError("a sequence iterate was solved alone")
+
+    monkeypatch.setattr(wavespeed, "integrate_trajectories", counting)
+    monkeypatch.setattr(wavespeed, "integrate_trajectory", one_lane)
+    return batches
+
+
 def test_sequence_iterate_is_one_integration_and_one_profile(monkeypatch, logistic1):
     # a fresh reference: a shared one may have built and kept its profile already
     reference = find_wave_speed(1.0, logistic1, 2.0)
-    speeds, built = [], []
-
-    def counting_integrate(c, *args, **kwargs):
-        speeds.append(c)
-        return integrate_trajectory(c, *args, **kwargs)
+    built = []
 
     def counting_reconstruct(traj):
         built.append(reconstruct_profile(traj))
         return built[-1]
 
-    monkeypatch.setattr(wavespeed, "integrate_trajectory", counting_integrate)
+    batches = _counting_lanes(monkeypatch)
     monkeypatch.setattr(wavespeed, "reconstruct_profile", counting_reconstruct)
     upper, lower = bracketing_sequences(1.0, logistic1, 2.0, M=10, n_max=30, reference=reference)
     iterates = len(upper.c_list) + len(lower.c_list)
-    # the two starts are solved together, as two lanes of one batch
-    assert speeds == upper.c_list[1:] + lower.c_list[1:]
+    # the starts are one batch and each step n one more: lanes (upper c_n, lower c_n)
+    pairs = [list(pair) for pair in zip(upper.c_list, lower.c_list)]
+    assert batches == pairs and len(batches) == 31
     # the reference's profile, read once for the sup gaps, is the one extra build
     assert len(built) == iterates + 1
     # a profile rebuilt from its speed is the one the sequence built, the
-    # starts' too: a lane's solve does not depend on its batch
-    for c, prof in zip(upper.c_list + lower.c_list, built[1:]):
+    # starts' too: a lane's solve does not depend on its batch.  The profiles
+    # were built in lane order, upper then lower at each n
+    for c, prof in zip([c for pair in pairs for c in pair], built[1:]):
         rebuilt = reconstruct_profile(integrate_trajectory(c, 1.0, logistic1, 2.0))
         assert np.array_equal(rebuilt.q_at(wavespeed.SUP_GRID), prof.q_at(wavespeed.SUP_GRID))
 
 
 def test_sequences_reach_the_names_the_benchmark_wraps(monkeypatch, logistic1):
-    # perfbench times iterates by wavespeed.reconstruct_profile and traces
-    # solves through wavespeed.integrate_trajectory; a fast path that went
-    # round either name would leave those figures empty.  Its nfev counter
-    # wraps phaseplane.solve_ivp, which the package, solving by collocation,
-    # never calls
+    # perfbench times iterates by wavespeed.reconstruct_profile, and the
+    # sequences solve through wavespeed.integrate_trajectories; a fast path
+    # that went round either name would leave those figures empty.  Its nfev
+    # counter wraps phaseplane.solve_ivp, which the package, solving by
+    # collocation, never calls
     reference = find_wave_speed(1.0, logistic1, 2.0)
     reference.profile  # built here, so the sequences build only their own
-    solved, built = [], []
+    built = []
 
     def never(*args, **kwargs):
         raise AssertionError("the package called the reference integrator")
-
-    def counting_integrate(c, *args, **kwargs):
-        solved.append(c)
-        return integrate_trajectory(c, *args, **kwargs)
 
     def counting_reconstruct(traj):
         built.append(traj.c)
         return reconstruct_profile(traj)
 
     monkeypatch.setattr(phaseplane, "solve_ivp", never)
-    monkeypatch.setattr(wavespeed, "integrate_trajectory", counting_integrate)
+    batches = _counting_lanes(monkeypatch)
     monkeypatch.setattr(wavespeed, "reconstruct_profile", counting_reconstruct)
     n_max = 3
     bracketing_sequences(1.0, logistic1, 2.0, M=10, n_max=n_max, reference=reference)
-    assert len(built) == 2 * (n_max + 1) and len(solved) == 2 * n_max
+    assert len(built) == 2 * (n_max + 1)
+    assert [len(lanes) for lanes in batches] == [2] * (n_max + 1)
+
+
+def _sequence_alone(sign, name, c0, M, n_max, f, reference):
+    """One direction's (M, c_list, slope_list, sup_gaps) on its own, one
+    one-lane solve and the update law per iterate, as ``SequenceRun`` states it."""
+    q_ref = reference.profile.q_at(wavespeed.SUP_GRID)
+    traj = integrate_trajectory(c0, 1.0, f, 2.0)
+    M = wavespeed._escalate_m(M, sign * (traj.c - 0.5 * traj.endpoint_slope), name)
+    c, cs, slopes, gaps = traj.c, [], [], []
+    for n in range(n_max + 1):
+        if n:
+            traj = integrate_trajectory(c, 1.0, f, 2.0)
+        cs.append(c)
+        slopes.append(float(traj.endpoint_slope))
+        q = reconstruct_profile(traj).q_at(wavespeed.SUP_GRID)
+        gaps.append(float(np.max(np.abs(q - q_ref))))
+        c = float(0.5 * slopes[n] + sign / (M + n))
+    return M, cs, slopes, gaps
+
+
+@pytest.mark.parametrize("starts", [
+    {},  # criterion 6: c_upper_0 = 0, c_lower_0 = c* - 1
+    {"upper_above_c_star": 1e-4},  # M escalated for the upper direction
+    {"M": 1},  # escalated to 2 for both
+    {"upper_share": 0.5, "lower_gap": 1.3},  # a start the sequences workload draws
+])
+def test_lockstep_sequences_equal_each_direction_alone(logistic1, speed_ref, starts):
+    # the two directions share one two-lane solve per step, and each lane is
+    # bit for bit its speed's solve alone, so every list is that of the
+    # direction run on its own
+    c_star = speed_ref.c_star
+    c_upper_0 = starts.get("upper_share", 0.0) * c_star
+    if "upper_above_c_star" in starts:
+        c_upper_0 = c_star + starts["upper_above_c_star"]
+    c_lower_0 = c_star - starts.get("lower_gap", 1.0)
+    M, n_max = starts.get("M", 10), 100
+    upper, lower = bracketing_sequences(1.0, logistic1, 2.0, c_upper_0, c_lower_0, M, n_max,
+                                        speed_ref)
+    for run, sign, c0 in ((upper, +1.0, c_upper_0), (lower, -1.0, c_lower_0)):
+        alone = _sequence_alone(sign, run.direction, c0, M, n_max, logistic1, speed_ref)
+        assert (run.M, run.c_list, run.slope_list, run.sup_gaps) == alone
+    if "upper_above_c_star" in starts:
+        assert upper.M > lower.M == 10
+
+
+def _breaking(monkeypatch, broken: dict[str, int]):
+    """Solve every batch, but give lane ``name`` the slope 0 at step ``broken[name]``.
+
+    Slope 0 breaks either direction: the upper one's next iterate is
+    1/(M + n) > 0, and the lower one's -1/(M + n) lies above c*.
+    """
+    steps = []
+
+    def solving(cs, *args, **kwargs):
+        n = len(steps)
+        steps.append(n)
+        lanes = integrate_trajectories(cs, *args, **kwargs)
+        return [dataclasses.replace(traj, endpoint_slope=0.0) if broken.get(name) == n else traj
+                for name, traj in zip(("upper", "lower"), lanes)]
+
+    monkeypatch.setattr(wavespeed, "integrate_trajectories", solving)
+    return steps
+
+
+@pytest.mark.parametrize("broken, reported", [
+    ({"lower": 3}, ("lower", 3)),
+    ({"upper": 5}, ("upper", 5)),
+    ({"upper": 6, "lower": 2}, ("lower", 2)),  # the earlier step, whichever direction
+    ({"upper": 4, "lower": 4}, ("upper", 4)),  # the upper direction at the same step
+])
+def test_lockstep_failure_names_its_direction_and_step(monkeypatch, logistic1, speed_ref,
+                                                       broken, reported):
+    steps = _breaking(monkeypatch, broken)
+    name, n = reported
+    with pytest.raises(SequenceOrderingError, match=f"^{name} sequence broke ordering at n={n}:"):
+        bracketing_sequences(1.0, logistic1, 2.0, M=10, n_max=20, reference=speed_ref)
+    assert steps[-1] == n  # no step past the failing one is solved
+
+
+def test_lockstep_failure_exits_2(monkeypatch, tmp_path):
+    from click.testing import CliRunner
+
+    from retreatwave.cli import main
+
+    _breaking(monkeypatch, {"lower": 3})
+    res = CliRunner().invoke(main, ["sequences", "--delta", "2", "--n-max", "20",
+                                    "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert "lower sequence broke ordering at n=3:" in res.output
+    assert not list(tmp_path.glob("sequences*"))
 
 
 def test_hopeless_lower_start_fails_before_either_sequence_runs(monkeypatch, tmp_path):
