@@ -11,14 +11,12 @@ P0 the zero-speed closed form and xi the stable zero (see ``bracket_low``).
 A search solves one start at a fixed speed, checks its residual against
 these ends, and then solves the phase-plane collocation with c as one more
 unknown and r(c) = 0 as one more row, inside the ends (``phaseplane``); it
-never solves at an end.  The retreat speed is -c*.  A density sweep
-continues c* along delta from tangent predictors whose slope dc*/ddelta
-costs one linear solve.
+never solves at an end.  The retreat speed is -c*.  Every search of c*
+starts at the same speed, so c* depends only on (d, f, delta).
 """
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -211,21 +209,17 @@ def find_wave_speed(
     delta: float,
     tol: float = DEFAULT_TOL,
     opts: IntegrationOptions | None = None,
-    *,
-    guess: float | None = None,
 ) -> SpeedResult:
     """Find the unique c* in the proven bracket (c0, c_up) with zero slope residual.
 
     c0 = ``bracket_low`` and c_up = c0*xi/delta (r(c_up) < 0 as P_c < P0 for
-    c < 0) are closed form.  The search solves one start at a fixed speed,
-    ``guess`` if it lies in (c0, 0) and else c_s = 2*d*P0(delta)/(xi + delta),
-    the root for the mean slope of r.  Its residual must not put c* beyond
-    the proven end on its side (``_proven_bounds``), and its sign narrows the
-    bracket; ``phaseplane.solve_wave_speed`` then finds c* inside it.  A
-    search from the guess that raises NumericalError is retried once from
-    c_s.  ``iterations`` counts the Newton steps of the speed solve, and
-    ``function_calls`` every collocation solve of the call, the fixed-speed
-    starts and the speed solves alike.
+    c < 0) are closed form.  The search solves one start at the fixed speed
+    c_s = 2*d*P0(delta)/(xi + delta), the root for the mean slope of r.  Its
+    residual must not put c* beyond the proven end on its side
+    (``_proven_bounds``), and its sign narrows the bracket;
+    ``phaseplane.solve_wave_speed`` then finds c* inside it.  ``iterations``
+    counts the Newton steps of the speed solve, and ``function_calls`` the
+    collocation solves of the call: the start and the speed solve.
 
     |r(c*)| is computed as the difference of P(delta) and delta*c/d, so it
     cannot be resolved below the floor FLOOR_ULPS*eps*max(|P(delta)|,
@@ -239,24 +233,9 @@ def find_wave_speed(
     saddle_slope(0.0, d, f)  # an overflow raises here, not in bracket_low's quadrature
     c_low = bracket_low(d, f, delta)
     ends = (c_low, c_low * xi / delta)
-    calls = 0
-
-    def search(c):
-        nonlocal calls
-        calls += 1
-        start = integrate_trajectory(c, d, f, delta, opts)
-        bounds = _proven_bounds(start, f, ends)
-        calls += 1
-        return solve_wave_speed(start, f, bounds, MAX_SEARCH_STEPS, opts)
-
-    found = None
-    if guess is not None and c_low < guess < 0.0:
-        with suppress(NumericalError):  # retried from c_s
-            found = search(guess)
-    if found is None:
-        found = search(2.0 * c_low * xi / (xi + delta))
-
-    final, steps = found
+    start = integrate_trajectory(2.0 * c_low * xi / (xi + delta), d, f, delta, opts)
+    bounds = _proven_bounds(start, f, ends)
+    final, steps = solve_wave_speed(start, f, bounds, MAX_SEARCH_STEPS, opts)
     scale = max(abs(final.endpoint_slope), abs(final.delta / final.d * final.c))
     floor = FLOOR_ULPS * float(np.finfo(float).eps) * scale
     if tol < floor:
@@ -278,7 +257,7 @@ def find_wave_speed(
         residual=float(abs(final.residual)),
         trajectory=final,
         iterations=steps,
-        function_calls=calls,
+        function_calls=2,
     )
 
 
@@ -287,8 +266,8 @@ def _proven_bounds(start: PhaseTrajectory, f, ends) -> tuple[float, float]:
 
     As -delta/d < r' < -xi/d, c* lies beyond c + r(c)*d/delta, below when
     r(c) < 0 and above when r(c) > 0: a start whose bound reaches the proven
-    end on that side raises BracketError.  Otherwise the start replaces the
-    end on its other side where it is the tighter one.
+    end on that side raises BracketError.  Otherwise the start, which lies
+    inside the ends, replaces the end on its other side.
     """
     c_low, c_up = ends
     r = start.residual
@@ -299,7 +278,7 @@ def _proven_bounds(start: PhaseTrajectory, f, ends) -> tuple[float, float]:
             f"{reach!r}, outside ({c_low!r}, {c_up!r}); the reaction may be invalid or "
             f"delta <= {f.stable_zero:g}"
         )
-    return (start.c if r > 0.0 else c_low), (min(start.c, c_up) if r < 0.0 else c_up)
+    return (start.c if r > 0.0 else c_low), (start.c if r < 0.0 else c_up)
 
 
 def _dc_ddelta(res: SpeedResult, f: ReactionFunction) -> float:
@@ -322,13 +301,11 @@ def density_sweep(
     deltas,
     tol: float = DEFAULT_TOL,
 ) -> SweepTable:
-    """Run find_wave_speed over a finite, strictly increasing list of deltas, by continuation.
+    """Run find_wave_speed over a finite, strictly increasing list of deltas.
 
-    The first row starts at c_s (``find_wave_speed``).  Each later row starts
-    from the tangent predictor c_k + dc*/ddelta(delta_k) * (delta_{k+1} - delta_k)
-    of the row before (``_dc_ddelta``), and at c_s after a failed row.  Per-delta
-    failures are recorded and the sweep continues; the table's CSV carries
-    nan rows for failures.
+    Each row is the search of its delta alone, with dc*/ddelta from its
+    trajectory (``_dc_ddelta``).  Per-delta failures are recorded and the
+    sweep continues; the table's CSV carries nan rows for failures.
     """
     deltas = [float(x) for x in deltas]
     if not all(map(math.isfinite, deltas)) or any(b <= a for a, b in zip(deltas, deltas[1:])):
@@ -337,10 +314,8 @@ def density_sweep(
     slopes: list[float] = []
     errors: dict[float, str] = {}
     for delta in deltas:
-        last = results[-1] if results else None
-        guess = None if last is None else last.c_star + slopes[-1] * (delta - last.delta)
         try:
-            res = find_wave_speed(d, f, delta, tol, guess=guess)
+            res = find_wave_speed(d, f, delta, tol)
             slope = _dc_ddelta(res, f)
         except (InputError, NumericalError) as exc:
             res, slope = None, math.nan
@@ -360,16 +335,15 @@ def perturbed_wave_speeds(
 ) -> PerturbedSpeeds:
     """Wave speeds of the sandwiching pair; they must straddle the base c*.
 
-    Both members' searches start from the base speed, which is searched
-    for first when ``c_star_base`` is not given.
+    The base speed is searched for first when ``c_star_base`` is not given.
     """
     pair = make_perturbation_pair(f, epsilon)
     for name, member in (("lower", pair.lower), ("upper", pair.upper)):
         _require_gap(member.stable_zero, delta, f" of the {name} member at epsilon={epsilon:g}")
     if c_star_base is None:
         c_star_base = find_wave_speed(d, f, delta, tol).c_star
-    lower = find_wave_speed(d, pair.lower, delta, tol, guess=c_star_base)
-    upper = find_wave_speed(d, pair.upper, delta, tol, guess=c_star_base)
+    lower = find_wave_speed(d, pair.lower, delta, tol)
+    upper = find_wave_speed(d, pair.upper, delta, tol)
     if not lower.c_star < c_star_base < upper.c_star:
         raise NumericalError(
             f"perturbed speeds do not straddle the base speed: "

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import math
 import os
@@ -321,6 +322,56 @@ def test_speed_failed_bracket_check_exits_numerical(tmp_path, runner, monkeypatc
     res = runner.invoke(main, ["speed", "--delta", "2", "--out", str(tmp_path)])
     assert res.exit_code == 2
     assert "bracket sign check failed" in res.output
+
+
+@pytest.mark.parametrize("broken", [{"strictly_decreasing": False},
+                                    {"sign_change_cells": [3, 7]}])
+def test_speed_failed_audit_exits_numerical(tmp_path, runner, monkeypatch, broken):
+    # a stand-in audit that is not strictly decreasing, or changes sign twice
+    audit = cli.residual_monotonicity_audit
+    monkeypatch.setattr(cli, "residual_monotonicity_audit",
+                        lambda *args: dataclasses.replace(audit(*args), **broken))
+    res = runner.invoke(main, ["speed", "--delta", "2", "--audit-grid", "20",
+                               "--out", str(tmp_path)])
+    assert res.exit_code == 2
+    assert "residual audit failed monotonicity or uniqueness" in res.output
+
+
+def test_speed_that_misses_tol_exits_numerical(tmp_path, runner, monkeypatch):
+    # a stand-in speed solve that returns its start c_s, where |r| is 0.045
+    monkeypatch.setattr(wavespeed, "solve_wave_speed", lambda start, *args: (start, 0))
+    res = runner.invoke(main, ["speed", "--delta", "2", "--out", str(tmp_path)])
+    assert res.exit_code == 2
+    assert "did not reach tol 1.0e-10" in res.output
+    assert not (tmp_path / "speed.json").exists()
+
+
+def test_sweep_that_is_not_monotone_exits_numerical(tmp_path, runner, monkeypatch):
+    # a stand-in search that solves delta = 2 for every row: the retreat
+    # speeds are equal, not strictly increasing
+    search = wavespeed.find_wave_speed
+    monkeypatch.setattr(wavespeed, "find_wave_speed",
+                        lambda d, f, delta, tol: search(d, f, 2.0, tol))
+    res = runner.invoke(main, ["sweep", "--deltas", "1.5,2.5", "--out", str(tmp_path)])
+    assert res.exit_code == 2
+    assert "retreat speed is not strictly increasing across the sweep" in res.output
+
+
+def test_sequences_start_of_the_wrong_sign_exits_numerical(tmp_path, runner, monkeypatch):
+    # a stand-in gives the upper start c = 0 the slope 1, so r(0) = 1 > 0
+    # and the start lies below c*, not above it
+    solve = wavespeed.integrate_trajectories
+
+    def flipping(cs, *args):
+        upper, *lanes = solve(cs, *args)
+        return [dataclasses.replace(upper, endpoint_slope=1.0), *lanes]
+
+    monkeypatch.setattr(wavespeed, "integrate_trajectories", flipping)
+    res = runner.invoke(main, ["sequences", "--delta", "2", "--n-max", "5",
+                               "--out", str(tmp_path)])
+    assert res.exit_code == 2
+    assert "upper start point has a residual of the wrong sign" in res.output
+    assert not list(tmp_path.glob("sequences*"))
 
 
 def test_simulate_verify_roundtrip(tmp_path, runner):

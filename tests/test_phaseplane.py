@@ -859,6 +859,40 @@ def test_clean_trajectories_need_no_samples(monkeypatch, spec, d, delta, lanes):
     assert all(np.all(traj.nodes < 0.0) for traj in trajs)
 
 
+def test_speed_solve_goes_half_way_to_an_end_its_step_crosses(monkeypatch, logistic1):
+    # from c = -1.29 the full first Newton step lands at -0.883 (measured),
+    # past the end -0.89 above c* = -0.8935: c goes half way to that end,
+    # and every later step stays strictly inside the ends
+    c_star = find_wave_speed(1.0, logistic1, 2.0).c_star
+    start = integrate_trajectory(-1.29, 1.0, logistic1, 2.0)
+    bounds = (-1.3, -0.89)
+    speeds = []  # the speed of each Newton step's equations
+    equations = phaseplane._equations
+
+    def recording(w, c, *args):
+        speeds.append(float(c[0, 0]))
+        return equations(w, c, *args)
+
+    monkeypatch.setattr(phaseplane, "_equations", recording)
+    traj, steps = phaseplane.solve_wave_speed(start, logistic1, bounds, 30)
+    assert speeds[1] == pytest.approx(0.5 * (-1.29 + bounds[1]), rel=1e-15)
+    assert all(bounds[0] < c < bounds[1] for c in speeds)
+    assert abs(traj.c - c_star) <= 1e-12 * abs(c_star) and steps == len(speeds)
+
+
+def test_speed_solve_doubles_a_degree_too_low_for_c_star(monkeypatch, logistic1):
+    # a start solved at degree 4 to rtol 1e-2 holds too few nodes for c* at
+    # the default tolerances: the speed solve doubles the degree until the
+    # coefficients are resolved, and ends where the search from c_s ends
+    res = find_wave_speed(1.0, logistic1, 2.0)
+    monkeypatch.setattr(phaseplane, "N_START", 4)
+    start = integrate_trajectory(-1.0, 1.0, logistic1, 2.0, IntegrationOptions(rtol=1e-2))
+    assert start.nodes.size == 5
+    traj, _ = phaseplane.solve_wave_speed(start, logistic1, res.bracket, 30)
+    assert traj.nodes.size == res.trajectory.nodes.size
+    assert abs(traj.c - res.c_star) <= 1e-12 * abs(res.c_star)
+
+
 def _poison_node(monkeypatch, value):
     """Set one interior node of the last lane to ``value`` once the lanes are resolved."""
     resolved = phaseplane._resolved
@@ -872,20 +906,17 @@ def _poison_node(monkeypatch, value):
 
 
 def _bump(h, p0):
-    # p0 + A*(s*(h - s))**2: P(0) = P(h) = p0 < 0, and 2|p0| above zero at s = h/2
-    A = -48.0 * p0 / h**4
-    return [A, -2.0 * h * A, h * h * A, 0.0, p0]
+    # the leading coefficient A of p0 + A*(s*(h - s))**2, which is 2|p0| above
+    # zero at s = h/2
+    return -48.0 * p0 / h**4
 
 
 @pytest.mark.parametrize("lanes", [1, 3])
-@pytest.mark.parametrize("coefficients", [
-    _bump,
-    lambda h, p0: [np.nan, 0.0, 0.0, 0.0, p0],  # only the leading coefficient
-])
-def test_step_check_rejects_what_a_sample_reaches(monkeypatch, logistic1, lanes, coefficients):
+@pytest.mark.parametrize("node", [_bump, lambda h, p0: np.nan])
+def test_step_check_rejects_what_a_sample_reaches(monkeypatch, logistic1, lanes, node):
     # a node at or above zero, or NaN, where NaN >= 0 is False too: the
     # check must test w < 0 itself, and it names the lane's speed
-    _poison_node(monkeypatch, coefficients(1.0, -1.0)[0])
+    _poison_node(monkeypatch, node(1.0, -1.0))
     cs = np.linspace(-0.9, -0.1, lanes)
     with pytest.raises(NumericalError, match=f"lower half plane at c={cs[-1]:g};"):
         integrate_trajectories(cs, 1.0, logistic1, 2.0)

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from retreatwave import (
     InputError,
     IntegrationOptions,
+    density_sweep,
     find_wave_speed,
     integrate_trajectory,
     make_perturbation_pair,
@@ -66,6 +67,27 @@ def test_speed_selection_holds_across_monostable_family(r, xi, a, d, s):
     else:
         pert = perturbed_wave_speeds(d, f, delta, 0.05, c_star_base=res.c_star)
         assert pert.lower.c_star < res.c_star < pert.upper.c_star
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(r=_floats(0.5, 3.0), xi=_floats(0.5, 2.0), a=_floats(0.0, 0.5),
+       d=_floats(0.5, 2.0), s=_floats(0.05, 2.0))
+def test_sweep_rows_and_pair_members_equal_standalone_searches(r, xi, a, d, s):
+    # c* depends on (d, f, delta) alone: a sweep row and a perturbed member
+    # are the search of their problem, bit for bit, however they are reached
+    f = parse_reaction("custom:" + ",".join(repr(c) for c in (r * xi, -r, r * a * xi, -r * a)))
+    deltas = [xi * (1.0 + s * k) for k in (0.25, 0.5, 1.0, 2.0)]
+    table = density_sweep(d, f, deltas)
+    assert not table.errors
+    found = [(res, f, res.delta) for res in table.results]
+    pair = make_perturbation_pair(f, 0.05)
+    if pair.upper.stable_zero + MIN_DELTA_GAP <= deltas[-1]:
+        ps = perturbed_wave_speeds(d, f, deltas[-1], 0.05, c_star_base=table.results[-1].c_star)
+        found += [(ps.lower, pair.lower, deltas[-1]), (ps.upper, pair.upper, deltas[-1])]
+    for res, fm, delta in found:
+        alone = find_wave_speed(d, fm, delta)
+        assert (res.c_star, res.iterations) == (alone.c_star, alone.iterations)
+        assert np.array_equal(res.trajectory.nodes, alone.trajectory.nodes)
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)

@@ -73,6 +73,27 @@ def test_validate_rejects_corrupted_derivative():
     assert any("central difference" in msg for msg in report.failures)
 
 
+@pytest.mark.parametrize("factors, failure", [
+    # u*(1 - u) + 1e-3*(1 - u): f(0) = 1e-3
+    ([(1e-3, 1.0), (1.0, -1.0)], "f(0) = 1.000e-03 is not zero"),
+    # u*(1.001 - u): the declared stable zero 1 is not a zero
+    ([(0.0, 1.0), (1.001, -1.0)], "f(stable_zero) = 1.000e-03 is not zero"),
+    # u*(1 - u)*(1.5 - u): positive again past 1.5
+    ([(0.0, 1.0), (1.0, -1.0), (1.5, -1.0)],
+     "sign violation in (1, 2]: f must be negative there"),
+    # u*(1 - u)**3: a zero of f' at the stable zero
+    ([(0.0, 1.0)] + [(1.0, -1.0)] * 3, "f'(stable_zero) = 0.000e+00 is not negative"),
+])
+def test_validate_names_each_violation(factors, failure):
+    # f is the product of the linear factors, with stable zero 1 declared;
+    # each breaks one condition, and the report names that one alone
+    p = np.polynomial.Polynomial([1.0])
+    for factor in factors:
+        p = p * np.polynomial.Polynomial(factor)
+    report = validate_monostable(ReactionFunction(p, p.deriv(), 1.0, "hand-built"))
+    assert report.failures == (failure,)
+
+
 @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
 def test_pair_sandwich_on_dense_grid(eps):
     # the additive family on logistic bases of several rates

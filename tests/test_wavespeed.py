@@ -324,7 +324,7 @@ def test_sweep_continues_past_failures(logistic1):
     table.assert_monotone()
 
 
-CONTINUATION_REACTIONS = [
+SWEEP_REACTIONS = [
     ("logistic:r=1", 1.0),
     ("custom:0.7,-1", 2.0),
     ("custom:3,-2,0.9,-0.6", 0.8),
@@ -344,7 +344,13 @@ def _counting(monkeypatch):
     return speeds
 
 
-@pytest.mark.parametrize("spec, d", CONTINUATION_REACTIONS)
+def _start(d, f, delta):
+    """The speed c_s = 2*d*P0(delta)/(xi + delta) every search starts from."""
+    xi = f.stable_zero
+    return 2.0 * bracket_low(d, f, delta) * xi / (xi + delta)
+
+
+@pytest.mark.parametrize("spec, d", SWEEP_REACTIONS)
 def test_sweep_dc_ddelta_certifies_an_increasing_retreat_speed(spec, d):
     # dr/ddelta = -f(delta)/(d P) < 0 and r'(c) < 0, so dc*/ddelta < 0 at
     # every row: the retreat speed increases strictly in delta
@@ -356,7 +362,7 @@ def test_sweep_dc_ddelta_certifies_an_increasing_retreat_speed(spec, d):
     table.assert_monotone()
 
 
-@pytest.mark.parametrize("spec, d", CONTINUATION_REACTIONS)
+@pytest.mark.parametrize("spec, d", SWEEP_REACTIONS)
 def test_sweep_dc_ddelta_matches_central_difference(spec, d):
     # against (c*(delta + h) - c*(delta - h)) / 2h from two rtol 1e-12 solves
     # at h = 1e-4*(delta - xi): the largest relative gap measured over these
@@ -372,54 +378,23 @@ def test_sweep_dc_ddelta_matches_central_difference(spec, d):
         assert slope == pytest.approx((c_plus - c_minus) / (2.0 * h), rel=1e-7)
 
 
-def _assert_agrees_with_cold(res, d, f):
-    # |r'| > xi/d, so each speed lies within |r(c)|*d/xi of c*.  |r| is read
-    # from an rtol 1e-12 solve of each speed, and each read carries the
-    # rounding of P(delta) - delta*c/d, at most its floor
-    # FLOOR_ULPS*eps*max(|P(delta)|, |delta*c/d|), which is where the
-    # residuals of collocation searches sit
-    cold = find_wave_speed(d, f, res.delta)
-    r_warm, r_cold = (
-        abs(traj.residual) + wavespeed.FLOOR_ULPS * np.finfo(float).eps
-        * max(abs(traj.endpoint_slope), abs(traj.delta / d * traj.c))
-        for traj in (integrate_trajectory(c, d, f, res.delta, TIGHT)
-                     for c in (res.c_star, cold.c_star))
-    )
-    assert abs(res.c_star - cold.c_star) <= (r_warm + r_cold) * d / f.stable_zero
-
-
-@pytest.mark.parametrize("spec, d", CONTINUATION_REACTIONS)
-def test_warm_rows_and_members_agree_with_cold_searches(spec, d):
-    f = parse_reaction(spec)
-    xi = f.stable_zero
-    table = density_sweep(d, f, [xi * s for s in (1.01, 1.1, 1.5, 2.0, 3.0, 5.0)])
-    for res in table.results:
-        assert res.residual <= 1e-10
-        _assert_agrees_with_cold(res, d, f)
-    base = table.results[3]
-    pair = make_perturbation_pair(f, 0.05)
-    ps = perturbed_wave_speeds(d, f, base.delta, 0.05, c_star_base=base.c_star)
-    for member, fm in ((ps.lower, pair.lower), (ps.upper, pair.upper)):
-        assert member.residual <= 1e-10
-        _assert_agrees_with_cold(member, d, fm)
-
-
 def test_sweep_and_perturbed_pair_integration_counts(monkeypatch, logistic1):
-    # every search solves its start once and then c* once: the first row
-    # starts at c_s, every later row at its tangent guess, which leaves the
-    # speed solve fewer Newton steps, and each member at the base c*
+    # every search solves its start c_s once and then c* once, with these
+    # Newton steps, and each member starts at its own c_s
     speeds = _counting(monkeypatch)
-    table = density_sweep(1.0, logistic1, [1.1, 1.5, 2.0, 2.5, 3.0, 4.0])
+    deltas = [1.1, 1.5, 2.0, 2.5, 3.0, 4.0]
+    table = density_sweep(1.0, logistic1, deltas)
     assert [res.function_calls for res in table.results] == [2, 2, 2, 2, 2, 2]
-    assert [res.iterations for res in table.results] == [2, 3, 3, 3, 3, 3]
-    assert len(speeds) == 6
+    assert [res.iterations for res in table.results] == [2, 3, 3, 3, 4, 4]
+    assert speeds == [_start(1.0, logistic1, delta) for delta in deltas]
     speeds.clear()
     ps = perturbed_wave_speeds(1.0, logistic1, 2.0, 0.05, c_star_base=C_STAR_REF)
+    pair = make_perturbation_pair(logistic1, 0.05)
     assert (ps.lower.function_calls, ps.upper.function_calls) == (2, 2)
-    assert speeds == [C_STAR_REF, C_STAR_REF]  # each starts at the base
+    assert speeds == [_start(1.0, pair.lower, 2.0), _start(1.0, pair.upper, 2.0)]
 
 
-@pytest.mark.parametrize("spec, d", CONTINUATION_REACTIONS)
+@pytest.mark.parametrize("spec, d", SWEEP_REACTIONS)
 def test_sweep_and_pair_never_integrate_bracket_low(monkeypatch, spec, d):
     # each search solves its start and then c*, and solves neither proven
     # end nor 0
@@ -436,15 +411,12 @@ def test_sweep_and_pair_never_integrate_bracket_low(monkeypatch, spec, d):
     assert speeds == []
 
 
-@pytest.mark.parametrize("wrong", [0, 1])
 @pytest.mark.parametrize("residual", [-1.0, 1.0])
 def test_speed_whose_residual_puts_c_star_past_a_proven_end_raises(monkeypatch, logistic1,
-                                                                   wrong, residual):
+                                                                   residual):
     # since -delta/d < r' < -xi/d, c* lies beyond c + r(c)*d/delta; a stand-in
-    # residual of -1 puts it below c0 and one of +1 above c_up.  With no guess
-    # (wrong = 0) the start is c_s; with a guess (wrong = 1) the guess's start
-    # fails the check and is retried from c_s, which fails it too.  Each
-    # search raises at once, with no speed solve
+    # residual of -1 puts it below c0 and one of +1 above c_up.  The search
+    # raises at its start c_s, with no speed solve
     speeds = []
 
     def standing_in(c, *args, **kwargs):
@@ -456,8 +428,8 @@ def test_speed_whose_residual_puts_c_star_past_a_proven_end_raises(monkeypatch, 
     monkeypatch.setattr(wavespeed, "integrate_trajectory", standing_in)
     monkeypatch.setattr(wavespeed, "solve_wave_speed", None)
     with pytest.raises(BracketError, match="bracket sign check failed"):
-        find_wave_speed(1.0, logistic1, 2.0, guess=-0.9 if wrong else None)
-    assert len(speeds) == wrong + 1
+        find_wave_speed(1.0, logistic1, 2.0)
+    assert speeds == [_start(1.0, logistic1, 2.0)]
 
 
 def test_broken_bracket_low_raises_after_one_integration(logistic1, monkeypatch):
@@ -471,93 +443,43 @@ def test_broken_bracket_low_raises_after_one_integration(logistic1, monkeypatch)
 
 
 def test_overflowing_saddle_slope_raises_before_any_quadrature():
-    # the saddle slope at c = 0 overflows: IntegrationError, with a guess or
-    # without, and no numpy overflow warning from bracket_low's quadrature
+    # the saddle slope at c = 0 overflows: IntegrationError, and no numpy
+    # overflow warning from bracket_low's quadrature
     f = parse_reaction("logistic:r=1e308")
-    for guess in (None, -0.5):
-        with pytest.raises(IntegrationError, match="saddle slope -inf is not finite at c=0"):
-            find_wave_speed(1.0, f, 2.0, guess=guess)
+    with pytest.raises(IntegrationError, match="saddle slope -inf is not finite at c=0"):
+        find_wave_speed(1.0, f, 2.0)
 
 
 def test_failed_search_integrates_no_proven_end(monkeypatch, logistic1):
-    # with no step allowed both speed solves fail: the guess and the retry
-    # from c_s are solved, and neither c0, c_up nor 0
+    # with no step allowed the speed solve fails: only the start c_s is
+    # solved, and neither c0, c_up nor 0
     monkeypatch.setattr(wavespeed, "MAX_SEARCH_STEPS", 0)
     speeds = _counting(monkeypatch)
     with pytest.raises(NumericalError, match="did not converge in 0 Newton steps"):
-        find_wave_speed(1.0, logistic1, 2.0, guess=-0.9)
-    c_low = bracket_low(1.0, logistic1, 2.0)
-    assert speeds == [-0.9, 2.0 * c_low / 3.0]
+        find_wave_speed(1.0, logistic1, 2.0)
+    assert speeds == [_start(1.0, logistic1, 2.0)]
 
 
-def test_guess_outside_the_bracket_searches_cold(monkeypatch, logistic1):
-    speeds = _counting(monkeypatch)
-    cold = find_wave_speed(1.0, logistic1, 2.0)
-    cold_speeds = list(speeds)
-    c_low = bracket_low(1.0, logistic1, 2.0)
-    for guess in (c_low, 0.0, -0.0, c_low - 1.0, 0.5, -math.inf, math.nan):
-        speeds.clear()
-        res = find_wave_speed(1.0, logistic1, 2.0, guess=guess)
-        assert speeds == cold_speeds
-        assert (res.function_calls, res.iterations) == (cold.function_calls, cold.iterations)
-        assert res.c_star == cold.c_star
-
-
-@pytest.mark.parametrize("spec, d", CONTINUATION_REACTIONS)
-def test_guesses_near_the_proven_ends_pass_the_proof_check(monkeypatch, spec, d):
+@pytest.mark.parametrize("spec, d", SWEEP_REACTIONS)
+def test_guesses_near_the_proven_ends_pass_the_proof_check(spec, d):
     # at delta = 5*xi the slope bounds differ fivefold: a proof check that
-    # read the bound -xi/d in place of -delta/d would reject these starts
+    # read the bound -xi/d in place of -delta/d would reject trajectories at
+    # these speeds.  Each narrows the proven ends to a part that holds c*
     f = parse_reaction(spec)
     delta = 5.0 * f.stable_zero
     c_low = bracket_low(d, f, delta)
-    speeds = _counting(monkeypatch)
-    for guess in (c_low * (1.0 - 1e-6), c_low * f.stable_zero / delta * (1.0 - 1e-6), -1e-6):
-        speeds.clear()
-        res = find_wave_speed(d, f, delta, guess=guess)
-        assert speeds == [guess] and res.function_calls == 2  # no retry
-
-
-def test_guess_above_c_up_bisects_inside_the_proven_ends(monkeypatch, logistic1):
-    # a guess in (c_up, 0) has r < 0, and c_up is the tighter upper end: the
-    # speed solve runs inside (c0, c_up), not (c0, guess), and with one step
-    # allowed fails there
-    bounds = []
-
-    def solving(start, f, ends, *args):
-        bounds.append(ends)
-        return solve_wave_speed(start, f, ends, *args)
-
-    monkeypatch.setattr(wavespeed, "solve_wave_speed", solving)
-    monkeypatch.setattr(wavespeed, "MAX_SEARCH_STEPS", 1)
-    speeds = _counting(monkeypatch)
-    with pytest.raises(NumericalError, match="did not converge in 1 Newton steps"):
-        find_wave_speed(1.0, logistic1, 2.0, guess=-0.1)
-    c_low = bracket_low(1.0, logistic1, 2.0)
-    assert speeds[0] == -0.1 and bounds[0] == (c_low, c_low / 2.0)
-
-
-def test_failed_warm_search_falls_back_to_cold(monkeypatch, logistic1):
-    # the solve of the guess fails: the cold search runs, and the call counts
-    # that solve too
-    cold = find_wave_speed(1.0, logistic1, 2.0)
-    guess = -0.9
-
-    def failing(c, *args, **kwargs):
-        if c == guess:
-            raise IntegrationError("stand-in failure")
-        return integrate_trajectory(c, *args, **kwargs)
-
-    monkeypatch.setattr(wavespeed, "integrate_trajectory", failing)
-    res = find_wave_speed(1.0, logistic1, 2.0, guess=guess)
-    assert res.c_star == cold.c_star
-    assert res.function_calls == cold.function_calls + 1
-    assert res.iterations == cold.iterations
+    ends = (c_low, c_low * f.stable_zero / delta)
+    c_star = find_wave_speed(d, f, delta).c_star
+    for c in (c_low * (1.0 - 1e-6), ends[1] * (1.0 - 1e-6), -1e-6):
+        start = integrate_trajectory(c, d, f, delta)
+        lo, hi = wavespeed._proven_bounds(start, f, ends)
+        assert (lo, hi) == ((c, ends[1]) if c < c_star else (c_low, c))
+        assert lo < c_star < hi
 
 
 def test_sweep_row_after_a_good_one_records_a_failed_bracket(monkeypatch, logistic1):
     # the first bracket_low is the true one and every later one is broken, as
-    # in test_failed_bracket_sign_check_raises: the warm guesses lie below the
-    # broken end, so those rows search cold and fail the sign check
+    # in test_failed_bracket_sign_check_raises: those rows fail the sign check
     calls = []
 
     def breaking(*args):
@@ -572,7 +494,7 @@ def test_sweep_row_after_a_good_one_records_a_failed_bracket(monkeypatch, logist
     assert all(math.isnan(slope) for slope in table.dc_ddelta[1:])
 
 
-@pytest.mark.parametrize("spec, d", CONTINUATION_REACTIONS)
+@pytest.mark.parametrize("spec, d", SWEEP_REACTIONS)
 @pytest.mark.parametrize("g", [1e-2, 1e-3, 1e-4, 1e-5])
 def test_speed_near_the_stable_zero_follows_the_linear_law(spec, d, g):
     # linearising at the saddle gives c* ~ c_lin = -sqrt(-d f'(xi))*(delta - xi)/xi;
@@ -589,22 +511,22 @@ def test_speed_near_the_stable_zero_follows_the_linear_law(spec, d, g):
 def test_sweep_and_pair_reach_find_wave_speed_through_the_module(monkeypatch, logistic1):
     # the benchmark's clock and tracer wrap wavespeed.find_wave_speed: every
     # speed of a sweep or a pair must go through that name
-    guesses = []
+    calls = []
     search = wavespeed.find_wave_speed
 
-    def recording(*args, guess=None, **kwargs):
-        guesses.append(guess)
-        return search(*args, guess=guess, **kwargs)
+    def recording(d, f, delta, *args, **kwargs):
+        calls.append((f, delta))
+        return search(d, f, delta, *args, **kwargs)
 
     monkeypatch.setattr(wavespeed, "find_wave_speed", recording)
     table = density_sweep(1.0, logistic1, [1.5, 2.0, 2.5])
-    assert len(guesses) == 3 and guesses[0] is None and all(g < 0.0 for g in guesses[1:])
-    guesses.clear()
+    assert calls == [(logistic1, 1.5), (logistic1, 2.0), (logistic1, 2.5)]
+    calls.clear()
     perturbed_wave_speeds(1.0, logistic1, 2.0, 0.05, c_star_base=table.results[1].c_star)
-    assert guesses == [table.results[1].c_star] * 2
-    guesses.clear()
+    assert [delta for _, delta in calls] == [2.0, 2.0] and calls[0][0] is not calls[1][0]
+    calls.clear()
     perturbed_wave_speeds(1.0, logistic1, 2.0, 0.05)
-    assert guesses[0] is None and guesses[1:] == [guesses[1]] * 2 and len(guesses) == 3
+    assert len(calls) == 3 and calls[0] == (logistic1, 2.0)
 
 
 def test_perturbed_speeds_straddle_and_shrink(logistic1, speed_ref):
@@ -620,6 +542,12 @@ def test_perturbed_speeds_straddle_and_shrink(logistic1, speed_ref):
             gaps_hi.append(ps.upper.c_star - speed_ref.c_star)
         assert gaps_lo[0] > gaps_lo[1] > gaps_lo[2] > 0
         assert gaps_hi[0] > gaps_hi[1] > gaps_hi[2] > 0
+
+
+def test_perturbed_speeds_that_miss_the_base_raise(logistic1, speed_ref):
+    # a stand-in base speed that both members lie below: no straddle
+    with pytest.raises(NumericalError, match="perturbed speeds do not straddle the base speed"):
+        perturbed_wave_speeds(1.0, logistic1, 2.0, 0.05, c_star_base=speed_ref.c_star / 2.0)
 
 
 def test_perturbed_speeds_monotone_in_epsilon(logistic1, speed_ref):
