@@ -378,6 +378,41 @@ def test_sweep_dc_ddelta_matches_central_difference(spec, d):
         assert slope == pytest.approx((c_plus - c_minus) / (2.0 * h), rel=1e-7)
 
 
+def _assert_agrees_with_cold(res, d, f):
+    # |r'| > xi/d, so each speed lies within |r(c)|*d/xi of c*.  |r| is read
+    # from an rtol 1e-12 solve of each speed, and each read carries the
+    # rounding of P(delta) - delta*c/d, at most its floor
+    # FLOOR_ULPS*eps*max(|P(delta)|, |delta*c/d|), which is where the
+    # residuals of collocation searches sit
+    cold = find_wave_speed(d, f, res.delta)
+    r_warm, r_cold = (
+        abs(traj.residual) + wavespeed.FLOOR_ULPS * np.finfo(float).eps
+        * max(abs(traj.endpoint_slope), abs(traj.delta / d * traj.c))
+        for traj in (integrate_trajectory(c, d, f, res.delta, TIGHT)
+                     for c in (res.c_star, cold.c_star))
+    )
+    assert abs(res.c_star - cold.c_star) <= (r_warm + r_cold) * d / f.stable_zero
+
+
+@pytest.mark.parametrize("spec, d", SWEEP_REACTIONS)
+def test_warm_rows_and_members_agree_with_cold_searches(spec, d):
+    # a sweep row or a perturbed member reached through density_sweep or
+    # perturbed_wave_speeds lies within its residual bound of the standalone
+    # ("cold") search of its own problem
+    f = parse_reaction(spec)
+    xi = f.stable_zero
+    table = density_sweep(d, f, [xi * s for s in (1.01, 1.1, 1.5, 2.0, 3.0, 5.0)])
+    for res in table.results:
+        assert res.residual <= 1e-10
+        _assert_agrees_with_cold(res, d, f)
+    base = table.results[3]
+    pair = make_perturbation_pair(f, 0.05)
+    ps = perturbed_wave_speeds(d, f, base.delta, 0.05, c_star_base=base.c_star)
+    for member, fm in ((ps.lower, pair.lower), (ps.upper, pair.upper)):
+        assert member.residual <= 1e-10
+        _assert_agrees_with_cold(member, d, fm)
+
+
 def test_sweep_and_perturbed_pair_integration_counts(monkeypatch, logistic1):
     # every search solves its start c_s once and then c* once, with these
     # Newton steps, and each member starts at its own c_s
