@@ -17,16 +17,20 @@ quadratic d*w**2 - c*w + f'(xi) = 0.  w is analytic for every reaction the
 package builds, so this module collocates it at the n + 1 Chebyshev-Lobatto
 points of [xi, delta] (Trefethen, Spectral Methods in MATLAB, SIAM 2000;
 Boyd, Chebyshev and Fourier Spectral Methods, 2001) and solves the
-collocation equations by Newton's method from the flat start w = saddle
-slope, which leads to the stable branch.  n starts at N_START and doubles
-until the Chebyshev coefficients of w have decayed to the options'
-tolerances.  The speeds of one call are the lanes of one batched solve, and
-each lane stops on its own, so its values do not depend on the batch.  With
-c as one more unknown and the boundary law P(delta) = (delta/d)*c as one more
-row, the same equations give the wave speed (``solve_wave_speed``), and their
-Jacobian gives r'(c) by one linear solve (``residual_slope``).  The profile
-is x(q) = int_q^delta ds/(-P(s)) by Simpson's rule on points uniform in
-ln(q - xi), where P is read by barycentric interpolation.
+collocation equations by Newton's method.  The start is w's Taylor series
+at xi to order TAYLOR_ORDER, whose coefficients the equation fixes from
+(c, d, f) alone; its constant term is the saddle slope, which leads to the
+stable branch, and it stops before the first term that does not shrink at
+delta, so where the series diverges the start is flat.  n starts at N_START
+and doubles until the Chebyshev coefficients of w have decayed to the
+options' tolerances.  The speeds of one call are the lanes of one batched
+solve, and each lane stops on its own, so its values do not depend on the
+batch.  With c as one more unknown and the boundary law P(delta) = (delta/d)*c
+as one more row, the same equations give the wave speed
+(``solve_wave_speed``), and their Jacobian gives r'(c) by one linear solve
+(``residual_slope``).  The profile is x(q) = int_q^delta ds/(-P(s)) by
+Simpson's rule on points uniform in ln(q - xi), where P is read by
+barycentric interpolation.
 
 The module's numerics are plain numpy, with ``np.linalg.solve`` for the
 Newton steps and no ``scipy`` to import: the collocation, Simpson's rule, an
@@ -79,6 +83,7 @@ PROFILE_SAMPLES = 1200  # samples of q on [0, x_end]
 TAIL_CUT = 1e-6  # the profile samples end at q - xi = TAIL_CUT * (delta - xi)
 QUAD_PANELS = 200  # most panels of the adaptive Gauss-Kronrod quadrature
 N_START, N_MAX = 16, 256  # the first and the largest collocation degree
+TAYLOR_ORDER = 3  # the highest power of s - xi in the start of a solve (``_taylor_start``)
 NEWTON_STEPS = 40  # most Newton steps of one solve at one degree
 NEWTON_TOL = 1e-13  # bound of the relative error estimate that stops Newton (``_newton``)
 
@@ -271,6 +276,62 @@ def _collocation_grid(n: int, d: float, f: ReactionFunction, delta: float):
     return d * s, g, _chebyshev(n)[2] / span
 
 
+@functools.lru_cache(maxsize=8)
+def _taylor_rows(n: int) -> np.ndarray:
+    """Rows k = 1 .. TAYLOR_ORDER, read-only: row k times the values of a function
+    at the points of ``_chebyshev(n)`` is its k-th Taylor coefficient at t = 0,
+    (d/dt)**k / k!, which is row 0 of the k-th power of D over k!."""
+    D = _chebyshev(n)[2]
+    rows = [D[0]]
+    for k in range(2, TAYLOR_ORDER + 1):
+        rows.append(rows[-1] @ D / k)
+    rows = np.array(rows)
+    rows.flags.writeable = False
+    return rows
+
+
+def _taylor_coefficients(c: float, lam: float, d: float, gk) -> list[float]:
+    """Taylor coefficients b_0 .. b_K of w in t = s/(delta - xi) at speed c, from the
+    saddle slope lam = b_0 and the coefficients gk[k - 1] of f/s in t, K = len(gk).
+
+    The equation's power t**k, k >= 1, gives
+    b_k = (gk_k + d*sum_{i=1}^{k-1} (k-i+1)*b_i*b_{k-i}) / (c - d*(k+2)*lam),
+    whose denominator is positive since lam is the negative root of the
+    saddle's quadratic.  The series stops before the first term that is not
+    smaller than the one before it at t = 1, s = delta - xi (a NaN one too, and
+    one over a denominator that rounds to 0): that term and the later ones
+    are 0, so where the series diverges the start stays flat.  Python floats:
+    no lane's arithmetic touches another's, and none warns.
+    """
+    b = [float(lam)] + [0.0] * len(gk)
+    for k in range(1, len(gk) + 1):
+        numerator = gk[k - 1]
+        for i in range(1, k):
+            numerator += d * (k - i + 1) * b[i] * b[k - i]
+        denominator = c - d * (k + 2) * b[0]
+        if not abs(numerator) < abs(b[k - 1]) * denominator:
+            break
+        b[k] = numerator / denominator
+    return b
+
+
+def _taylor_start(cs, lams, d: float, g: np.ndarray) -> np.ndarray:
+    """Start node values, shape (L, n + 1), of the lanes at speeds cs with saddle
+    slopes lams, on a grid whose values of f/s are g: each lane's Taylor series
+    of w at xi to order TAYLOR_ORDER (``_taylor_coefficients``), by Horner's rule
+    at the points of ``_chebyshev(n)``.  Node 0 is lam exactly, and a lane's
+    values do not depend on the batch."""
+    n, d = g.size - 1, float(d)
+    gk = (_taylor_rows(n) @ g).tolist()
+    cols = np.array([_taylor_coefficients(c, lam, d, gk) for c, lam in zip(cs, lams)]).T[..., None]
+    t = _chebyshev(n)[0]
+    w = cols[-1] * t
+    for b in cols[-2:0:-1]:
+        w += b
+        w *= t
+    return w + cols[0]
+
+
 def _equations(w, c, d, ds, g, D):
     """The collocation equations F = d*w*(w + s*w') - c*w + g and their Jacobian
     dF/dw, for lanes w of shape (L, n + 1) at speeds c of shape (L, 1), on the
@@ -370,13 +431,13 @@ def integrate_trajectories(
 ) -> list[PhaseTrajectory]:
     """Solve the collocation equations on [xi, delta] for each speed in cs.
 
-    The speeds are the lanes of one batched Newton solve from the flat start
-    w = saddle slope, at degree N_START; a lane whose coefficients have not
-    decayed (``_resolved``) moves on to twice the degree from its
-    interpolated values, up to N_MAX.  Every lane's arithmetic is its own, so
-    a trajectory is a pure function of its arguments, bit-identical in any
-    batch.  A lane that fails raises the error its own solve would, naming
-    its speed.
+    The speeds are the lanes of one batched Newton solve from the Taylor
+    series of w at xi (``_taylor_start``), at degree N_START; a lane whose
+    coefficients have not decayed (``_resolved``) moves on to twice the
+    degree from its interpolated values, up to N_MAX.  Every lane's
+    arithmetic is its own, so a trajectory is a pure function of its
+    arguments, bit-identical in any batch.  A lane that fails raises the
+    error its own solve would, naming its speed.
     """
     opts = opts or DEFAULT_OPTIONS
     xi = f.stable_zero
@@ -397,11 +458,12 @@ def integrate_trajectories(
 
     n = N_START
     speeds = np.array(cs)[:, None]
-    w = np.repeat(np.array(lams)[:, None], n + 1, axis=1)
+    grid = _collocation_grid(n, d, f, delta)
+    w = _taylor_start(cs, lams, d, grid[1])
     pending = np.arange(len(cs))
     nodes = [None] * len(cs)
     while True:
-        w = _newton(w, speeds[pending], d, _collocation_grid(n, d, f, delta))
+        w = _newton(w, speeds[pending], d, grid)
         done = _resolved(w, n, opts)
         for lane, values in zip(pending[done].tolist(), w[done]):
             nodes[lane] = values
@@ -412,6 +474,7 @@ def integrate_trajectories(
             raise IntegrationError(f"collocation at c={cs[pending[0]]:g} is not resolved "
                                    f"at degree {N_MAX}")
         w, n = _refined(w, n), 2 * n
+        grid = _collocation_grid(n, d, f, delta)
     return [_trajectory(c, d, f, delta, lam, w) for c, lam, w in zip(cs, lams, nodes)]
 
 

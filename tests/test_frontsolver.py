@@ -681,3 +681,18 @@ def test_fast_front_steps_at_the_reaction_cap(logistic1):
     assert rec.termination_reason == "completed", rec.diagnostic
     assert rec.config["steps"] <= 1000
     assert abs(rec.final_state.g_prime - speed) <= 0.02 * speed
+
+
+@pytest.mark.parametrize("u0", [lambda y: np.asarray(y)[:-1] + 2.0, lambda y: 2.0],
+                         ids=["one-short", "scalar"])
+def test_initial_data_needs_one_value_per_node(u0):
+    with pytest.raises(InputError, match="one value per node"):
+        InitialData.from_callable(Grid1D(20.0, 400), 2.0, u0)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-4, math.nan])
+def test_step_rejects_a_step_that_is_not_positive(logistic1, dt):
+    grid = Grid1D(20.0, 400)
+    st = make_state(grid, exp_approach_u0(2.0)(grid.nodes))
+    with pytest.raises(InputError, match="dt must be positive"):
+        step(st, 1.0, 2.0, logistic1, dt)

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from retreatwave import phaseplane
+from retreatwave import phaseplane, wavespeed
 from retreatwave import (
     Grid1D,
     InputError,
@@ -16,6 +16,7 @@ from retreatwave import (
     NumericalError,
     ReactionFunction,
     bracket_low,
+    bracketing_sequences,
     closed_form_zero_speed,
     find_wave_speed,
     integrate_trajectories,
@@ -24,6 +25,7 @@ from retreatwave import (
     make_perturbation_pair,
     parse_reaction,
     reconstruct_profile,
+    residual_monotonicity_audit,
     saddle_slope,
 )
 from retreatwave.wavespeed import SUP_GRID
@@ -1015,3 +1017,276 @@ def test_collocation_at_twice_the_degree_agrees(monkeypatch):
         assert size2 - 1 >= 2 * (size - 1)
         assert abs(c - c2) <= 1e-14 * abs(c2)
         assert np.max(np.abs(np.subtract(p, p2))) <= 1e-13 * np.max(np.abs(p2))
+
+
+# -- the start of a collocation solve: the Taylor series of w at xi --
+
+# polynomial reactions whose stable zero is exactly a float, with their
+# power coefficients from u**1 up: there f/s is a polynomial in s, so its
+# Taylor coefficients are exact rationals
+EXACT_ZERO_POLYNOMIALS = [
+    ("logistic:r=1", (1.0, -1.0), 1.0),
+    ("custom:3,-2,0.75,-0.5", (3.0, -2.0, 0.75, -0.5), 1.5),  # 2u(1.5 - u)(1 + u**2/4)
+    ("custom:0.5,0,-0.5", (0.5, 0.0, -0.5), 1.0),  # u(1 - u**2)/2
+]
+
+
+def _exact_taylor_rows(coeffs, xi: float, delta: float):
+    """span**k * g_k, k = 1 .. TAYLOR_ORDER, in rational arithmetic: g_k =
+    f^(k+1)(xi)/(k+1)! is the k-th Taylor coefficient of f/s at s = 0, for
+    f = sum_j coeffs[j-1]*u**j, and span = delta - xi scales s to t."""
+    xi, span = Fraction(xi), Fraction(delta) - Fraction(xi)
+    out = []
+    for k in range(1, phaseplane.TAYLOR_ORDER + 1):
+        g = sum(Fraction(c) * math.comb(j, k + 1) * xi ** (j - k - 1)
+                for j, c in enumerate(coeffs, start=1) if j > k)
+        out.append(g * span ** k)
+    return out
+
+
+@pytest.mark.parametrize("spec, coeffs, xi", EXACT_ZERO_POLYNOMIALS,
+                         ids=[p[0] for p in EXACT_ZERO_POLYNOMIALS])
+def test_taylor_rows_give_the_taylor_coefficients_of_f_over_s(spec, coeffs, xi):
+    # the rows applied to the grid's f/s against the exact coefficients.  A
+    # node's value carries Horner's rounding of f(q), which cancels near xi,
+    # so it is scaled by sum |c_j| q**j / s besides |f/s|; to first order 2m
+    # roundings in f (degree m), two in q and s, one in the quotient and n + 1
+    # in the row's dot product bound the error by gamma(2m + n + 4) times the
+    # scales weighted by |row|.  Measured: at most 0.38 U times that weight
+    f = parse_reaction(spec)
+    assert f.stable_zero == xi and float(f(xi)) == 0.0
+    for delta in (1.01 * xi, 2.0 * xi, 7.3 * xi, 1000.0 * xi):
+        for n in (16, 32):
+            _, g, _ = phaseplane._collocation_grid(n, 1.0, f, delta)
+            rows = phaseplane._taylor_rows(n)
+            q = xi + (delta - xi) * phaseplane._chebyshev(n)[0]
+            horner = sum(abs(c) * q ** j for j, c in enumerate(coeffs, start=1))
+            slope = sum(j * abs(c) * xi ** (j - 1) for j, c in enumerate(coeffs, start=1))
+            scale = np.abs(g) + np.concatenate(([slope], horner[1:] / (q[1:] - xi)))
+            bound = _gamma(2 * len(coeffs) + n + 4) * (np.abs(rows) @ scale)
+            exact = _exact_taylor_rows(coeffs, xi, delta)
+            for k, value in enumerate((rows @ g).tolist()):
+                assert abs(Fraction(value) - exact[k]) <= bound[k], (delta, n, k + 1)
+
+
+# problems with every speed of their audit grid: the logistic and the cubic
+# keep all three terms there, the large deltas stop some lanes early
+START_PROBLEMS = [
+    ("logistic:r=1", 1.0, 2.0),
+    ("custom:3,-2,0.9,-0.6", 0.8, 2.4),
+    ("logistic:r=1", 1.0, 1000.0),
+    ("logistic:r=50", 0.05, 40.0),
+]
+
+
+def _start_lanes(spec, d, delta):
+    f = parse_reaction(spec)
+    cs = np.linspace(bracket_low(d, f, delta), 0.0, 50).tolist()
+    lams = [saddle_slope(c, d, f) for c in cs]
+    return f, cs, lams, phaseplane._collocation_grid(phaseplane.N_START, d, f, delta)[1]
+
+
+@pytest.mark.parametrize("spec, d, delta", START_PROBLEMS)
+def test_taylor_coefficients_solve_the_equation_term_by_term(spec, d, delta):
+    # each kept b_k makes the t**k term of d*w*(w + t*w_t) - c*w + f/s
+    # vanish, for the row operator's coefficients of f/s: in rational
+    # arithmetic on the float b, that term is within gamma(k + 4) of the
+    # sum of its terms' sizes (the rounding of b_k's numerator, denominator
+    # and quotient).  A (k + 1) in place of (k + 2) leaves d*lam*b_k there.
+    # Every lane of the first two problems keeps all its terms
+    f, cs, lams, g = _start_lanes(spec, d, delta)
+    gk = (phaseplane._taylor_rows(g.size - 1) @ g).tolist()
+    kept = []
+    for c, lam in zip(cs, lams):
+        b = phaseplane._taylor_coefficients(c, lam, d, gk)
+        assert b[0] == lam and len(b) == phaseplane.TAYLOR_ORDER + 1
+        order = next((k for k in range(1, len(b)) if b[k] == 0.0), len(b)) - 1
+        assert not any(b[order + 1:]), b
+        kept.append(order)
+        B, D, C = [Fraction(x) for x in b], Fraction(d), Fraction(c)
+        for k in range(1, order + 1):
+            products = [(k - i + 1) * B[i] * B[k - i] for i in range(k + 1)]
+            term = Fraction(gk[k - 1]) + D * sum(products) - C * B[k]
+            size = (abs(Fraction(gk[k - 1])) + D * sum(abs(p) for p in products[1:-1])
+                    + (abs(C) + D * (k + 2) * abs(B[0])) * abs(B[k]))
+            assert abs(term) <= _gamma(k + 4) * size, (c, k)
+    if delta < 10.0:
+        assert kept == [phaseplane.TAYLOR_ORDER] * len(cs)
+
+
+@pytest.mark.parametrize("spec, d, delta", START_PROBLEMS)
+def test_taylor_start_is_its_series_at_the_nodes_in_any_batch(spec, d, delta):
+    # node 0 is the saddle slope exactly; every node is Horner's sum of the
+    # lane's coefficients within gamma(2K) of sum |b_k| t**k; and a lane's
+    # values are those of its one-lane start, bit for bit
+    f, cs, lams, g = _start_lanes(spec, d, delta)
+    n = g.size - 1
+    start = phaseplane._taylor_start(cs, lams, d, g)
+    assert start.shape == (len(cs), n + 1)
+    assert start[:, 0].tolist() == [float(lam) for lam in lams]
+    gk = (phaseplane._taylor_rows(n) @ g).tolist()
+    t = [Fraction(x) for x in phaseplane._chebyshev(n)[0].tolist()]
+    for lane, (c, lam) in enumerate(zip(cs, lams)):
+        assert np.array_equal(start[lane], phaseplane._taylor_start([c], [lam], d, g)[0]), c
+        b = [Fraction(x) for x in phaseplane._taylor_coefficients(c, lam, d, gk)]
+        for tj, value in zip(t, start[lane].tolist()):
+            exact = sum(bk * tj ** k for k, bk in enumerate(b))
+            size = sum(abs(bk) * tj ** k for k, bk in enumerate(b))
+            assert abs(Fraction(value) - exact) <= _gamma(2 * phaseplane.TAYLOR_ORDER) * size
+
+
+def test_taylor_start_is_flat_where_the_series_diverges(logistic1):
+    # at delta = 1000, c = 0 the first term already outgrows the saddle slope
+    # at delta (b_1 = -999/3 against lam = -1), so the start is the flat w = lam
+    d, delta = 1.0, 1000.0
+    g = phaseplane._collocation_grid(phaseplane.N_START, d, logistic1, delta)[1]
+    lam = saddle_slope(0.0, d, logistic1)
+    gk = (phaseplane._taylor_rows(g.size - 1) @ g).tolist()
+    assert phaseplane._taylor_coefficients(0.0, lam, d, gk) == [lam, 0.0, 0.0, 0.0]
+    start = phaseplane._taylor_start([0.0], [lam], d, g)
+    assert np.array_equal(start, np.full((1, g.size), lam))
+
+
+def _count_equations(monkeypatch):
+    """The lane count of each call of ``_equations``, recorded from now on."""
+    lanes = []
+    equations = phaseplane._equations
+
+    def counting(w, c, *grid):
+        lanes.append(len(w))
+        return equations(w, c, *grid)
+
+    monkeypatch.setattr(phaseplane, "_equations", counting)
+    return lanes
+
+
+def _flat_start(cs, lams, d, g):
+    return np.repeat(np.array(lams, dtype=float)[:, None], g.size, axis=1)
+
+
+@pytest.mark.parametrize("spec, d, delta", [
+    ("logistic:r=1", 1.0, 1000.0),
+    ("logistic:r=1", 1.0, 1e4),
+    ("custom:0.7,-1", 1.0, 1000.0),
+    ("custom:3,-2,0.9,-0.6", 0.8, 151.5),
+    ("logistic:r=50", 0.05, 40.0),
+])
+def test_large_delta_audits_take_no_more_newton_steps_than_the_flat_start(
+        monkeypatch, spec, d, delta):
+    # measured, with the series and with the flat start alike: 20, 25 (up to
+    # the failure at degree N_MAX at delta = 1e4), 20, 17 and 11 calls
+    f = parse_reaction(spec)
+    lanes = _count_equations(monkeypatch)
+    counts = []
+    for start in (phaseplane._taylor_start, _flat_start):
+        monkeypatch.setattr(phaseplane, "_taylor_start", start)
+        lanes.clear()
+        try:
+            residual_monotonicity_audit(d, f, delta, 50)
+        except IntegrationError:
+            assert delta == 1e4
+        counts.append(len(lanes))
+    assert counts[0] <= counts[1], counts
+
+
+def test_criterion_6_newton_steps_per_sequence_solve(monkeypatch, logistic1, speed_ref):
+    # each of the 401 two-lane solves takes two steps with both lanes; only
+    # the upper lane of the first three (c = 0, -0.545, -0.696, whose starts
+    # are 5.3e-3, 2.1e-3 and 1.5e-3 off the solution) takes a third alone.
+    # From the flat start every solve took four two-lane steps
+    lanes = _count_equations(monkeypatch)
+    per_solve = []
+    solve = phaseplane.integrate_trajectories
+
+    def recording(cs, *args):
+        lanes.clear()
+        out = solve(cs, *args)
+        per_solve.append(list(lanes))
+        return out
+
+    monkeypatch.setattr(wavespeed, "integrate_trajectories", recording)
+    bracketing_sequences(1.0, logistic1, 2.0, c_upper_0=0.0, c_lower_0=speed_ref.c_star - 1.0,
+                         M=10, n_max=400, reference=speed_ref)
+    assert per_solve[:3] == [[2, 2, 1]] * 3
+    assert per_solve[3:] == [[2, 2]] * 398
+
+
+# -- the module's raises that no other test reaches --
+
+def test_collocation_points_that_round_to_the_stable_zero_raise(logistic1):
+    # delta one ulp above xi = 1: span * t_1 is far below one ulp of 1
+    with pytest.raises(NumericalError, match="collocation points fell to the stable zero"):
+        integrate_trajectory(-0.5, 1.0, logistic1, math.nextafter(1.0, 2.0))
+
+
+def test_singular_jacobian_names_its_lane(monkeypatch, logistic1):
+    # a stand-in zeroes the Jacobian of the lane at c = -0.7 alone
+    equations = phaseplane._equations
+
+    def singular(w, c, *grid):
+        F, J = equations(w, c, *grid)
+        J[c[:, 0] == -0.7] = 0.0
+        return F, J
+
+    monkeypatch.setattr(phaseplane, "_equations", singular)
+    with pytest.raises(IntegrationError, match=r"singular at c=-0\.7$"):
+        integrate_trajectories([-0.5, -0.7, -0.9], 1.0, logistic1, 2.0)
+
+
+def test_lane_unresolved_at_the_largest_degree_raises(logistic1):
+    # the audit grid at delta = 1e4: the lane at c = 0 still has coefficients
+    # above the tolerances at degree N_MAX
+    cs = np.linspace(bracket_low(1.0, logistic1, 1e4), 0.0, 50)
+    message = f"c=0 is not resolved at degree {phaseplane.N_MAX}"
+    with pytest.raises(IntegrationError, match=message):
+        integrate_trajectories(cs, 1.0, logistic1, 1e4)
+
+
+def test_speed_solve_that_is_not_finite_raises(monkeypatch, logistic1, speed_ref):
+    # a stand-in makes the equations' values NaN once the start is solved
+    start = integrate_trajectory(-1.0, 1.0, logistic1, 2.0)
+    equations = phaseplane._equations
+    monkeypatch.setattr(phaseplane, "_equations",
+                        lambda w, c, *grid: (np.nan * w, equations(w, c, *grid)[1]))
+    with pytest.raises(IntegrationError, match=r"speed solve from c=-1\.0 is not finite"):
+        phaseplane.solve_wave_speed(start, logistic1, speed_ref.bracket, 30)
+
+
+def test_speed_solve_unresolved_at_the_largest_degree_raises(logistic1, speed_ref):
+    # tolerances of 0 hold no coefficients but zeros: the degree doubles up
+    # to N_MAX, and the solve raises there
+    start = integrate_trajectory(-1.0, 1.0, logistic1, 2.0)
+    with pytest.raises(IntegrationError, match=f"not resolved at degree {phaseplane.N_MAX}"):
+        phaseplane.solve_wave_speed(start, logistic1, speed_ref.bracket, 30,
+                                    IntegrationOptions(rtol=0.0, atol=0.0))
+
+
+def test_reference_integrator_rejects_a_backward_span():
+    with pytest.raises(ValueError, match="integrates forward"):
+        phaseplane.solve_ivp(lambda t, y: 0.0, (1.0, 0.0), [0.0], 1e-6, 1e-9)
+
+
+def test_reference_integrator_first_step_for_a_constant_solution():
+    # y' = 0: both derivative estimates of the initial step are 0, so the
+    # step is scipy's fallback max(1e-6, h0*1e-3) with h0 = 1e-6, and every
+    # later one grows tenfold; scipy's RK45 takes the same steps
+    from scipy.integrate import solve_ivp
+
+    ours = phaseplane.solve_ivp(lambda t, y: 0.0, (0.0, 1.0), [1.0], 1e-6, 1e-9)
+    ref = solve_ivp(lambda t, y: [0.0], (0.0, 1.0), [1.0], method="RK45", rtol=1e-6, atol=1e-9)
+    assert ours.t[1] == 1e-6 and np.array_equal(ours.t, ref.t)
+    assert np.all(ours.y == 1.0) and ours.success
+
+
+def test_profile_whose_abscissae_stall_raises(monkeypatch, logistic1):
+    # a stand-in zeroes one Simpson panel, so two abscissae coincide
+    sums = phaseplane._simpson_sums
+
+    def stalled(y):
+        out = sums(y)
+        out[7] = 0.0
+        return out
+
+    monkeypatch.setattr(phaseplane, "_simpson_sums", stalled)
+    with pytest.raises(NumericalError, match="abscissae are not strictly increasing"):
+        reconstruct_profile(integrate_trajectory(-0.5, 1.0, logistic1, 2.0))

@@ -14,6 +14,7 @@ from retreatwave import (
     parse_reaction,
     validate_monostable,
 )
+from retreatwave import reaction
 from retreatwave.wavespeed import DEFAULT_TOL
 
 
@@ -269,3 +270,30 @@ def test_pair_sandwiches_bases_with_large_stable_zeros(spec):
     u = np.linspace(0.0, 4.0 * f.stable_zero, 10_001)[1:]
     assert np.all(pair.lower(u) < f(u)) and np.all(f(u) < pair.upper(u))
     assert pair.lower.stable_zero < f.stable_zero < pair.upper.stable_zero
+
+
+def test_polynomial_with_a_flat_stable_zero_is_rejected():
+    # u*(1 - u)**3: positive on (0, 1) and negative beyond, but f'(1) = 0
+    with pytest.raises(InputError, match=r"not monostable: f'\(stable_zero\) = 0\.000e\+00"):
+        make_polynomial((1.0, -3.0, 3.0, -1.0))
+
+
+def test_pair_whose_member_turns_positive_again_is_rejected():
+    # u*(1 - u)*(u - 2.2)**2, expanded in floats, comes within rounding of 0
+    # near 2.2; the upper member's bump lifts it above 0 there, inside twice
+    # the member's stable zero
+    p = -np.polynomial.Polynomial.fromroots([0.0, 1.0, 2.2, 2.2])
+    base = make_polynomial(tuple(p.coef[1:]))
+    with pytest.raises(PerturbationError, match=r"epsilon=0\.3 breaks monostability of .*\|upper"
+                                                r":eps=0\.3: sign violation"):
+        make_perturbation_pair(base, 0.3)
+
+
+def test_pair_that_does_not_sandwich_its_base_is_rejected(monkeypatch, logistic1):
+    # a stand-in swaps the members' signs: each is a valid reaction, but
+    # the lower one lies above the base
+    member = reaction._additive_member
+    monkeypatch.setattr(reaction, "_additive_member",
+                        lambda base, eps, tag: member(base, -eps, tag))
+    with pytest.raises(PerturbationError, match="not strictly sandwiching"):
+        make_perturbation_pair(logistic1, 0.05)
