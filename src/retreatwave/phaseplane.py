@@ -33,8 +33,8 @@ Simpson's rule on points uniform in ln(q - xi), where P is read by
 barycentric interpolation.
 
 The module's numerics are plain numpy, with ``np.linalg.solve`` for the
-Newton steps and no ``scipy`` to import: the collocation, Simpson's rule, an
-adaptive 21-point Gauss-Kronrod quadrature for the zero-speed closed form,
+Newton steps and no ``scipy`` to import: the collocation, Clenshaw-Curtis
+quadrature on its points for the zero-speed closed form, Simpson's rule,
 and ``solve_ivp``, a one-lane Dormand-Prince 5(4) stepper with scipy's RK45
 rules that nothing in the package calls: the tests integrate the phase-plane
 ODE with it as an independent reference.  The tests hold each piece to an
@@ -43,7 +43,6 @@ exact oracle within a stated rounding bound.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -81,7 +80,6 @@ DEFAULT_OPTIONS = IntegrationOptions()
 TRAJECTORY_SAMPLES = 2500  # samples of P on (xi, delta] written
 PROFILE_SAMPLES = 1200  # samples of q on [0, x_end]
 TAIL_CUT = 1e-6  # the profile samples end at q - xi = TAIL_CUT * (delta - xi)
-QUAD_PANELS = 200  # most panels of the adaptive Gauss-Kronrod quadrature
 N_START, N_MAX = 16, 256  # the first and the largest collocation degree
 TAYLOR_ORDER = 3  # the highest power of s - xi in the start of a solve (``_taylor_start``)
 NEWTON_STEPS = 40  # most Newton steps of one solve at one degree
@@ -222,8 +220,10 @@ def saddle_slope(c: float, d: float, f: ReactionFunction) -> float:
 @functools.lru_cache(maxsize=8)
 def _chebyshev(n: int):
     """The n + 1 Chebyshev-Lobatto points t of [0, 1], ascending, their
-    barycentric weights, the differentiation matrix d/dt and the matrix that
-    takes values to Chebyshev coefficients (up to sign), all read-only.
+    barycentric weights, the differentiation matrix d/dt, the matrix that
+    takes values to Chebyshev coefficients (up to sign) and the row of the
+    polynomials' means over [0, 1], all read-only: the mean of T_k(2t - 1) is
+    1/(1 - k**2) at even k and 0 at odd k, where the sign is open.
 
     D[i, k] = (weight_k/weight_i) / (t_i - t_k) off the diagonal, and each
     row sums to zero, as the derivative of a constant does (Trefethen,
@@ -239,9 +239,11 @@ def _chebyshev(n: int):
     coeffs = np.cos(np.pi / n * np.outer(j, j)) * (2.0 / n)
     coeffs[:, [0, -1]] *= 0.5
     coeffs[[0, -1]] *= 0.5
-    for a in (t, weights, D, coeffs):
+    means = np.zeros(n + 1)
+    means[::2] = 1.0 / (1.0 - j[::2] ** 2)
+    for a in (t, weights, D, coeffs, means):
         a.flags.writeable = False
-    return t, weights, D, coeffs
+    return t, weights, D, coeffs, means
 
 
 def _interpolation(n: int, t: np.ndarray) -> np.ndarray:
@@ -387,10 +389,15 @@ def _newton(w, c, d, grid) -> np.ndarray:
                            f"in {NEWTON_STEPS} Newton steps")
 
 
+def _decayed(a, rtol: float, atol: float):
+    """Per lane (last axis): the last three Chebyshev coefficients a are within atol + rtol * max."""
+    a = np.abs(a)
+    return a[..., -3:].max(axis=-1) <= atol + rtol * a.max(axis=-1)
+
+
 def _resolved(w, n: int, opts: IntegrationOptions) -> np.ndarray:
-    """Per lane: the last three Chebyshev coefficients of w are within atol + rtol * the largest."""
-    a = np.abs(np.matmul(_chebyshev(n)[3], w[..., None])[..., 0])
-    return a[:, -3:].max(axis=1) <= opts.atol + opts.rtol * a.max(axis=1)
+    """Per lane: the Chebyshev coefficients of w have decayed to the options' tolerances."""
+    return _decayed(np.matmul(_chebyshev(n)[3], w[..., None])[..., 0], opts.rtol, opts.atol)
 
 
 def _refined(w, n: int):
@@ -653,71 +660,24 @@ def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol) -> float:
     return min(100 * h0, h1, interval)
 
 
-# QUADPACK's 21-point Kronrod rule and its embedded 10-point Gauss rule
-# (Piessens et al., QUADPACK, 1983, routine dqk21): abscissae on [0, 1)
-# largest first, the Gauss points at the odd indices; the last Kronrod
-# weight is the centre's.
-_XGK = np.array((0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-                 0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-                 0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-                 0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-                 0.294392862701460198131126603103866, 0.148874338981631210884826001129720))
-_WGK = np.array((0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-                 0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-                 0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-                 0.123491976262065851077208745170633, 0.134709217311473325928054001771707,
-                 0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-                 0.149445554002916905664936468389821))
-_WG = np.array((0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-                0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-                0.295524224714752870173892994651338))
-# the 21 nodes on [-1, 1] in increasing order, with their Kronrod weights and
-# their Gauss weights (0 where a node is not a Gauss point)
-_NODES = np.concatenate((-_XGK, [0.0], _XGK[::-1]))
-_KRONROD = np.concatenate((_WGK, _WGK[-2::-1]))
-_GAUSS = np.zeros(21)
-_GAUSS[1:10:2] = _GAUSS[19:10:-2] = _WG
-
-
-def _kronrod21(f, a: float, b: float) -> tuple[float, float]:
-    """The 21-point Kronrod value K21 of int_a^b f and |K21 - G10|, from one call of f.
-
-    |K21 - G10| estimates the error of the 10-point Gauss rule (exact to
-    degree 19), so it is a generous estimate for K21 (exact to degree 31).
-    f is called once, on the array of the 21 nodes; a scalar result counts
-    for every node.  For b < a the value carries its sign.
-    """
-    half = 0.5 * (b - a)
-    fx = np.broadcast_to(f(0.5 * (a + b) + half * _NODES), _NODES.shape)
-    kronrod = half * float(_KRONROD @ fx)
-    return kronrod, abs(kronrod - half * float(_GAUSS @ fx))
-
-
-def _quad(f, a: float, b: float, epsabs: float, epsrel: float) -> float:
-    """int_a^b f by adaptive 21-point Gauss-Kronrod quadrature.
-
-    [a, b] starts as one panel; the panel with the largest error estimate
-    (``_kronrod21``) is halved until the summed estimate meets
-    max(epsabs, epsrel*|integral|).  An integrand that needs more than
-    QUAD_PANELS panels raises NumericalError.
-    """
-    a, b = float(a), float(b)
-    panels, pending = [], [(a, b)]
+def _integral(f, a: float, b: float) -> float:
+    """int_a^b f by Clenshaw-Curtis quadrature: (b - a) times the mean of f's Chebyshev
+    series on the points of ``_chebyshev(n)``, with n doubling from N_START until its last
+    three coefficients are within 1e-14/|b - a| + 1e-13 * the largest (``_decayed``), or
+    NumericalError past N_MAX."""
+    span = b - a
+    if not span:
+        return 0.0
+    n = N_START
     while True:
-        for lo, hi in pending:
-            value, error = _kronrod21(f, lo, hi)
-            heapq.heappush(panels, (-error, lo, hi, value))
-        result = sum(panel[3] for panel in panels)
-        if -sum(panel[0] for panel in panels) <= max(epsabs, epsrel * abs(result)):
-            return result
-        if len(panels) >= QUAD_PANELS:
-            raise NumericalError(
-                f"quadrature of {getattr(f, 'label', f)} on [{min(a, b):g}, {max(a, b):g}] "
-                f"did not converge in {QUAD_PANELS} panels"
-            )
-        _, lo, hi, _ = heapq.heappop(panels)
-        mid = 0.5 * (lo + hi)
-        pending = [(lo, mid), (mid, hi)]
+        t, _, _, to_coeffs, means = _chebyshev(n)
+        coeffs = to_coeffs @ f(a + span * t)
+        if _decayed(coeffs, 1e-13, 1e-14 / abs(span)):
+            return span * float(means @ coeffs)
+        if n == N_MAX:
+            raise NumericalError(f"quadrature of {getattr(f, 'label', f)} on [{min(a, b):g}, "
+                                 f"{max(a, b):g}] is not resolved at degree {N_MAX}")
+        n *= 2
 
 
 def closed_form_zero_speed(q: float, d: float, f: ReactionFunction) -> float:
@@ -725,21 +685,16 @@ def closed_form_zero_speed(q: float, d: float, f: ReactionFunction) -> float:
 
     For q beyond the stable zero the integrand makes the radicand positive;
     a negative radicand beyond round-off signals a non-monostable reaction.
-    Quadrature is adaptive Gauss-Kronrod (``_quad``) at relative tolerance
-    1e-12 so the oracle error stays far below the solve's; one that does
-    not converge raises NumericalError.
+    The integral is ``_integral``'s, far more accurate than the solve's P.
     """
     xi = f.stable_zero
     if not 0 < d < np.inf:
         raise InputError(f"diffusivity must be positive and finite, got {d}")
     if not xi - 1e-12 <= q < np.inf:
         raise InputError(f"q must be finite and at least the stable zero {xi:g}, got {q}")
-    integral = _quad(f, q, xi, epsabs=1e-14, epsrel=1e-12)
-    radicand = (2.0 / d) * integral
+    radicand = (2.0 / d) * _integral(f, q, xi)
     if radicand < -1e-12:
-        raise NumericalError(
-            f"negative radicand {radicand:.3e} at q={q:g}: f is not monostable"
-        )
+        raise NumericalError(f"negative radicand {radicand:.3e} at q={q:g}: f is not monostable")
     return -float(np.sqrt(max(radicand, 0.0)))
 
 

@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from retreatwave import find_wave_speed, make_logistic
@@ -9,6 +10,15 @@ from retreatwave import find_wave_speed, make_logistic
 @pytest.fixture(scope="session")
 def logistic1():
     return make_logistic(1.0)
+
+
+@pytest.fixture(scope="session")
+def exact_zero_speed():
+    """The logistic closed form P0(q) = -sqrt((2/d) * int_q^1 r*u*(1 - u) du), from the
+    antiderivative r*(q - 1)**2*(2q + 1)/6, which does not cancel near q = 1."""
+    def oracle(q, r: float, d: float):
+        return -np.abs(q - 1.0) * np.sqrt(r * (2.0 * q + 1.0) / (3.0 * d))
+    return oracle
 
 
 @pytest.fixture(scope="session")

@@ -266,12 +266,24 @@ def test_simulate_custom_table(tmp_path, runner):
 
 
 def test_simulate_front_at_rest_with_zero_speed_scale(tmp_path, runner):
-    # at delta = nextafter(1, 2) bracket_low rounds to -0.0, and this table
-    # gives g'(0) = 0 exactly: no speed sets the step, which starts at the cap
+    # at delta = 1 + h = nextafter(1, 2) the only floats of [1, delta] are its
+    # ends, so each quadrature node rounds to the nearer end: f reads f(delta)
+    # = -h*(1 + h) on the nodes nearer delta, 0 on those nearer 1, and either
+    # at the middle one, of weight w at degree N_START.  The weights are
+    # symmetric and sum to 1, so int_delta^1 f = h**2*(1 + h)*S with S within
+    # w/2 of 1/2, against the exact h**2*(1/2 + h/3); c0 = -sqrt(2*int f) is
+    # then within 1 - sqrt(1 - w) of its exact value -h*sqrt(1 + 2h/3), and
+    # rounding adds 1e-13 of it.  This table gives g'(0) = 0 exactly: no
+    # speed sets the step, which starts at the cap
     delta = "1.0000000000000002"
     table = tmp_path / "u0.csv"
     table.write_text(f"y,u\n0,{delta}\n0.05,{delta}\n0.1,1\n100,1\n")
-    assert wavespeed.bracket_low(1.0, parse_reaction("logistic"), float(delta)) == 0.0
+    h = float(delta) - 1.0
+    exact = -h * math.sqrt(1.0 + 2.0 * h / 3.0)
+    _, _, _, matrix, means = phaseplane._chebyshev(phaseplane.N_START)
+    w = float(means @ matrix[:, phaseplane.N_START // 2])
+    c0 = wavespeed.bracket_low(1.0, parse_reaction("logistic"), float(delta))
+    assert abs(c0 - exact) <= (1.0 - math.sqrt(1.0 - w) + 1e-13) * -exact
     out = tmp_path / "sim"
     res = invoke(runner, ["simulate", "--delta", delta, "--u0", "custom_table",
                           "--table", str(table), "--T", "0.1", "--out", str(out)])
@@ -693,10 +705,10 @@ def test_speed_through_the_cli_loads_no_scipy_linalg(tmp_path):
 
 def test_quadrature_that_cannot_converge_exits_numerical(tmp_path, runner, monkeypatch):
     # the speed search's bracket needs int f, and an oscillation of size 1e-8
-    # and period 6e-6 keeps it from converging; the solves do not notice
+    # and period 6e-6 keeps its quadrature from resolving; the solves do not notice
     noisy = ReactionFunction(lambda u: u * (1.0 - u) + 1e-8 * np.sin(1e6 * u),
                              lambda u: 1.0 - 2.0 * u, 1.0, "noisy")
     monkeypatch.setattr(cli, "parse_reaction", lambda text: noisy)
     res = runner.invoke(main, ["speed", "--delta", "2", "--out", str(tmp_path)])
     assert res.exit_code == 2
-    assert "did not converge in 200 panels" in res.output
+    assert f"not resolved at degree {phaseplane.N_MAX}" in res.output

@@ -31,12 +31,6 @@ from retreatwave import (
 from retreatwave.wavespeed import SUP_GRID
 
 
-def exact_zero_speed(q: float, r: float, d: float) -> float:
-    """Polynomial antiderivative oracle for the logistic closed form."""
-    integral = r * (1.0 / 6.0 - q * q / 2.0 + q**3 / 3.0)
-    return -math.sqrt((2.0 / d) * integral)
-
-
 def test_saddle_slope_values(logistic1):
     assert saddle_slope(0.0, 1.0, logistic1) == pytest.approx(-1.0, abs=1e-14)
     assert saddle_slope(-1.0, 1.0, logistic1) == pytest.approx(
@@ -64,7 +58,7 @@ def test_closed_form_values(logistic1):
 @pytest.mark.parametrize("r", [0.5, 2.0])
 @pytest.mark.parametrize("d", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("q", [1.2, 1.7, 2.4])
-def test_closed_form_matches_polynomial_oracle(r, d, q):
+def test_closed_form_matches_polynomial_oracle(exact_zero_speed, r, d, q):
     f = make_logistic(r)
     assert closed_form_zero_speed(q, d, f) == pytest.approx(
         exact_zero_speed(q, r, d), abs=1e-12
@@ -382,8 +376,9 @@ def test_trajectory_ode_residual_tells_c_over_d_from_c_times_d(logistic1, d):
 
 
 def test_series_start_is_converged(monkeypatch, logistic1):
-    # the flat start at twice the first degree must leave the endpoint
-    # unchanged to rounding: the degree is converged where it stops
+    # a solve from the Taylor series start at twice the first degree must
+    # leave the endpoint unchanged to rounding: the degree is converged where
+    # it stops
     a = integrate_trajectory(-0.5, 1.0, logistic1, 2.0)
     monkeypatch.setattr(phaseplane, "N_START", 2 * phaseplane.N_START)
     b = integrate_trajectory(-0.5, 1.0, logistic1, 2.0)
@@ -719,40 +714,68 @@ def _family(n):
         yield parse_reaction("custom:" + ",".join(repr(c) for c in coeffs)), coeffs
 
 
-def _count_kronrod(monkeypatch):
+def _recording(f):
+    """f, which also keeps the points of each call, and their list."""
     calls = []
-    rule = phaseplane._kronrod21
 
-    def counting(*args):
-        calls.append(rule(*args))
-        return calls[-1]
+    def recording(u):
+        calls.append(u)
+        return f(u)
 
-    monkeypatch.setattr(phaseplane, "_kronrod21", counting)
-    return calls
+    return recording, calls
 
 
-@pytest.mark.parametrize("a, b", [(-1.0, 1.0), (0.5, 2.0), (2.0, 0.5)])
-def test_kronrod_rule_is_exact_to_degree_31(a, b):
-    # K21 integrates t**k exactly for k <= 31, and G10 for k <= 19, so their
-    # gap is rounding there and the Gauss rule's error above.  pow, the
-    # weight, the product, 20 additions and the scaling by h are gamma(24) of
-    # the rule's sum of |h * w * t**k|; each node c + h*x is within 3
-    # roundings of |c| + 2|h| of the exact node, which moves t**k by k*|t|**(k-1)
-    # times that
-    c, h = 0.5 * (a + b), 0.5 * (b - a)
-    nodes = np.abs(c + h * phaseplane._NODES)
-    weights = abs(h) * phaseplane._KRONROD
-    for k in range(32):
-        value, error = phaseplane._kronrod21(lambda t: t**k, a, b)
-        exact = (Fraction(b) ** (k + 1) - Fraction(a) ** (k + 1)) / (k + 1)
-        bound = _gamma(24) * float(weights @ nodes**k)
+def _power_misses(a, b):
+    """The k <= N_START whose int_a^b t**k by ``_integral`` misses the rational value
+    by more than its rounding bound.
+
+    At the degree n of its last call, the rule's two sums of n + 1 terms, the power and the
+    scaling by b - a are gamma(2n + 4) of |b - a| * sum_j W_j*|t_j|**k, W = |means|
+    @ |coefficient matrix|; the weights means @ matrix themselves are within 3 U
+    of exact in their summed error (measured against 40-digit weights up to
+    degree 256), which adds 3 U * |b - a| * max|t_j|**k; and each node, from sin**2,
+    a product and a sum, is within gamma(11) of |a| + |b - a| of the exact node,
+    which moves t**k by k*|t|**(k-1) times that.
+    """
+    misses = []
+    for k in range(phaseplane.N_START + 1):
+        power, calls = _recording(lambda t: t**k)
+        value = phaseplane._integral(power, a, b)
+        t, span = np.abs(calls[-1]), abs(b - a)
+        n = t.size - 1
+        _, _, _, matrix, means = phaseplane._chebyshev(n)
+        weights = np.abs(means) @ np.abs(matrix)
+        bound = span * (_gamma(2 * n + 4) * float(weights @ t**k) + 3 * U * float(np.max(t**k)))
         if k:
-            bound += _gamma(3) * (abs(c) + 2.0 * abs(h)) * k * float(weights @ nodes ** (k - 1))
-        assert abs(Fraction(value) - exact) <= bound, k
-        assert k > 19 or error <= 2.0 * bound, k
-    # and not beyond: on [-1, 1] the next even degrees miss by far more than rounding
-    assert abs(phaseplane._kronrod21(lambda t: t**32, -1.0, 1.0)[0] - 2.0 / 33.0) > 1e-13
-    assert phaseplane._kronrod21(lambda t: t**20, -1.0, 1.0)[1] > 1e-7
+            bound += _gamma(11) * (abs(a) + span) * k * span * float(weights @ t ** (k - 1))
+        exact = (Fraction(b) ** (k + 1) - Fraction(a) ** (k + 1)) / (k + 1)
+        if abs(Fraction(value) - exact) > bound:
+            misses.append(k)
+    return misses
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.5, 2.0), (2.0, 0.5)])
+def test_quadrature_is_exact_for_powers_to_the_first_degree(a, b):
+    # Clenshaw-Curtis at degree n integrates every polynomial of degree <= n
+    # exactly; t**k for k > N_START - 3 has a tail, so it takes the next degree
+    assert _power_misses(a, b) == []
+
+
+def test_planted_wrong_moment_fails_the_power_check(monkeypatch):
+    # the mean of T_2 off by 1e-12 of itself, at every degree: each power
+    # from t**2 on has a T_2 coefficient, and t**2 misses by far more than
+    # its rounding bound
+    chebyshev = phaseplane._chebyshev
+
+    def planted(n):
+        *rest, means = chebyshev(n)
+        means = means.copy()
+        means[2] *= 1.0 + 1e-12
+        return (*rest, means)
+
+    monkeypatch.setattr(phaseplane, "_chebyshev", planted)
+    misses = _power_misses(0.5, 2.0)
+    assert 2 in misses and not {0, 1} & set(misses)
 
 
 def _member_integrals(f, coeffs, eps, q, s=1.0):
@@ -768,16 +791,19 @@ def _member_integrals(f, coeffs, eps, q, s=1.0):
         return float(exact), float(scale)
 
 
-def test_quadrature_matches_exact_antiderivatives(monkeypatch):
+def test_quadrature_matches_exact_antiderivatives():
     # the logistic and polynomial family members and their eps*u*exp(-u/s)
     # perturbations, s = max(1, xi) of the base, from q down to the stable
     # zero.  Near xi the value of f cancels, so the bound scales with M = int
-    # of the terms' magnitudes, not with |int f|: Horner's gamma(8), the
-    # nodes' rounding (3 each, times the degree 4), and the rule's 43, all
-    # of M; a perturbed member also keeps the tolerance max(1e-14,
-    # 1e-12*|int f|), met by the estimate |K21 - G10|, which exceeds the
-    # Kronrod error on these analytic f.  A polynomial takes one panel
-    calls = _count_kronrod(monkeypatch)
+    # of the terms' magnitudes, not with |int f|: gamma(64) of M.  To first
+    # order, Horner's gamma(8), the nodes' rounding (t within 3 U, measured,
+    # then a product and a sum, times the degree 4) and the rule's
+    # gamma(2n + 4) of its weighted magnitudes at n = N_START (at most 1.8 M
+    # here) could add to twice that, but they do not add up: the measured
+    # error is at most 0.8 U of M.  A perturbed member also keeps the
+    # tolerance max(1e-14, 1e-12*|int f|), met by the tail test on these
+    # analytic f, whose coefficients decay geometrically.  A polynomial takes
+    # the first degree, and q = xi no call of f
     cases = [(make_logistic(r), (r, -r), 0.0, 1.0) for r in (0.5, 1.0, 3.0)] + [
         (f, coeffs, 0.0, 1.0) for f, coeffs in _family(12)]
     for f, coeffs, _, _ in cases[:6]:
@@ -787,59 +813,41 @@ def test_quadrature_matches_exact_antiderivatives(monkeypatch):
     for f, coeffs, eps, s in cases:
         xi = f.stable_zero
         for q in (xi, xi * (1.0 + 1e-9), 1.05 * xi, 1.7 * xi, 2.0 * xi, 3.0 * xi, 0.5 * xi):
-            calls.clear()
-            ours = phaseplane._quad(f, q, xi, epsabs=1e-14, epsrel=1e-12)
+            recording, calls = _recording(f)
+            ours = phaseplane._integral(recording, q, xi)
             exact, scale = _member_integrals(f, coeffs, eps, q, s)
             tolerance = max(1e-14, 1e-12 * abs(exact)) if eps else 0.0
             assert abs(ours - exact) <= tolerance + _gamma(64) * scale, (f.label, q)
-            assert eps or len(calls) == 1, (f.label, q)
+            degrees = [u.size - 1 for u in calls]
+            assert eps or degrees == ([] if q == xi else [phaseplane.N_START]), (f.label, q)
     assert closed_form_zero_speed(2.0, 1.0, make_logistic(1.0)) == pytest.approx(
         -math.sqrt(5.0 / 3.0), rel=4 * U)
 
 
-def test_quadrature_bisects_far_ranges_to_quads_accuracy(monkeypatch):
-    # the exponential perturbation is not resolved by one panel on [xi, 150 xi]
+def test_quadrature_raises_its_degree_on_far_ranges_to_quads_accuracy():
+    # the exponential perturbation is not resolved at the first degree on
+    # [xi, 150 xi], the logistic is
     from scipy.integrate import quad
 
-    calls = _count_kronrod(monkeypatch)
     pair = make_perturbation_pair(make_logistic(1.0), 0.05)
-    panels = []
+    taken = []
     for f in (pair.lower, pair.upper, make_logistic(1.0)):
         xi = f.stable_zero
-        calls.clear()
-        ours = phaseplane._quad(f, 150.0 * xi, xi, epsabs=1e-14, epsrel=1e-12)
+        recording, calls = _recording(f)
+        ours = phaseplane._integral(recording, 150.0 * xi, xi)
         theirs, _ = quad(f, 150.0 * xi, xi, epsabs=1e-14, epsrel=1e-12, limit=200)
         assert abs(ours - theirs) <= 1e-12 * abs(theirs)
-        panels.append(len(calls))
-    assert panels[0] > 1 and panels[1] > 1 and panels[2] == 1
-
-
-def test_quadrature_stops_on_its_error_estimate(monkeypatch):
-    # one panel when its own |K21 - G10| meets max(epsabs, epsrel*|I|), halved
-    # panels otherwise, and within that tolerance of the exact integral (the
-    # rounding here is below 1e-15 of it); a scalar integrand counts for
-    # every node
-    calls = _count_kronrod(monkeypatch)
-    lower = make_perturbation_pair(make_logistic(1.0), 0.05).lower
-    far, _ = _member_integrals(lower, (1.0, -1.0), -0.05, 150.0 * lower.stable_zero)
-    cases = [(make_logistic(1.0), 2.0, 1.0, 5.0 / 6.0, True), (lambda u: 3.0, 0.0, 2.0, 6.0, True),
-             (lower, 150.0 * lower.stable_zero, lower.stable_zero, far, False),
-             (lambda u: 1.0 + 1e-12 * (u > 0.37), 0.0, 1.0, 1.0 + 0.63e-12, True),
-             (lambda u: 1.0 + 1e-10 * (u > 0.37), 0.0, 1.0, 1.0 + 0.63e-10, False)]
-    for f, a, b, exact, one_panel in cases:
-        calls.clear()
-        ours = phaseplane._quad(f, a, b, epsabs=1e-14, epsrel=1e-12)
-        value, error = calls[0]
-        assert (len(calls) == 1) == (error <= max(1e-14, 1e-12 * abs(value))) == one_panel
-        assert abs(ours - exact) <= max(1e-14, 1e-12 * abs(exact))
+        taken.append(calls[-1].size - 1)
+    assert taken[0] > phaseplane.N_START and taken[1] > phaseplane.N_START
+    assert taken[2] == phaseplane.N_START
 
 
 def test_quadrature_that_cannot_converge_is_a_numerical_error():
-    # an oscillation of size 1e-8 and period 6e-6 needs far more than
-    # QUAD_PANELS panels; scipy's quad only warns here
+    # an oscillation of size 1e-8 and period 6e-6 keeps f's coefficients
+    # from decaying at every degree up to N_MAX; scipy's quad only warns here
     noisy = ReactionFunction(lambda u: u * (1.0 - u) + 1e-8 * np.sin(1e6 * u),
                              lambda u: 1.0 - 2.0 * u, 1.0, "noisy")
-    with pytest.raises(NumericalError, match=f"did not converge in {phaseplane.QUAD_PANELS} panels"):
+    with pytest.raises(NumericalError, match=f"not resolved at degree {phaseplane.N_MAX}"):
         closed_form_zero_speed(2.0, 1.0, noisy)
 
 
