@@ -8,29 +8,29 @@ function of q.  That function P(q) obeys the singular first-order ODE
 
 entering the equilibrium (xi, 0) of the (q, p) system along the stable
 direction with slope (c - sqrt(c**2 - 4*d*f'(xi))) / (2*d) < 0, where xi is
-the stable zero of f.  With s = q - xi and P = s*w the singularity goes:
+the stable zero of f.  With s = q - xi = (delta - xi)*t and P = s*w the
+singularity goes, since s*dw/ds = t*dw/dt:
 
-    d*w*(w + s*w') - c*w + f(q)/s = 0   on [xi, delta],
+    d*w*(w + t*dw/dt) - c*w + f(q)/s = 0   for t in [0, 1],
 
 with f/s taken as f'(xi) at s = 0, where the equation is the saddle's
-quadratic d*w**2 - c*w + f'(xi) = 0.  w is analytic for every reaction the
-package builds, so this module collocates it at the n + 1 Chebyshev-Lobatto
-points of [xi, delta] (Trefethen, Spectral Methods in MATLAB, SIAM 2000;
-Boyd, Chebyshev and Fourier Spectral Methods, 2001) and solves the
-collocation equations by Newton's method.  The start is w's Taylor series
-at xi to order TAYLOR_ORDER, whose coefficients the equation fixes from
-(c, d, f) alone; its constant term is the saddle slope, which leads to the
-stable branch, and it stops before the first term that does not shrink at
-delta, so where the series diverges the start is flat.  n starts at N_START
-and doubles until the Chebyshev coefficients of w have decayed to the
-options' tolerances.  The speeds of one call are the lanes of one batched
-solve, and each lane stops on its own, so its values do not depend on the
-batch.  With c as one more unknown and the boundary law P(delta) = (delta/d)*c
-as one more row, the same equations give the wave speed
+quadratic d*w**2 - c*w + f'(xi) = 0.  Only f/s depends on (xi, delta).  w
+is analytic for every reaction the package builds, so this module
+collocates it at the n + 1 Chebyshev-Lobatto points of [0, 1] (Trefethen,
+Spectral Methods in MATLAB, SIAM 2000; Boyd, Chebyshev and Fourier Spectral
+Methods, 2001) and solves the collocation equations by Newton's method.
+The start is w's Taylor series at xi to order TAYLOR_ORDER, whose
+coefficients the equation fixes from (c, d, f) alone; its constant term is
+the saddle slope, which leads to the stable branch, and it stops before the
+first term past the tangent that does not shrink at delta.  n starts at
+N_START and doubles until the Chebyshev coefficients of w have decayed to
+the options' tolerances.  The speeds of one call are the lanes of one
+batched solve, and each lane stops on its own, so its values do not depend
+on the batch.  With c as one more unknown and the boundary law P(delta) =
+(delta/d)*c as one more row, the same equations give the wave speed
 (``solve_wave_speed``), and their Jacobian gives r'(c) by one linear solve
-(``residual_slope``).  The profile is x(q) = int_q^delta ds/(-P(s)) by
-Simpson's rule on points uniform in ln(q - xi), where P is read by
-barycentric interpolation.
+(``residual_slope``).  The profile is x(q) = int_q^delta ds/(-P(s)), in ln t
+the integral of -1/w, by Simpson's rule on points uniform in ln t.
 
 The module's numerics are plain numpy, with ``np.linalg.solve`` for the
 Newton steps and no ``scipy`` to import: the collocation, Clenshaw-Curtis
@@ -83,6 +83,7 @@ TAIL_CUT = 1e-6  # the profile samples end at q - xi = TAIL_CUT * (delta - xi)
 N_START, N_MAX = 16, 256  # the first and the largest collocation degree
 TAYLOR_ORDER = 3  # the highest power of s - xi in the start of a solve (``_taylor_start``)
 NEWTON_STEPS = 40  # most Newton steps of one solve at one degree
+SEARCH_STEPS = 30  # most Newton steps of one speed solve, all degrees (``solve_wave_speed``)
 NEWTON_TOL = 1e-13  # bound of the relative error estimate that stops Newton (``_newton``)
 
 
@@ -168,8 +169,7 @@ class SemiWaveProfile:
     exp(tail_rate * (x - x_end)), with ``tail_rate`` equal to the trajectory's
     saddle slope.  Inside it the profile is the cubic Hermite interpolant of
     the samples and their slopes q'(x) = P(q), NaN for x < 0; ``q_at`` builds
-    only the pieces its points fall in.  From ``reconstruct_profile``,
-    ``q_values`` is a read-only view of shared points.
+    only the pieces its points fall in.
     """
 
     x_grid: np.ndarray = field(repr=False)
@@ -262,11 +262,12 @@ def _interpolation(n: int, t: np.ndarray) -> np.ndarray:
 
 
 def _collocation_grid(n: int, d: float, f: ReactionFunction, delta: float):
-    """d*s at the n + 1 collocation points q of [xi, delta], s = q - xi, f(q)/s there
-    (f'(xi) at s = 0) and d/ds.  Points that round to xi raise NumericalError."""
+    """d*t at the points t of ``_chebyshev(n)``, f(q)/s at q = xi + (delta - xi)*t,
+    s = q - xi (f'(xi) at s = 0), and d/dt, the cached D itself.  Points that
+    round to xi raise NumericalError."""
     xi = f.stable_zero
-    span = delta - xi
-    q = xi + span * _chebyshev(n)[0]
+    t, _, D = _chebyshev(n)[:3]
+    q = xi + (delta - xi) * t
     q[-1] = delta
     s = q - xi
     if not s[1] > 0.0:
@@ -275,7 +276,7 @@ def _collocation_grid(n: int, d: float, f: ReactionFunction, delta: float):
     g = np.empty(n + 1)
     g[0] = f.deriv(xi)
     g[1:] = f(q[1:]) / s[1:]
-    return d * s, g, _chebyshev(n)[2] / span
+    return d * t, g, D
 
 
 @functools.lru_cache(maxsize=8)
@@ -301,9 +302,9 @@ def _taylor_coefficients(c: float, lam: float, d: float, gk) -> list[float]:
     whose denominator is positive since lam is the negative root of the
     saddle's quadratic.  The series stops before the first term that is not
     smaller than the one before it at t = 1, s = delta - xi (a NaN one too, and
-    one over a denominator that rounds to 0): that term and the later ones
-    are 0, so where the series diverges the start stays flat.  Python floats:
-    no lane's arithmetic touches another's, and none warns.
+    one over a denominator that rounds to 0): that term, unless it is a finite
+    b_1, and the later ones are 0, so where the series diverges the start is
+    its tangent line.  Python floats: no lane's arithmetic touches another's, and none warns.
     """
     b = [float(lam)] + [0.0] * len(gk)
     for k in range(1, len(gk) + 1):
@@ -312,6 +313,8 @@ def _taylor_coefficients(c: float, lam: float, d: float, gk) -> list[float]:
             numerator += d * (k - i + 1) * b[i] * b[k - i]
         denominator = c - d * (k + 2) * b[0]
         if not abs(numerator) < abs(b[k - 1]) * denominator:
+            if k == 1 and denominator and math.isfinite(numerator / denominator):
+                b[1] = numerator / denominator
             break
         b[k] = numerator / denominator
     return b
@@ -334,14 +337,14 @@ def _taylor_start(cs, lams, d: float, g: np.ndarray) -> np.ndarray:
     return w + cols[0]
 
 
-def _equations(w, c, d, ds, g, D):
-    """The collocation equations F = d*w*(w + s*w') - c*w + g and their Jacobian
+def _equations(w, c, d, dt, g, D):
+    """The collocation equations F = d*w*(w + t*dw/dt) - c*w + g and their Jacobian
     dF/dw, for lanes w of shape (L, n + 1) at speeds c of shape (L, 1), on the
-    grid (ds, g, D) of ``_collocation_grid``.  Each lane's w' is its own
+    grid (dt, g, D) of ``_collocation_grid``.  Each lane's dw/dt is its own
     product with D, so a lane's values do not depend on the others."""
     dw = d * w
-    b = dw + ds * np.matmul(D, w[..., None])[..., 0] - c
-    J = (ds * w)[..., None] * D
+    b = dw + dt * np.matmul(D, w[..., None])[..., 0] - c
+    J = (dt * w)[..., None] * D
     J.reshape(len(w), -1)[:, ::w.shape[1] + 1] += dw + b
     return w * b + g, J
 
@@ -485,7 +488,7 @@ def integrate_trajectories(
     return [_trajectory(c, d, f, delta, lam, w) for c, lam, w in zip(cs, lams, nodes)]
 
 
-def solve_wave_speed(start: PhaseTrajectory, f: ReactionFunction, bounds, max_steps: int,
+def solve_wave_speed(start: PhaseTrajectory, f: ReactionFunction, bounds,
                      opts: IntegrationOptions | None = None) -> tuple[PhaseTrajectory, int]:
     """The trajectory whose slope residual vanishes, and the Newton steps taken.
 
@@ -496,7 +499,7 @@ def solve_wave_speed(start: PhaseTrajectory, f: ReactionFunction, bounds, max_st
     shortened to go half way to it.  Newton stops as ``_newton`` does, on the
     larger of the relative steps in w and in c of two full steps in a row;
     the degree then doubles until the coefficients are resolved.  A solve
-    not done in ``max_steps`` steps raises NumericalError.
+    not done in SEARCH_STEPS steps raises NumericalError.
     """
     opts = opts or DEFAULT_OPTIONS
     d, delta, xi = start.d, start.delta, start.xi
@@ -510,9 +513,9 @@ def solve_wave_speed(start: PhaseTrajectory, f: ReactionFunction, bounds, max_st
         bordered[0, -1, -2:] = span, -delta / d
         last = math.nan
         while True:
-            if steps == max_steps:
+            if steps == SEARCH_STEPS:
                 raise NumericalError(f"speed solve from c={start.c!r} did not converge "
-                                     f"in {max_steps} Newton steps")
+                                     f"in {SEARCH_STEPS} Newton steps")
             F, J = _equations(w[None], np.array([[c]]), d, *grid)
             bordered[0, :-1, :-1] = J[0]
             bordered[0, :-1, -1] = -w
@@ -698,39 +701,35 @@ def closed_form_zero_speed(q: float, d: float, f: ReactionFunction) -> float:
     return -float(np.sqrt(max(radicand, 0.0)))
 
 
-@functools.lru_cache(maxsize=8)
-def _log_points(xi: float, delta: float):
-    """Step h, read-only points q, uniform in ln(q - xi) from the tail cutoff to
-    delta, and their read-only offsets q - xi.
-
-    Every other point, from the first, is a sample of the profile, so those
-    must lie above xi and rise strictly; where delta - xi is too small
-    against xi for that, NumericalError.  The first point is checked first:
-    where it rounds to xi, ties follow among the next ones.
-    """
-    span = delta - xi
-    logs = np.linspace(np.log(TAIL_CUT * span), np.log(span), 2 * PROFILE_SAMPLES - 1)
-    q = xi + np.exp(logs)
-    q[-1] = delta
-    where = f"(xi = {xi!r}, delta = {delta!r})"
-    if not q[0] > xi:
-        raise NumericalError(f"profile samples fell to the stable zero {where}")
-    if not np.all(np.diff(q[::2]) > 0.0):
-        raise NumericalError(f"profile samples are not strictly decreasing {where}")
-    s = q - xi
-    q.flags.writeable = s.flags.writeable = False
-    return logs[1] - logs[0], q, s
+# points t of [TAIL_CUT, 1] LOG_STEP apart in ln t, and the samples: every other one from 1 down
+_LOGS = np.linspace(math.log(TAIL_CUT), 0.0, 2 * PROFILE_SAMPLES - 1)
+LOG_STEP, LOG_POINTS = _LOGS[1] - _LOGS[0], np.exp(_LOGS)
+SAMPLE_POINTS = LOG_POINTS[::-2].copy()
+LOG_POINTS.flags.writeable = SAMPLE_POINTS.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=8)
 def _profile_interpolation(n: int) -> np.ndarray:
-    """``_interpolation`` from degree n to the points of ``_log_points`` on the scale
-    of [0, 1], read-only.  Those are uniform in their logarithm from ln(TAIL_CUT)
-    to 0, whatever (xi, delta), so one matrix per degree serves every pair."""
-    t = np.exp(np.linspace(np.log(TAIL_CUT), 0.0, 2 * PROFILE_SAMPLES - 1))
-    m = _interpolation(n, t)
+    """``_interpolation`` from degree n to LOG_POINTS, read-only: those are the
+    same for every (xi, delta), so one matrix per degree serves every pair."""
+    m = _interpolation(n, LOG_POINTS)
     m.flags.writeable = False
     return m
+
+
+def _profile_samples(xi: float, delta: float):
+    """The profile's samples q = xi + s, s = (delta - xi)*SAMPLE_POINTS, from delta
+    down, and s.  The last q must lie above xi, checked first, as ties follow where
+    it does not, and they must fall strictly; where delta - xi is too small, NumericalError."""
+    s = (delta - xi) * SAMPLE_POINTS
+    q = xi + s
+    q[0] = delta
+    where = f"(xi = {xi!r}, delta = {delta!r})"
+    if not q[-1] > xi:
+        raise NumericalError(f"profile samples fell to the stable zero {where}")
+    if not (q[1:] < q[:-1]).all():
+        raise NumericalError(f"profile samples are not strictly decreasing {where}")
+    return q, s
 
 
 def _simpson_sums(y: np.ndarray) -> np.ndarray:
@@ -756,27 +755,19 @@ def residual_slope(traj: PhaseTrajectory, f: ReactionFunction) -> float:
 def reconstruct_profile(traj: PhaseTrajectory) -> SemiWaveProfile:
     """Profile q(x) from its trajectory by the quadrature x(q) = int_q^delta ds / (-P(s)).
 
-    P is read on ``_log_points`` by barycentric interpolation of the nodes.
-    The integrand in ln(q - xi), (q - xi)/(-P), tends to -1/saddle_slope at
-    the equilibrium; Simpson panels give x at every other point.  Beyond the tail
-    cutoff the profile continues with the saddle-slope decay rate.
+    In ln t, t = (q - xi)/(delta - xi), the integrand is -1/w, which tends to
+    -1/saddle_slope at xi: w is read on LOG_POINTS by barycentric interpolation,
+    and Simpson panels give x at the samples of ``_profile_samples``.  Beyond
+    the tail cutoff the profile continues with the saddle-slope decay rate.
     """
-    h, q, s = _log_points(traj.xi, traj.delta)
-    p = s * (_profile_interpolation(traj.nodes.size - 1) @ traj.nodes)
-    if not np.all(p < 0.0):
+    q, s = _profile_samples(traj.xi, traj.delta)
+    w = _profile_interpolation(traj.nodes.size - 1) @ traj.nodes
+    if not (w < 0.0).all():
         raise NumericalError("trajectory is not negative on the quadrature range")
-    g = s / -p
-    panels = h / 3.0 * _simpson_sums(g)
+    panels = LOG_STEP / 3.0 * _simpson_sums(-1.0 / w)
     # x grows from the boundary, where w is largest, so the sums run backwards
     x_grid = np.concatenate(([0.0], np.cumsum(panels[::-1])))
-    q_values = q[::-2]
-    if not np.all(np.diff(x_grid) > 0.0):
+    if not (x_grid[1:] > x_grid[:-1]).all():
         raise NumericalError("reconstructed profile abscissae are not strictly increasing")
-
-    return SemiWaveProfile(
-        x_grid=x_grid,
-        q_values=q_values,
-        xi=traj.xi,
-        tail_rate=traj.saddle_slope,
-        slopes=p[::-2],
-    )
+    return SemiWaveProfile(x_grid=x_grid, q_values=q, xi=traj.xi,
+                           tail_rate=traj.saddle_slope, slopes=s * w[::-2])

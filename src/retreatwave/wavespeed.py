@@ -55,7 +55,6 @@ __all__ = [
 # (the closed-form endpoint tends to 0) and the root find is ill conditioned.
 MIN_DELTA_GAP = 1e-6
 SUP_GRID = np.linspace(0.0, 50.0, 1001)
-MAX_SEARCH_STEPS = 30  # Newton steps of one speed solve
 DEFAULT_TOL = 1e-10  # the largest |r(c*)| a speed search accepts
 FLOOR_ULPS = 4  # k of the residual's rounding floor k*eps*max(|P(delta)|, |delta*c/d|)
 
@@ -235,7 +234,7 @@ def find_wave_speed(
     ends = (c_low, c_low * xi / delta)
     start = integrate_trajectory(2.0 * c_low * xi / (xi + delta), d, f, delta, opts)
     bounds = _proven_bounds(start, f, ends)
-    final, steps = solve_wave_speed(start, f, bounds, MAX_SEARCH_STEPS, opts)
+    final, steps = solve_wave_speed(start, f, bounds, opts)
     scale = max(abs(final.endpoint_slope), abs(final.delta / final.d * final.c))
     floor = FLOOR_ULPS * float(np.finfo(float).eps) * scale
     if tol < floor:

@@ -523,15 +523,17 @@ def test_sequences_subcommand(tmp_path, runner):
 
 @pytest.mark.parametrize("args", [["sequences", "--n-max", "5"], ["semiwave", "--c", "auto"]])
 def test_warm_quadrature_grid_keeps_every_byte(tmp_path, runner, args):
-    # the first run builds the (xi, delta) quadrature points, the second
-    # finds them all in the cache: the artifacts must not differ
-    phaseplane._log_points.cache_clear()
+    # the first run builds every degree-keyed operator, the second finds
+    # them all in the caches: the artifacts must not differ
+    caches = (phaseplane._chebyshev, phaseplane._taylor_rows, phaseplane._profile_interpolation)
+    for cache in caches:
+        cache.cache_clear()
     outs = [tmp_path / "cold", tmp_path / "warm"]
     for out in outs:
-        misses = phaseplane._log_points.cache_info().misses
+        misses = [cache.cache_info().misses for cache in caches]
         res = invoke(runner, args + ["--delta", "2.25", "--out", str(out)])
         assert res.exit_code == 0, res.output
-    assert phaseplane._log_points.cache_info().misses == misses == 1
+    assert [cache.cache_info().misses for cache in caches] == misses and all(misses)
     names = sorted(p.name for p in outs[0].iterdir())
     assert names == sorted(p.name for p in outs[1].iterdir()) and names
     for name in names:

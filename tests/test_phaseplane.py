@@ -296,10 +296,10 @@ def test_sorted_points_take_the_pieces_of_a_search(logistic1):
 @pytest.mark.parametrize("spec, d, delta", [("logistic:r=1", 1.0, 2.0),
                                             ("custom:3,-2,0.9,-0.6", 0.8, 2.4)])
 def test_log_grid_reads_p_as_a_search_would(spec, d, delta):
-    # the profile reads P on the shared log grid through one interpolation
-    # matrix per degree, at the grid's points on the scale of [0, 1]; p_at
-    # reads it point by point from q.  The two place a point within a few
-    # roundings of each other, so they agree to rounding: measured 4.9e-16
+    # the profile reads w on the shared unit log grid through one
+    # interpolation matrix per degree, times s = (delta - xi)*t; p_at reads
+    # it point by point from q.  The two place a point within a few
+    # roundings of each other, so they agree to rounding: measured 6.8e-16
     # of max |P|, and the value at delta is the node's own, bit for bit
     f = parse_reaction(spec)
     traj = integrate_trajectory(0.5 * bracket_low(d, f, delta), d, f, delta)
@@ -311,18 +311,39 @@ def test_log_grid_reads_p_as_a_search_would(spec, d, delta):
 
 
 @pytest.mark.parametrize("gap, message", [
-    (1e-3, "not strictly decreasing"),  # q[0] above xi, ties among the next samples
+    (1e-3, "not strictly decreasing"),  # q[-1] above xi, ties among the samples before it
     (1e-6, "fell to the stable zero"),
     (1e-9, "fell to the stable zero"),
 ])
 def test_log_points_reject_samples_that_round_together(gap, message):
     # against xi = 1e5, whose spacing is 1.5e-11, these gaps put the tail
-    # cutoff below the spacing, or the samples after it within one
+    # cutoff below the spacing, or the samples before it within one
     xi = 1e5
     with pytest.raises(NumericalError, match=message):
-        phaseplane._log_points(xi, xi + gap)
-    _, q, _ = phaseplane._log_points(1.0, 2.0)
-    assert q[0] > 1.0 and np.all(np.diff(q) > 0.0)
+        phaseplane._profile_samples(xi, xi + gap)
+    with pytest.raises(NumericalError, match=message):
+        reconstruct_profile(phaseplane.PhaseTrajectory(
+            c=0.0, d=1.0, delta=xi + gap, xi=xi, endpoint_slope=-1.0, saddle_slope=-1.0,
+            nodes=np.full(phaseplane.N_START + 1, -1.0)))
+    q, s = phaseplane._profile_samples(1.0, 2.0)
+    assert s[0] == 1.0 and q[0] == 2.0 and q[-1] > 1.0 and np.all(np.diff(q) < 0.0)
+
+
+def test_problems_of_one_degree_miss_no_cache():
+    # every cache of the module is keyed on the degree alone: once one
+    # problem has filled them, a search, r'(c) and a profile at another
+    # (xi, delta) that ends at the same degree find every operator there
+    caches = [v for v in vars(phaseplane).values() if hasattr(v, "cache_info")]
+    assert caches
+    misses = []
+    for spec, d, delta in (("logistic:r=1", 1.0, 2.0), ("custom:3,-2,0.9,-0.6", 0.8, 2.4)):
+        f = parse_reaction(spec)
+        traj = find_wave_speed(d, f, delta).trajectory
+        phaseplane.residual_slope(traj, f)
+        reconstruct_profile(traj)
+        misses.append([cache.cache_info().misses for cache in caches])
+        assert traj.nodes.size == phaseplane.N_START + 1
+    assert misses[0] == misses[1]
 
 
 def test_trajectory_endpoint_vanishes_as_delta_shrinks(logistic1):
@@ -693,14 +714,14 @@ def test_simpson_sums_are_exact_on_cubics():
 
 @pytest.mark.parametrize("spec, d, delta", LANE_PROBLEMS)
 def test_simpson_rules_agree_with_scipys(spec, d, delta):
-    # on the profile's own integrand (q - xi)/(-P) on the log grid, Simpson's
+    # on the profile's own integrand -1/w on the unit log grid, Simpson's
     # rule is scipy's to rounding
     from scipy.integrate import simpson
 
     f = parse_reaction(spec)
     traj = integrate_trajectory(0.5 * bracket_low(d, f, delta), d, f, delta)
-    h, q, s = phaseplane._log_points(traj.xi, traj.delta)
-    y = s / -traj.p_at(q)
+    h = phaseplane.LOG_STEP
+    y = -1.0 / (phaseplane._profile_interpolation(traj.nodes.size - 1) @ traj.nodes)
     rounding = 2.0 * _gamma(len(y) + 6) * h * np.sum(np.abs(y))
     ours = h / 3.0 * np.sum(phaseplane._simpson_sums(y))
     assert abs(ours - simpson(y, dx=h)) <= rounding
@@ -884,7 +905,7 @@ def test_speed_solve_goes_half_way_to_an_end_its_step_crosses(monkeypatch, logis
         return equations(w, c, *args)
 
     monkeypatch.setattr(phaseplane, "_equations", recording)
-    traj, steps = phaseplane.solve_wave_speed(start, logistic1, bounds, 30)
+    traj, steps = phaseplane.solve_wave_speed(start, logistic1, bounds)
     assert speeds[1] == pytest.approx(0.5 * (-1.29 + bounds[1]), rel=1e-15)
     assert all(bounds[0] < c < bounds[1] for c in speeds)
     assert abs(traj.c - c_star) <= 1e-12 * abs(c_star) and steps == len(speeds)
@@ -898,7 +919,7 @@ def test_speed_solve_doubles_a_degree_too_low_for_c_star(monkeypatch, logistic1)
     monkeypatch.setattr(phaseplane, "N_START", 4)
     start = integrate_trajectory(-1.0, 1.0, logistic1, 2.0, IntegrationOptions(rtol=1e-2))
     assert start.nodes.size == 5
-    traj, _ = phaseplane.solve_wave_speed(start, logistic1, res.bracket, 30)
+    traj, _ = phaseplane.solve_wave_speed(start, logistic1, res.bracket)
     assert traj.nodes.size == res.trajectory.nodes.size
     assert abs(traj.c - res.c_star) <= 1e-12 * abs(res.c_star)
 
@@ -1145,14 +1166,22 @@ def test_taylor_start_is_its_series_at_the_nodes_in_any_batch(spec, d, delta):
 
 def test_taylor_start_is_flat_where_the_series_diverges(logistic1):
     # at delta = 1000, c = 0 the first term already outgrows the saddle slope
-    # at delta (b_1 = -999/3 against lam = -1), so the start is the flat w = lam
+    # at delta (b_1 = -999/3 against lam = -1): the series stops there, and
+    # the start is the tangent line w = lam + b_1*t, flat from order 2 on.
+    # A tangent that is not finite, or over a denominator that rounds to 0,
+    # leaves the start flat, w = lam
     d, delta = 1.0, 1000.0
     g = phaseplane._collocation_grid(phaseplane.N_START, d, logistic1, delta)[1]
     lam = saddle_slope(0.0, d, logistic1)
     gk = (phaseplane._taylor_rows(g.size - 1) @ g).tolist()
-    assert phaseplane._taylor_coefficients(0.0, lam, d, gk) == [lam, 0.0, 0.0, 0.0]
+    b = phaseplane._taylor_coefficients(0.0, lam, d, gk)
+    assert b[0] == lam and b[1] == gk[0] / (-3.0 * d * lam) < 100.0 * lam
+    assert b[2:] == [0.0, 0.0]
     start = phaseplane._taylor_start([0.0], [lam], d, g)
-    assert np.array_equal(start, np.full((1, g.size), lam))
+    assert np.array_equal(start[0], lam + b[1] * phaseplane._chebyshev(g.size - 1)[0])
+    for lam0, gk0 in ((lam, math.inf), (lam, math.nan), (-0.0, 1.0)):
+        flat = phaseplane._taylor_coefficients(0.0, lam0, d, [gk0, 0.0, 0.0])
+        assert flat == [lam0, 0.0, 0.0, 0.0], (lam0, gk0)
 
 
 def _count_equations(monkeypatch):
@@ -1181,8 +1210,9 @@ def _flat_start(cs, lams, d, g):
 ])
 def test_large_delta_audits_take_no_more_newton_steps_than_the_flat_start(
         monkeypatch, spec, d, delta):
-    # measured, with the series and with the flat start alike: 20, 25 (up to
-    # the failure at degree N_MAX at delta = 1e4), 20, 17 and 11 calls
+    # measured with the series: 19, 24 (up to the failure at degree N_MAX at
+    # delta = 1e4), 19, 11 and 10 calls; with the flat start 20, 25, 20, 17
+    # and 11
     f = parse_reaction(spec)
     lanes = _count_equations(monkeypatch)
     counts = []
@@ -1195,6 +1225,26 @@ def test_large_delta_audits_take_no_more_newton_steps_than_the_flat_start(
             assert delta == 1e4
         counts.append(len(lanes))
     assert counts[0] <= counts[1], counts
+
+
+@pytest.mark.parametrize("spec, d, delta, calls", [
+    ("logistic:r=1", 1.0, 1000.0, 19),
+    ("logistic:r=1", 1.0, 1e4, 24),
+    ("custom:0.7,-1", 1.0, 1000.0, 19),
+    ("custom:3,-2,0.9,-0.6", 0.8, 151.5, 11),
+    ("logistic:r=50", 0.05, 40.0, 10),
+])
+def test_large_delta_audits_start_their_diverging_lanes_on_the_tangent(
+        monkeypatch, spec, d, delta, calls):
+    # the lanes whose series stops at order 1, c = 0 among them, keep b_1:
+    # with b_1 dropped as well the audits took 20, 25, 20, 17 and 11 calls
+    f = parse_reaction(spec)
+    lanes = _count_equations(monkeypatch)
+    try:
+        residual_monotonicity_audit(d, f, delta, 50)
+    except IntegrationError:
+        assert delta == 1e4
+    assert len(lanes) == calls
 
 
 def test_criterion_6_newton_steps_per_sequence_solve(monkeypatch, logistic1, speed_ref):
@@ -1257,7 +1307,7 @@ def test_speed_solve_that_is_not_finite_raises(monkeypatch, logistic1, speed_ref
     monkeypatch.setattr(phaseplane, "_equations",
                         lambda w, c, *grid: (np.nan * w, equations(w, c, *grid)[1]))
     with pytest.raises(IntegrationError, match=r"speed solve from c=-1\.0 is not finite"):
-        phaseplane.solve_wave_speed(start, logistic1, speed_ref.bracket, 30)
+        phaseplane.solve_wave_speed(start, logistic1, speed_ref.bracket)
 
 
 def test_speed_solve_unresolved_at_the_largest_degree_raises(logistic1, speed_ref):
@@ -1265,7 +1315,7 @@ def test_speed_solve_unresolved_at_the_largest_degree_raises(logistic1, speed_re
     # to N_MAX, and the solve raises there
     start = integrate_trajectory(-1.0, 1.0, logistic1, 2.0)
     with pytest.raises(IntegrationError, match=f"not resolved at degree {phaseplane.N_MAX}"):
-        phaseplane.solve_wave_speed(start, logistic1, speed_ref.bracket, 30,
+        phaseplane.solve_wave_speed(start, logistic1, speed_ref.bracket,
                                     IntegrationOptions(rtol=0.0, atol=0.0))
 
 

@@ -488,7 +488,7 @@ def test_overflowing_saddle_slope_raises_before_any_quadrature():
 def test_failed_search_integrates_no_proven_end(monkeypatch, logistic1):
     # with no step allowed the speed solve fails: only the start c_s is
     # solved, and neither c0, c_up nor 0
-    monkeypatch.setattr(wavespeed, "MAX_SEARCH_STEPS", 0)
+    monkeypatch.setattr(phaseplane, "SEARCH_STEPS", 0)
     speeds = _counting(monkeypatch)
     with pytest.raises(NumericalError, match="did not converge in 0 Newton steps"):
         find_wave_speed(1.0, logistic1, 2.0)

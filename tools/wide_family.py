@@ -12,9 +12,12 @@ repository root::
 It prints the failed sweep rows grouped by their message, with the numbers
 in each message replaced by ``#``, the failed or failing audits, and the
 number of collocation equation evaluations (``phaseplane._equations``
-calls) and of lane-steps (the lanes summed over those calls).  It writes
-one CSV row per sweep row, c* blank where the row failed, to
-``wide_family.csv`` or the path given.
+calls) and of lane-steps (the lanes summed over those calls), and the
+misses of each cache of ``phaseplane``, cleared at the start: keyed on the
+degree, each misses a few times, where a cache of the solve keyed on
+(xi, delta) would miss once per problem.  It writes one CSV row per sweep
+row, c* blank where the row failed, to ``wide_family.csv`` or the path
+given, and exits 1 if an audit failed; failed sweep rows keep exit 0.
 """
 from __future__ import annotations
 
@@ -49,6 +52,9 @@ def main(argv: list[str]) -> int:
         return equations(w, c, *grid)
 
     phaseplane._equations = counting
+    caches = {name: fn for name, fn in vars(phaseplane).items() if hasattr(fn, "cache_info")}
+    for cache in caches.values():
+        cache.cache_clear()
     rows, failed, audits = [], defaultdict(list), []
     draws = np.random.default_rng(SEED).uniform(LOW, HIGH, (REACTIONS, 4)).tolist()
     for i, (r, xi, a, d) in enumerate(draws):
@@ -80,8 +86,10 @@ def main(argv: list[str]) -> int:
     for i, message in audits:
         print(f"  reaction {i}: {message}")
     print(f"_equations calls {calls[0]}, lane-steps {calls[1]}")
+    print("cache misses " + ", ".join(f"{name} {cache.cache_info().misses}"
+                                      for name, cache in caches.items()))
     print(f"c* per row written to {out}")
-    return 0
+    return 1 if audits else 0
 
 
 if __name__ == "__main__":
