@@ -696,13 +696,15 @@ def test_test_files_import_scipy_only_inside_tests():
 
 
 def test_speed_through_the_cli_loads_no_scipy_linalg(tmp_path):
-    # only the front solver's first step imports its LAPACK routines
+    # only the front solver's first step imports its LAPACK routines, and
+    # phaseplane.solve_ivp imports scipy.integrate only when it is called
     loaded = _modules_loaded_by(
         "from retreatwave.cli import main; "
         f"main(['speed', '--delta', '2', '--out', {str(tmp_path)!r}], standalone_mode=False)"
     )
     assert (tmp_path / "speed.json").is_file()
     assert "retreatwave.frontsolver" in loaded and "scipy.linalg" not in loaded
+    assert "scipy.integrate" not in loaded
 
 
 def test_quadrature_that_cannot_converge_exits_numerical(tmp_path, runner, monkeypatch):

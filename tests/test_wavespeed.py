@@ -690,7 +690,7 @@ def test_sequences_reach_the_names_the_benchmark_wraps(monkeypatch, logistic1):
     built = []
 
     def never(*args, **kwargs):
-        raise AssertionError("the package called the reference integrator")
+        raise AssertionError("the package called phaseplane.solve_ivp")
 
     def counting_reconstruct(traj):
         built.append(traj.c)

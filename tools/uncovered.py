@@ -4,13 +4,16 @@ Runs the Tier-1 suite in this process under ``sys.settrace`` and records the
 lines executed in ``src/``.  A statement counts as executed when a line of
 its own span (for a compound statement, its header) was.  Docstrings,
 other bare constants and global or nonlocal declarations run no code and
-are not counted.  Usage, from the repository root::
+are not counted.  Nor is the body of an ``if __name__ == "__main__":``
+block: it runs only when a module runs as a script, which the tests do only
+in a subprocess, and subprocesses are not traced.  Usage, from the
+repository root::
 
     python tools/uncovered.py [extra pytest arguments]
 
-It prints one ``path:line: source`` per statement not executed, and exits
-with pytest's status.  Tests that run the package in a subprocess are not
-traced.
+It prints one ``path:line: source`` per statement not executed.  It exits
+with pytest's status if a test failed, else 1 if it printed a statement
+and 0 if not.
 """
 from __future__ import annotations
 
@@ -25,8 +28,11 @@ SRC = ROOT / "src"
 
 def _spans(tree: ast.AST):
     """(first, last) line of each statement's own part: its header for a compound one."""
+    script_only = {id(inner) for node in ast.walk(tree) if isinstance(node, ast.If)
+                   and ast.unparse(node.test) == "__name__ == '__main__'"
+                   for stmt in node.body for inner in ast.walk(stmt)}
     for node in ast.walk(tree):
-        if not isinstance(node, ast.stmt):
+        if not isinstance(node, ast.stmt) or id(node) in script_only:
             continue
         if isinstance(node, (ast.Global, ast.Nonlocal)) or (
                 isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)):
@@ -69,14 +75,16 @@ def main(argv: list[str]) -> int:
         sys.settrace(None)
         threading.settrace(None)
 
+    uncovered = 0
     for path in sorted(SRC.rglob("*.py")):
         source = path.read_text(encoding="utf-8")
         lines = executed.get(str(path), set())
         text = source.splitlines()
         for first, last in sorted(set(_spans(ast.parse(source)))):
             if not lines.intersection(range(first, last + 1)):
+                uncovered += 1
                 print(f"{path.relative_to(ROOT)}:{first}: {text[first - 1].strip()}")
-    return int(status)
+    return int(status) or int(uncovered > 0)
 
 
 if __name__ == "__main__":

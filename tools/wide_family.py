@@ -4,8 +4,10 @@ The family is 75 reactions f = r*u*(xi - u)*(1 + a*u**2), drawn with numpy's
 ``default_rng(2024)`` as r in [0.5, 3], xi in [0.5, 4], a in [0, 0.5] and
 d in [0.05, 2].  Each reaction gets a ``density_sweep`` over the 10 deltas
 xi*(1.01 ... 50), geometric in delta/xi, and one 50-point
-``residual_monotonicity_audit`` at its middle delta.  Usage, from the
-repository root::
+``residual_monotonicity_audit`` at its middle delta.  Each solved row also
+builds its profile (``SpeedResult.profile``); a row whose profile raises
+NumericalError counts as failed, with the message prefixed ``profile:``.
+Usage, from the repository root::
 
     python tools/wide_family.py [out.csv]
 
@@ -62,8 +64,14 @@ def main(argv: list[str]) -> int:
         deltas = (xi * RATIOS).tolist()
         table = wavespeed.density_sweep(d, f, deltas)
         for delta, res in zip(deltas, table.results):
+            message = table.errors.get(delta)
+            if res is not None:
+                try:
+                    res.profile
+                except NumericalError as exc:
+                    res, message = None, f"profile: {exc}"
             if res is None:
-                failed[re.sub(NUMBER, "#", table.errors[delta])].append((i, delta))
+                failed[re.sub(NUMBER, "#", message)].append((i, delta))
             rows.append((i, r, xi, a, d, delta, "" if res is None else repr(res.c_star)))
         try:
             audit = verify.residual_monotonicity_audit(d, f, deltas[len(deltas) // 2], AUDIT_GRID)
