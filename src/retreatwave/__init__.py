@@ -2,11 +2,11 @@
 free-boundary problem.
 
 The library computes the decreasing semi-wave profiles of
-d*q'' - c*q' + f(q) = 0 with q(0) = delta > 1 and q(inf) at the reaction's
-stable zero, selects the unique speed compatible with the free-boundary law
-q'(0) = c*delta/d, simulates the PDE in front-fixed coordinates, and checks
-that the simulated front speed and shifted profile converge to the selected
-semi-wave.
+d*q'' - c*q' + f(q) = 0 with q(0) = delta > xi and q(inf) = xi, the
+reaction's stable zero, selects the unique speed compatible with the
+free-boundary law q'(0) = c*delta/d, simulates the PDE in front-fixed
+coordinates, and checks that the simulated front speed and shifted profile
+converge to the selected semi-wave.
 """
 
 from .errors import (

@@ -40,6 +40,7 @@ from .phaseplane import integrate_trajectory, reconstruct_profile
 from .reaction import parse_reaction
 from .serialize import read_csv, write_csv, write_json
 from .verify import (
+    MIN_AUDIT_GRID,
     residual_monotonicity_audit,
     speed_trend,
     truncation_correction,
@@ -148,9 +149,16 @@ def _convergence_verdict(record, c_target, out, speed_rtol, profile_tol, **extra
     )
 
 
-_speed_rtol_option = click.option("--speed-rtol", type=float, default=0.02,
+def _error_bound(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    """An error bound must be finite and at least 0: checked as the flags are read."""
+    if not 0.0 <= value < math.inf:
+        raise click.BadParameter(f"must be finite and at least 0, got {value}")
+    return value
+
+
+_speed_rtol_option = click.option("--speed-rtol", type=float, default=0.02, callback=_error_bound,
                                   help="Relative speed error allowed at T_end.")
-_profile_tol_option = click.option("--profile-tol", type=float, default=0.05,
+_profile_tol_option = click.option("--profile-tol", type=float, default=0.05, callback=_error_bound,
                                    help="Sup profile error allowed at T_end, if one was recorded.")
 
 
@@ -214,6 +222,8 @@ def semiwave(c_value, reaction, d, delta, tol, out_dir):
               help="Also audit residual monotonicity on this many grid points.")
 def speed(audit_grid, reaction, d, delta, tol, out_dir):
     """Find the retreat speed for one boundary density."""
+    if audit_grid and audit_grid < MIN_AUDIT_GRID:
+        raise InputError(f"--audit-grid must be 0 or at least {MIN_AUDIT_GRID}, got {audit_grid}")
     f, out = _common(reaction, d, tol, out_dir, delta)
     result = find_wave_speed(d, f, delta, tol)
     write_json(out / "speed.json", result.to_json_dict() | {"d": d, "reaction": f.label})

@@ -29,13 +29,13 @@ batched solve, and each lane stops on its own, so its values do not depend
 on the batch.  With c as one more unknown and the boundary law P(delta) =
 (delta/d)*c as one more row, the same equations give the wave speed
 (``solve_wave_speed``), and their Jacobian gives r'(c) by one linear solve
-(``residual_slope``).  The profile is x(q) = int_q^delta ds/(-P(s)), in ln t
-the integral of -1/w, by Simpson's rule on points uniform in ln t.
+(``residual_slope``).  The profile is x(q) = int_q^delta ds/(-P(s)): ln(t)/lam,
+lam the saddle slope, plus an analytic integral on the same points.
 
 The module's numerics are plain numpy, with ``np.linalg.solve`` for the
 Newton steps and no ``scipy`` to import: the collocation, Clenshaw-Curtis
-quadrature on its points for the zero-speed closed form, and Simpson's
-rule.  The tests hold each piece to an exact oracle within a stated
+quadrature on its points for the zero-speed closed form, and the profile's
+integral.  The tests hold each piece to an exact oracle within a stated
 rounding bound, and the collocation to scipy's DOP853 as an independent
 reference integrator.
 """
@@ -84,19 +84,6 @@ TAYLOR_ORDER = 3  # the highest power of s - xi in the start of a solve (``_tayl
 NEWTON_STEPS = 40  # most Newton steps of one solve at one degree
 SEARCH_STEPS = 30  # most Newton steps of one speed solve, all degrees (``solve_wave_speed``)
 NEWTON_TOL = 1e-13  # bound of the relative error estimate that stops Newton (``_newton``)
-
-
-def _power_sum(coeffs, s):
-    """sum_k coeffs[k] * s**(K-1-k): the constant first, then each power of s
-    by one more multiplication.  Arrays, or a sequence of Python floats and a
-    Python float, which give the same sum."""
-    out = coeffs[-1] + 0.0
-    z = s
-    for k in range(len(coeffs) - 2, -1, -1):
-        out += coeffs[k] * z
-        if k:
-            z = z * s
-    return out
 
 
 def _hermite_pieces(x, y, dydx, i) -> tuple:
@@ -187,7 +174,9 @@ class SemiWaveProfile:
         inside = x <= x_end  # the interpolant only there: most of a long grid is tail
         t = x[inside]
         i = grid[1:-1].searchsorted(t, "right")  # the pieces the interpolant would read
-        q = _power_sum(_hermite_pieces(grid, self.q_values, self.slopes, i), t - grid.take(i))
+        a, b, s0, q0 = _hermite_pieces(grid, self.q_values, self.slopes, i)
+        z = t - grid.take(i)
+        q = q0 + s0 * z + b * (z * z) + a * (z * z * z)
         q[t < grid[0]] = np.nan
         out[inside] = q
         return out if out.ndim else float(out)
@@ -586,20 +575,24 @@ def closed_form_zero_speed(q: float, d: float, f: ReactionFunction) -> float:
     return -float(np.sqrt(max(radicand, 0.0)))
 
 
-# points t of [TAIL_CUT, 1] LOG_STEP apart in ln t, and the samples: every other one from 1 down
-_LOGS = np.linspace(math.log(TAIL_CUT), 0.0, 2 * PROFILE_SAMPLES - 1)
-LOG_STEP, LOG_POINTS = _LOGS[1] - _LOGS[0], np.exp(_LOGS)
-SAMPLE_POINTS = LOG_POINTS[::-2].copy()
-LOG_POINTS.flags.writeable = SAMPLE_POINTS.flags.writeable = False
+# the samples' ln t, t = (q - xi)/(delta - xi), evenly from 0 down to ln TAIL_CUT, and t
+_SAMPLE_LOGS = np.linspace(math.log(TAIL_CUT), 0.0, PROFILE_SAMPLES)[::-1].copy()
+SAMPLE_POINTS = np.exp(_SAMPLE_LOGS)
+_SAMPLE_LOGS.flags.writeable = SAMPLE_POINTS.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=8)
-def _profile_interpolation(n: int) -> np.ndarray:
-    """``_interpolation`` from degree n to LOG_POINTS, read-only: those are the
-    same for every (xi, delta), so one matrix per degree serves every pair."""
-    m = _interpolation(n, LOG_POINTS)
-    m.flags.writeable = False
-    return m
+def _profile_operators(n: int):
+    """For degree n, read-only: ``_interpolation`` to SAMPLE_POINTS, the same for every
+    (xi, delta), and the matrix that takes h at the points of ``_chebyshev(n)`` to
+    H(t) = int_t^1 h there.  H' = -h with H(1) = 0 is D with its t = 1 row replaced
+    by that condition, whose inverse is -D[:n, :n]^-1 on the points t < 1 and keeps
+    H(1) = 0 exactly: exact for h of degree below n (Trefethen, ch. 6)."""
+    integral = np.zeros((n + 1, n + 1))
+    integral[:-1, :-1] = -np.linalg.inv(_chebyshev(n)[2][:-1, :-1])
+    interpolation = _interpolation(n, SAMPLE_POINTS)
+    interpolation.flags.writeable = integral.flags.writeable = False
+    return interpolation, integral
 
 
 def _profile_samples(xi: float, delta: float):
@@ -617,12 +610,6 @@ def _profile_samples(xi: float, delta: float):
     return q, s
 
 
-def _simpson_sums(y: np.ndarray) -> np.ndarray:
-    """y0 + 4*y1 + y2 on each pair of intervals of y, an odd number of points: for
-    points h apart, h/3 times it is Simpson's rule on the pair."""
-    return y[:-2:2] + 4.0 * y[1:-1:2] + y[2::2]
-
-
 def residual_slope(traj: PhaseTrajectory, f: ReactionFunction) -> float:
     """r'(c) = S(delta) - delta/d at the trajectory's speed, S = dP/dc: one linear solve.
 
@@ -638,21 +625,24 @@ def residual_slope(traj: PhaseTrajectory, f: ReactionFunction) -> float:
 
 
 def reconstruct_profile(traj: PhaseTrajectory) -> SemiWaveProfile:
-    """Profile q(x) from its trajectory by the quadrature x(q) = int_q^delta ds / (-P(s)).
+    """Profile q(x) from its trajectory, x(q) = int_q^delta ds / (-P(s)).
 
-    In ln t, t = (q - xi)/(delta - xi), the integrand is -1/w, which tends to
-    -1/saddle_slope at xi: w is read on LOG_POINTS by barycentric interpolation,
-    and Simpson panels give x at the samples of ``_profile_samples``.  Beyond
-    the tail cutoff the profile continues with the saddle-slope decay rate.
+    In t = (q - xi)/(delta - xi) that is x(t) = ln(t)/lam + H(t), with lam the
+    saddle slope and H(t) = int_t^1 h, h = (1/lam - 1/w)/t, which is analytic
+    and is w'(0)/lam**2 at t = 0: ``_profile_operators`` gives H at the nodes,
+    then H and w at the samples of ``_profile_samples``.  Beyond the tail
+    cutoff the profile continues with the saddle-slope decay rate.
     """
     q, s = _profile_samples(traj.xi, traj.delta)
-    w = _profile_interpolation(traj.nodes.size - 1) @ traj.nodes
+    n, lam, w = traj.nodes.size - 1, traj.saddle_slope, traj.nodes
+    t, _, D = _chebyshev(n)[:3]
+    h = np.concatenate(([D[0] @ w / lam ** 2], (1.0 / lam - 1.0 / w[1:]) / t[1:]))
+    interpolation, integral = _profile_operators(n)
+    H, w = (interpolation @ np.stack((integral @ h, w), axis=1)).T
     if not (w < 0.0).all():
         raise NumericalError("trajectory is not negative on the quadrature range")
-    panels = LOG_STEP / 3.0 * _simpson_sums(-1.0 / w)
-    # x grows from the boundary, where w is largest, so the sums run backwards
-    x_grid = np.concatenate(([0.0], np.cumsum(panels[::-1])))
+    x_grid = _SAMPLE_LOGS / lam + H
     if not (x_grid[1:] > x_grid[:-1]).all():
         raise NumericalError("reconstructed profile abscissae are not strictly increasing")
     return SemiWaveProfile(x_grid=x_grid, q_values=q, xi=traj.xi,
-                           tail_rate=traj.saddle_slope, slopes=s * w[::-2])
+                           tail_rate=traj.saddle_slope, slopes=s * w)

@@ -6,6 +6,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -41,4 +42,6 @@ def read_csv(path) -> tuple[list[str], list[list[float]]]:
 
 
 def write_json(path, obj: dict) -> None:
+    """Write the flat dict obj as strict JSON (RFC 8259): a non-finite float as null."""
+    obj = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in obj.items()}
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")

@@ -28,6 +28,7 @@ __all__ = [
     "residual_monotonicity_audit",
 ]
 
+MIN_AUDIT_GRID = 10  # fewest speeds of a residual audit
 TAIL_ROUNDING_ULPS = 4  # k of speed_trend's rounding floor k*eps*scale
 
 
@@ -183,8 +184,8 @@ def residual_monotonicity_audit(
     The n_grid speeds are the lanes of one batched solve
     (``slope_residual`` on an array); ``bracket_low`` is closed form.
     """
-    if n_grid < 10:
-        raise InputError(f"n_grid must be at least 10, got {n_grid}")
+    if n_grid < MIN_AUDIT_GRID:
+        raise InputError(f"n_grid must be at least {MIN_AUDIT_GRID}, got {n_grid}")
     _require_gap(f.stable_zero, delta)
     c_values = np.linspace(bracket_low(d, f, delta), 0.0, n_grid)
     residuals = slope_residual(c_values, d, f, delta)

@@ -202,6 +202,12 @@ def _require_gap(xi: float, delta: float, whose: str = "") -> None:
         raise InputError(msg)
 
 
+def _require_tol(tol: float) -> None:
+    """A speed search's tol must be at least 1e-12; InputError otherwise."""
+    if not tol >= 1e-12:
+        raise InputError(f"tol must be at least 1e-12, got {tol}")
+
+
 def find_wave_speed(
     d: float,
     f: ReactionFunction,
@@ -225,8 +231,7 @@ def find_wave_speed(
     |delta*c/d|) there: a ``tol`` below that floor raises NumericalError
     naming it, and so does a residual above ``tol``.
     """
-    if not tol >= 1e-12:
-        raise InputError(f"tol must be at least 1e-12, got {tol}")
+    _require_tol(tol)
     xi = f.stable_zero
     _require_gap(xi, delta)
     saddle_slope(0.0, d, f)  # an overflow raises here, not in bracket_low's quadrature
@@ -304,8 +309,10 @@ def density_sweep(
 
     Each row is the search of its delta alone, with dc*/ddelta from its
     trajectory (``_dc_ddelta``).  Per-delta failures are recorded and the
-    sweep continues; the table's CSV carries nan rows for failures.
+    sweep continues; the table's CSV carries nan rows for failures.  A tol
+    below 1e-12 is no per-delta failure: it raises InputError before any row.
     """
+    _require_tol(tol)
     deltas = [float(x) for x in deltas]
     if not all(map(math.isfinite, deltas)) or any(b <= a for a, b in zip(deltas, deltas[1:])):
         raise InputError("deltas must be finite and strictly increasing")

@@ -26,6 +26,17 @@ def invoke(runner, args):
     return runner.invoke(main, args, catch_exceptions=False)
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON (RFC 8259)")
+
+
+def _strict_json_files(root) -> dict:
+    """Every JSON file under root, by name, parsed strictly: NaN and the infinities raise."""
+    return {path.relative_to(root).as_posix():
+            json.loads(path.read_text(), parse_constant=_reject_constant)
+            for path in sorted(Path(root).rglob("*.json"))}
+
+
 def test_semiwave_zero_speed(tmp_path, runner):
     out = tmp_path / "sw"
     res = invoke(runner, ["semiwave", "--f", "logistic:r=1", "--d", "1", "--delta", "2",
@@ -144,6 +155,40 @@ def test_validation_errors_exit_1(tmp_path, runner, args, table, message):
     res = runner.invoke(main, args + ["--out", str(tmp_path)])
     assert res.exit_code == 1, res.output
     assert message in res.output
+
+
+# flags whose values no run can use: each must exit 1 before any output
+_BOUND_FLAG_CASES = [([cmd, flag, value], f"Invalid value for '{flag}': must be finite and "
+                      f"at least 0, got {float(value)}")
+                     for cmd in ("simulate", "verify") for flag in ("--speed-rtol", "--profile-tol")
+                     for value in ("nan", "-1", "inf")]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # a global tol is no per-delta failure: the sweep stops before its first row
+        (["sweep", "--deltas", "1.5,2", "--tol", "5e-13"], "tol must be at least 1e-12, got 5e-13"),
+        *[(["speed", "--audit-grid", value], f"--audit-grid must be 0 or at least 10, got {value}")
+          for value in ("1", "5", "9", "-1")],
+        *_BOUND_FLAG_CASES,
+        (["sequences", "--n-max", "0"], "M and n_max must be positive"),
+    ],
+)
+def test_invalid_flags_exit_1_and_write_nothing(tmp_path, runner, args, message):
+    if args[0] == "simulate":
+        args = args + ["--verify"]
+    elif args[0] == "verify":
+        # files that exist, for click; the bound is rejected before they are read
+        for name in ("run.csv", "speed.json"):
+            (tmp_path / name).write_text("")
+        args = args + ["--record", str(tmp_path / "run.csv"),
+                       "--speed", str(tmp_path / "speed.json")]
+    out = tmp_path / "out"
+    res = runner.invoke(main, args + ["--out", str(out)])
+    assert res.exit_code == 1, res.output
+    assert message in res.output
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_speed_json_and_determinism(tmp_path, runner):
@@ -401,7 +446,10 @@ def test_simulate_verify_roundtrip(tmp_path, runner):
                           "--speed", str(speed_out / "speed.json"),
                           "--speed-rtol", "0.05", "--out", str(verify_out)])
     assert res.exit_code == 0, res.output
-    payload = json.loads((verify_out / "verify.json").read_text())
+    payloads = _strict_json_files(tmp_path)
+    assert sorted(payloads) == ["check/verify.json", "sim/run_config.json", "sim/verify.json",
+                                "speed/speed.json"]
+    payload = payloads["check/verify.json"]
     assert payload["final_speed_error"] < 0.05 * payload["c_target"]
 
 
@@ -416,6 +464,7 @@ def test_verify_exit_code_on_failure(tmp_path, runner):
                                "--speed", str(speed_out / "speed.json"),
                                "--speed-rtol", "1e-6", "--out", str(tmp_path / "v")])
     assert res.exit_code == 3
+    assert "v/verify.json" in _strict_json_files(tmp_path)
 
 
 @pytest.mark.parametrize(
@@ -437,6 +486,10 @@ def test_verify_verdict_on_nonfinite_errors(tmp_path, runner, g_prime, profile_e
     res = runner.invoke(main, ["verify", "--record", str(record), "--speed", str(speed),
                                "--out", str(tmp_path / "v")])
     assert res.exit_code == code, res.output
+    # a NaN error is written as null, which JSON has, and an infinite one too
+    payload = _strict_json_files(tmp_path)["v/verify.json"]
+    for key, value in (("final_speed_error", g_prime), ("final_profile_error", profile_err)):
+        assert (payload[key] is None) == (value in ("nan", "inf")), key
 
 
 def test_verify_rejects_speed_of_another_run(tmp_path, runner):
@@ -454,6 +507,7 @@ def test_verify_rejects_speed_of_another_run(tmp_path, runner):
     res = runner.invoke(main, args)
     assert res.exit_code == 1, res.output
     assert "does not belong to the run: reaction" in res.output
+    assert "v/verify.json" not in _strict_json_files(tmp_path)
     (sim_out / "run_config.json").unlink()
     res = runner.invoke(main, args)
     assert res.exit_code == 1, res.output
@@ -471,6 +525,7 @@ def test_verify_tells_apart_reactions_that_round_alike(tmp_path, runner):
                                "--out", str(tmp_path / "v")])
     assert res.exit_code == 1, res.output
     assert "does not belong to the run" in res.output
+    assert sorted(_strict_json_files(tmp_path)) == ["sim/run_config.json", "speed/speed.json"]
 
 
 @pytest.mark.parametrize(
@@ -525,7 +580,7 @@ def test_sequences_subcommand(tmp_path, runner):
 def test_warm_quadrature_grid_keeps_every_byte(tmp_path, runner, args):
     # the first run builds every degree-keyed operator, the second finds
     # them all in the caches: the artifacts must not differ
-    caches = (phaseplane._chebyshev, phaseplane._taylor_rows, phaseplane._profile_interpolation)
+    caches = (phaseplane._chebyshev, phaseplane._taylor_rows, phaseplane._profile_operators)
     for cache in caches:
         cache.cache_clear()
     outs = [tmp_path / "cold", tmp_path / "warm"]

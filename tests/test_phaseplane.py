@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -549,7 +550,9 @@ def _hermite(x, y, dydx, t):
     pieces = np.array(phaseplane._hermite_pieces(x, y, dydx, np.arange(len(x) - 1)))
     t = np.asarray(t, dtype=float)
     i = x[1:-1].searchsorted(t, "right")
-    out = phaseplane._power_sum(pieces[:, i], t - x[i])
+    a, b, s0, y0 = pieces[:, i]
+    z = t - x[i]
+    out = y0 + s0 * z + b * (z * z) + a * (z * z * z)
     return np.where((t < x[0]) | (t > x[-1]), np.nan, out)
 
 
@@ -607,42 +610,60 @@ def test_profile_builds_only_the_pieces_it_reads_bit_for_bit(logistic1):
         assert type(value) is float and value == expected(np.array(x)), x
 
 
-def _samples(n: int, coefficients):
-    """n points 1/16 apart from -3/4, exact in binary, with the polynomial's
-    values there rounded once, and its antiderivative's exact values."""
-    x = [Fraction(-3, 4) + Fraction(j, 16) for j in range(n)]
-    y = np.array([float(sum(c * t**k for k, c in enumerate(coefficients))) for t in x])
-    antiderivative = [sum(c * t ** (k + 1) / (k + 1) for k, c in enumerate(coefficients))
-                      for t in x]
-    return 1.0 / 16.0, y, antiderivative
+def _monomial_integrals(n: int):
+    """fl(t_j**k) and fl(int_{t_j}^1 t**k), k < n, at the points t_j of ``_chebyshev(n)``,
+    each rounded once from exact rationals: t_j = m_j/2**e, one e for every point, so
+    t_j**k = m_j**k/2**(e*k) is a ratio of integers, and Python's division of two
+    integers rounds correctly."""
+    ratios = [t.as_integer_ratio() for t in phaseplane._chebyshev(n)[0].tolist()]
+    e = max(den.bit_length() for _, den in ratios) - 1
+    powers, integrals = np.empty((n + 1, n)), np.empty((n + 1, n))
+    for j, (num, den) in enumerate(ratios):
+        m, power, scale = num << (e + 1 - den.bit_length()), 1, 1
+        for k in range(n):
+            powers[j, k] = power / scale
+            power, scale = power * m, scale << e
+            integrals[j, k] = (scale - power) / ((k + 1) * scale)
+    return powers, integrals
 
 
-def test_simpson_sums_are_exact_on_cubics():
-    # h/3 * (y0 + 4*y1 + y2) per panel: the data's rounding, two additions,
-    # h/3 and the product are gamma(5) of (h/3)*(|y0| + 4|y1| + |y2|)
-    h, y, antiderivative = _samples(41, [Fraction(3, 2), Fraction(-7, 3), Fraction(5, 4),
-                                         Fraction(-2, 5)])
-    panels = h / 3.0 * phaseplane._simpson_sums(y)
-    scales = h / 3.0 * phaseplane._simpson_sums(np.abs(y))
-    assert len(panels) == 20
-    for j, (panel, scale) in enumerate(zip(panels.tolist(), scales.tolist())):
-        exact = antiderivative[2 * j + 2] - antiderivative[2 * j]
-        assert abs(Fraction(panel) - exact) <= _gamma(5) * scale, j
+def _integral_misses(m, n: int, powers, integrals):
+    """The (j, k) at which m, as a stand-in for ``_profile_operators(n)``' integral, misses
+    int_{t_j}^1 t**k by more than rounding.  By Skeel's first-order bound
+    (Higham, Accuracy and Stability, sec. 7.2), a solve whose matrix D[:n, :n]
+    and data are off by gamma(3n) of themselves componentwise, which covers
+    D's rounded entries, the inverse's backward error and the product, is
+    within gamma(3n)*|D[:n, :n]^-1|*(|D|*|H| + |h|) of the exact H.  Each row of
+    that inverse holds the weights of a rule for int_{t_j}^1, all but positive:
+    the sums of their |.| are 1 - t_j to rounding (measured: at most 1 + 2e-15
+    at every degree), so twice the largest entry of |D|*|H| + |h| bounds it.  The
+    bound does not read m.  A correctly rounded H adds U*|H|."""
+    D = phaseplane._chebyshev(n)[2]
+    bound = 2.0 * _gamma(3 * n) * (np.abs(D) @ np.abs(integrals) + np.abs(powers)).max(axis=0)
+    miss = np.abs(m @ powers - integrals) * (1.0 + U) + U * np.abs(integrals) > bound
+    return np.argwhere(miss).tolist()
 
 
-@pytest.mark.parametrize("spec, d, delta", LANE_PROBLEMS)
-def test_simpson_rules_agree_with_scipys(spec, d, delta):
-    # on the profile's own integrand -1/w on the unit log grid, Simpson's
-    # rule is scipy's to rounding
-    from scipy.integrate import simpson
-
-    f = parse_reaction(spec)
-    traj = integrate_trajectory(0.5 * bracket_low(d, f, delta), d, f, delta)
-    h = phaseplane.LOG_STEP
-    y = -1.0 / (phaseplane._profile_interpolation(traj.nodes.size - 1) @ traj.nodes)
-    rounding = 2.0 * _gamma(len(y) + 6) * h * np.sum(np.abs(y))
-    ours = h / 3.0 * np.sum(phaseplane._simpson_sums(y))
-    assert abs(ours - simpson(y, dx=h)) <= rounding
+@pytest.mark.parametrize("n", [phaseplane.N_START, phaseplane.N_MAX])
+def test_profile_integral_is_exact_on_polynomials_below_the_degree(n, logistic1):
+    # exact on each power t**k, k < n, so on every polynomial of degree below
+    # n; two planted matrices miss: D with its own t = 1 row, and D with its
+    # t = 0 row replaced, which integrates from 0
+    powers, integrals = _monomial_integrals(n)
+    assert _integral_misses(phaseplane._profile_operators(n)[1], n, powers, integrals) == []
+    D = phaseplane._chebyshev(n)[2]
+    from_zero = np.zeros((n + 1, n + 1))
+    from_zero[1:, 1:] = -np.linalg.inv(D[1:, 1:])
+    for planted in (-np.linalg.inv(D), from_zero):
+        assert _integral_misses(planted, n, powers, integrals)
+    # the nodes of a degree-16 solve, read at degree n: the profile starts at
+    # x = +0.0 exactly, and its abscissae are the degree-16 profile's within
+    # 1e-13 of x_end (measured: 1.8e-15 at every degree to 256)
+    traj = integrate_trajectory(-0.5, 1.0, logistic1, 2.0)
+    nodes = phaseplane._interpolation(traj.nodes.size - 1, phaseplane._chebyshev(n)[0]) @ traj.nodes
+    x = reconstruct_profile(dataclasses.replace(traj, nodes=nodes)).x_grid
+    assert x[0] == 0.0 and math.copysign(1.0, x[0]) == 1.0
+    assert np.max(np.abs(x - reconstruct_profile(traj).x_grid)) <= 1e-13 * x[-1]
 
 
 def _family(n):
@@ -1239,14 +1260,14 @@ def test_speed_solve_unresolved_at_the_largest_degree_raises(logistic1, speed_re
 
 
 def test_profile_whose_abscissae_stall_raises(monkeypatch, logistic1):
-    # a stand-in zeroes one Simpson panel, so two abscissae coincide
-    sums = phaseplane._simpson_sums
+    # a stand-in integral a hundred times too large: x = ln(t)/lam + 100*H
+    # stops growing where |w| has grown past |lam|
+    real = phaseplane._profile_operators
 
-    def stalled(y):
-        out = sums(y)
-        out[7] = 0.0
-        return out
+    def stalling(n):
+        interpolation, integral = real(n)
+        return interpolation, 100.0 * integral
 
-    monkeypatch.setattr(phaseplane, "_simpson_sums", stalled)
+    monkeypatch.setattr(phaseplane, "_profile_operators", stalling)
     with pytest.raises(NumericalError, match="abscissae are not strictly increasing"):
         reconstruct_profile(integrate_trajectory(-0.5, 1.0, logistic1, 2.0))
